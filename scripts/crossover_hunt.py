@@ -20,7 +20,6 @@ from primelab import (  # noqa: E402
     estimate_pi_d,
     find_crossover,
     monoid_census,
-    sieve_primes,
 )
 
 DEFAULT_MODULI = (3, 5, 7, 9, 11, 13, 21, 50)
@@ -29,8 +28,7 @@ DEFAULT_MODULI = (3, 5, 7, 9, 11, 13, 21, 50)
 def hunt(d: int, start: int = 2000, cap: int = 2_000_000) -> tuple[int | None, int]:
     limit = start
     while True:
-        table = sieve_primes(limit)
-        census = monoid_census(MonoidParams(d, limit), table)
+        census = monoid_census(MonoidParams(d, limit))
         series = build_series(census, lambda xs: estimate_pi_d(d, xs))
         x = find_crossover(series)
         if x is not None and x <= limit // 2:

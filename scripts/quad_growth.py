@@ -7,29 +7,32 @@ across d.  Writes (d, region, bound, count, c, e, rms_rel_err) rows.
 """
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from primelab import RegionSpec, fit_model, quad_census, sieve_primes  # noqa: E402
-from primelab.series import CountSeries  # noqa: E402
+import numpy as np  # noqa: E402
+
+from primelab import (  # noqa: E402
+    CountSeries,
+    QuadCensus,
+    RegionSpec,
+    build_series,
+    fit_model,
+    quad_census,
+)
 
 DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
 
 
-def thin(series: CountSeries, points: int = 250) -> CountSeries:
+def thin(census: QuadCensus, points: int = 250) -> CountSeries:
     """Keep a geometric subsample so the fit is not dominated by the tail."""
-    import numpy as np
-
-    from primelab import make_series
-
-    lo = int(series.x[np.argmax(series.actual >= 1)])
-    xs = np.unique(np.geomspace(max(lo, 3), int(series.x[-1]), points).astype(np.int64))
-    actual = series.actual[np.searchsorted(series.x, xs)]
-    return make_series(xs, actual, None, dict(series.metadata))
+    grid = census.change_grid()
+    lo = int(grid[np.argmax(census.counts_at(grid) >= 1)])
+    xs = np.unique(np.geomspace(max(lo, 3), int(grid[-1]), points).astype(np.int64))
+    return build_series(census, grid=xs)
 
 
 def main() -> int:
@@ -41,16 +44,14 @@ def main() -> int:
     args = parser.parse_args()
 
     kind = "euclidean-ball" if args.euclidean else "norm-ball"
-    max_norm = max(args.rings) * args.bound if args.euclidean else args.bound
-    table = sieve_primes(max(math.isqrt(max_norm), 2))
 
     lines = ["d,region,bound,count,c,e,rms_rel_err"]
     for d in args.rings:
         t0 = time.perf_counter()
-        series = quad_census(d, RegionSpec(kind, args.bound), table)
-        fit = fit_model(thin(series))
+        census = quad_census(d, RegionSpec(kind, args.bound))
+        fit = fit_model(thin(census))
         took = time.perf_counter() - t0
-        count = int(series.actual[-1])
+        count = census.total
         print(
             f"d={d}: count={count} fit c={fit.c:.4g} e={fit.e:.4g} "
             f"rms={fit.rms_rel_err:.3g} ({took:.2f}s)"

@@ -26,6 +26,7 @@ from .monoid import (
     pi_d,
 )
 from .quadratic import (
+    QuadCensus,
     QuadInt,
     RegionSpec,
     quad_census,
@@ -45,9 +46,10 @@ from .series import (
     mape,
     ratio_R,
 )
-from .sieve import PrimeTable, pi, sieve_primes
+from .sieve import ClassicalCensus, PrimeTable, classical_census, pi, sieve_primes
 
 __all__ = [
+    "ClassicalCensus",
     "CountSeries",
     "FitResult",
     "GaussPoint",
@@ -55,9 +57,11 @@ __all__ = [
     "MonoidCensus",
     "MonoidParams",
     "PrimeTable",
+    "QuadCensus",
     "QuadInt",
     "RegionSpec",
     "build_series",
+    "classical_census",
     "estimate_pi_G",
     "estimate_pi_d",
     "find_crossover",

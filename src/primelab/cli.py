@@ -8,6 +8,7 @@ PRIMES_LAB_MAX_LIMIT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -148,104 +149,109 @@ def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
 
 
-def _monoid_series(d: int, limit: int) -> tuple[monoid.MonoidCensus, analysis.CountSeries | None]:
-    table = sieve.sieve_primes(max(limit, 2))
-    census = monoid.monoid_census(monoid.MonoidParams(d=d, limit=limit), table)
-    if census.cumulative_counts[-1] == 0:
+def _require(args, domain: str, *names: str) -> None:
+    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise ValueError(f"{' and '.join(missing)} {verb} required for the {domain} domain")
+
+
+def _census(domain: str, args):
+    """Build the census a subcommand asks for, after the resource guard, and
+    its evaluation series (None when an estimate is asserted but the census
+    holds no primes, so the series has no first point)."""
+    estimator = None
+    if domain == "classical":
+        _require(args, domain, "limit")
+        _check_guard(args.limit, "limit")
+        census = sieve.classical_census(args.limit)
+    elif domain == "monoid":
+        _require(args, domain, "d", "limit")
+        _check_guard(args.limit, "limit")
+        census = monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
+        estimator = functools.partial(monoid.estimate_pi_d, args.d)
+    elif domain == "gauss":
+        _require(args, domain, "norm_limit")
+        _check_guard(args.norm_limit, "norm-limit")
+        convention = "dedupe-axes" if getattr(args, "dedupe_axes", False) else "both-axes"
+        census = gaussian.gaussian_census(args.norm_limit, convention)
+        estimator = lambda ns: gaussian.estimate_pi_G(np.sqrt(ns))
+    else:
+        _require(args, domain, "d", "bound")
+        # squarefree validation of d trial-divides up to sqrt(d): guard d first
+        _check_guard(args.d, "d")
+        _check_guard(args.bound, "bound", cap=quadratic.MAX_CENSUS_BOUND)
+        kind = "euclidean-ball" if args.euclidean else "norm-ball"
+        census = quadratic.quad_census(args.d, quadratic.RegionSpec(kind, args.bound))
+    if estimator is not None and census.total == 0:
         return census, None
-    ser = analysis.build_series(census, lambda xs: monoid.estimate_pi_d(d, xs))
-    return census, ser
+    return census, analysis.build_series(census, estimator)
+
+
+def _mape(ser: analysis.CountSeries | None) -> float:
+    return analysis.mape(ser) if ser is not None else math.nan
+
+
+def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
+    """Write whichever of --csv, --series-csv and --svg the subcommand has:
+    csv_obj (summary rows, fit rows or a series) to --csv, the series to
+    the other two."""
+    outputs = (
+        ("csv", csv_obj, report.write_csv),
+        ("series_csv", ser, report.write_csv),
+        ("svg", ser, report.render_svg),
+    )
+    for flag, obj, write in outputs:
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        if obj is None:
+            raise ValueError(f"census holds no primes; no series for --{flag.replace('_', '-')}")
+        write(obj, path)
+        print(f"wrote {path}")
+
+
+def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.MonoidSummary:
+    estimate = monoid.estimate_pi_d(census.params.d, eval_x)
+    return report.MonoidSummary(
+        d=census.params.d,
+        largest_element=monoid.largest_element(census.params),
+        actual_count=census.total,
+        estimate=estimate,
+        r_ratio=analysis.ratio_R(census.total, estimate),
+        mape_pct=_mape(ser),
+    )
 
 
 def _cmd_monoid(args) -> int:
-    _check_guard(args.limit, "limit")
-    census, ser = _monoid_series(args.d, args.limit)
-    count = int(census.cumulative_counts[-1])
+    census, ser = _census("monoid", args)
     eval_x = (
         monoid.largest_element(census.params) if args.eval_at == "largest" else args.limit
     )
-    estimate = monoid.estimate_pi_d(args.d, eval_x)
-    r = analysis.ratio_R(count, estimate)
-    mape_pct = analysis.mape(ser) if ser is not None else math.nan
+    row = _monoid_summary(census, ser, eval_x)
     print(
-        f"monoid d={args.d} limit={args.limit}: count={count} "
-        f"estimate({eval_x})={estimate:.2f} R={r:.5f} mape={mape_pct:.2f}%"
+        f"monoid d={args.d} limit={args.limit}: count={row.actual_count} "
+        f"estimate({eval_x})={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
     )
-    if args.csv:
-        row = report.MonoidSummary(
-            d=args.d,
-            largest_element=monoid.largest_element(census.params),
-            actual_count=count,
-            estimate=estimate,
-            r_ratio=r,
-            mape_pct=mape_pct,
-        )
-        report.write_csv([row], args.csv)
-        print(f"wrote {args.csv}")
-    if args.series_csv:
-        if ser is None:
-            raise ValueError("census holds no primes; no series to write")
-        report.write_csv(ser, args.series_csv)
-        print(f"wrote {args.series_csv}")
-    if args.svg:
-        if ser is None:
-            raise ValueError("census holds no primes; no series to render")
-        report.render_svg(ser, args.svg)
-        print(f"wrote {args.svg}")
+    _emit(args, [row], ser)
     return EXIT_OK
 
 
-def _gauss_series(norm_limit: int, convention: str) -> tuple[gaussian.GaussianCensus, analysis.CountSeries | None]:
-    table = sieve.sieve_primes(max(norm_limit, 2))
-    census = gaussian.gaussian_census(norm_limit, convention, table)
-    if census.cumulative[-1] == 0:
-        return census, None
-    ser = analysis.build_series(census, lambda ns: gaussian.estimate_pi_G(np.sqrt(ns)))
-    return census, ser
-
-
 def _cmd_gauss(args) -> int:
-    _check_guard(args.norm_limit, "norm-limit")
-    convention = "dedupe-axes" if args.dedupe_axes else "both-axes"
-    census, ser = _gauss_series(args.norm_limit, convention)
-    count = gaussian.pi_G(census, args.norm_limit)
-    mape_pct = analysis.mape(ser) if ser is not None else math.nan
+    census, ser = _census("gauss", args)
+    row = report.MapeSummary(args.norm_limit, _mape(ser))
     print(
-        f"gauss norm-limit={args.norm_limit} axes={convention}: "
-        f"count={count} mape={mape_pct:.3f}%"
+        f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
+        f"count={census.total} mape={row.mape_pct:.3f}%"
     )
-    if args.csv:
-        report.write_csv([report.MapeSummary(args.norm_limit, mape_pct)], args.csv)
-        print(f"wrote {args.csv}")
-    if args.series_csv:
-        if ser is None:
-            raise ValueError("census holds no primes; no series to write")
-        report.write_csv(ser, args.series_csv)
-        print(f"wrote {args.series_csv}")
-    if args.svg:
-        if ser is None:
-            raise ValueError("census holds no primes; no series to render")
-        report.render_svg(ser, args.svg)
-        print(f"wrote {args.svg}")
+    _emit(args, [row], ser)
     return EXIT_OK
 
 
 def _cmd_quad(args) -> int:
-    _check_guard(args.bound, "bound", cap=quadratic.MAX_CENSUS_BOUND)
-    quadratic.validate_ring_param(args.d)
-    kind = "euclidean-ball" if args.euclidean else "norm-ball"
-    region = quadratic.RegionSpec(kind=kind, bound=args.bound)
-    max_norm = args.d * args.bound if args.euclidean else args.bound
-    table = sieve.sieve_primes(max(math.isqrt(max_norm), 2))
-    ser = quadratic.quad_census(args.d, region, table)
-    count = int(ser.actual[-1])
-    print(f"quad d={args.d} {kind} bound={args.bound}: irreducibles={count}")
-    if args.csv:
-        report.write_csv(ser, args.csv)
-        print(f"wrote {args.csv}")
-    if args.svg:
-        report.render_svg(ser, args.svg)
-        print(f"wrote {args.svg}")
+    census, ser = _census("quad", args)
+    print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
+    _emit(args, ser, ser)
     return EXIT_OK
 
 
@@ -254,40 +260,12 @@ def _fit_series(args) -> analysis.CountSeries:
         raise ValueError("choose either --from-csv or --domain, not both")
     if args.from_csv:
         return report.read_series_csv(args.from_csv)
-    if args.domain == "classical":
-        if args.limit is None:
-            raise ValueError("--limit is required for the classical domain")
-        _check_guard(args.limit, "limit")
-        table = sieve.sieve_primes(args.limit)
-        xs = np.arange(2, args.limit + 1, dtype=np.int64)
-        actual = np.cumsum(table.flags[2:], dtype=np.int64)
-        return analysis.make_series(xs, actual, None, {"domain": "classical", "limit": str(args.limit)})
-    if args.domain == "monoid":
-        if args.d is None or args.limit is None:
-            raise ValueError("--d and --limit are required for the monoid domain")
-        _check_guard(args.limit, "limit")
-        _, ser = _monoid_series(args.d, args.limit)
-        if ser is None:
-            raise ValueError("census holds no primes; nothing to fit")
-        return ser
-    if args.domain == "gauss":
-        if args.norm_limit is None:
-            raise ValueError("--norm-limit is required for the gauss domain")
-        _check_guard(args.norm_limit, "norm-limit")
-        _, ser = _gauss_series(args.norm_limit, "both-axes")
-        if ser is None:
-            raise ValueError("census holds no primes; nothing to fit")
-        return ser
-    if args.domain == "quad":
-        if args.d is None or args.bound is None:
-            raise ValueError("--d and --bound are required for the quad domain")
-        _check_guard(args.bound, "bound", cap=quadratic.MAX_CENSUS_BOUND)
-        quadratic.validate_ring_param(args.d)
-        kind = "euclidean-ball" if args.euclidean else "norm-ball"
-        max_norm = args.d * args.bound if args.euclidean else args.bound
-        table = sieve.sieve_primes(max(math.isqrt(max_norm), 2))
-        return quadratic.quad_census(args.d, quadratic.RegionSpec(kind, args.bound), table)
-    raise ValueError("fit needs --from-csv or --domain")
+    if not args.domain:
+        raise ValueError("fit needs --from-csv or --domain")
+    _, ser = _census(args.domain, args)
+    if ser is None:
+        raise ValueError("census holds no primes; nothing to fit")
+    return ser
 
 
 def _cmd_fit(args) -> int:
@@ -297,58 +275,36 @@ def _cmd_fit(args) -> int:
         f"fit {ser.label()}: c={result.c:.6g} e={result.e:.6g} "
         f"rms_rel_err={result.rms_rel_err:.6g}"
     )
-    if args.csv:
-        text = "c,e,rms_rel_err\n" f"{result.c:.6g},{result.e:.6g},{result.rms_rel_err:.6g}\n"
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.csv}")
+    _emit(args, [result])
     return EXIT_OK
 
 
 def _cmd_table1(args) -> int:
-    table = sieve.sieve_primes(TABLE1_LIMIT)
     rows = []
     for d in TABLE1_MODULI:
-        census = monoid.monoid_census(monoid.MonoidParams(d=d, limit=TABLE1_LIMIT), table)
-        ser = analysis.build_series(census, lambda xs, d=d: monoid.estimate_pi_d(d, xs))
-        largest = monoid.largest_element(census.params)
-        estimate = monoid.estimate_pi_d(d, largest)
-        count = int(census.cumulative_counts[-1])
-        rows.append(
-            report.MonoidSummary(
-                d=d,
-                largest_element=largest,
-                actual_count=count,
-                estimate=estimate,
-                r_ratio=analysis.ratio_R(count, estimate),
-                mape_pct=analysis.mape(ser),
-            )
-        )
+        census, ser = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
+        row = _monoid_summary(census, ser, monoid.largest_element(census.params))
+        rows.append(row)
         print(
-            f"d={d}: largest={largest} count={rows[-1].actual_count} "
-            f"estimate={estimate:.2f} R={rows[-1].r_ratio:.5f} mape={rows[-1].mape_pct:.2f}%"
+            f"d={d}: largest={row.largest_element} count={row.actual_count} "
+            f"estimate={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
         )
         if args.svg_dir:
             os.makedirs(args.svg_dir, exist_ok=True)
             path = os.path.join(args.svg_dir, f"monoid_d{d}.svg")
             report.render_svg(ser, path)
             print(f"wrote {path}")
-    if args.csv:
-        report.write_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
+    _emit(args, rows)
     return EXIT_OK
 
 
 def _cmd_table2(args) -> int:
-    top = TABLE2_BOUNDS[-1]
-    _, ser = _gauss_series(top, "both-axes")
+    _, ser = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
     rows = []
     for bound in TABLE2_BOUNDS:
         upto = np.searchsorted(ser.x, bound, side="right")
         pct = ser.pct_err[:upto]
         rows.append(report.MapeSummary(bound, float(pct[~np.isnan(pct)].mean())))
         print(f"norm-bound={bound}: mape={rows[-1].mape_pct:.3f}%")
-    if args.csv:
-        report.write_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
+    _emit(args, rows)
     return EXIT_OK

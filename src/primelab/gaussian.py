@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import PrimeTable
+from .sieve import BoundIndexedCensus, PrimeTable, require_int, sieve_primes
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -42,21 +42,12 @@ class GaussPoint:
 
 
 @dataclass(frozen=True)
-class GaussianCensus:
+class GaussianCensus(BoundIndexedCensus):
     """Cumulative Gaussian-prime counts indexed by integer norm bound."""
 
     norm_limit: int
     axis_convention: str
     cumulative: np.ndarray  # int64, index n in [0, norm_limit]
-
-    def counts_at(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.size and (xs.min() < 1 or xs.max() > self.norm_limit):
-            raise ValueError("norm bounds outside census range")
-        return self.cumulative[xs]
-
-    def change_grid(self) -> np.ndarray:
-        return np.arange(1, self.norm_limit + 1, dtype=np.int64)
 
     def describe(self) -> dict[str, str]:
         return {
@@ -105,35 +96,21 @@ def gaussian_brute_irreducible(p: GaussPoint) -> bool:
     return True
 
 
-def gaussian_census(norm_limit: int, convention: str, table: PrimeTable) -> GaussianCensus:
-    """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit."""
+def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
+    """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit,
+    by reduction to the rational primes of each norm."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
-    if not isinstance(norm_limit, int) or norm_limit < 1:
-        raise ValueError(f"norm_limit must be a positive integer, got {norm_limit!r}")
-    if table.limit < norm_limit:
-        raise ValueError(f"table.limit={table.limit} < norm_limit {norm_limit}")
+    require_int("norm_limit", norm_limit, 1)
 
-    flags = table.flags
-    hits: list[np.ndarray] = []
-    # off-axis points: prime iff the norm is prime
-    for b in range(1, math.isqrt(norm_limit) + 1):
-        b2 = b * b
-        if norm_limit - b2 < 1:
-            break
-        amax = math.isqrt(norm_limit - b2)
-        a = np.arange(1, amax + 1, dtype=np.int64)
-        norms = a * a + b2
-        hits.append(norms[flags[norms]])
-    # axis points (q, 0) and (0, q) at norm q^2, q prime, q = 3 (mod 4)
-    qmax = math.isqrt(norm_limit)
-    qs = np.flatnonzero(flags[: qmax + 1]).astype(np.int64)
+    flags = sieve_primes(max(norm_limit, 2)).flags[: norm_limit + 1]
+    counts = flags.astype(np.int8)  # norm 2: the one point 1+i
+    counts[1::4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
+    counts[3::4] = 0  # p = 3 (mod 4) is no sum of two squares
+    # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
+    qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
     qs = qs[qs % 4 == 3]
-    axis_copies = 2 if convention == "both-axes" else 1
-    hits.append(np.repeat(qs * qs, axis_copies))
-
-    all_norms = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
-    counts = np.bincount(all_norms, minlength=norm_limit + 1)
+    counts[qs * qs] += 2 if convention == "both-axes" else 1
     cumulative = np.cumsum(counts, dtype=np.int64)
     cumulative.setflags(write=False)
     return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)

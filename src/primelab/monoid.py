@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import PrimeTable
+from .sieve import PrimeTable, require_int
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,8 @@ class MonoidParams:
     limit: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if not isinstance(self.limit, int) or self.limit < 1:
-            raise ValueError(f"limit must be an integer >= 1, got {self.limit!r}")
+        require_int("d", self.d, 2)
+        require_int("limit", self.limit, 1)
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,11 @@ class MonoidCensus:
         d = self.params.d
         return 1 + np.arange(len(self.prime_flags), dtype=np.int64) * d
 
+    @property
+    def total(self) -> int:
+        """The count at the census's own bound."""
+        return int(self.cumulative_counts[-1])
+
     def counts_at(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized monoid-prime count at each x (1 <= x <= limit)."""
         xs = np.asarray(xs, dtype=np.int64)
@@ -66,7 +69,7 @@ class MonoidCensus:
         }
 
 
-def monoid_census(params: MonoidParams, table: PrimeTable) -> MonoidCensus:
+def monoid_census(params: MonoidParams) -> MonoidCensus:
     """Sieve the monoid primes of A_d up to the limit.
 
     Marking scheme: for each unmarked a in A_d with 1 < a, a*a <= limit, mark
@@ -76,8 +79,6 @@ def monoid_census(params: MonoidParams, table: PrimeTable) -> MonoidCensus:
     monoid-prime divisor p with p <= n/p.
     """
     d, limit = params.d, params.limit
-    if table.limit < limit:
-        raise ValueError(f"table.limit={table.limit} < census limit {limit}")
 
     k_max = (limit - 1) // d
     composite = np.zeros(k_max + 1, dtype=bool)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CountSeries, make_series
-from .sieve import PrimeTable
+from .sieve import BoundIndexedCensus, require_int, sieve_primes
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
@@ -26,8 +25,7 @@ MAX_CENSUS_BOUND = 10**6
 
 def validate_ring_param(d: int) -> None:
     """Accept squarefree d >= 1 (the ring Z[sqrt(-d)]); reject the rest."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    require_int("d", d)
     if d < 1:
         raise ValueError(
             f"d={d} selects a real quadratic ring Z[sqrt({-d})], which has "
@@ -66,8 +64,25 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if not isinstance(self.bound, int) or self.bound < 1:
-            raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
+        require_int("bound", self.bound, 1)
+
+
+@dataclass(frozen=True)
+class QuadCensus(BoundIndexedCensus):
+    """Cumulative irreducible counts indexed by the region's bound parameter."""
+
+    d: int
+    region: RegionSpec
+    cumulative: np.ndarray  # int64, index n in [0, region.bound]
+
+    def describe(self) -> dict[str, str]:
+        return {
+            "domain": "quadratic",
+            "d": str(self.d),
+            "region": self.region.kind,
+            "bound": str(self.region.bound),
+            "counted": "irreducibles",
+        }
 
 
 def quad_norm(x: QuadInt) -> int:
@@ -165,7 +180,7 @@ def _divisors_by_factoring(n: int, primes: list[int]) -> list[int]:
     return [m for m in divisors if 1 < m < n]
 
 
-def quad_census(d: int, region: RegionSpec, table: PrimeTable) -> CountSeries:
+def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Cumulative irreducible counts over all a, b >= 0 inside the region,
     indexed by the region's bound parameter (zero and units excluded)."""
     validate_ring_param(d)
@@ -173,13 +188,8 @@ def quad_census(d: int, region: RegionSpec, table: PrimeTable) -> CountSeries:
         raise ValueError(f"bound {region.bound} exceeds brute-force cap {MAX_CENSUS_BOUND}")
     bound = region.bound
     euclidean = region.kind == "euclidean-ball"
-    max_norm = d * bound if euclidean else bound
-    if table.limit < math.isqrt(max_norm):
-        raise ValueError(
-            f"table.limit={table.limit} cannot factor norms up to {max_norm}; "
-            f"need at least {math.isqrt(max_norm)}"
-        )
-    primes = [int(p) for p in table.primes[table.primes <= math.isqrt(max_norm)]]
+    root = math.isqrt(d * bound if euclidean else bound)
+    primes = sieve_primes(max(root, 2)).primes.tolist()
 
     counts = np.zeros(bound + 1, dtype=np.int64)
     b = 0
@@ -193,13 +203,6 @@ def quad_census(d: int, region: RegionSpec, table: PrimeTable) -> CountSeries:
                 counts[a * a + b * b if euclidean else norm] += 1
         b += 1
 
-    actual = np.cumsum(counts[1:], dtype=np.int64)
-    xs = np.arange(1, bound + 1, dtype=np.int64)
-    meta = {
-        "domain": "quadratic",
-        "d": str(d),
-        "region": region.kind,
-        "bound": str(bound),
-        "counted": "irreducibles",
-    }
-    return make_series(xs, actual, None, meta)
+    cumulative = np.cumsum(counts, dtype=np.int64)
+    cumulative.setflags(write=False)
+    return QuadCensus(d=d, region=region, cumulative=cumulative)

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import CountSeries
+from .series import CountSeries, FitResult
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
 MAPE_SUMMARY_HEADER = "norm_bound,mape_pct"
+FIT_HEADER = "c,e,rms_rel_err"
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -46,20 +47,30 @@ class MapeSummary:
     mape_pct: float
 
 
+# header and line format of each row type write_csv accepts
+_ROW_FORMATS = {
+    MonoidSummary: (
+        MONOID_SUMMARY_HEADER,
+        lambda r: f"{r.d},{r.largest_element},{r.actual_count},{r.estimate:.2f},"
+        f"{r.r_ratio:.5f},{abs(r.r_ratio - 1.0):.5f},{r.mape_pct:.2f}",
+    ),
+    MapeSummary: (MAPE_SUMMARY_HEADER, lambda r: f"{r.norm_bound},{r.mape_pct:.3f}"),
+    FitResult: (FIT_HEADER, lambda r: f"{r.c:.6g},{r.e:.6g},{r.rms_rel_err:.6g}"),
+}
+
+
 def write_csv(obj, path) -> None:
-    """Write a CountSeries or a list of summary rows to path."""
+    """Write a CountSeries or a list of summary or fit rows to path."""
     if isinstance(obj, CountSeries):
         text = series_csv_text(obj)
     else:
         rows = list(obj)
-        if rows and isinstance(rows[0], MonoidSummary):
-            text = _monoid_summary_text(rows)
-        elif rows and isinstance(rows[0], MapeSummary):
-            text = _mape_summary_text(rows)
-        elif not rows:
+        if not rows:
             raise ValueError("no summary rows to write")
-        else:
+        if type(rows[0]) not in _ROW_FORMATS:
             raise TypeError(f"cannot serialize {type(rows[0]).__name__} rows")
+        header, line = _ROW_FORMATS[type(rows[0])]
+        text = "\n".join([header, *map(line, rows)]) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -75,38 +86,26 @@ def series_csv_text(series: CountSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monoid_summary_text(rows: list[MonoidSummary]) -> str:
-    lines = [MONOID_SUMMARY_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.d},{r.largest_element},{r.actual_count},{r.estimate:.2f},"
-            f"{r.r_ratio:.5f},{abs(r.r_ratio - 1.0):.5f},{r.mape_pct:.2f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _mape_summary_text(rows: list[MapeSummary]) -> str:
-    lines = [MAPE_SUMMARY_HEADER]
-    for r in rows:
-        lines.append(f"{r.norm_bound},{r.mape_pct:.3f}")
-    return "\n".join(lines) + "\n"
-
-
 def read_series_csv(path) -> CountSeries:
     """Round-trip parser for series CSV files."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != SERIES_HEADER:
         raise ValueError(f"{path} is not a series CSV (bad header)")
     xs, actuals, ests, ratios, pcts = [], [], [], [], []
-    for line in lines[1:]:
-        if not line:
-            continue
-        fx, fa, fe, fr, fp = line.split(",")
-        xs.append(int(fx))
-        actuals.append(int(fa))
-        ests.append(float(fe) if fe else math.nan)
-        ratios.append(float(fr) if fr else math.nan)
-        pcts.append(float(fp) if fp else math.nan)
+    try:
+        for line in lines[1:]:
+            if not line:
+                continue
+            fx, fa, fe, fr, fp = line.split(",")
+            xs.append(int(fx))
+            actuals.append(int(fa))
+            ests.append(float(fe) if fe else math.nan)
+            ratios.append(float(fr) if fr else math.nan)
+            pcts.append(float(fp) if fp else math.nan)
+    except ValueError as exc:
+        # the first copy of the failing text is the failing line (an identical
+        # earlier line would have failed first), so the loop needs no counter
+        raise ValueError(f"{path} line {lines.index(line, 1) + 1}: {exc}") from exc
     return CountSeries(
         x=np.array(xs, dtype=np.int64),
         actual=np.array(actuals, dtype=np.int64),

@@ -79,15 +79,16 @@ def make_series(
 
 def build_series(census, estimator: Estimator | None = None, grid=None) -> CountSeries:
     """Evaluate a census on a grid (default: every point where the count can
-    change, starting at the first with a nonzero count)."""
+    change; with an estimator, starting at the first nonzero count, since
+    the estimates are undefined at x <= 1)."""
     if grid is None:
-        full = census.change_grid()
-        counts = census.counts_at(full)
-        nz = np.flatnonzero(counts >= 1)
-        if nz.size == 0:
-            raise ValueError("census holds no primes; no default grid exists")
-        grid = full[nz[0] :]
-        actual = counts[nz[0] :]
+        grid = census.change_grid()
+        actual = census.counts_at(grid)
+        if estimator is not None:
+            nz = np.flatnonzero(actual >= 1)
+            if nz.size == 0:
+                raise ValueError("census holds no primes; no default grid exists")
+            grid, actual = grid[nz[0] :], actual[nz[0] :]
     else:
         grid = np.asarray(grid, dtype=np.int64)
         if grid.size == 0:

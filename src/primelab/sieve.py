@@ -1,7 +1,9 @@
-"""Rational-prime sieving and the classical counting function pi(x).
+"""Rational-prime sieving, the classical counting function pi(x), and the
+parts every census shares.
 
-Every census in this package reduces its primality questions to lookups in a
-PrimeTable built here.
+The classical, Gaussian and quadratic censuses sieve the PrimeTable they
+need themselves; the monoid census needs none.  All four answer the same
+interface: ``counts_at``, ``change_grid``, ``describe`` and ``total``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,35 @@ MAX_SIEVE_LIMIT = 1 << 40
 # Above this the marking loop runs in cache-sized segments.
 SEGMENT_THRESHOLD = 10**8
 DEFAULT_SEGMENT_SIZE = 1 << 22
+
+
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject bools, non-integers and, when given, values below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+class BoundIndexedCensus:
+    """Census whose ``cumulative[n]`` is the count at bound n, 0 <= n <= limit."""
+
+    cumulative: np.ndarray  # int64, read-only
+
+    @property
+    def total(self) -> int:
+        """The count at the census's own bound."""
+        return int(self.cumulative[-1])
+
+    def counts_at(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and (xs.min() < 1 or xs.max() >= len(self.cumulative)):
+            raise ValueError("evaluation points outside census range")
+        return self.cumulative[xs]
+
+    def change_grid(self) -> np.ndarray:
+        """Every integer bound from 1 to the limit."""
+        return np.arange(1, len(self.cumulative), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -44,10 +75,7 @@ def sieve_primes(limit: int, segment_size: int | None = None) -> PrimeTable:
     segmented and one-shot runs agree); by default segmentation kicks in
     only above SEGMENT_THRESHOLD.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
+    require_int("limit", limit, 2)
     if limit > MAX_SIEVE_LIMIT:
         raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
 
@@ -91,6 +119,24 @@ def _sieve_segmented(limit: int, segment_size: int) -> np.ndarray:
                 continue
             seg[start - lo :: p] = False
     return flags
+
+
+@dataclass(frozen=True)
+class ClassicalCensus(BoundIndexedCensus):
+    """Cumulative rational-prime counts pi(n) for 0 <= n <= limit."""
+
+    limit: int
+    cumulative: np.ndarray
+
+    def describe(self) -> dict[str, str]:
+        return {"domain": "classical", "limit": str(self.limit)}
+
+
+def classical_census(limit: int) -> ClassicalCensus:
+    """pi(n) for every n up to limit (>= 2)."""
+    cumulative = np.cumsum(sieve_primes(limit).flags, dtype=np.int64)
+    cumulative.setflags(write=False)
+    return ClassicalCensus(limit=limit, cumulative=cumulative)
 
 
 def pi(table: PrimeTable, x: int) -> int:

@@ -28,7 +28,6 @@ from primelab import (
     pi,
     quad_census,
     ratio_R,
-    sieve_primes,
 )
 from primelab.cli import run_cli
 
@@ -54,9 +53,9 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def table1_runs(table_10k):
+def table1_runs():
     t0 = time.perf_counter()
-    censuses = {d: monoid_census(MonoidParams(d, 10**4), table_10k) for d in TABLE1}
+    censuses = {d: monoid_census(MonoidParams(d, 10**4)) for d in TABLE1}
     elapsed = time.perf_counter() - t0
     series = {
         d: build_series(c, lambda xs, d=d: estimate_pi_d(d, xs)) for d, c in censuses.items()
@@ -67,8 +66,7 @@ def table1_runs(table_10k):
 @pytest.fixture(scope="module")
 def gauss_10m():
     t0 = time.perf_counter()
-    table = sieve_primes(10**7)
-    census = gaussian_census(10**7, "both-axes", table)
+    census = gaussian_census(10**7, "both-axes")
     elapsed = time.perf_counter() - t0
     ser = build_series(census, lambda ns: estimate_pi_G(np.sqrt(ns)))
     return census, ser, elapsed
@@ -121,16 +119,15 @@ def test_criterion_04_mape(table1_runs):
     assert ok
 
 
-def test_criterion_05_crossovers(table_10k):
+def test_criterion_05_crossovers():
     results = {}
     for d, (limit, lo, hi) in CROSSOVER_WINDOWS.items():
-        table = table_10k if limit <= 10**4 else sieve_primes(limit)
-        census = monoid_census(MonoidParams(d, limit), table)
+        census = monoid_census(MonoidParams(d, limit))
         ser = build_series(census, lambda xs, d=d: estimate_pi_d(d, xs))
         results[d] = (find_crossover(ser), lo, hi)
     t0 = time.perf_counter()
     limit = 420_000
-    census = monoid_census(MonoidParams(50, limit), sieve_primes(limit))
+    census = monoid_census(MonoidParams(50, limit))
     ser = build_series(census, lambda xs: estimate_pi_d(50, xs))
     results[50] = (find_crossover(ser), 250_000, 420_000)
     d50_elapsed = time.perf_counter() - t0
@@ -168,10 +165,10 @@ def test_criterion_06_gaussian_mape_trend(gauss_10m):
     assert elapsed < 60.0
 
 
-def test_criterion_07a_monoid_sieve_equals_trial_division(table_10k):
+def test_criterion_07a_monoid_sieve_equals_trial_division():
     mismatches = 0
     for d in range(2, 13):
-        census = monoid_census(MonoidParams(d, 10**4), table_10k)
+        census = monoid_census(MonoidParams(d, 10**4))
         flags = census.prime_flags
         for k in range(len(flags)):
             if bool(flags[k]) != is_monoid_prime(1 + k * d, d):
@@ -181,7 +178,7 @@ def test_criterion_07a_monoid_sieve_equals_trial_division(table_10k):
 
 
 def test_criterion_07b_hilbert_equals_sieve(table_1m):
-    census = monoid_census(MonoidParams(4, 10**6), table_1m)
+    census = monoid_census(MonoidParams(4, 10**6))
     flags = census.prime_flags
     mismatches = sum(
         1
@@ -207,9 +204,9 @@ def test_criterion_07c_gaussian_classifier_equals_brute_force(table_10k):
     assert mismatches == 0
 
 
-def test_criterion_07d_quadratic_d1_equals_gaussian(table_10k):
-    ser = quad_census(1, RegionSpec("norm-ball", 10**4), table_10k)
-    census = gaussian_census(10**4, "both-axes", table_10k)
+def test_criterion_07d_quadratic_d1_equals_gaussian():
+    ser = build_series(quad_census(1, RegionSpec("norm-ball", 10**4)))
+    census = gaussian_census(10**4, "both-axes")
     equal = np.array_equal(ser.actual, census.cumulative[1:])
     report("07d quadratic d=1", equal, "norms <= 1e4")
     assert equal

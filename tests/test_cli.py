@@ -68,6 +68,32 @@ def test_guard_default_without_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_guard_bounds_ring_parameter(capsys, monkeypatch):
+    # squarefree validation trial-divides up to sqrt(d): the guard must act first
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    code, _, err = run(["quad", "--d", "100000000000000003", "--bound", "10"], capsys)
+    assert code == 3
+    assert "d=100000000000000003 exceeds resource guard" in err
+
+
+@pytest.mark.parametrize("command", ["table1", "table2"])
+def test_guard_covers_tables(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000")
+    csv = tmp_path / "t.csv"
+    code, out, err = run([command, "--csv", str(csv)], capsys)
+    assert code == 3
+    assert "resource guard" in err
+    assert out == "" and not csv.exists()
+
+
+def test_fit_rejects_malformed_series_csv(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("x,actual,estimate,ratio,abs_pct_err\n2,1,0.5\n")
+    code, _, err = run(["fit", "--from-csv", str(path)], capsys)
+    assert code == 2
+    assert "short.csv line 2" in err
+
+
 def test_unwritable_output(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run(["monoid", "--d", "3", "--limit", "100", "--csv", str(target)], capsys)

@@ -54,27 +54,25 @@ def test_brute_force_norm_cap():
         gaussian_brute_irreducible(GaussPoint(1001, 0))
 
 
-def test_census_small(table_10k):
-    both = gaussian_census(10, "both-axes", table_10k)
+def test_census_small():
+    both = gaussian_census(10, "both-axes")
     assert pi_G(both, 10) == 5  # (1,1),(2,1),(1,2),(3,0),(0,3)
-    dedup = gaussian_census(10, "dedupe-axes", table_10k)
+    dedup = gaussian_census(10, "dedupe-axes")
     assert pi_G(dedup, 10) == 4
-    tiny = gaussian_census(2, "both-axes", table_10k)
+    tiny = gaussian_census(2, "both-axes")
     assert pi_G(tiny, 2) == 1
     assert pi_G(both, 1) == 0
 
 
-def test_census_validation(table_10k):
+def test_census_validation():
     with pytest.raises(ValueError):
-        gaussian_census(10**4 + 1, "both-axes", table_10k)
+        gaussian_census(10, "sideways")
     with pytest.raises(ValueError):
-        gaussian_census(10, "sideways", table_10k)
-    with pytest.raises(ValueError):
-        gaussian_census(0, "both-axes", table_10k)
+        gaussian_census(0, "both-axes")
 
 
-def test_pi_G_range(table_10k):
-    c = gaussian_census(100, "both-axes", table_10k)
+def test_pi_G_range():
+    c = gaussian_census(100, "both-axes")
     with pytest.raises(ValueError):
         pi_G(c, 0)
     with pytest.raises(ValueError):
@@ -111,8 +109,8 @@ def test_classifier_equals_brute_force_random(table_10k, a, b):
 
 def test_axis_convention_identity(table_10k):
     limit = 10**4
-    both = gaussian_census(limit, "both-axes", table_10k).cumulative
-    dedup = gaussian_census(limit, "dedupe-axes", table_10k).cumulative
+    both = gaussian_census(limit, "both-axes").cumulative
+    dedup = gaussian_census(limit, "dedupe-axes").cumulative
     qs = table_10k.primes[table_10k.primes % 4 == 3]
     ns = np.arange(limit + 1)
     expected = np.searchsorted(qs * qs, ns, side="right")
@@ -121,7 +119,7 @@ def test_axis_convention_identity(table_10k):
 
 def test_cumulative_changes_only_at_primes_or_inert_squares(table_10k):
     limit = 10**4
-    c = gaussian_census(limit, "both-axes", table_10k).cumulative
+    c = gaussian_census(limit, "both-axes").cumulative
     change = np.flatnonzero(np.diff(c)) + 1
     flags = table_10k.flags
     for n in change.tolist():

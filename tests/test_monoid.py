@@ -16,37 +16,32 @@ from primelab import (
 )
 
 
-def census(d, limit, table):
-    return monoid_census(MonoidParams(d=d, limit=limit), table)
+def census(d, limit):
+    return monoid_census(MonoidParams(d=d, limit=limit))
 
 
 def flagged_elements(c):
     return c.elements()[c.prime_flags].tolist()
 
 
-def test_census_d4_to_45(table_10k):
+def test_census_d4_to_45():
     # 9 and 21 factor only through 3 and 7, which are outside the monoid;
     # 33 = 3 * 11 likewise, so it is prime here even though 25 and 45 are not
-    c = census(4, 45, table_10k)
+    c = census(4, 45)
     assert flagged_elements(c) == [5, 9, 13, 17, 21, 29, 33, 37, 41]
 
 
-def test_census_d4_tiny(table_10k):
-    assert flagged_elements(census(4, 5, table_10k)) == [5]
+def test_census_d4_tiny():
+    assert flagged_elements(census(4, 5)) == [5]
 
 
-def test_census_d3_count(table_10k):
-    c = census(3, 10**4, table_10k)
+def test_census_d3_count():
+    c = census(3, 10**4)
     assert int(c.cumulative_counts[-1]) == 1380
 
 
-def test_census_rejects_undersized_table(table_10k):
-    with pytest.raises(ValueError):
-        census(3, 10**4 + 1, table_10k)
-
-
-def test_census_identity_not_prime(table_10k):
-    c = census(7, 10**3, table_10k)
+def test_census_identity_not_prime():
+    c = census(7, 10**3)
     assert not c.prime_flags[0]
     steps = np.diff(c.cumulative_counts)
     assert set(np.unique(steps)) <= {0, 1}
@@ -70,12 +65,12 @@ def test_is_monoid_prime_validation():
         is_monoid_prime(5, 1)
 
 
-def test_pi_d_values(table_10k):
-    c3 = census(3, 10**4, table_10k)
+def test_pi_d_values():
+    c3 = census(3, 10**4)
     assert pi_d(c3, 10**4) == 1380
-    c5 = census(5, 5, table_10k)
+    c5 = census(5, 5)
     assert pi_d(c5, 5) == 0
-    c4 = census(4, 45, table_10k)
+    c4 = census(4, 45)
     assert pi_d(c4, 45) == 9
     assert pi_d(c4, 40) == 8  # 41 is the ninth monoid prime
     with pytest.raises(ValueError):
@@ -133,22 +128,22 @@ def test_hilbert_examples(table_1m):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2000))
-def test_census_matches_trial_division(table_10k, d, k):
+def test_census_matches_trial_division(d, k):
     n = 1 + k * d
     if n > 10**4:
         n = 1 + ((10**4 - 1) // d) * d
-    c = census(d, 10**4, table_10k)
+    c = census(d, 10**4)
     assert bool(c.prime_flags[(n - 1) // d]) == is_monoid_prime(n, d)
 
 
 def test_rational_primes_in_monoid_are_monoid_primes(table_10k):
     for d in (2, 3, 4, 7, 11):
-        c = census(d, 10**4, table_10k)
+        c = census(d, 10**4)
         ps = table_10k.primes[table_10k.primes % d == 1]
         assert all(c.prime_flags[(int(p) - 1) // d] for p in ps)
 
 
-def test_count_bounded_by_elements(table_10k):
-    c = census(6, 10**4, table_10k)
+def test_count_bounded_by_elements():
+    c = census(6, 10**4)
     for x in (7, 100, 5000, 10**4):
         assert pi_d(c, x) <= len([n for n in range(2, x + 1) if n % 6 == 1])

@@ -7,6 +7,7 @@ from primelab import (
     GaussPoint,
     QuadInt,
     RegionSpec,
+    build_series,
     gaussian_census,
     is_gaussian_prime,
     quad_census,
@@ -90,49 +91,44 @@ def test_irreducibility_norm_range():
         quad_is_irreducible(QuadInt(1001, 0, 5))  # norm above brute-force cap
 
 
-def test_census_small_d5(table_10k):
-    ser = quad_census(5, RegionSpec("norm-ball", 6), table_10k)
+def test_census_small_d5():
+    ser = build_series(quad_census(5, RegionSpec("norm-ball", 6)))
     # (2,0) norm 4, (0,1) norm 5, (1,1) norm 6
     assert ser.actual.tolist() == [0, 0, 0, 1, 2, 3]
     assert np.isnan(ser.estimate).all()
 
 
-def test_census_bound_one(table_10k):
+def test_census_bound_one():
     for d in (1, 2, 5):
-        ser = quad_census(d, RegionSpec("norm-ball", 1), table_10k)
+        ser = build_series(quad_census(d, RegionSpec("norm-ball", 1)))
         assert int(ser.actual[-1]) == 0
 
 
-def test_census_matches_gaussian_for_d1(table_10k):
+def test_census_matches_gaussian_for_d1():
     bound = 500
-    ser = quad_census(1, RegionSpec("norm-ball", bound), table_10k)
-    gauss = gaussian_census(bound, "both-axes", table_10k)
+    ser = build_series(quad_census(1, RegionSpec("norm-ball", bound)))
+    gauss = gaussian_census(bound, "both-axes")
     assert np.array_equal(ser.actual, gauss.cumulative[1:])
 
 
-def test_census_euclidean_region(table_10k):
+def test_census_euclidean_region():
     # for d=1 the two region kinds coincide
-    a = quad_census(1, RegionSpec("norm-ball", 200), table_10k)
-    b = quad_census(1, RegionSpec("euclidean-ball", 200), table_10k)
+    a = build_series(quad_census(1, RegionSpec("norm-ball", 200)))
+    b = build_series(quad_census(1, RegionSpec("euclidean-ball", 200)))
     assert np.array_equal(a.actual, b.actual)
     # for d=5 euclidean-ball admits points whose ring norm exceeds the bound
-    e = quad_census(5, RegionSpec("euclidean-ball", 9), table_10k)
-    n = quad_census(5, RegionSpec("norm-ball", 9), table_10k)
+    e = build_series(quad_census(5, RegionSpec("euclidean-ball", 9)))
+    n = build_series(quad_census(5, RegionSpec("norm-ball", 9)))
     assert int(e.actual[-1]) >= int(n.actual[-1])
 
 
-def test_census_validation(table_10k):
+def test_census_validation():
     with pytest.raises(ValueError):
-        quad_census(5, RegionSpec("norm-ball", 10**6 + 1), table_10k)
+        quad_census(5, RegionSpec("norm-ball", 10**6 + 1))
     with pytest.raises(ValueError):
         RegionSpec("cube", 10)
     with pytest.raises(ValueError):
         RegionSpec("norm-ball", 0)
-    from primelab import sieve_primes
-
-    tiny = sieve_primes(5)
-    with pytest.raises(ValueError):
-        quad_census(5, RegionSpec("norm-ball", 1000), tiny)
 
 
 @settings(max_examples=200, deadline=None)

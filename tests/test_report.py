@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from primelab import CountSeries, make_series
+from primelab import CountSeries, FitResult, make_series
 from primelab.report import (
+    FIT_HEADER,
     MapeSummary,
     MonoidSummary,
     read_series_csv,
@@ -73,6 +74,21 @@ def test_round_trip_preserves_missing_values(tmp_path):
     write_csv(ser, path)
     back = read_series_csv(path)
     assert math.isnan(back.pct_err[0]) and not math.isnan(back.pct_err[1])
+
+
+@pytest.mark.parametrize("row", ["3,1,0.5", "3,1,0.5,2.0,50.0,7", "3,one,0.5,2.0,50.0"])
+def test_read_series_csv_names_the_bad_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,actual,estimate,ratio,abs_pct_err\n2,1,0.5,2.00000,50.00000\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: "):
+        read_series_csv(path)
+
+
+def test_fit_csv_format(tmp_path):
+    path = tmp_path / "fit.csv"
+    write_csv([FitResult(c=1.0453167, e=1.04862, rms_rel_err=0.0041234567)], path)
+    assert path.read_text() == f"{FIT_HEADER}\n1.04532,1.04862,0.00412346\n"
+    assert FIT_HEADER == "c,e,rms_rel_err"
 
 
 def test_monoid_summary_format(tmp_path):

@@ -25,8 +25,8 @@ def monoid_estimator(d):
     return lambda xs: estimate_pi_d(d, xs)
 
 
-def test_build_series_single_point_matches_summary_row(table_10k):
-    census = monoid_census(MonoidParams(3, 10**4), table_10k)
+def test_build_series_single_point_matches_summary_row():
+    census = monoid_census(MonoidParams(3, 10**4))
     ser = build_series(census, monoid_estimator(3), grid=[10**4])
     assert ser.actual[0] == 1380
     assert ser.estimate[0] == pytest.approx(1590.21, abs=0.05)
@@ -34,16 +34,16 @@ def test_build_series_single_point_matches_summary_row(table_10k):
     assert ser.pct_err[0] == pytest.approx(100 * (1590.2065 - 1380) / 1380, abs=1e-3)
 
 
-def test_build_series_zero_actual_has_no_error(table_10k):
-    census = monoid_census(MonoidParams(5, 100), table_10k)
+def test_build_series_zero_actual_has_no_error():
+    census = monoid_census(MonoidParams(5, 100))
     ser = build_series(census, monoid_estimator(5), grid=[2, 11, 96])
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
     assert math.isnan(ser.pct_err[0])
     assert ser.pct_err[-1] >= 0
 
 
-def test_build_series_default_grid_starts_at_first_prime(table_10k):
-    census = monoid_census(MonoidParams(3, 1000), table_10k)
+def test_build_series_default_grid_starts_at_first_prime():
+    census = monoid_census(MonoidParams(3, 1000))
     ser = build_series(census, monoid_estimator(3))
     assert ser.x[0] == 4  # 4 = 1 + 3 is the first monoid prime
     assert ser.actual[0] == 1
@@ -51,15 +51,15 @@ def test_build_series_default_grid_starts_at_first_prime(table_10k):
     assert not np.isnan(ser.pct_err).any()
 
 
-def test_build_series_gaussian(table_10k):
-    census = gaussian_census(10, "both-axes", table_10k)
+def test_build_series_gaussian():
+    census = gaussian_census(10, "both-axes")
     ser = build_series(census, lambda ns: estimate_pi_G(np.sqrt(ns)), grid=[10])
     assert ser.actual[0] == 5
     assert ser.estimate[0] == pytest.approx(10 / math.log(10), rel=1e-12)
 
 
-def test_build_series_empty_grid(table_10k):
-    census = monoid_census(MonoidParams(3, 1000), table_10k)
+def test_build_series_empty_grid():
+    census = monoid_census(MonoidParams(3, 1000))
     with pytest.raises(ValueError):
         build_series(census, monoid_estimator(3), grid=[])
 
@@ -124,8 +124,8 @@ def test_crossover_ignores_early_oscillation():
     assert find_crossover(ser) == 7  # last positive-to-nonpositive flip
 
 
-def test_crossover_returns_grid_point(table_10k):
-    census = monoid_census(MonoidParams(3, 2000), table_10k)
+def test_crossover_returns_grid_point():
+    census = monoid_census(MonoidParams(3, 2000))
     ser = build_series(census, monoid_estimator(3))
     x = find_crossover(ser)
     assert x is not None and x % 3 == 1
@@ -167,8 +167,8 @@ def test_fit_deterministic():
     assert (a.c, a.e, a.rms_rel_err) == (b.c, b.e, b.rms_rel_err)
 
 
-def test_ratio_times_estimate_recovers_actual(table_10k):
-    census = monoid_census(MonoidParams(3, 5000), table_10k)
+def test_ratio_times_estimate_recovers_actual():
+    census = monoid_census(MonoidParams(3, 5000))
     ser = build_series(census, monoid_estimator(3))
     recovered = ser.ratio * ser.estimate
     assert np.allclose(recovered, ser.actual, rtol=1e-12)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab import pi, sieve_primes
+from primelab import (
+    MonoidParams,
+    RegionSpec,
+    classical_census,
+    gaussian_census,
+    pi,
+    sieve_primes,
+)
+from primelab.quadratic import validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
 
 
@@ -38,6 +46,34 @@ def test_limit_validation():
         sieve_primes(MAX_SIEVE_LIMIT + 1)
     with pytest.raises(ValueError):
         sieve_primes(2.5)
+
+
+INTEGER_PARAMETERS = {
+    "sieve_primes": sieve_primes,
+    "classical_census": classical_census,
+    "MonoidParams.d": lambda v: MonoidParams(d=v, limit=100),
+    "MonoidParams.limit": lambda v: MonoidParams(d=3, limit=v),
+    "gaussian_census": lambda v: gaussian_census(v, "both-axes"),
+    "RegionSpec.bound": lambda v: RegionSpec("norm-ball", v),
+    "validate_ring_param": validate_ring_param,
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "7"])
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_reject_bools_and_non_integers(name, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        INTEGER_PARAMETERS[name](value)
+
+
+def test_classical_census_matches_pi(table_10k):
+    census = classical_census(10**4)
+    xs = np.array([1, 2, 3, 100, 9973, 10**4])
+    assert census.counts_at(xs).tolist() == [pi(table_10k, int(x)) for x in xs]
+    assert census.total == 1229
+    assert census.describe() == {"domain": "classical", "limit": "10000"}
+    with pytest.raises(ValueError):
+        census.counts_at([10**4 + 1])
 
 
 def test_pi_basics(table_10k):
