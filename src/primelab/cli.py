@@ -180,9 +180,10 @@ def _census(domain: str, args):
         _require(args, domain, "d", "bound")
         # squarefree validation of d trial-divides up to sqrt(d): guard d first
         _check_guard(args.d, "d")
-        _check_guard(args.bound, "bound", cap=quadratic.MAX_CENSUS_BOUND)
         kind = "euclidean-ball" if args.euclidean else "norm-ball"
-        census = quadratic.quad_census(args.d, quadratic.RegionSpec(kind, args.bound))
+        region = quadratic.RegionSpec(kind, args.bound)
+        _check_guard(region.largest_norm(args.d), "largest norm", cap=quadratic.MAX_CENSUS_BOUND)
+        census = quadratic.quad_census(args.d, region)
     if estimator is not None and census.total == 0:
         return census, None
     return census, analysis.build_series(census, estimator)

@@ -1,10 +1,11 @@
-"""Exact arithmetic and brute-force irreducibility counts in Z[sqrt(-d)].
+"""Exact arithmetic and irreducibility counts in Z[sqrt(-d)].
 
 Elements are a + b*sqrt(-d) with integer coordinates and squarefree d >= 1,
 norm a^2 + d*b^2.  These rings are generally not unique factorization
 domains, so the censuses count irreducibles (elements with only trivial
-factorizations), which is the notion a divisor search can decide; prime and
-irreducible can differ here, unlike in Z.
+factorizations); prime and irreducible can differ here, unlike in Z.  The
+census is a product sieve that marks reducible elements; a divisor search
+over one element (``quad_is_irreducible``) is its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import BoundIndexedCensus, require_int, sieve_primes
+from .sieve import BoundIndexedCensus, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
-# divisor search is exhaustive; cap the norms it will accept
+# the divisor-search oracle is exhaustive; cap the norms it will accept
 BRUTE_NORM_CAP = 10**6
+# the census's cofactor list grows with the region's largest norm; cap that norm
 MAX_CENSUS_BOUND = 10**6
 
 
@@ -65,6 +67,10 @@ class RegionSpec:
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
         require_int("bound", self.bound, 1)
+
+    def largest_norm(self, d: int) -> int:
+        """Bound on the ring norm a^2 + d*b^2 of the region's cells."""
+        return self.bound * d if self.kind == "euclidean-ball" else self.bound
 
 
 @dataclass(frozen=True)
@@ -157,52 +163,46 @@ def _divisors_by_trial(n: int) -> list[int]:
     return [m for m in small + large[::-1] if 1 < m < n]
 
 
-def _divisors_by_factoring(n: int, primes: list[int]) -> list[int]:
-    """Same divisor list, but via factorization against a prime list that
-    covers sqrt(n)."""
-    rest = n
-    divisors = [1]
-    for p in primes:
-        if p * p > rest:
-            break
-        if rest % p:
-            continue
-        power = 1
-        powers = []
-        while rest % p == 0:
-            rest //= p
-            power *= p
-            powers.append(power)
-        divisors += [q * pw for q in divisors for pw in powers]
-    if rest > 1:
-        divisors += [q * rest for q in divisors]
-    divisors.sort()
-    return [m for m in divisors if 1 < m < n]
+def _half_plane(d: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, norm) of z with b > 0 or b = 0 < a, and 2 <= N(z) <= limit, by norm."""
+    r = math.isqrt(limit)
+    za, zb = np.ogrid[-r : r + 1, : math.isqrt(limit // d) + 1]
+    norm = za * za + d * zb * zb
+    ia, ib = np.nonzero(((zb > 0) | (za > 0)) & (norm >= 2) & (norm <= limit))
+    order = np.argsort(norm[ia, ib], kind="stable")
+    return ia[order] - r, ib[order], norm[ia, ib][order]
 
 
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Cumulative irreducible counts over all a, b >= 0 inside the region,
-    indexed by the region's bound parameter (zero and units excluded)."""
+    indexed by the region's bound parameter (zero and units excluded).
+
+    Product sieve up to top = region.largest_norm(d): each irreducible y with
+    N(y)^2 <= top, by increasing norm, marks y*z for every z (one of each pair
+    z, -z) with N(y) <= N(z) <= top/N(y).  Exact, as a reducible x = p*w has an
+    irreducible p with N(p) <= N(w), and the fold to (|a|, |b|) keeps reducibility.
+    """
     validate_ring_param(d)
-    if region.bound > MAX_CENSUS_BOUND:
-        raise ValueError(f"bound {region.bound} exceeds brute-force cap {MAX_CENSUS_BOUND}")
-    bound = region.bound
-    euclidean = region.kind == "euclidean-ball"
-    root = math.isqrt(d * bound if euclidean else bound)
-    primes = sieve_primes(max(root, 2)).primes.tolist()
+    top = region.largest_norm(d)
+    if top > MAX_CENSUS_BOUND:
+        raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
+    # every quadrant cell (a, b) of norm <= top: the region's and each product's
+    a, b = np.ogrid[: math.isqrt(top) + 1, : math.isqrt(top // d) + 1]
+    norm = a * a + d * b * b
+    reducible = np.zeros(norm.shape, dtype=bool)
 
-    counts = np.zeros(bound + 1, dtype=np.int64)
-    b = 0
-    while (b * b if euclidean else d * b * b) <= bound:
-        amax_sq = bound - (b * b if euclidean else d * b * b)
-        for a in range(0, math.isqrt(amax_sq) + 1):
-            norm = a * a + d * b * b
-            if norm <= 1:
-                continue  # zero and units
-            if not _has_proper_divisor(a, b, d, norm, _divisors_by_factoring(norm, primes)):
-                counts[a * a + b * b if euclidean else norm] += 1
-        b += 1
+    za, zb, znorm = _half_plane(d, top // 2)
+    small = int(np.searchsorted(znorm, math.isqrt(top), side="right"))
+    for ya, yb, n in zip(za[:small].tolist(), zb[:small].tolist(), znorm[:small].tolist()):
+        if ya < 0 or reducible[ya, yb]:
+            continue  # outside the quadrant, or a multiple already marked
+        lo, hi = np.searchsorted(znorm, (n, top // n + 1))
+        re = np.abs(ya * za[lo:hi] - d * yb * zb[lo:hi])
+        im = np.abs(ya * zb[lo:hi] + yb * za[lo:hi])
+        reducible[re, im] = True
 
-    cumulative = np.cumsum(counts, dtype=np.int64)
+    index = a * a + b * b if region.kind == "euclidean-ball" else norm
+    counted = (index <= region.bound) & (norm >= 2) & ~reducible
+    cumulative = np.cumsum(np.bincount(index[counted], minlength=region.bound + 1), dtype=np.int64)
     cumulative.setflags(write=False)
     return QuadCensus(d=d, region=region, cumulative=cumulative)

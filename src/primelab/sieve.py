@@ -1,9 +1,10 @@
 """Rational-prime sieving, the classical counting function pi(x), and the
 parts every census shares.
 
-The classical, Gaussian and quadratic censuses sieve the PrimeTable they
-need themselves; the monoid census needs none.  All four answer the same
-interface: ``counts_at``, ``change_grid``, ``describe`` and ``total``.
+The classical and Gaussian censuses sieve the PrimeTable they need
+themselves; the monoid and quadratic censuses need none.  All four answer
+the same interface: ``counts_at``, ``change_grid``, ``describe`` and
+``total``.
 """
 
 from __future__ import annotations

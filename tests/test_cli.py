@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -74,6 +75,22 @@ def test_guard_bounds_ring_parameter(capsys, monkeypatch):
     code, _, err = run(["quad", "--d", "100000000000000003", "--bound", "10"], capsys)
     assert code == 3
     assert "d=100000000000000003 exceeds resource guard" in err
+
+
+def test_guard_bounds_largest_norm(capsys, monkeypatch):
+    # the Euclidean disc holds norms up to d*bound: refused before any census work
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    start = time.perf_counter()
+    code, _, err = run(["quad", "--d", "99999989", "--bound", "1000000", "--euclidean"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "largest norm=99999989000000 exceeds resource guard 1000000" in err
+    assert run(["quad", "--d", "99999989", "--bound", "10", "--euclidean"], capsys)[0] == 3
+    monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000")
+    assert run(["quad", "--d", "5", "--bound", "200", "--euclidean"], capsys)[0] == 0
+    assert run(["quad", "--d", "5", "--bound", "201", "--euclidean"], capsys)[0] == 3
+    assert run(["quad", "--d", "5", "--bound", "1000"], capsys)[0] == 0
+    assert run(["quad", "--d", "5", "--bound", "1001"], capsys)[0] == 3
 
 
 @pytest.mark.parametrize("command", ["table1", "table2"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,9 @@ from primelab import (
     quad_is_unit,
     quad_mul,
     quad_norm,
+    sieve_primes,
 )
-from primelab.quadratic import validate_ring_param
+from primelab.quadratic import MAX_CENSUS_BOUND, REGION_KINDS, validate_ring_param
 
 small_coord = st.integers(min_value=-30, max_value=30)
 ring_d = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13])
@@ -129,6 +132,63 @@ def test_census_validation():
         RegionSpec("cube", 10)
     with pytest.raises(ValueError):
         RegionSpec("norm-ball", 0)
+
+
+def oracle_cumulative(d: int, region: RegionSpec) -> np.ndarray:
+    """The census rebuilt from quad_is_irreducible at every lattice point."""
+    euclidean = region.kind == "euclidean-ball"
+    weight = 1 if euclidean else d
+    counts = np.zeros(region.bound + 1, dtype=np.int64)
+    for b in range(math.isqrt(region.bound // weight) + 1):
+        for a in range(math.isqrt(region.bound - weight * b * b) + 1):
+            if a * a + d * b * b >= 2 and quad_is_irreducible(QuadInt(a, b, d)):
+                counts[a * a + weight * b * b] += 1
+    return np.cumsum(counts)
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15])
+def test_census_matches_divisor_search_oracle(d, kind):
+    oracle = oracle_cumulative(d, RegionSpec(kind, 4000))
+    # the sieve's factor range follows the bound, so try every small bound
+    for bound in [*range(1, 201), 4000]:
+        census = quad_census(d, RegionSpec(kind, bound))
+        assert np.array_equal(census.cumulative, oracle[: bound + 1]), bound
+
+
+def test_census_d2_follows_rational_primes():
+    # Z[sqrt(-2)] is a UFD, so its irreducibles are its primes: sqrt(-2), one
+    # first-quadrant cell a + b*sqrt(-2) over each p = 1, 3 (mod 8), and each
+    # inert q = 5, 7 (mod 8) itself, at norm q^2
+    primes = sieve_primes(MAX_CENSUS_BOUND).primes
+    split = primes[(primes == 2) | np.isin(primes % 8, (1, 3))]
+    inert = primes[np.isin(primes % 8, (5, 7))]
+    counts = np.zeros(MAX_CENSUS_BOUND + 1, dtype=np.int64)
+    counts[split] += 1
+    counts[inert[inert * inert <= MAX_CENSUS_BOUND] ** 2] += 1
+    census = quad_census(2, RegionSpec("norm-ball", MAX_CENSUS_BOUND))
+    assert np.array_equal(census.cumulative, np.cumsum(counts))
+
+
+def test_census_d1_equals_gaussian_census_at_1e5():
+    gauss = gaussian_census(10**5, "both-axes").cumulative
+    for kind in REGION_KINDS:
+        assert np.array_equal(quad_census(1, RegionSpec(kind, 10**5)).cumulative, gauss)
+
+
+def test_census_d5_known_total():
+    # the count the divisor-search census gave at the cap
+    assert quad_census(5, RegionSpec("norm-ball", 10**6)).total == 63076
+
+
+def test_census_caps_largest_norm():
+    # the disc a^2 + b^2 <= bound holds norms up to d*bound
+    assert RegionSpec("euclidean-ball", 200_000).largest_norm(5) == MAX_CENSUS_BOUND
+    assert RegionSpec("norm-ball", 200_000).largest_norm(5) == 200_000
+    with pytest.raises(ValueError, match="largest norm"):
+        quad_census(5, RegionSpec("euclidean-ball", 200_001))
+    with pytest.raises(ValueError, match="largest norm"):
+        quad_census(99999989, RegionSpec("euclidean-ball", 10))
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,6 +37,11 @@ def test_count_at_10k(table_10k):
     assert pi(table_10k, 10**4) == 1229
 
 
+def test_count_at_1e8():
+    # known value pi(10^8) = 5,761,455
+    assert pi(sieve_primes(10**8), 10**8) == 5_761_455
+
+
 def test_limit_validation():
     with pytest.raises(ValueError):
         sieve_primes(1)
