@@ -158,8 +158,7 @@ def _require(args, domain: str, *names: str) -> None:
 
 def _census(domain: str, args):
     """Build the census a subcommand asks for, after the resource guard, and
-    its evaluation series (None when an estimate is asserted but the census
-    holds no primes, so the series has no first point)."""
+    return it with the estimator its series compares against (or None)."""
     estimator = None
     if domain == "classical":
         _require(args, domain, "limit")
@@ -184,9 +183,15 @@ def _census(domain: str, args):
         region = quadratic.RegionSpec(kind, args.bound)
         _check_guard(region.largest_norm(args.d), "largest norm", cap=quadratic.MAX_CENSUS_BOUND)
         census = quadratic.quad_census(args.d, region)
+    return census, estimator
+
+
+def _series(census, estimator) -> analysis.CountSeries | None:
+    """The census's evaluation series; None when an estimate is asserted but
+    the census holds no primes, so the series has no first point."""
     if estimator is not None and census.total == 0:
-        return census, None
-    return census, analysis.build_series(census, estimator)
+        return None
+    return analysis.build_series(census, estimator)
 
 
 def _mape(ser: analysis.CountSeries | None) -> float:
@@ -225,7 +230,8 @@ def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.Mon
 
 
 def _cmd_monoid(args) -> int:
-    census, ser = _census("monoid", args)
+    census, estimator = _census("monoid", args)
+    ser = _series(census, estimator)
     eval_x = (
         monoid.largest_element(census.params) if args.eval_at == "largest" else args.limit
     )
@@ -239,7 +245,8 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
-    census, ser = _census("gauss", args)
+    census, estimator = _census("gauss", args)
+    ser = _series(census, estimator)
     row = report.MapeSummary(args.norm_limit, _mape(ser))
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
@@ -250,8 +257,9 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_quad(args) -> int:
-    census, ser = _census("quad", args)
+    census, _ = _census("quad", args)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
+    ser = analysis.build_series(census) if args.csv or args.svg else None  # artifacts only
     _emit(args, ser, ser)
     return EXIT_OK
 
@@ -263,7 +271,7 @@ def _fit_series(args) -> analysis.CountSeries:
         return report.read_series_csv(args.from_csv)
     if not args.domain:
         raise ValueError("fit needs --from-csv or --domain")
-    _, ser = _census(args.domain, args)
+    ser = _series(*_census(args.domain, args))
     if ser is None:
         raise ValueError("census holds no primes; nothing to fit")
     return ser
@@ -283,7 +291,8 @@ def _cmd_fit(args) -> int:
 def _cmd_table1(args) -> int:
     rows = []
     for d in TABLE1_MODULI:
-        census, ser = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
+        census, estimator = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
+        ser = _series(census, estimator)
         row = _monoid_summary(census, ser, monoid.largest_element(census.params))
         rows.append(row)
         print(
@@ -300,7 +309,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    _, ser = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
+    ser = _series(*_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
     rows = []
     for bound in TABLE2_BOUNDS:
         upto = np.searchsorted(ser.x, bound, side="right")

@@ -51,9 +51,6 @@ class QuadInt:
     def __post_init__(self) -> None:
         validate_ring_param(self.d)
 
-    def conjugate(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b, self.d)
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -125,15 +122,15 @@ def quad_is_irreducible(x: QuadInt) -> bool:
     n = quad_norm(x)
     if not 2 <= n <= BRUTE_NORM_CAP:
         raise ValueError(f"norm {n} outside brute-force range [2, {BRUTE_NORM_CAP}]")
-    return not _has_proper_divisor(x.a, x.b, x.d, n, _divisors_by_trial(n))
+    return not _has_proper_divisor(x.a, x.b, x.d, _divisors_by_trial(n))
 
 
-def _has_proper_divisor(a: int, b: int, d: int, n: int, divisors: list[int]) -> bool:
-    """Any y with 1 < N(y) < n dividing a + b*sqrt(-d)?
+def _has_proper_divisor(a: int, b: int, d: int, divisors: list[int]) -> bool:
+    """Any y with 1 < N(y) < n = a^2 + d*b^2 dividing a + b*sqrt(-d)?
 
     A divisor's norm divides n, so only representations m = alpha^2 + d*beta^2
-    of proper divisors m of n need testing; (alpha, beta) and (alpha, -beta)
-    together cover every associate class of that norm.
+    of the proper divisors m of n (``divisors``) need testing; (alpha, beta)
+    and (alpha, -beta) together cover every associate class of that norm.
     """
     for m in divisors:
         for beta in range(0, math.isqrt(m // d) + 1):

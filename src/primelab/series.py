@@ -85,10 +85,10 @@ def build_series(census, estimator: Estimator | None = None, grid=None) -> Count
         grid = census.change_grid()
         actual = census.counts_at(grid)
         if estimator is not None:
-            nz = np.flatnonzero(actual >= 1)
-            if nz.size == 0:
+            first = int(np.searchsorted(actual, 1))  # actual is nondecreasing
+            if first == actual.size:
                 raise ValueError("census holds no primes; no default grid exists")
-            grid, actual = grid[nz[0] :], actual[nz[0] :]
+            grid, actual = grid[first:], actual[first:]
     else:
         grid = np.asarray(grid, dtype=np.int64)
         if grid.size == 0:

@@ -1,5 +1,5 @@
-"""Rational-prime sieving, the classical counting function pi(x), and the
-parts every census shares.
+"""Rational-prime sieving (one odd-only, segmented sieve of Eratosthenes),
+the classical counting function pi(x), and the parts every census shares.
 
 The classical and Gaussian censuses sieve the PrimeTable they need
 themselves; the monoid and quadratic censuses need none.  All four answer
@@ -17,9 +17,9 @@ import numpy as np
 
 # Hard cap on sieve size; requests beyond this are rejected outright.
 MAX_SIEVE_LIMIT = 1 << 40
-# Above this the marking loop runs in cache-sized segments.
-SEGMENT_THRESHOLD = 10**8
-DEFAULT_SEGMENT_SIZE = 1 << 22
+# Marking runs in segments of this many numbers.  The first segment holds
+# every sieving prime, as isqrt(MAX_SIEVE_LIMIT) = 2**20 < SEGMENT_SIZE.
+SEGMENT_SIZE = 1 << 22
 
 
 def require_int(name: str, value, minimum: int | None = None) -> None:
@@ -58,68 +58,43 @@ class PrimeTable:
     limit: int
     flags: np.ndarray  # bool, length limit + 1, flags[n] == n is prime
 
-    def is_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [0, {self.limit}]")
-        return bool(self.flags[n])
-
     @cached_property
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending."""
         return np.flatnonzero(self.flags).astype(np.int64)
 
 
-def sieve_primes(limit: int, segment_size: int | None = None) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit``.
 
-    ``segment_size`` forces segmented marking (used by tests to check that
-    segmented and one-shot runs agree); by default segmentation kicks in
-    only above SEGMENT_THRESHOLD.
+    Even numbers are cleared once and only odd multiples are marked, one
+    SEGMENT_SIZE block at a time.  The first block is sieved by itself; each
+    later block [lo, hi) is marked by the odd primes p of the first block
+    with p^2 < hi.
     """
     require_int("limit", limit, 2)
     if limit > MAX_SIEVE_LIMIT:
         raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
 
-    if segment_size is None and limit > SEGMENT_THRESHOLD:
-        segment_size = DEFAULT_SEGMENT_SIZE
-
-    if segment_size is None:
-        flags = _sieve_flat(limit)
-    else:
-        flags = _sieve_segmented(limit, segment_size)
-    flags.setflags(write=False)
-    return PrimeTable(limit=limit, flags=flags)
-
-
-def _sieve_flat(limit: int) -> np.ndarray:
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     flags[4::2] = False
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p]:
-            flags[p * p :: 2 * p] = False
-    return flags
-
-
-def _sieve_segmented(limit: int, segment_size: int) -> np.ndarray:
-    if segment_size < 2:
-        raise ValueError("segment_size must be >= 2")
-    root = math.isqrt(limit)
-    base = _sieve_flat(max(root, 2))
-    base_primes = np.flatnonzero(base)
-
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    first = flags[:SEGMENT_SIZE]
+    for p in range(3, math.isqrt(len(first) - 1) + 1, 2):
+        if first[p]:
+            first[p * p :: 2 * p] = False
+    base = (np.flatnonzero(first[3 : math.isqrt(limit) + 1]) + 3).tolist()
+    for lo in range(SEGMENT_SIZE, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
         seg = flags[lo:hi]
-        for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg[start - lo :: p] = False
-    return flags
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            start += p * (start % 2 == 0)  # odd multiples only
+            seg[start - lo :: 2 * p] = False
+    flags.setflags(write=False)
+    return PrimeTable(limit=limit, flags=flags)
 
 
 @dataclass(frozen=True)

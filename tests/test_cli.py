@@ -138,6 +138,18 @@ def test_quad_series_csv(tmp_path, capsys):
     assert lines[-1] == "6,3,,,"
 
 
+def test_quad_builds_no_series_without_artifacts(capsys, monkeypatch):
+    _, expected, _ = run(["quad", "--d", "5", "--bound", "1000"], capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series built without --csv or --svg")
+
+    monkeypatch.setattr("primelab.series.build_series", refuse)
+    code, out, _ = run(["quad", "--d", "5", "--bound", "1000"], capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     paths = {}
     for tag in ("one", "two"):

@@ -51,6 +51,21 @@ def test_build_series_default_grid_starts_at_first_prime():
     assert not np.isnan(ser.pct_err).any()
 
 
+def test_build_series_default_grid_needs_a_prime():
+    empty = monoid_census(MonoidParams(50, 40))  # holds only the identity
+    assert empty.total == 0
+    with pytest.raises(ValueError, match="census holds no primes"):
+        build_series(empty, monoid_estimator(50))
+    assert np.array_equal(build_series(empty).x, empty.change_grid())
+
+    census = monoid_census(MonoidParams(50, 1000))
+    grid = census.change_grid()
+    first = next(int(x) for x, c in zip(grid, census.counts_at(grid)) if c >= 1)
+    ser = build_series(census, monoid_estimator(50))
+    assert first == 51 and ser.x[0] == first and ser.actual[0] == 1
+    assert np.array_equal(ser.x, grid[grid >= first])
+
+
 def test_build_series_gaussian():
     census = gaussian_census(10, "both-axes")
     ser = build_series(census, lambda ns: estimate_pi_G(np.sqrt(ns)), grid=[10])

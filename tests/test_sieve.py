@@ -11,6 +11,7 @@ from primelab import (
     pi,
     sieve_primes,
 )
+from primelab import sieve
 from primelab.quadratic import validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
 
@@ -35,6 +36,12 @@ def test_count_at_10k(table_10k):
     # 1229 recomputed here against the trial-division oracle
     assert sum(1 for n in range(10**4 + 1) if trial_division_is_prime(n)) == 1229
     assert pi(table_10k, 10**4) == 1229
+
+
+def test_count_at_1e7():
+    # known value pi(10^7) = 664,579; the sieve spans three segments
+    assert 2 * sieve.SEGMENT_SIZE < 10**7 < 3 * sieve.SEGMENT_SIZE
+    assert pi(sieve_primes(10**7), 10**7) == 664_579
 
 
 def test_count_at_1e8():
@@ -103,11 +110,14 @@ def test_flags_match_trial_division(table_100k, n):
     assert bool(table_100k.flags[n]) == trial_division_is_prime(n)
 
 
-def test_segmented_matches_flat():
-    flat = sieve_primes(50_000)
-    for seg in (64, 1024, 49_999, 50_001):
-        segmented = sieve_primes(50_000, segment_size=seg)
-        assert np.array_equal(flat.flags, segmented.flags)
+def test_segment_boundaries_match_trial_division(monkeypatch):
+    expected = [trial_division_is_prime(n) for n in range(50_002)]
+    # each size exceeds isqrt(50_001) = 223, so the first segment holds every
+    # sieving prime; 50_001 = 3 * 16_667 checks that the last number is marked
+    for size in (224, 1000, 4096):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+        for limit in (50_000, 50_001):
+            assert sieve_primes(limit).flags.tolist() == expected[: limit + 1], (size, limit)
 
 
 def test_flags_immutable(table_10k):
