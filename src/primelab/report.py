@@ -4,11 +4,18 @@ All output is byte-deterministic for identical input: fixed column formats,
 fixed "\n" line endings, no timestamps.  Series CSV columns print estimates
 with 6 significant digits and ratio / percentage error with 5 decimals;
 undefined values print as empty fields.
+
+A series CSV is written in blocks of SERIES_BLOCK_ROWS rows, each formatted
+from the columns' list slices with one printf-style format per row, and
+written to the file as it is made.  It is read back by numpy's C parser
+(np.loadtxt) from the file's lines, with empty fields rewritten to nan as
+they go by.  A bad header, a row of the wrong width or an unparsable field
+raises ValueError naming the path and the 1-based line of the file.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +27,13 @@ SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
 MAPE_SUMMARY_HEADER = "norm_bound,mape_pct"
 FIT_HEADER = "c,e,rms_rel_err"
+
+# series rows are formatted and written this many at a time
+SERIES_BLOCK_ROWS = 1 << 16
+_SERIES_ROW = "%d,%d,%.6g,%.5f,%.5f\n"
+_SERIES_DTYPE = np.dtype(
+    [("x", "i8"), ("actual", "i8"), ("estimate", "f8"), ("ratio", "f8"), ("pct_err", "f8")]
+)
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -60,58 +74,78 @@ _ROW_FORMATS = {
 
 
 def write_csv(obj, path) -> None:
-    """Write a CountSeries or a list of summary or fit rows to path."""
+    """Write a CountSeries or a list of summary or fit rows to path.
+
+    A series is written block by block as it is formatted, so its text is
+    never held whole."""
     if isinstance(obj, CountSeries):
-        text = series_csv_text(obj)
-    else:
-        rows = list(obj)
-        if not rows:
-            raise ValueError("no summary rows to write")
-        if type(rows[0]) not in _ROW_FORMATS:
-            raise TypeError(f"cannot serialize {type(rows[0]).__name__} rows")
-        header, line = _ROW_FORMATS[type(rows[0])]
-        text = "\n".join([header, *map(line, rows)]) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(_series_csv_blocks(obj))
+        return
+    rows = list(obj)
+    if not rows:
+        raise ValueError("no summary rows to write")
+    if type(rows[0]) not in _ROW_FORMATS:
+        raise TypeError(f"cannot serialize {type(rows[0]).__name__} rows")
+    header, line = _ROW_FORMATS[type(rows[0])]
+    Path(path).write_text("\n".join([header, *map(line, rows)]) + "\n", encoding="utf-8")
 
 
 def series_csv_text(series: CountSeries) -> str:
-    lines = [SERIES_HEADER]
-    for x, actual, est, ratio, pct in zip(
-        series.x, series.actual, series.estimate, series.ratio, series.pct_err
-    ):
-        est_s = "" if math.isnan(est) else f"{est:.6g}"
-        ratio_s = "" if math.isnan(ratio) else f"{ratio:.5f}"
-        pct_s = "" if math.isnan(pct) else f"{pct:.5f}"
-        lines.append(f"{int(x)},{int(actual)},{est_s},{ratio_s},{pct_s}")
-    return "\n".join(lines) + "\n"
+    """The series CSV as one string."""
+    return "".join(_series_csv_blocks(series))
+
+
+def _series_csv_blocks(series: CountSeries):
+    """The header line, then the rows in blocks of SERIES_BLOCK_ROWS: one
+    printf-style format per row, and NaN fields blanked once per block."""
+    yield SERIES_HEADER + "\n"
+    cols = (series.x, series.actual, series.estimate, series.ratio, series.pct_err)
+    for lo in range(0, len(series), SERIES_BLOCK_ROWS):
+        rows = zip(*(col[lo : lo + SERIES_BLOCK_ROWS].tolist() for col in cols))
+        # "nan" is the whole text of a NaN field, and every float field follows a comma
+        yield "".join(map(_SERIES_ROW.__mod__, rows)).replace(",nan", ",")
 
 
 def read_series_csv(path) -> CountSeries:
-    """Round-trip parser for series CSV files."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != SERIES_HEADER:
-        raise ValueError(f"{path} is not a series CSV (bad header)")
-    xs, actuals, ests, ratios, pcts = [], [], [], [], []
-    try:
-        for line in lines[1:]:
-            if not line:
-                continue
-            fx, fa, fe, fr, fp = line.split(",")
-            xs.append(int(fx))
-            actuals.append(int(fa))
-            ests.append(float(fe) if fe else math.nan)
-            ratios.append(float(fr) if fr else math.nan)
-            pcts.append(float(fp) if fp else math.nan)
-    except ValueError as exc:
-        # the first copy of the failing text is the failing line (an identical
-        # earlier line would have failed first), so the loop needs no counter
-        raise ValueError(f"{path} line {lines.index(line, 1) + 1}: {exc}") from exc
+    """Round-trip parser for series CSV files.
+
+    The file holds the five columns and nothing else, so the series comes
+    back labelled source=csv, not with the domain that wrote it. A bad
+    header, a row that is not five fields, or a field that does not parse
+    (x and actual as integers, the rest as floats, empty meaning NaN) raises
+    ValueError naming the path and the 1-based line of the file."""
+    with open(path, encoding="utf-8") as f:
+        if f.readline().rstrip("\n") != SERIES_HEADER:
+            raise ValueError(f"{path} is not a series CSV (bad header)")
+        line_no = 1
+
+        def lines():
+            nonlocal line_no
+            for line_no, line in enumerate(f, 2):
+                # empty fields become "nan": the second pass catches ",,," runs, and a
+                # trailing one ends the line or, with no final newline, the file
+                line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+                yield line.replace(",\n", ",nan\n") if line[-1:] != "," else line + "nan"
+
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    lines(), dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1
+                )
+        except UnicodeDecodeError:
+            raise  # text is decoded ahead of the line count, so no line is named
+        except ValueError as exc:
+            # numpy's own row number skips blank lines, so only the file line is given
+            reason = str(exc).split(" at row ")[0]
+            raise ValueError(f"{path} line {line_no}: {reason}") from exc
     return CountSeries(
-        x=np.array(xs, dtype=np.int64),
-        actual=np.array(actuals, dtype=np.int64),
-        estimate=np.array(ests),
-        ratio=np.array(ratios),
-        pct_err=np.array(pcts),
+        x=data["x"],
+        actual=data["actual"],
+        estimate=data["estimate"],
+        ratio=data["ratio"],
+        pct_err=data["pct_err"],
         metadata={"source": "csv"},
     )
 

@@ -1,11 +1,16 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from primelab import CountSeries, FitResult, make_series
+from primelab import CountSeries, FitResult, make_series, report
 from primelab.report import (
     FIT_HEADER,
+    SERIES_HEADER,
     MapeSummary,
     MonoidSummary,
     read_series_csv,
@@ -76,7 +81,9 @@ def test_round_trip_preserves_missing_values(tmp_path):
     assert math.isnan(back.pct_err[0]) and not math.isnan(back.pct_err[1])
 
 
-@pytest.mark.parametrize("row", ["3,1,0.5", "3,1,0.5,2.0,50.0,7", "3,one,0.5,2.0,50.0"])
+@pytest.mark.parametrize(
+    "row", ["3,1,0.5", "3,1,0.5,2.0,50.0,7", "3,one,0.5,2.0,50.0", "2.5,1,0.5,2.0,50.0"]
+)
 def test_read_series_csv_names_the_bad_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"x,actual,estimate,ratio,abs_pct_err\n2,1,0.5,2.00000,50.00000\n{row}\n")
@@ -161,3 +168,130 @@ def test_svg_thins_long_series():
     text = svg_text(ser)
     longest = max(len(line) for line in text.splitlines())
     assert longest < 40_000  # ~2000 vertices at most per polyline
+
+
+# Reference oracles: the per-row writer and per-line parser that the block
+# writer and the numpy reader replaced. Bytes and parsed arrays must match.
+
+
+def oracle_series_csv_text(series):
+    lines = [SERIES_HEADER]
+    for x, actual, est, ratio, pct in zip(
+        series.x, series.actual, series.estimate, series.ratio, series.pct_err
+    ):
+        est_s = "" if math.isnan(est) else f"{est:.6g}"
+        ratio_s = "" if math.isnan(ratio) else f"{ratio:.5f}"
+        pct_s = "" if math.isnan(pct) else f"{pct:.5f}"
+        lines.append(f"{int(x)},{int(actual)},{est_s},{ratio_s},{pct_s}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_read_series_columns(path):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == SERIES_HEADER
+    cols = ([], [], [], [], [])
+    for line in lines[1:]:
+        if not line:
+            continue
+        fx, fa, fe, fr, fp = line.split(",")
+        cols[0].append(int(fx))
+        cols[1].append(int(fa))
+        for col, field in zip(cols[2:], (fe, fr, fp)):
+            col.append(float(field) if field else math.nan)
+    return [np.array(c, dtype=np.int64) for c in cols[:2]] + [np.array(c) for c in cols[2:]]
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 1e12, 0.5, 2.0 / 3.0]
+any_float = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def series_columns(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    xs = sorted(draw(st.sets(st.integers(min_value=0, max_value=2**53), min_size=n, max_size=n)))
+    actual = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)))
+    floats = [draw(st.lists(any_float, min_size=n, max_size=n)) for _ in range(3)]
+    return CountSeries(
+        x=np.array(xs, dtype=np.int64),
+        actual=np.array(actual, dtype=np.int64),
+        estimate=np.array(floats[0]),
+        ratio=np.array(floats[1]),
+        pct_err=np.array(floats[2]),
+        metadata={},
+    )
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, report.SERIES_BLOCK_ROWS])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ser=series_columns())
+def test_series_csv_matches_reference_oracles(tmp_path, monkeypatch, block_rows, ser):
+    monkeypatch.setattr(report, "SERIES_BLOCK_ROWS", block_rows)
+    expected = oracle_series_csv_text(ser)
+    assert series_csv_text(ser) == expected
+    path = tmp_path / "series.csv"
+    write_csv(ser, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+    back = read_series_csv(path)
+    for got, want in zip(
+        (back.x, back.actual, back.estimate, back.ratio, back.pct_err),
+        oracle_read_series_columns(path),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def write_series_file(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    return path
+
+
+def test_read_series_csv_line_number_counts_blank_lines(tmp_path):
+    path = write_series_file(
+        tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,50.00000\n\n3,one,0.5,2.0,50.0\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.csv line 4: "):
+        read_series_csv(path)
+
+
+def test_read_series_csv_names_a_bad_line_deep_in_the_file(tmp_path):
+    rows = [f"{x},1,0.5,2,50\n" for x in range(2, 100_002)]
+    rows[70_000] = "70002,1,0.5\n"  # file line 70_002, past numpy's first batches
+    path = write_series_file(tmp_path, SERIES_HEADER + "\n" + "".join(rows))
+    with pytest.raises(ValueError, match=r"bad\.csv line 70002: "):
+        read_series_csv(path)
+
+
+def test_read_series_csv_rejects_bad_header(tmp_path):
+    path = write_series_file(tmp_path, "x,actual,estimate\n2,1,0.5\n")
+    with pytest.raises(ValueError, match=r"bad\.csv is not a series CSV \(bad header\)"):
+        read_series_csv(path)
+
+
+def test_read_series_csv_header_only_is_empty_without_warning(tmp_path):
+    path = write_series_file(tmp_path, SERIES_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_series_csv(path)
+    assert len(back) == 0
+    assert back.x.dtype == np.int64 and back.estimate.dtype == np.float64
+
+
+def test_read_series_csv_last_row_without_newline_keeps_empty_fields(tmp_path):
+    path = write_series_file(tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,\n3,1,,,")
+    back = read_series_csv(path)
+    assert back.x.tolist() == [2, 3]
+    assert back.ratio[0] == 2.0 and math.isnan(back.pct_err[0])
+    assert np.isnan(back.estimate[1]) and np.isnan(back.pct_err[1])
+
+
+def test_read_series_csv_undecodable_text_names_no_line(tmp_path):
+    # text is decoded in chunks ahead of the lines handed to numpy, so a line
+    # count taken there would name the wrong line
+    rows = "".join(f"{x},1,0.5,2,50\n" for x in range(2, 5000))
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"{SERIES_HEADER}\n{rows}5000,1,\xff,2,50\n".encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError):
+        read_series_csv(path)
