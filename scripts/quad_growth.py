@@ -30,7 +30,7 @@ DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
 def thin(census: QuadCensus, points: int = 250) -> CountSeries:
     """Keep a geometric subsample so the fit is not dominated by the tail."""
     grid = census.change_grid()
-    lo = int(grid[np.argmax(census.counts_at(grid) >= 1)])
+    lo = grid[int(np.argmax(census.change_counts() >= 1))]
     xs = np.unique(np.geomspace(max(lo, 3), int(grid[-1]), points).astype(np.int64))
     return build_series(census, grid=xs)
 

@@ -13,7 +13,6 @@ from .gaussian import (
     gaussian_brute_irreducible,
     gaussian_census,
     is_gaussian_prime,
-    pi_G,
 )
 from .monoid import (
     MonoidCensus,
@@ -23,7 +22,6 @@ from .monoid import (
     is_monoid_prime,
     largest_element,
     monoid_census,
-    pi_d,
 )
 from .quadratic import (
     QuadCensus,
@@ -46,7 +44,7 @@ from .series import (
     mape,
     ratio_R,
 )
-from .sieve import ClassicalCensus, PrimeTable, classical_census, pi, sieve_primes
+from .sieve import ClassicalCensus, PrimeTable, classical_census, sieve_primes
 
 __all__ = [
     "ClassicalCensus",
@@ -75,9 +73,6 @@ __all__ = [
     "make_series",
     "mape",
     "monoid_census",
-    "pi",
-    "pi_G",
-    "pi_d",
     "quad_census",
     "quad_divide_exact",
     "quad_is_irreducible",

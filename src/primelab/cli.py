@@ -312,9 +312,7 @@ def _cmd_table2(args) -> int:
     ser = _series(*_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
     rows = []
     for bound in TABLE2_BOUNDS:
-        upto = np.searchsorted(ser.x, bound, side="right")
-        pct = ser.pct_err[:upto]
-        rows.append(report.MapeSummary(bound, float(pct[~np.isnan(pct)].mean())))
+        rows.append(report.MapeSummary(bound, analysis.mape(ser, upto=bound)))
         print(f"norm-bound={bound}: mape={rows[-1].mape_pct:.3f}%")
     _emit(args, rows)
     return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import BoundIndexedCensus, PrimeTable, require_int, sieve_primes
+from .sieve import BoundIndexedCensus, PrimeTable, cumulative_sum, require_int, sieve_primes
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -47,7 +47,7 @@ class GaussianCensus(BoundIndexedCensus):
 
     norm_limit: int
     axis_convention: str
-    cumulative: np.ndarray  # int64, index n in [0, norm_limit]
+    cumulative: np.ndarray  # index n in [0, norm_limit]; int32 when 2*norm_limit < 2**31
 
     def describe(self) -> dict[str, str]:
         return {
@@ -111,16 +111,8 @@ def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
-    cumulative = np.cumsum(counts, dtype=np.int64)
-    cumulative.setflags(write=False)
+    cumulative = cumulative_sum(counts, 2 * norm_limit)  # at most 2 points per norm
     return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)
-
-
-def pi_G(census: GaussianCensus, norm_bound: int) -> int:
-    """Cumulative prime count at the given integer norm bound."""
-    if not 1 <= norm_bound <= census.norm_limit:
-        raise ValueError(f"norm_bound={norm_bound} outside [1, {census.norm_limit}]")
-    return int(census.cumulative[norm_bound])
 
 
 def estimate_pi_G(r):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import PrimeTable, require_int
+from .sieve import PrimeTable, cumulative_sum, require_int
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,7 @@ class MonoidCensus:
 
     params: MonoidParams
     prime_flags: np.ndarray  # bool
-    cumulative_counts: np.ndarray  # int64
-
-    def elements(self) -> np.ndarray:
-        """All elements of A_d up to the limit, ascending."""
-        d = self.params.d
-        return 1 + np.arange(len(self.prime_flags), dtype=np.int64) * d
+    cumulative_counts: np.ndarray  # int32 when the element count fits, else int64
 
     @property
     def total(self) -> int:
@@ -57,9 +52,14 @@ class MonoidCensus:
             raise ValueError("evaluation points outside census range")
         return self.cumulative_counts[(xs - 1) // self.params.d]
 
-    def change_grid(self) -> np.ndarray:
-        """Points where the count can change: the elements of A_d."""
-        return self.elements()
+    def change_grid(self) -> range:
+        """Points where the count can change: the elements of A_d, ascending."""
+        return range(1, self.params.limit + 1, self.params.d)
+
+    def change_counts(self) -> np.ndarray:
+        """The count at each point of change_grid(): element k is index k, so
+        this is cumulative_counts itself."""
+        return self.cumulative_counts
 
     def describe(self) -> dict[str, str]:
         return {
@@ -94,9 +94,8 @@ def monoid_census(params: MonoidParams) -> MonoidCensus:
 
     prime_flags = ~composite
     prime_flags[0] = False  # the identity 1 is not a prime
-    cumulative = np.cumsum(prime_flags, dtype=np.int64)
+    cumulative = cumulative_sum(prime_flags, len(prime_flags))
     prime_flags.setflags(write=False)
-    cumulative.setflags(write=False)
     return MonoidCensus(params=params, prime_flags=prime_flags, cumulative_counts=cumulative)
 
 
@@ -117,13 +116,6 @@ def is_monoid_prime(n: int, d: int) -> bool:
             return False
         a += d
     return True
-
-
-def pi_d(census: MonoidCensus, x: int) -> int:
-    """Count of monoid primes <= x."""
-    if not 1 <= x <= census.params.limit:
-        raise ValueError(f"x={x} outside census range [1, {census.params.limit}]")
-    return int(census.cumulative_counts[(x - 1) // census.params.d])
 
 
 def estimate_pi_d(d: int, x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import BoundIndexedCensus, require_int
+from .sieve import BoundIndexedCensus, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
@@ -76,7 +76,7 @@ class QuadCensus(BoundIndexedCensus):
 
     d: int
     region: RegionSpec
-    cumulative: np.ndarray  # int64, index n in [0, region.bound]
+    cumulative: np.ndarray  # index n in [0, region.bound]; int32 under the census cap
 
     def describe(self) -> dict[str, str]:
         return {
@@ -200,6 +200,6 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
 
     index = a * a + b * b if region.kind == "euclidean-ball" else norm
     counted = (index <= region.bound) & (norm >= 2) & ~reducible
-    cumulative = np.cumsum(np.bincount(index[counted], minlength=region.bound + 1), dtype=np.int64)
-    cumulative.setflags(write=False)
+    counts = np.bincount(index[counted], minlength=region.bound + 1)
+    cumulative = cumulative_sum(counts, norm.size)  # at most one count per quadrant cell
     return QuadCensus(d=d, region=region, cumulative=cumulative)

@@ -5,9 +5,9 @@ fixed "\n" line endings, no timestamps.  Series CSV columns print estimates
 with 6 significant digits and ratio / percentage error with 5 decimals;
 undefined values print as empty fields.
 
-A series CSV is written in blocks of SERIES_BLOCK_ROWS rows, each formatted
-from the columns' list slices with one printf-style format per row, and
-written to the file as it is made.  It is read back by numpy's C parser
+A series CSV is written one series block (series.CHUNK_ROWS rows) at a
+time, each formatted from the columns' list slices with one printf-style
+format per row, and written to the file as it is made.  It is read back by numpy's C parser
 (np.loadtxt) from the file's lines, with empty fields rewritten to nan as
 they go by.  A bad header, a row of the wrong width or an unparsable field
 raises ValueError naming the path and the 1-based line of the file.
@@ -28,8 +28,6 @@ MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus
 MAPE_SUMMARY_HEADER = "norm_bound,mape_pct"
 FIT_HEADER = "c,e,rms_rel_err"
 
-# series rows are formatted and written this many at a time
-SERIES_BLOCK_ROWS = 1 << 16
 _SERIES_ROW = "%d,%d,%.6g,%.5f,%.5f\n"
 _SERIES_DTYPE = np.dtype(
     [("x", "i8"), ("actual", "i8"), ("estimate", "f8"), ("ratio", "f8"), ("pct_err", "f8")]
@@ -97,12 +95,11 @@ def series_csv_text(series: CountSeries) -> str:
 
 
 def _series_csv_blocks(series: CountSeries):
-    """The header line, then the rows in blocks of SERIES_BLOCK_ROWS: one
+    """The header line, then the rows one series block at a time: one
     printf-style format per row, and NaN fields blanked once per block."""
     yield SERIES_HEADER + "\n"
-    cols = (series.x, series.actual, series.estimate, series.ratio, series.pct_err)
-    for lo in range(0, len(series), SERIES_BLOCK_ROWS):
-        rows = zip(*(col[lo : lo + SERIES_BLOCK_ROWS].tolist() for col in cols))
+    for cols in series.blocks():
+        rows = zip(*(col.tolist() for col in cols))
         # "nan" is the whole text of a NaN field, and every float field follows a comma
         yield "".join(map(_SERIES_ROW.__mod__, rows)).replace(",nan", ",")
 
@@ -140,14 +137,8 @@ def read_series_csv(path) -> CountSeries:
             # numpy's own row number skips blank lines, so only the file line is given
             reason = str(exc).split(" at row ")[0]
             raise ValueError(f"{path} line {line_no}: {reason}") from exc
-    return CountSeries(
-        x=data["x"],
-        actual=data["actual"],
-        estimate=data["estimate"],
-        ratio=data["ratio"],
-        pct_err=data["pct_err"],
-        metadata={"source": "csv"},
-    )
+    columns = (data["estimate"], data["ratio"], data["pct_err"])
+    return CountSeries(data["x"], data["actual"], metadata={"source": "csv"}, columns=columns)
 
 
 def render_svg(series: CountSeries, path) -> None:
@@ -163,12 +154,14 @@ def svg_text(series: CountSeries) -> str:
     plot_w = SVG_WIDTH - margin_l - margin_r
     plot_h = SVG_HEIGHT - margin_t - margin_b
 
-    xs = series.x.astype(np.float64)
-    est_mask = ~np.isnan(series.estimate)
-    x_min, x_max = float(xs[0]), float(xs[-1])
-    y_top = float(series.actual.max())
-    if est_mask.any():
-        y_top = max(y_top, float(series.estimate[est_mask].max()))
+    # the axes span every row: running maxima over the series, block by block
+    x_min, x_max = float(series.grid[0]), float(series.grid[-1])
+    y_top, estimated = float(series.actual.max()), 0
+    for _, _, est, _, _ in series.blocks():
+        est = est[~np.isnan(est)]
+        if est.size:
+            y_top = max(y_top, float(est.max()))
+            estimated += est.size
     y_top = y_top * 1.05 if y_top > 0 else 1.0
     x_span = (x_max - x_min) or 1.0
 
@@ -216,13 +209,17 @@ def svg_text(series: CountSeries) -> str:
         f'y2="{margin_t + plot_h}" stroke="#000000" stroke-width="1.5"/>'
     )
 
-    curves = [("actual", "#1f77b4", xs, series.actual.astype(np.float64))]
-    if est_mask.any():
-        curves.append(("estimate", "#ff7f0e", xs[est_mask], series.estimate[est_mask]))
+    # the curves are thinned first, so only their own rows are evaluated
+    rows = series.take(_thin_indices(len(series)))
+    curves = [("actual", "#1f77b4", rows.x, rows.actual)]
+    if estimated:
+        if estimated < len(series):  # thin over the rows that carry an estimate
+            have = np.flatnonzero(~np.isnan(series.estimate))
+            rows = series.take(have[_thin_indices(estimated)])
+        curves.append(("estimate", "#ff7f0e", rows.x, rows.estimate))
 
     for idx, (name, color, cx, cy) in enumerate(curves):
-        keep = _thin_indices(len(cx))
-        cx, cy = cx[keep], cy[keep]
+        cx, cy = cx.astype(np.float64), cy.astype(np.float64)
         if len(cx) == 1:
             out.append(
                 f'<circle cx="{px(cx[0]):.2f}" cy="{py(cy[0]):.2f}" r="4" fill="{color}"/>'

@@ -1,20 +1,25 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
-A CountSeries pairs actual cumulative counts with an estimate evaluated on
-the same grid.  Points where no percentage error is defined (actual = 0, or
-no estimator supplied) carry NaN in the derived columns; statistics skip
-them.
+A CountSeries is a view over a census: its points, the actual count at each
+and the estimator.  The derived columns (estimate, ratio, pct_err) are
+computed on demand, CHUNK_ROWS rows at a time for the statistics and the
+writers; only a series read from a CSV stores them.  Points where no
+percentage error is defined (actual = 0, or no estimator supplied) carry
+NaN in the derived columns; statistics skip them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 Estimator = Callable[[np.ndarray], np.ndarray]
+
+# rows per block when a series is streamed
+CHUNK_ROWS = 1 << 16
 
 _C_BOUNDS = (1e-3, 10.0)
 _E_BOUNDS = (-2.0, 3.0)
@@ -22,30 +27,94 @@ _E_BOUNDS = (-2.0, 3.0)
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Ordered evaluation points (x, actual, estimate, ratio, pct_err)."""
+    """Ordered evaluation points (x, actual), and (estimate, ratio, pct_err)
+    derived from the estimator, which maps int64 points to one estimate each.
 
-    x: np.ndarray  # int64, strictly increasing
-    actual: np.ndarray  # int64, nondecreasing
-    estimate: np.ndarray  # float64, NaN where no estimator applies
-    ratio: np.ndarray  # float64, actual / estimate
-    pct_err: np.ndarray  # float64, 100*|actual - estimate|/actual
+    ``grid`` is a range for a census's change grid: never built whole, it is
+    increasing by construction and its counts are a view of the census's
+    cumulative counts, so only its step is checked.  Otherwise it is an
+    int64 array.  ``columns`` holds (estimate, ratio, pct_err) as read from
+    a CSV.
+    """
+
+    grid: range | np.ndarray
+    actual: np.ndarray  # nondecreasing
+    estimator: Estimator | None = None
     metadata: Mapping[str, str] = field(default_factory=dict)
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.x)
-        if not (len(self.actual) == len(self.estimate) == len(self.ratio) == len(self.pct_err) == n):
+        n = len(self.grid)
+        if len(self.actual) != n or any(len(col) != n for col in self.columns or ()):
             raise ValueError("series columns must have equal length")
-        if n > 1:
-            if not np.all(np.diff(self.x) > 0):
+        if isinstance(self.grid, range):
+            if self.grid.step < 1:
+                raise ValueError("x must be strictly increasing")
+        elif n > 1:
+            if not np.all(np.diff(self.grid) > 0):
                 raise ValueError("x must be strictly increasing")
             if not np.all(np.diff(self.actual) >= 0):
                 raise ValueError("actual must be nondecreasing")
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.grid)
 
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.metadata.items())
+
+    @property
+    def x(self) -> np.ndarray:
+        return _points(self.grid)
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return self.rows()[2]
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.rows()[3]
+
+    @property
+    def pct_err(self) -> np.ndarray:
+        return self.rows()[4]
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
+        derived columns computed for those rows alone."""
+        x, actual = _points(self.grid[lo:hi]), self.actual[lo:hi]
+        if self.columns is not None:
+            return (x, actual, *(col[lo:hi] for col in self.columns))
+        if self.estimator is None:
+            nan = np.full(x.shape, np.nan)
+            return x, actual, nan, nan, nan
+        est = np.asarray(self.estimator(x), dtype=np.float64)
+        if est.shape != x.shape:
+            raise ValueError("the estimator must return one value per point")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(np.isnan(est), np.nan, actual / est)
+            pct = np.where(
+                (actual >= 1) & ~np.isnan(est),
+                100.0 * np.abs(actual - est) / np.where(actual >= 1, actual, 1),
+                np.nan,
+            )
+        return x, actual, est, ratio, pct
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """rows() of each run of CHUNK_ROWS rows, in order."""
+        return (self.rows(lo, lo + CHUNK_ROWS) for lo in range(0, len(self), CHUNK_ROWS))
+
+    def take(self, idx: np.ndarray) -> CountSeries:
+        """The rows at the ascending positions idx, as a series of their own."""
+        grid = self.grid
+        x = grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
+        columns = None if self.columns is None else tuple(col[idx] for col in self.columns)
+        return CountSeries(x, self.actual[idx], self.estimator, self.metadata, columns)
+
+
+def _points(grid: range | np.ndarray) -> np.ndarray:
+    if isinstance(grid, range):
+        return np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+    return grid
 
 
 def make_series(
@@ -54,47 +123,30 @@ def make_series(
     estimator: Estimator | None = None,
     metadata: Mapping[str, str] | None = None,
 ) -> CountSeries:
-    """Assemble a CountSeries, deriving estimate/ratio/pct_err columns."""
+    """A CountSeries on explicit points (copied, and checked for order)."""
     xs = np.array(x, dtype=np.int64)  # copies, so freezing never hits caller arrays
     acts = np.array(actual, dtype=np.int64)
     if xs.size == 0:
         raise ValueError("series grid is empty")
-    if estimator is None:
-        est = np.full(xs.shape, np.nan)
-    else:
-        est = np.asarray(estimator(xs), dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.isnan(est), np.nan, acts / est)
-        pct = np.where(
-            (acts >= 1) & ~np.isnan(est),
-            100.0 * np.abs(acts - est) / np.where(acts >= 1, acts, 1),
-            np.nan,
-        )
-    for arr in (xs, acts, est, ratio, pct):
-        arr.setflags(write=False)
-    return CountSeries(
-        x=xs, actual=acts, estimate=est, ratio=ratio, pct_err=pct, metadata=dict(metadata or {})
-    )
+    xs.setflags(write=False)
+    acts.setflags(write=False)
+    return CountSeries(xs, acts, estimator, dict(metadata or {}))
 
 
 def build_series(census, estimator: Estimator | None = None, grid=None) -> CountSeries:
     """Evaluate a census on a grid (default: every point where the count can
-    change; with an estimator, starting at the first nonzero count, since
-    the estimates are undefined at x <= 1)."""
-    if grid is None:
-        grid = census.change_grid()
-        actual = census.counts_at(grid)
-        if estimator is not None:
-            first = int(np.searchsorted(actual, 1))  # actual is nondecreasing
-            if first == actual.size:
-                raise ValueError("census holds no primes; no default grid exists")
-            grid, actual = grid[first:], actual[first:]
-    else:
-        grid = np.asarray(grid, dtype=np.int64)
-        if grid.size == 0:
-            raise ValueError("series grid is empty")
-        actual = census.counts_at(grid)
-    return make_series(grid, actual, estimator, census.describe())
+    change, as a view of the census's counts; with an estimator, starting at
+    the first nonzero count, since the estimates are undefined at x <= 1)."""
+    if grid is not None:  # make_series rejects an empty grid
+        return make_series(grid, census.counts_at(grid), estimator, census.describe())
+    grid, actual = census.change_grid(), census.change_counts()
+    if estimator is not None:
+        # actual is nondecreasing; a 1 of its own dtype keeps searchsorted from casting it
+        first = int(np.searchsorted(actual, actual.dtype.type(1)))
+        if first == actual.size:
+            raise ValueError("census holds no primes; no default grid exists")
+        grid, actual = grid[first:], actual[first:]
+    return CountSeries(grid, actual, estimator, census.describe())
 
 
 def ratio_R(actual: int, estimate: float) -> float:
@@ -106,29 +158,40 @@ def ratio_R(actual: int, estimate: float) -> float:
     return actual / estimate
 
 
-def mape(series: CountSeries) -> float:
-    """Mean absolute percentage error over points that carry an error value."""
-    valid = series.pct_err[~np.isnan(series.pct_err)]
-    if valid.size == 0:
+def mape(series: CountSeries, upto: int | None = None) -> float:
+    """Mean absolute percentage error over the points that carry an error
+    value (only those with x <= upto, when given), one block at a time."""
+    sums, count = [], 0
+    for x, _, _, _, pct in series.blocks():
+        if upto is not None:
+            if x[0] > upto:
+                break
+            pct = pct[: np.searchsorted(x, upto, side="right")]
+        valid = pct[~np.isnan(pct)]
+        sums.append(valid.sum())
+        count += valid.size
+    if count == 0:
         raise ValueError("series has no points with a defined percentage error")
-    return float(valid.mean())
+    return math.fsum(sums) / count
 
 
 def find_crossover(series: CountSeries) -> int | None:
     """Smallest grid x after which estimate >= actual holds to the end.
 
     Implemented as the point following the last index where actual exceeds
-    the estimate; None when the estimate is above the actual count on the
-    whole grid or still below it at the end.
+    the estimate, among the points with an estimate; None when the estimate
+    is above the actual count on the whole grid or still below it at the end.
     """
-    defined = ~np.isnan(series.estimate)
-    if not defined.any():
-        return None
-    diff = series.actual[defined] - series.estimate[defined]
-    above = np.flatnonzero(diff > 0)
-    if above.size == 0 or above[-1] == diff.size - 1:
-        return None
-    return int(series.x[defined][above[-1] + 1])
+    crossover, above_seen = None, False
+    for x, actual, est, _, _ in series.blocks():
+        defined = ~np.isnan(est)
+        x, above = x[defined], np.flatnonzero(actual[defined] - est[defined] > 0)
+        if above.size:
+            after = above[-1] + 1
+            crossover, above_seen = (int(x[after]) if after < x.size else None), True
+        elif above_seen and crossover is None and x.size:
+            crossover = int(x[0])  # the first point after a block that ended above
+    return crossover
 
 
 @dataclass(frozen=True)
@@ -147,10 +210,11 @@ def fit_model(series: CountSeries) -> FitResult:
     e in [-2, 3], then shrinking-bracket coordinate refinement of e with c
     re-optimized (within its bounds) at every candidate.
     """
-    mask = (series.actual >= 1) & (series.x >= 3)
+    xs = series.x
+    mask = (series.actual >= 1) & (xs >= 3)
     if int(mask.sum()) < 8:
         raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
-    x = series.x[mask].astype(np.float64)
+    x = xs[mask].astype(np.float64)
     act = series.actual[mask].astype(np.float64)
     base = x / act
     log_ln_x = np.log(np.log(x))

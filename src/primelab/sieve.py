@@ -1,10 +1,10 @@
 """Rational-prime sieving (one odd-only, segmented sieve of Eratosthenes),
-the classical counting function pi(x), and the parts every census shares.
+the classical census pi(n), and the parts every census shares.
 
 The classical and Gaussian censuses sieve the PrimeTable they need
 themselves; the monoid and quadratic censuses need none.  All four answer
-the same interface: ``counts_at``, ``change_grid``, ``describe`` and
-``total``.
+the same interface: ``counts_at``, ``change_grid``, ``change_counts``,
+``describe`` and ``total``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,21 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
+def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
+    """Read-only running totals of counts, as int32 when ``most``, a bound on
+    the total known from the census's parameters, is below 2**31 and as
+    int64 otherwise.  Summed in place: np.cumsum with a dtype would first
+    cast the whole input to that dtype."""
+    cumulative = counts.astype(np.int32 if most < 2**31 else np.int64)
+    np.cumsum(cumulative, out=cumulative)
+    cumulative.setflags(write=False)
+    return cumulative
+
+
 class BoundIndexedCensus:
     """Census whose ``cumulative[n]`` is the count at bound n, 0 <= n <= limit."""
 
-    cumulative: np.ndarray  # int64, read-only
+    cumulative: np.ndarray  # from cumulative_sum: int32 when the census's bound fits
 
     @property
     def total(self) -> int:
@@ -46,9 +57,13 @@ class BoundIndexedCensus:
             raise ValueError("evaluation points outside census range")
         return self.cumulative[xs]
 
-    def change_grid(self) -> np.ndarray:
+    def change_grid(self) -> range:
         """Every integer bound from 1 to the limit."""
-        return np.arange(1, len(self.cumulative), dtype=np.int64)
+        return range(1, len(self.cumulative))
+
+    def change_counts(self) -> np.ndarray:
+        """The count at each point of change_grid(), as a view, not a copy."""
+        return self.cumulative[1:]
 
 
 @dataclass(frozen=True)
@@ -110,13 +125,6 @@ class ClassicalCensus(BoundIndexedCensus):
 
 def classical_census(limit: int) -> ClassicalCensus:
     """pi(n) for every n up to limit (>= 2)."""
-    cumulative = np.cumsum(sieve_primes(limit).flags, dtype=np.int64)
-    cumulative.setflags(write=False)
+    cumulative = cumulative_sum(sieve_primes(limit).flags, limit)
     return ClassicalCensus(limit=limit, cumulative=cumulative)
 
-
-def pi(table: PrimeTable, x: int) -> int:
-    """Number of rational primes <= x."""
-    if not 0 <= x <= table.limit:
-        raise ValueError(f"x={x} outside table range [0, {table.limit}]")
-    return int(np.count_nonzero(table.flags[: x + 1]))

@@ -12,6 +12,7 @@ from primelab import (
     MonoidParams,
     RegionSpec,
     build_series,
+    classical_census,
     estimate_pi_d,
     estimate_pi_G,
     find_crossover,
@@ -25,7 +26,6 @@ from primelab import (
     make_series,
     mape,
     monoid_census,
-    pi,
     quad_census,
     ratio_R,
 )
@@ -212,8 +212,8 @@ def test_criterion_07d_quadratic_d1_equals_gaussian():
     assert equal
 
 
-def test_criterion_08_classical_baseline(table_10k):
-    ok = pi(table_10k, 10**4) == 1229
+def test_criterion_08_classical_baseline():
+    ok = classical_census(10**4).total == 1229
     report("08 classical pi", ok, "pi(1e4) == 1229")
     assert ok
 

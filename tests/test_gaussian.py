@@ -11,7 +11,6 @@ from primelab import (
     gaussian_brute_irreducible,
     gaussian_census,
     is_gaussian_prime,
-    pi_G,
 )
 
 
@@ -56,12 +55,12 @@ def test_brute_force_norm_cap():
 
 def test_census_small():
     both = gaussian_census(10, "both-axes")
-    assert pi_G(both, 10) == 5  # (1,1),(2,1),(1,2),(3,0),(0,3)
+    assert both.total == 5  # (1,1),(2,1),(1,2),(3,0),(0,3)
     dedup = gaussian_census(10, "dedupe-axes")
-    assert pi_G(dedup, 10) == 4
+    assert dedup.total == 4
     tiny = gaussian_census(2, "both-axes")
-    assert pi_G(tiny, 2) == 1
-    assert pi_G(both, 1) == 0
+    assert tiny.total == 1
+    assert both.counts_at([1]).tolist() == [0]
 
 
 def test_census_validation():
@@ -74,10 +73,10 @@ def test_census_validation():
 def test_pi_G_range():
     c = gaussian_census(100, "both-axes")
     with pytest.raises(ValueError):
-        pi_G(c, 0)
+        c.counts_at([0])
     with pytest.raises(ValueError):
-        pi_G(c, 101)
-    assert pi_G(c, 100) >= pi_G(c, 50)
+        c.counts_at([101])
+    assert c.counts_at([100])[0] >= c.counts_at([50])[0]
 
 
 def test_estimate_values():

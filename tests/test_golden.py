@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from primelab import series as analysis
 from primelab.cli import run_cli
 
 CASES = {
@@ -228,6 +229,23 @@ def observe(steps, workdir, capsys):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert observe(CASES[name], tmp_path, capsys) == GOLDEN[name]
+
+
+# Every case that emits a series artifact, at block sizes that cut each series
+# into many blocks (table2's 10^7-row series stays at the default size).
+BLOCKED_CASES = (
+    "fit-from-csv", "gauss-both-axes", "gauss-dedupe-axes", "monoid-all-outputs",
+    "monoid-empty-census", "quad-bound-1", "quad-euclidean", "quad-norm-ball", "table1",
+)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+@pytest.mark.parametrize("name", BLOCKED_CASES)
+def test_golden_at_small_block_sizes(name, chunk_rows, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
     monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
     monkeypatch.chdir(tmp_path)
     assert observe(CASES[name], tmp_path, capsys) == GOLDEN[name]

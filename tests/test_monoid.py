@@ -12,7 +12,6 @@ from primelab import (
     is_monoid_prime,
     largest_element,
     monoid_census,
-    pi_d,
 )
 
 
@@ -21,7 +20,7 @@ def census(d, limit):
 
 
 def flagged_elements(c):
-    return c.elements()[c.prime_flags].tolist()
+    return np.array(c.change_grid())[c.prime_flags].tolist()
 
 
 def test_census_d4_to_45():
@@ -67,16 +66,16 @@ def test_is_monoid_prime_validation():
 
 def test_pi_d_values():
     c3 = census(3, 10**4)
-    assert pi_d(c3, 10**4) == 1380
+    assert c3.total == 1380
     c5 = census(5, 5)
-    assert pi_d(c5, 5) == 0
+    assert c5.total == 0
     c4 = census(4, 45)
-    assert pi_d(c4, 45) == 9
-    assert pi_d(c4, 40) == 8  # 41 is the ninth monoid prime
+    assert c4.total == 9
+    assert c4.counts_at([40]).tolist() == [8]  # 41 is the ninth monoid prime
     with pytest.raises(ValueError):
-        pi_d(c4, 46)
+        c4.counts_at([46])
     with pytest.raises(ValueError):
-        pi_d(c4, 0)
+        c4.counts_at([0])
 
 
 def test_estimate_values():
@@ -146,4 +145,4 @@ def test_rational_primes_in_monoid_are_monoid_primes(table_10k):
 def test_count_bounded_by_elements():
     c = census(6, 10**4)
     for x in (7, 100, 5000, 10**4):
-        assert pi_d(c, x) <= len([n for n in range(2, x + 1) if n % 6 == 1])
+        assert c.counts_at([x])[0] <= len([n for n in range(2, x + 1) if n % 6 == 1])

@@ -7,9 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from primelab import CountSeries, FitResult, make_series, report
+from primelab import (
+    CountSeries,
+    FitResult,
+    build_series,
+    estimate_pi_G,
+    gaussian_census,
+    make_series,
+)
+from primelab import series as analysis
 from primelab.report import (
     FIT_HEADER,
+    MAX_POLYLINE_POINTS,
     SERIES_HEADER,
     MapeSummary,
     MonoidSummary,
@@ -29,7 +38,7 @@ def small_series(estimator=True):
 def empty_series():
     z = np.array([], dtype=np.int64)
     f = np.array([], dtype=np.float64)
-    return CountSeries(x=z, actual=z, estimate=f, ratio=f, pct_err=f, metadata={})
+    return CountSeries(z, z, columns=(f, f, f))
 
 
 def test_series_csv_exact_text():
@@ -170,6 +179,71 @@ def test_svg_thins_long_series():
     assert longest < 40_000  # ~2000 vertices at most per polyline
 
 
+# Reference oracle: the whole-array vertex choice that the thin-first SVG
+# replaced (every row for the y range, each curve thinned over its own rows).
+
+
+def oracle_polyline_points(series):
+    xs = series.x.astype(np.float64)
+    est_mask = ~np.isnan(series.estimate)
+    x_min, x_max = float(xs[0]), float(xs[-1])
+    y_top = float(series.actual.max())
+    if est_mask.any():
+        y_top = max(y_top, float(series.estimate[est_mask].max()))
+    y_top = y_top * 1.05 if y_top > 0 else 1.0
+    x_span = (x_max - x_min) or 1.0
+    curves = [(xs, series.actual.astype(np.float64))]
+    if est_mask.any():
+        curves.append((xs[est_mask], series.estimate[est_mask]))
+    points = []
+    for cx, cy in curves:
+        n = len(cx)
+        keep = np.arange(0, n, -(-n // MAX_POLYLINE_POINTS))
+        keep = np.append(keep, n - 1) if keep[-1] != n - 1 else keep
+        points.append(
+            " ".join(
+                f"{75 + (a - x_min) / x_span * 700:.2f},{545 - b / y_top * 500:.2f}"
+                for a, b in zip(cx[keep], cy[keep])
+            )
+        )
+    return points
+
+
+def stored_estimates(n, defined):
+    xs = np.arange(2, 2 + n)
+    est = np.where(defined(xs), xs / 2.5 + 7.0, np.nan)
+    return CountSeries(xs, np.arange(n), columns=(est, est, est))
+
+
+SVG_SERIES = {
+    "every-row": lambda: stored_estimates(5000, lambda xs: xs > 0),
+    "late-rows": lambda: stored_estimates(5000, lambda xs: xs >= 3000),
+    "every-third-row": lambda: stored_estimates(7000, lambda xs: xs % 3 == 0),
+    "one-row": lambda: stored_estimates(2500, lambda xs: xs == 1000),
+    "no-row": lambda: stored_estimates(2500, lambda xs: xs < 0),
+    "gauss-estimator": lambda: build_series(
+        gaussian_census(5000, "both-axes"), lambda ns: estimate_pi_G(np.sqrt(ns))
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("case", sorted(SVG_SERIES))
+def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    ser = SVG_SERIES[case]()
+    polylines = [
+        line.split(' points="')[1].removesuffix('"/>')
+        for line in svg_text(ser).splitlines()
+        if line.startswith("<polyline")
+    ]
+    expected = oracle_polyline_points(ser)
+    if case == "one-row":
+        assert len(polylines) == 1 and "<circle" in svg_text(ser)  # one estimate: a marker
+        expected = expected[:1]
+    assert polylines == expected
+
+
 # Reference oracles: the per-row writer and per-line parser that the block
 # writer and the numpy reader replaced. Bytes and parsed arrays must match.
 
@@ -214,20 +288,17 @@ def series_columns(draw):
     actual = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)))
     floats = [draw(st.lists(any_float, min_size=n, max_size=n)) for _ in range(3)]
     return CountSeries(
-        x=np.array(xs, dtype=np.int64),
-        actual=np.array(actual, dtype=np.int64),
-        estimate=np.array(floats[0]),
-        ratio=np.array(floats[1]),
-        pct_err=np.array(floats[2]),
-        metadata={},
+        np.array(xs, dtype=np.int64),
+        np.array(actual, dtype=np.int64),
+        columns=tuple(np.array(col) for col in floats),
     )
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 7, report.SERIES_BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, analysis.CHUNK_ROWS])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ser=series_columns())
 def test_series_csv_matches_reference_oracles(tmp_path, monkeypatch, block_rows, ser):
-    monkeypatch.setattr(report, "SERIES_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", block_rows)
     expected = oracle_series_csv_text(ser)
     assert series_csv_text(ser) == expected
     path = tmp_path / "series.csv"

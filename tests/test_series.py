@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelab import (
+    CountSeries,
     MonoidParams,
     build_series,
+    classical_census,
     estimate_pi_d,
     estimate_pi_G,
     find_crossover,
@@ -16,9 +19,9 @@ from primelab import (
     make_series,
     mape,
     monoid_census,
-    pi,
     ratio_R,
 )
+from primelab import series as analysis
 
 
 def monoid_estimator(d):
@@ -59,7 +62,7 @@ def test_build_series_default_grid_needs_a_prime():
     assert np.array_equal(build_series(empty).x, empty.change_grid())
 
     census = monoid_census(MonoidParams(50, 1000))
-    grid = census.change_grid()
+    grid = np.array(census.change_grid())
     first = next(int(x) for x, c in zip(grid, census.counts_at(grid)) if c >= 1)
     ser = build_series(census, monoid_estimator(50))
     assert first == 51 and ser.x[0] == first and ser.actual[0] == 1
@@ -212,3 +215,123 @@ def test_mape_nonnegative(pairs):
     if np.all(actual == 0):
         return
     assert mape(ser) >= 0.0
+
+
+# Reference oracles: the whole-array columns and statistics that the
+# block-by-block ones replaced.  find_crossover must agree exactly; a MAPE
+# only sums in another order, so it agrees to rel=1e-12.
+
+
+def oracle_columns(series):
+    xs = np.array(series.x, dtype=np.int64)
+    acts = np.array(series.actual, dtype=np.int64)
+    est = np.asarray(series.estimator(xs), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.isnan(est), np.nan, acts / est)
+        pct = np.where(
+            (acts >= 1) & ~np.isnan(est),
+            100.0 * np.abs(acts - est) / np.where(acts >= 1, acts, 1),
+            np.nan,
+        )
+    return xs, acts, est, ratio, pct
+
+
+def oracle_mape(pct_err):
+    valid = pct_err[~np.isnan(pct_err)]
+    if valid.size == 0:
+        raise ValueError("series has no points with a defined percentage error")
+    return float(valid.mean())
+
+
+def oracle_find_crossover(x, actual, estimate):
+    defined = ~np.isnan(estimate)
+    if not defined.any():
+        return None
+    diff = actual[defined] - estimate[defined]
+    above = np.flatnonzero(diff > 0)
+    if above.size == 0 or above[-1] == diff.size - 1:
+        return None
+    return int(x[defined][above[-1] + 1])
+
+
+def oracle_prefix_mapes(x, pct_err, bounds):
+    """table2's prefix MAPEs: the error over the points x <= bound."""
+    mapes = []
+    for bound in bounds:
+        upto = np.searchsorted(x, bound, side="right")
+        pct = pct_err[:upto]
+        mapes.append(float(pct[~np.isnan(pct)].mean()))
+    return mapes
+
+
+def gauss_estimator(ns):
+    return estimate_pi_G(np.sqrt(ns))
+
+
+STREAMED_SERIES = {
+    "gauss": lambda n: build_series(gaussian_census(n, "both-axes"), gauss_estimator),
+    "monoid": lambda n: build_series(monoid_census(MonoidParams(3, 3 * n)), monoid_estimator(3)),
+    "classical": lambda n: build_series(classical_census(n), lambda xs: xs / np.log(xs)),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("domain", sorted(STREAMED_SERIES))
+def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    rows = 3000 if chunk_rows < 100 else 3 * chunk_rows + 5  # several blocks either way
+    ser = STREAMED_SERIES[domain](rows)
+    assert len(ser) > 2 * chunk_rows
+    x, actual, est, ratio, pct = oracle_columns(ser)
+
+    blocks = list(ser.blocks())
+    assert len(blocks) == -(-len(ser) // chunk_rows)
+    for got, want in zip(zip(*blocks), (x, actual, est, ratio, pct)):
+        assert np.array_equal(np.concatenate(got), want, equal_nan=True)
+
+    assert find_crossover(ser) == oracle_find_crossover(x, actual, est)
+    assert mape(ser) == pytest.approx(oracle_mape(pct), rel=1e-12)
+    bounds = [10, 1000, int(x[len(x) // 3]) + 1, int(x[-1]) - 1, int(x[-1])]
+    got = [mape(ser, upto=bound) for bound in bounds]
+    assert got == pytest.approx(oracle_prefix_mapes(x, pct, bounds), rel=1e-12)
+
+
+SOME_FLOATS = st.one_of(st.just(math.nan), st.floats(0.0, 100.0), st.floats(-1e3, 1e3))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), SOME_FLOATS, SOME_FLOATS), max_size=30))
+def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
+    # a series read from a CSV: NaN anywhere, crossings at any block boundary
+    x = np.arange(2, 2 + len(rows), dtype=np.int64)
+    actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
+    est, pct = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2))
+    ser = CountSeries(x, actual, columns=(est, est, pct))
+    expected_crossover = oracle_find_crossover(x, actual, est)
+    try:
+        expected_mape = oracle_mape(pct)
+    except ValueError:
+        expected_mape = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+        assert find_crossover(ser) == expected_crossover
+        if expected_mape is None:
+            with pytest.raises(ValueError):
+                mape(ser)
+        else:
+            assert mape(ser) == pytest.approx(expected_mape, rel=1e-12)
+
+
+def test_series_memory_does_not_grow_with_census_size():
+    def peak(n):
+        census = gaussian_census(n, "both-axes")
+        tracemalloc.start()
+        try:
+            mape(build_series(census, gauss_estimator))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * 10**6), peak(8 * 10**6)
+    assert large < 1.25 * small, (small, large)

@@ -8,7 +8,6 @@ from primelab import (
     RegionSpec,
     classical_census,
     gaussian_census,
-    pi,
     sieve_primes,
 )
 from primelab import sieve
@@ -32,21 +31,21 @@ def test_small_limit_exact():
     assert np.flatnonzero(table.flags).tolist() == [2, 3, 5, 7]
 
 
-def test_count_at_10k(table_10k):
+def test_count_at_10k():
     # 1229 recomputed here against the trial-division oracle
     assert sum(1 for n in range(10**4 + 1) if trial_division_is_prime(n)) == 1229
-    assert pi(table_10k, 10**4) == 1229
+    assert classical_census(10**4).total == 1229
 
 
 def test_count_at_1e7():
     # known value pi(10^7) = 664,579; the sieve spans three segments
     assert 2 * sieve.SEGMENT_SIZE < 10**7 < 3 * sieve.SEGMENT_SIZE
-    assert pi(sieve_primes(10**7), 10**7) == 664_579
+    assert classical_census(10**7).total == 664_579
 
 
 def test_count_at_1e8():
     # known value pi(10^8) = 5,761,455
-    assert pi(sieve_primes(10**8), 10**8) == 5_761_455
+    assert classical_census(10**8).total == 5_761_455
 
 
 def test_limit_validation():
@@ -78,24 +77,26 @@ def test_integer_parameters_reject_bools_and_non_integers(name, value):
         INTEGER_PARAMETERS[name](value)
 
 
-def test_classical_census_matches_pi(table_10k):
+def test_classical_census_matches_pi():
     census = classical_census(10**4)
     xs = np.array([1, 2, 3, 100, 9973, 10**4])
-    assert census.counts_at(xs).tolist() == [pi(table_10k, int(x)) for x in xs]
+    expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
+    assert census.counts_at(xs).tolist() == expected
     assert census.total == 1229
     assert census.describe() == {"domain": "classical", "limit": "10000"}
     with pytest.raises(ValueError):
         census.counts_at([10**4 + 1])
 
 
-def test_pi_basics(table_10k):
-    assert pi(table_10k, 0) == 0
-    assert pi(table_10k, 1) == 0
-    assert pi(table_10k, 2) == 1
+def test_pi_basics():
+    census = classical_census(10**4)
+    assert census.cumulative[0] == 0
+    assert census.counts_at([1]).tolist() == [0]
+    assert census.counts_at([2]).tolist() == [1]
     with pytest.raises(ValueError):
-        pi(table_10k, 10**4 + 1)
+        census.counts_at([10**4 + 1])
     with pytest.raises(ValueError):
-        pi(table_10k, -1)
+        census.counts_at([-1])
 
 
 def test_pi_steps_by_zero_or_one(table_10k):
