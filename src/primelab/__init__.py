@@ -40,7 +40,6 @@ from .series import (
     build_series,
     find_crossover,
     fit_model,
-    make_series,
     mape,
     ratio_R,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "is_gaussian_prime",
     "is_monoid_prime",
     "largest_element",
-    "make_series",
     "mape",
     "monoid_census",
     "quad_census",

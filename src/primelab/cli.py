@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource guard tripped,
 4 I/O failure.  The guard defaults to 10^8 and can be moved with the
-PRIMES_LAB_MAX_LIMIT environment variable.
+PRIMES_LAB_MAX_LIMIT environment variable.  A command that compares a
+census with an estimate exits 2 when the census holds no primes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -186,18 +186,6 @@ def _census(domain: str, args):
     return census, estimator
 
 
-def _series(census, estimator) -> analysis.CountSeries | None:
-    """The census's evaluation series; None when an estimate is asserted but
-    the census holds no primes, so the series has no first point."""
-    if estimator is not None and census.total == 0:
-        return None
-    return analysis.build_series(census, estimator)
-
-
-def _mape(ser: analysis.CountSeries | None) -> float:
-    return analysis.mape(ser) if ser is not None else math.nan
-
-
 def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
     """Write whichever of --csv, --series-csv and --svg the subcommand has:
     csv_obj (summary rows, fit rows or a series) to --csv, the series to
@@ -211,8 +199,6 @@ def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
         path = getattr(args, flag, None)
         if not path:
             continue
-        if obj is None:
-            raise ValueError(f"census holds no primes; no series for --{flag.replace('_', '-')}")
         write(obj, path)
         print(f"wrote {path}")
 
@@ -225,13 +211,13 @@ def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.Mon
         actual_count=census.total,
         estimate=estimate,
         r_ratio=analysis.ratio_R(census.total, estimate),
-        mape_pct=_mape(ser),
+        mape_pct=analysis.mape(ser),
     )
 
 
 def _cmd_monoid(args) -> int:
     census, estimator = _census("monoid", args)
-    ser = _series(census, estimator)
+    ser = analysis.build_series(census, estimator)
     eval_x = (
         monoid.largest_element(census.params) if args.eval_at == "largest" else args.limit
     )
@@ -246,8 +232,8 @@ def _cmd_monoid(args) -> int:
 
 def _cmd_gauss(args) -> int:
     census, estimator = _census("gauss", args)
-    ser = _series(census, estimator)
-    row = report.MapeSummary(args.norm_limit, _mape(ser))
+    ser = analysis.build_series(census, estimator)
+    row = report.MapeSummary(args.norm_limit, analysis.mape(ser))
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
         f"count={census.total} mape={row.mape_pct:.3f}%"
@@ -271,10 +257,7 @@ def _fit_series(args) -> analysis.CountSeries:
         return report.read_series_csv(args.from_csv)
     if not args.domain:
         raise ValueError("fit needs --from-csv or --domain")
-    ser = _series(*_census(args.domain, args))
-    if ser is None:
-        raise ValueError("census holds no primes; nothing to fit")
-    return ser
+    return analysis.build_series(*_census(args.domain, args))
 
 
 def _cmd_fit(args) -> int:
@@ -292,7 +275,7 @@ def _cmd_table1(args) -> int:
     rows = []
     for d in TABLE1_MODULI:
         census, estimator = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
-        ser = _series(census, estimator)
+        ser = analysis.build_series(census, estimator)
         row = _monoid_summary(census, ser, monoid.largest_element(census.params))
         rows.append(row)
         print(
@@ -309,7 +292,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    ser = _series(*_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
+    ser = analysis.build_series(*_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
     rows = []
     for bound in TABLE2_BOUNDS:
         rows.append(report.MapeSummary(bound, analysis.mape(ser, upto=bound)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import BoundIndexedCensus, PrimeTable, cumulative_sum, require_int, sieve_primes
+from .sieve import Census, PrimeTable, cumulative_sum, require_int, sieve_primes
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -42,12 +42,12 @@ class GaussPoint:
 
 
 @dataclass(frozen=True)
-class GaussianCensus(BoundIndexedCensus):
-    """Cumulative Gaussian-prime counts indexed by integer norm bound."""
+class GaussianCensus(Census):
+    """Cumulative Gaussian-prime counts by integer norm bound."""
 
     norm_limit: int
     axis_convention: str
-    cumulative: np.ndarray  # index n in [0, norm_limit]; int32 when 2*norm_limit < 2**31
+    cumulative: np.ndarray  # index n - 1 for norm bound n; int32 when 2*norm_limit < 2**31
 
     def describe(self) -> dict[str, str]:
         return {
@@ -111,7 +111,7 @@ def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
-    cumulative = cumulative_sum(counts, 2 * norm_limit)  # at most 2 points per norm
+    cumulative = cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
     return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)
 
 

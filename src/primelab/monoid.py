@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import PrimeTable, cumulative_sum, require_int
+from .sieve import Census, PrimeTable, cumulative_sum, require_int
 
 
 @dataclass(frozen=True)
@@ -28,38 +28,17 @@ class MonoidParams:
 
 
 @dataclass(frozen=True)
-class MonoidCensus:
-    """Primality flags over A_d up to the limit, one flag per monoid element
-    (nothing is stored for integers outside the monoid).
-
-    Index k holds the element 1 + k*d; cumulative_counts[k] is the number of
-    monoid primes <= 1 + k*d.
-    """
+class MonoidCensus(Census):
+    """Monoid-prime counts over A_d up to the limit, one per monoid element:
+    cumulative[k] is the number of monoid primes <= 1 + k*d, the k-th point
+    of change_grid() (nothing is stored for integers outside the monoid)."""
 
     params: MonoidParams
-    prime_flags: np.ndarray  # bool
-    cumulative_counts: np.ndarray  # int32 when the element count fits, else int64
-
-    @property
-    def total(self) -> int:
-        """The count at the census's own bound."""
-        return int(self.cumulative_counts[-1])
-
-    def counts_at(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized monoid-prime count at each x (1 <= x <= limit)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.size and (xs.min() < 1 or xs.max() > self.params.limit):
-            raise ValueError("evaluation points outside census range")
-        return self.cumulative_counts[(xs - 1) // self.params.d]
+    cumulative: np.ndarray  # int32 when the element count fits, else int64
 
     def change_grid(self) -> range:
         """Points where the count can change: the elements of A_d, ascending."""
         return range(1, self.params.limit + 1, self.params.d)
-
-    def change_counts(self) -> np.ndarray:
-        """The count at each point of change_grid(): element k is index k, so
-        this is cumulative_counts itself."""
-        return self.cumulative_counts
 
     def describe(self) -> dict[str, str]:
         return {
@@ -92,11 +71,9 @@ def monoid_census(params: MonoidParams) -> MonoidCensus:
             composite[i * (a + 1) :: a] = True
         i += 1
 
-    prime_flags = ~composite
-    prime_flags[0] = False  # the identity 1 is not a prime
-    cumulative = cumulative_sum(prime_flags, len(prime_flags))
-    prime_flags.setflags(write=False)
-    return MonoidCensus(params=params, prime_flags=prime_flags, cumulative_counts=cumulative)
+    prime = np.logical_not(composite, out=composite)
+    prime[0] = False  # the identity 1 is not a prime
+    return MonoidCensus(params=params, cumulative=cumulative_sum(prime, len(prime)))
 
 
 def is_monoid_prime(n: int, d: int) -> bool:

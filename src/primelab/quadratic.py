@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import BoundIndexedCensus, cumulative_sum, require_int
+from .sieve import Census, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
@@ -71,12 +71,12 @@ class RegionSpec:
 
 
 @dataclass(frozen=True)
-class QuadCensus(BoundIndexedCensus):
-    """Cumulative irreducible counts indexed by the region's bound parameter."""
+class QuadCensus(Census):
+    """Cumulative irreducible counts by the region's bound parameter."""
 
     d: int
     region: RegionSpec
-    cumulative: np.ndarray  # index n in [0, region.bound]; int32 under the census cap
+    cumulative: np.ndarray  # index n - 1 for bound n; int32 under the census cap
 
     def describe(self) -> dict[str, str]:
         return {
@@ -172,7 +172,7 @@ def _half_plane(d: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Cumulative irreducible counts over all a, b >= 0 inside the region,
-    indexed by the region's bound parameter (zero and units excluded).
+    at each bound 1..region.bound (zero and units excluded).
 
     Product sieve up to top = region.largest_norm(d): each irreducible y with
     N(y)^2 <= top, by increasing norm, marks y*z for every z (one of each pair
@@ -201,5 +201,5 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     index = a * a + b * b if region.kind == "euclidean-ball" else norm
     counted = (index <= region.bound) & (norm >= 2) & ~reducible
     counts = np.bincount(index[counted], minlength=region.bound + 1)
-    cumulative = cumulative_sum(counts, norm.size)  # at most one count per quadrant cell
+    cumulative = cumulative_sum(counts[1:], norm.size)  # at most one count per quadrant cell
     return QuadCensus(d=d, region=region, cumulative=cumulative)

@@ -1,18 +1,19 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
 A CountSeries is a view over a census: its points, the actual count at each
-and the estimator.  The derived columns (estimate, ratio, pct_err) are
-computed on demand, CHUNK_ROWS rows at a time for the statistics and the
-writers; only a series read from a CSV stores them.  Points where no
-percentage error is defined (actual = 0, or no estimator supplied) carry
-NaN in the derived columns; statistics skip them.
+and the estimator; build_series makes one from any census.  The derived
+columns (estimate, ratio, pct_err) are computed on demand, CHUNK_ROWS rows
+at a time for the statistics and the writers; only a series read from a CSV
+stores them.  Points where no percentage error is defined (actual = 0, or
+no estimator supplied) carry NaN in the derived columns; statistics skip
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class CountSeries:
 
     ``grid`` is a range for a census's change grid: never built whole, it is
     increasing by construction and its counts are a view of the census's
-    cumulative counts, so only its step is checked.  Otherwise it is an
+    ``cumulative``, so only its step is checked.  Otherwise it is an
     int64 array.  ``columns`` holds (estimate, ratio, pct_err) as read from
     a CSV.
     """
@@ -91,9 +92,9 @@ class CountSeries:
         if est.shape != x.shape:
             raise ValueError("the estimator must return one value per point")
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.isnan(est), np.nan, actual / est)
+            ratio = actual / est
             pct = np.where(
-                (actual >= 1) & ~np.isnan(est),
+                actual >= 1,
                 100.0 * np.abs(actual - est) / np.where(actual >= 1, actual, 1),
                 np.nan,
             )
@@ -117,29 +118,20 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     return grid
 
 
-def make_series(
-    x: Sequence[int] | np.ndarray,
-    actual: Sequence[int] | np.ndarray,
-    estimator: Estimator | None = None,
-    metadata: Mapping[str, str] | None = None,
-) -> CountSeries:
-    """A CountSeries on explicit points (copied, and checked for order)."""
-    xs = np.array(x, dtype=np.int64)  # copies, so freezing never hits caller arrays
-    acts = np.array(actual, dtype=np.int64)
-    if xs.size == 0:
-        raise ValueError("series grid is empty")
-    xs.setflags(write=False)
-    acts.setflags(write=False)
-    return CountSeries(xs, acts, estimator, dict(metadata or {}))
-
-
 def build_series(census, estimator: Estimator | None = None, grid=None) -> CountSeries:
-    """Evaluate a census on a grid (default: every point where the count can
-    change, as a view of the census's counts; with an estimator, starting at
-    the first nonzero count, since the estimates are undefined at x <= 1)."""
-    if grid is not None:  # make_series rejects an empty grid
-        return make_series(grid, census.counts_at(grid), estimator, census.describe())
-    grid, actual = census.change_grid(), census.change_counts()
+    """Evaluate a census on a grid: given points (copied as int64 and checked
+    for order), or by default every point where the count can change, as a
+    view of the census's counts (with an estimator, starting at the first
+    nonzero count, since the estimates are undefined at x <= 1)."""
+    if grid is not None:
+        xs = np.array(grid, dtype=np.int64)  # copies, so freezing never hits caller arrays
+        if xs.size == 0:
+            raise ValueError("series grid is empty")
+        actual = census.counts_at(xs).astype(np.int64)
+        xs.setflags(write=False)
+        actual.setflags(write=False)
+        return CountSeries(xs, actual, estimator, census.describe())
+    grid, actual = census.change_grid(), census.cumulative
     if estimator is not None:
         # actual is nondecreasing; a 1 of its own dtype keeps searchsorted from casting it
         first = int(np.searchsorted(actual, actual.dtype.type(1)))

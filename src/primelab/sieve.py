@@ -2,9 +2,9 @@
 the classical census pi(n), and the parts every census shares.
 
 The classical and Gaussian censuses sieve the PrimeTable they need
-themselves; the monoid and quadratic censuses need none.  All four answer
-the same interface: ``counts_at``, ``change_grid``, ``change_counts``,
-``describe`` and ``total``.
+themselves; the monoid and quadratic censuses need none.  All four are a
+``Census``: one layout, ``cumulative[k]`` the count at ``change_grid()[k]``,
+and one interface, ``counts_at``, ``change_grid``, ``describe`` and ``total``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
     return cumulative
 
 
-class BoundIndexedCensus:
-    """Census whose ``cumulative[n]`` is the count at bound n, 0 <= n <= limit."""
+class Census:
+    """Cumulative counts on the points where the count can change:
+    ``cumulative[k]`` is the count at ``change_grid()[k]``, and the grid's
+    stop is the census's bound + 1.  By default the grid is every integer
+    bound, so ``cumulative[n - 1]`` is the count at n."""
 
     cumulative: np.ndarray  # from cumulative_sum: int32 when the census's bound fits
 
@@ -52,18 +55,16 @@ class BoundIndexedCensus:
         return int(self.cumulative[-1])
 
     def counts_at(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized count at each x (1 <= x <= the census's bound)."""
         xs = np.asarray(xs, dtype=np.int64)
-        if xs.size and (xs.min() < 1 or xs.max() >= len(self.cumulative)):
+        grid = self.change_grid()
+        if xs.size and (xs.min() < 1 or xs.max() >= grid.stop):
             raise ValueError("evaluation points outside census range")
-        return self.cumulative[xs]
+        return self.cumulative[(xs - 1) // grid.step]
 
     def change_grid(self) -> range:
         """Every integer bound from 1 to the limit."""
-        return range(1, len(self.cumulative))
-
-    def change_counts(self) -> np.ndarray:
-        """The count at each point of change_grid(), as a view, not a copy."""
-        return self.cumulative[1:]
+        return range(1, len(self.cumulative) + 1)
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 @dataclass(frozen=True)
-class ClassicalCensus(BoundIndexedCensus):
-    """Cumulative rational-prime counts pi(n) for 0 <= n <= limit."""
+class ClassicalCensus(Census):
+    """Cumulative rational-prime counts: cumulative[n - 1] is pi(n), 1 <= n <= limit."""
 
     limit: int
     cumulative: np.ndarray
@@ -125,6 +126,6 @@ class ClassicalCensus(BoundIndexedCensus):
 
 def classical_census(limit: int) -> ClassicalCensus:
     """pi(n) for every n up to limit (>= 2)."""
-    cumulative = cumulative_sum(sieve_primes(limit).flags, limit)
+    cumulative = cumulative_sum(sieve_primes(limit).flags[1:], limit)
     return ClassicalCensus(limit=limit, cumulative=cumulative)
 

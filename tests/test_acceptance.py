@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from primelab import (
+    CountSeries,
     GaussPoint,
     MonoidParams,
     RegionSpec,
@@ -23,7 +24,6 @@ from primelab import (
     is_gaussian_prime,
     is_monoid_prime,
     largest_element,
-    make_series,
     mape,
     monoid_census,
     quad_census,
@@ -76,7 +76,7 @@ def test_criterion_01_monoid_counts_exact(table1_runs):
     censuses, _, elapsed = table1_runs
     deltas = {}
     for d, (_, expected, _, _, _) in TABLE1.items():
-        got = int(censuses[d].cumulative_counts[-1])
+        got = int(censuses[d].cumulative[-1])
         if got != expected:
             deltas[d] = got - expected
     ok = not deltas and elapsed < 10.0
@@ -101,7 +101,7 @@ def test_criterion_03_accuracy_ratios(table1_runs):
     censuses, _, _ = table1_runs
     worst = 0.0
     for d, (x_eval, count, _, printed, _) in TABLE1.items():
-        assert int(censuses[d].cumulative_counts[-1]) == count
+        assert int(censuses[d].cumulative[-1]) == count
         r = ratio_R(count, estimate_pi_d(d, x_eval))
         worst = max(worst, abs(r - printed))
     ok = worst <= 0.0005
@@ -169,7 +169,7 @@ def test_criterion_07a_monoid_sieve_equals_trial_division():
     mismatches = 0
     for d in range(2, 13):
         census = monoid_census(MonoidParams(d, 10**4))
-        flags = census.prime_flags
+        flags = np.diff(census.cumulative, prepend=0) > 0
         for k in range(len(flags)):
             if bool(flags[k]) != is_monoid_prime(1 + k * d, d):
                 mismatches += 1
@@ -179,7 +179,7 @@ def test_criterion_07a_monoid_sieve_equals_trial_division():
 
 def test_criterion_07b_hilbert_equals_sieve(table_1m):
     census = monoid_census(MonoidParams(4, 10**6))
-    flags = census.prime_flags
+    flags = np.diff(census.cumulative, prepend=0) > 0
     mismatches = sum(
         1
         for k in range(len(flags))
@@ -207,7 +207,7 @@ def test_criterion_07c_gaussian_classifier_equals_brute_force(table_10k):
 def test_criterion_07d_quadratic_d1_equals_gaussian():
     ser = build_series(quad_census(1, RegionSpec("norm-ball", 10**4)))
     census = gaussian_census(10**4, "both-axes")
-    equal = np.array_equal(ser.actual, census.cumulative[1:])
+    equal = np.array_equal(ser.actual, census.cumulative)
     report("07d quadratic d=1", equal, "norms <= 1e4")
     assert equal
 
@@ -223,7 +223,7 @@ def test_criterion_09_fit_recovery():
     worst = 0.0
     for c0, e0 in ((0.5, 1.0), (1 / 3, 1 / 3)):
         actual = np.maximum.accumulate(np.round(c0 * xs / np.log(xs) ** e0).astype(np.int64))
-        fit = fit_model(make_series(xs, actual))
+        fit = fit_model(CountSeries(xs, actual))
         worst = max(worst, abs(fit.c - c0) / c0, abs(fit.e - e0) / abs(e0))
     ok = worst <= 0.01
     report("09 fit recovery", ok, f"max relative error {worst:.4%} <= 1%")
@@ -234,7 +234,7 @@ def test_supplementary_growth_sanity(gauss_10m):
     # Landau-type normalization: pi_G(n) * ln(n) / n stays near 1
     census, _, _ = gauss_10m
     for n in (10**5, 10**6, 10**7):
-        normalized = census.cumulative[n] * math.log(n) / n
+        normalized = census.cumulative[n - 1] * math.log(n) / n
         assert 0.8 <= normalized <= 1.3, (n, normalized)
 
 

@@ -1,9 +1,13 @@
 import os
+import tempfile
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from primelab.cli import run_cli
+from primelab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, run_cli
 
 
 def run(argv, capsys):
@@ -216,3 +220,80 @@ def test_monoid_svg_written(tmp_path, capsys):
     code, _, _ = run(["monoid", "--d", "4", "--limit", "500", "--svg", str(svg)], capsys)
     assert code == 0
     assert svg.read_text().startswith("<svg")
+
+
+# A census with no primes, compared with an estimate: exit 2, nothing written.
+EMPTY_CENSUS_COMMANDS = [
+    ["monoid", "--d", "50", "--limit", "40", "--csv", "m.csv", "--svg", "m.svg"],
+    ["monoid", "--d", "4", "--limit", "1", "--series-csv", "ms.csv"],
+    ["gauss", "--norm-limit", "1", "--csv", "g.csv", "--series-csv", "gs.csv"],
+    ["fit", "--domain", "monoid", "--d", "7", "--limit", "7", "--csv", "f.csv"],
+    ["fit", "--domain", "gauss", "--norm-limit", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_CENSUS_COMMANDS, ids=" ".join)
+def test_empty_census_with_an_estimate_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: census holds no primes;")
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+# The CLI property test: small argument values, any of them omitted, invalid,
+# past a small resource guard or naming an empty census (limits 0..3, or
+# limit <= d for a monoid); output paths that are writable or not.
+GUARD = 4000
+SIZES = st.one_of(st.integers(-2, 3), st.integers(4, GUARD), st.integers(-5, 2 * GUARD))
+RINGS = st.one_of(st.integers(-3, 1), st.integers(2, 60))
+SERIES_CSV = "x,actual,estimate,ratio,abs_pct_err\n" + "".join(
+    f"{x},{x - 2},,,\n" for x in range(3, 23)
+)
+
+
+def option(flag, values):
+    given_flag = values.map(lambda v: [flag, str(v)])
+    return st.one_of(st.just([]), given_flag, given_flag, given_flag)  # given 3 times in 4
+
+
+def switch(*argv):
+    return st.sampled_from([[], list(argv)])
+
+
+def output(flag, name):
+    return st.sampled_from([[], [flag, name], [flag, os.path.join("absent", name)]])
+
+
+COMMAND_PARTS = {
+    "monoid": [option("--d", RINGS), option("--limit", SIZES), switch("--eval-at", "largest"),
+               output("--csv", "m.csv"), output("--series-csv", "ms.csv"),
+               output("--svg", "m.svg")],
+    "gauss": [option("--norm-limit", SIZES), switch("--dedupe-axes"), output("--csv", "g.csv"),
+              output("--series-csv", "gs.csv"), output("--svg", "g.svg")],
+    "quad": [option("--d", RINGS), option("--bound", SIZES), switch("--euclidean"),
+             output("--csv", "q.csv"), output("--svg", "q.svg")],
+    "fit": [option("--domain", st.sampled_from(["classical", "monoid", "gauss", "quad"])),
+            st.sampled_from([[], ["--from-csv", "s.csv"], ["--from-csv", "absent.csv"]]),
+            option("--d", RINGS), option("--limit", SIZES), option("--norm-limit", SIZES),
+            option("--bound", SIZES), switch("--euclidean"), output("--csv", "f.csv")],
+    "table1": [output("--csv", "t1.csv"), switch("--svg-dir", "figs")],
+    "table2": [output("--csv", "t2.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PARTS))
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(data=st.data(), guard=st.sampled_from([str(GUARD), "10000"]))
+def test_every_command_exits_with_a_documented_code(command, data, guard):
+    argv = [command]
+    for part in COMMAND_PARTS[command]:
+        argv += data.draw(part)
+    with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        mp.setenv("PRIMES_LAB_MAX_LIMIT", guard)
+        with open("s.csv", "w", encoding="utf-8") as f:
+            f.write(SERIES_CSV)
+        code = run_cli(argv)
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_IO), argv

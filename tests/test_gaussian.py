@@ -111,7 +111,7 @@ def test_axis_convention_identity(table_10k):
     both = gaussian_census(limit, "both-axes").cumulative
     dedup = gaussian_census(limit, "dedupe-axes").cumulative
     qs = table_10k.primes[table_10k.primes % 4 == 3]
-    ns = np.arange(limit + 1)
+    ns = np.arange(1, limit + 1)
     expected = np.searchsorted(qs * qs, ns, side="right")
     assert np.array_equal(both - dedup, expected)
 
@@ -119,7 +119,7 @@ def test_axis_convention_identity(table_10k):
 def test_cumulative_changes_only_at_primes_or_inert_squares(table_10k):
     limit = 10**4
     c = gaussian_census(limit, "both-axes").cumulative
-    change = np.flatnonzero(np.diff(c)) + 1
+    change = np.flatnonzero(np.diff(c, prepend=0)) + 1  # cumulative[n - 1]: norm n
     flags = table_10k.flags
     for n in change.tolist():
         root = math.isqrt(n)

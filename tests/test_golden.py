@@ -1,6 +1,10 @@
 """Golden outputs: the sha256 of stdout, the exit codes and every artifact of
 fixed CLI invocations.  A refactor must leave every byte unchanged; a
-deliberate output change re-pins the affected case and says why."""
+deliberate output change re-pins the affected case and says why.
+
+An empty census has one contract: a command that compares it with an
+estimate exits 2 and writes nothing (gauss-norm-limit-1, monoid-empty-census,
+monoid-limit-1, fit-monoid-empty); quad asserts no estimate and exits 0."""
 
 import hashlib
 
@@ -128,11 +132,9 @@ GOLDEN = {
         },
     },
     "gauss-norm-limit-1": {
-        "exit": [0],
-        "stdout": "cd48655675f2656a0e789f91941d22e91c6b4da48438be5b9d2603e1a621a704",
-        "files": {
-            "g.csv": "abbb696fd6859d915e7f7998c22a82046a4f700706d6a9ceabaa0024a5d76107",
-        },
+        "exit": [2],
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
     },
     "monoid-all-outputs": {
         "exit": [0],
@@ -144,11 +146,9 @@ GOLDEN = {
         },
     },
     "monoid-empty-census": {
-        "exit": [0, 2],
-        "stdout": "0e45d45f319ba47bab4097a6e34e94341b6cc53ad335688aee656ae3cb6bad9a",
-        "files": {
-            "m.csv": "e7bb4cbff949f3a70e5175f4776ee59714fa2a99cd23c79cb6218ad00e13dfb8",
-        },
+        "exit": [2, 2],
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
     },
     "monoid-limit-1": {
         "exit": [2],

@@ -19,8 +19,13 @@ def census(d, limit):
     return monoid_census(MonoidParams(d=d, limit=limit))
 
 
+def prime_flags(c):
+    """One flag per monoid element: the count steps up exactly at a prime."""
+    return np.diff(c.cumulative, prepend=0) > 0
+
+
 def flagged_elements(c):
-    return np.array(c.change_grid())[c.prime_flags].tolist()
+    return np.array(c.change_grid())[prime_flags(c)].tolist()
 
 
 def test_census_d4_to_45():
@@ -36,13 +41,13 @@ def test_census_d4_tiny():
 
 def test_census_d3_count():
     c = census(3, 10**4)
-    assert int(c.cumulative_counts[-1]) == 1380
+    assert int(c.cumulative[-1]) == 1380
 
 
 def test_census_identity_not_prime():
     c = census(7, 10**3)
-    assert not c.prime_flags[0]
-    steps = np.diff(c.cumulative_counts)
+    assert not prime_flags(c)[0]
+    steps = np.diff(c.cumulative)
     assert set(np.unique(steps)) <= {0, 1}
 
 
@@ -132,14 +137,15 @@ def test_census_matches_trial_division(d, k):
     if n > 10**4:
         n = 1 + ((10**4 - 1) // d) * d
     c = census(d, 10**4)
-    assert bool(c.prime_flags[(n - 1) // d]) == is_monoid_prime(n, d)
+    assert bool(prime_flags(c)[(n - 1) // d]) == is_monoid_prime(n, d)
 
 
 def test_rational_primes_in_monoid_are_monoid_primes(table_10k):
     for d in (2, 3, 4, 7, 11):
         c = census(d, 10**4)
         ps = table_10k.primes[table_10k.primes % d == 1]
-        assert all(c.prime_flags[(int(p) - 1) // d] for p in ps)
+        flags = prime_flags(c)
+        assert all(flags[(int(p) - 1) // d] for p in ps)
 
 
 def test_count_bounded_by_elements():

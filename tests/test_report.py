@@ -13,7 +13,6 @@ from primelab import (
     build_series,
     estimate_pi_G,
     gaussian_census,
-    make_series,
 )
 from primelab import series as analysis
 from primelab.report import (
@@ -32,7 +31,7 @@ from primelab.report import (
 
 def small_series(estimator=True):
     est = (lambda xs: np.array([1.5, 4.0, 8.25])) if estimator else None
-    return make_series([3, 7, 12], [2, 4, 8], est, {"domain": "test"})
+    return CountSeries(np.array([3, 7, 12]), np.array([2, 4, 8]), est, {"domain": "test"})
 
 
 def empty_series():
@@ -58,7 +57,7 @@ def test_series_csv_empty_fields_without_estimator():
 
 
 def test_series_csv_zero_actual_has_no_error(tmp_path):
-    ser = make_series([5, 6], [0, 1], lambda xs: np.array([2.0, 2.0]))
+    ser = CountSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
     lines = series_csv_text(ser).splitlines()
     assert lines[1] == "5,0,2,0.00000,"  # ratio defined (0), pct_err not
 
@@ -83,7 +82,7 @@ def test_series_round_trip(tmp_path):
 
 
 def test_round_trip_preserves_missing_values(tmp_path):
-    ser = make_series([5, 6], [0, 1], lambda xs: np.array([2.0, 2.0]))
+    ser = CountSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
     path = tmp_path / "gaps.csv"
     write_csv(ser, path)
     back = read_series_csv(path)
@@ -145,7 +144,7 @@ def test_svg_structure(tmp_path):
 
 
 def test_svg_single_point_uses_markers():
-    ser = make_series([10], [4], lambda xs: np.array([5.0]))
+    ser = CountSeries(np.array([10]), np.array([4]), lambda xs: np.array([5.0]))
     text = svg_text(ser)
     assert "<polyline" not in text
     assert text.count("<circle") == 2
@@ -173,7 +172,7 @@ def test_svg_rejects_empty_series():
 def test_svg_thins_long_series():
     n = 10_000
     xs = np.arange(2, 2 + n)
-    ser = make_series(xs, np.arange(n), lambda v: v / 2.0)
+    ser = CountSeries(xs, np.arange(n), lambda v: v / 2.0)
     text = svg_text(ser)
     longest = max(len(line) for line in text.splitlines())
     assert longest < 40_000  # ~2000 vertices at most per polyline

@@ -16,7 +16,6 @@ from primelab import (
     find_crossover,
     fit_model,
     gaussian_census,
-    make_series,
     mape,
     monoid_census,
     ratio_R,
@@ -98,20 +97,24 @@ def test_ratio_scale_covariance():
 
 
 def test_mape_basics():
-    one = make_series([10], [100], lambda xs: np.full(xs.shape, 90.0))
+    one = CountSeries(np.array([10]), np.array([100]), lambda xs: np.full(xs.shape, 90.0))
     assert mape(one) == pytest.approx(10.0)
-    exact = make_series([10, 20], [5, 9], lambda xs: np.where(xs == 10, 5.0, 9.0))
+    exact = CountSeries(
+        np.array([10, 20]), np.array([5, 9]), lambda xs: np.where(xs == 10, 5.0, 9.0)
+    )
     assert mape(exact) == 0.0
-    undefined = make_series([10], [0], lambda xs: np.full(xs.shape, 3.0))
+    undefined = CountSeries(np.array([10]), np.array([0]), lambda xs: np.full(xs.shape, 3.0))
     with pytest.raises(ValueError):
         mape(undefined)
-    no_estimator = make_series([10, 20], [1, 2])
+    no_estimator = CountSeries(np.array([10, 20]), np.array([1, 2]))
     with pytest.raises(ValueError):
         mape(no_estimator)
 
 
 def test_mape_zero_iff_exact():
-    ser = make_series([5, 10, 20], [2, 4, 9], lambda xs: np.array([2.0, 4.1, 9.0]))
+    ser = CountSeries(
+        np.array([5, 10, 20]), np.array([2, 4, 9]), lambda xs: np.array([2.0, 4.1, 9.0])
+    )
     assert mape(ser) > 0
 
 
@@ -120,17 +123,17 @@ def test_crossover_synthetic():
     actual = np.array([5, 6, 7, 8, 9, 9, 9, 9, 9])
     # estimate overtakes at x=50 and stays above
     est = np.array([3.0, 4.0, 6.0, 7.5, 9.5, 10.0, 11.0, 12.0, 13.0])
-    ser = make_series(xs, actual, lambda v: est)
+    ser = CountSeries(xs, actual, lambda v: est)
     assert find_crossover(ser) == 50
 
 
 def test_crossover_none_when_estimate_always_above():
-    ser = make_series([1, 2, 3], [1, 1, 1], lambda v: np.array([5.0, 6.0, 7.0]))
+    ser = CountSeries(np.array([1, 2, 3]), np.array([1, 1, 1]), lambda v: np.array([5.0, 6.0, 7.0]))
     assert find_crossover(ser) is None
 
 
 def test_crossover_none_when_actual_ahead_at_end():
-    ser = make_series([1, 2, 3], [2, 3, 9], lambda v: np.array([5.0, 6.0, 7.0]))
+    ser = CountSeries(np.array([1, 2, 3]), np.array([2, 3, 9]), lambda v: np.array([5.0, 6.0, 7.0]))
     assert find_crossover(ser) is None
 
 
@@ -138,7 +141,7 @@ def test_crossover_ignores_early_oscillation():
     xs = np.arange(1, 11)
     actual = np.array([3, 3, 5, 5, 7, 7, 7, 7, 7, 7])
     est = np.array([2.0, 4.0, 4.5, 6.0, 6.5, 6.9, 7.5, 8.0, 9.0, 10.0])
-    ser = make_series(xs, actual, lambda v: est)
+    ser = CountSeries(xs, actual, lambda v: est)
     assert find_crossover(ser) == 7  # last positive-to-nonpositive flip
 
 
@@ -154,7 +157,7 @@ def test_fit_recovers_synthetic_parameters():
     for c0, e0 in ((0.5, 1.0), (1 / 3, 1 / 3)):
         actual = np.round(c0 * xs / np.log(xs) ** e0).astype(np.int64)
         actual = np.maximum.accumulate(actual)
-        ser = make_series(xs, actual)
+        ser = CountSeries(xs, actual)
         fit = fit_model(ser)
         # rounding to integer counts leaves a little noise; 1% is the contract
         assert fit.c == pytest.approx(c0, rel=0.01)
@@ -164,14 +167,14 @@ def test_fit_recovers_synthetic_parameters():
 def test_fit_classical_exponent_near_one(table_100k):
     xs = np.arange(10**3, 10**5 + 1, 97, dtype=np.int64)
     counts = np.cumsum(table_100k.flags)
-    ser = make_series(xs, counts[xs])
+    ser = CountSeries(xs, counts[xs])
     fit = fit_model(ser)
     assert 0.8 <= fit.e <= 1.2
     assert fit.rms_rel_err < 0.1
 
 
 def test_fit_needs_enough_points():
-    ser = make_series([10, 20, 30], [1, 2, 3])
+    ser = CountSeries(np.array([10, 20, 30]), np.array([1, 2, 3]))
     with pytest.raises(ValueError):
         fit_model(ser)
 
@@ -180,7 +183,7 @@ def test_fit_deterministic():
     xs = np.unique(np.geomspace(10, 10**4, 40).astype(np.int64))
     actual = np.round(0.7 * xs / np.log(xs) ** 1.2).astype(np.int64)
     actual = np.maximum.accumulate(actual)
-    ser = make_series(xs, actual)
+    ser = CountSeries(xs, actual)
     a, b = fit_model(ser), fit_model(ser)
     assert (a.c, a.e, a.rms_rel_err) == (b.c, b.e, b.rms_rel_err)
 
@@ -194,11 +197,13 @@ def test_ratio_times_estimate_recovers_actual():
 
 def test_series_validation():
     with pytest.raises(ValueError):
-        make_series([3, 2], [1, 2])  # x not increasing
+        CountSeries(np.array([3, 2]), np.array([1, 2]))  # x not increasing
     with pytest.raises(ValueError):
-        make_series([2, 3], [2, 1])  # actual decreasing
+        CountSeries(np.array([2, 3]), np.array([2, 1]))  # actual decreasing
     with pytest.raises(ValueError):
-        make_series([], [])
+        build_series(classical_census(10), grid=[])
+    with pytest.raises(ValueError):
+        build_series(classical_census(10), grid=[3, 2])  # x not increasing
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,7 +216,7 @@ def test_mape_nonnegative(pairs):
     pairs.sort()
     xs = sorted({p[0] for p in pairs})
     actual = np.maximum.accumulate([p[1] for p in pairs[: len(xs)]])
-    ser = make_series(xs, actual, lambda v: v / np.log(v.astype(float) + 1.0))
+    ser = CountSeries(np.array(xs), actual, lambda v: v / np.log(v.astype(float) + 1.0))
     if np.all(actual == 0):
         return
     assert mape(ser) >= 0.0

@@ -8,6 +8,8 @@ from primelab import (
     RegionSpec,
     classical_census,
     gaussian_census,
+    monoid_census,
+    quad_census,
     sieve_primes,
 )
 from primelab import sieve
@@ -90,6 +92,7 @@ def test_classical_census_matches_pi():
 
 def test_pi_basics():
     census = classical_census(10**4)
+    assert len(census.cumulative) == 10**4  # cumulative[n - 1] is pi(n)
     assert census.cumulative[0] == 0
     assert census.counts_at([1]).tolist() == [0]
     assert census.counts_at([2]).tolist() == [1]
@@ -131,3 +134,30 @@ def test_primes_listing(table_10k):
     assert primes[0] == 2 and primes[-1] == 9973
     assert np.all(np.diff(primes) > 0)
     assert len(primes) == 1229
+
+
+# Every census, with its bound; the monoid bound 46 is no element of A_4, and
+# the last three hold no primes.
+CENSUSES = {
+    "classical": (lambda: classical_census(1000), 1000),
+    "monoid": (lambda: monoid_census(MonoidParams(4, 46)), 46),
+    "gaussian": (lambda: gaussian_census(1000, "both-axes"), 1000),
+    "quadratic": (lambda: quad_census(5, RegionSpec("euclidean-ball", 300)), 300),
+    "monoid-empty": (lambda: monoid_census(MonoidParams(50, 40)), 40),
+    "gaussian-empty": (lambda: gaussian_census(1, "dedupe-axes"), 1),
+    "quadratic-empty": (lambda: quad_census(3, RegionSpec("norm-ball", 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUSES))
+def test_census_layout_is_shared(name):
+    build, limit = CENSUSES[name]
+    census = build()
+    grid = np.array(census.change_grid())
+    assert len(grid) == len(census.cumulative) and grid[0] == 1 and grid[-1] <= limit
+    assert np.array_equal(census.counts_at(grid), census.cumulative)
+    assert census.total == census.cumulative[-1]
+    assert census.counts_at([limit]).tolist() == [census.total]
+    for outside in (0, limit + 1):
+        with pytest.raises(ValueError, match="outside census range"):
+            census.counts_at([outside])
