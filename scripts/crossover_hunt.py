@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from primelab import (  # noqa: E402
     MonoidParams,
     build_series,
-    estimate_pi_d,
     find_crossover,
     monoid_census,
 )
@@ -29,7 +28,7 @@ def hunt(d: int, start: int = 2000, cap: int = 2_000_000) -> tuple[int | None, i
     limit = start
     while True:
         census = monoid_census(MonoidParams(d, limit))
-        series = build_series(census, lambda xs: estimate_pi_d(d, xs))
+        series = build_series(census)
         x = find_crossover(series)
         if x is not None and x <= limit // 2:
             return x, limit

@@ -20,7 +20,6 @@ from .monoid import (
     estimate_pi_d,
     hilbert_classify,
     is_monoid_prime,
-    largest_element,
     monoid_census,
 )
 from .quadratic import (
@@ -68,7 +67,6 @@ __all__ = [
     "hilbert_classify",
     "is_gaussian_prime",
     "is_monoid_prime",
-    "largest_element",
     "mape",
     "monoid_census",
     "quad_census",

@@ -2,18 +2,16 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource guard tripped,
 4 I/O failure.  The guard defaults to 10^8 and can be moved with the
-PRIMES_LAB_MAX_LIMIT environment variable.  A command that compares a
-census with an estimate exits 2 when the census holds no primes.
+PRIMES_LAB_MAX_LIMIT environment variable.  Each census carries the
+paper's estimate for its domain (none for Z[sqrt(-d)]); a command that
+compares a census with its estimate exits 2 when the census holds no primes.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
-
-import numpy as np
 
 from . import gaussian, monoid, quadratic, report, series as analysis, sieve
 
@@ -157,9 +155,7 @@ def _require(args, domain: str, *names: str) -> None:
 
 
 def _census(domain: str, args):
-    """Build the census a subcommand asks for, after the resource guard, and
-    return it with the estimator its series compares against (or None)."""
-    estimator = None
+    """Build the census a subcommand asks for, after the resource guard."""
     if domain == "classical":
         _require(args, domain, "limit")
         _check_guard(args.limit, "limit")
@@ -168,13 +164,11 @@ def _census(domain: str, args):
         _require(args, domain, "d", "limit")
         _check_guard(args.limit, "limit")
         census = monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
-        estimator = functools.partial(monoid.estimate_pi_d, args.d)
     elif domain == "gauss":
         _require(args, domain, "norm_limit")
         _check_guard(args.norm_limit, "norm-limit")
         convention = "dedupe-axes" if getattr(args, "dedupe_axes", False) else "both-axes"
         census = gaussian.gaussian_census(args.norm_limit, convention)
-        estimator = lambda ns: gaussian.estimate_pi_G(np.sqrt(ns))
     else:
         _require(args, domain, "d", "bound")
         # squarefree validation of d trial-divides up to sqrt(d): guard d first
@@ -183,7 +177,7 @@ def _census(domain: str, args):
         region = quadratic.RegionSpec(kind, args.bound)
         _check_guard(region.largest_norm(args.d), "largest norm", cap=quadratic.MAX_CENSUS_BOUND)
         census = quadratic.quad_census(args.d, region)
-    return census, estimator
+    return census
 
 
 def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
@@ -204,10 +198,10 @@ def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
 
 
 def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.MonoidSummary:
-    estimate = monoid.estimate_pi_d(census.params.d, eval_x)
+    estimate = census.estimate(eval_x)
     return report.MonoidSummary(
         d=census.params.d,
-        largest_element=monoid.largest_element(census.params),
+        largest_element=census.change_grid()[-1],
         actual_count=census.total,
         estimate=estimate,
         r_ratio=analysis.ratio_R(census.total, estimate),
@@ -216,11 +210,9 @@ def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.Mon
 
 
 def _cmd_monoid(args) -> int:
-    census, estimator = _census("monoid", args)
-    ser = analysis.build_series(census, estimator)
-    eval_x = (
-        monoid.largest_element(census.params) if args.eval_at == "largest" else args.limit
-    )
+    census = _census("monoid", args)
+    ser = analysis.build_series(census)
+    eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
     row = _monoid_summary(census, ser, eval_x)
     print(
         f"monoid d={args.d} limit={args.limit}: count={row.actual_count} "
@@ -231,8 +223,8 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
-    census, estimator = _census("gauss", args)
-    ser = analysis.build_series(census, estimator)
+    census = _census("gauss", args)
+    ser = analysis.build_series(census)
     row = report.MapeSummary(args.norm_limit, analysis.mape(ser))
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
@@ -243,7 +235,7 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_quad(args) -> int:
-    census, _ = _census("quad", args)
+    census = _census("quad", args)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
     ser = analysis.build_series(census) if args.csv or args.svg else None  # artifacts only
     _emit(args, ser, ser)
@@ -257,7 +249,7 @@ def _fit_series(args) -> analysis.CountSeries:
         return report.read_series_csv(args.from_csv)
     if not args.domain:
         raise ValueError("fit needs --from-csv or --domain")
-    return analysis.build_series(*_census(args.domain, args))
+    return analysis.build_series(_census(args.domain, args))
 
 
 def _cmd_fit(args) -> int:
@@ -274,9 +266,9 @@ def _cmd_fit(args) -> int:
 def _cmd_table1(args) -> int:
     rows = []
     for d in TABLE1_MODULI:
-        census, estimator = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
-        ser = analysis.build_series(census, estimator)
-        row = _monoid_summary(census, ser, monoid.largest_element(census.params))
+        census = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
+        ser = analysis.build_series(census)
+        row = _monoid_summary(census, ser, census.change_grid()[-1])
         rows.append(row)
         print(
             f"d={d}: largest={row.largest_element} count={row.actual_count} "
@@ -292,7 +284,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    ser = analysis.build_series(*_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
+    ser = analysis.build_series(_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
     rows = []
     for bound in TABLE2_BOUNDS:
         rows.append(report.MapeSummary(bound, analysis.mape(ser, upto=bound)))

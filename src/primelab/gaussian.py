@@ -49,6 +49,11 @@ class GaussianCensus(Census):
     axis_convention: str
     cumulative: np.ndarray  # index n - 1 for norm bound n; int32 when 2*norm_limit < 2**31
 
+    def estimate(self, norms):
+        """The paper's conjectured count at each norm bound: estimate_pi_G
+        at the radius sqrt(norm)."""
+        return estimate_pi_G(np.sqrt(norms))
+
     def describe(self) -> dict[str, str]:
         return {
             "domain": "gaussian",

@@ -40,6 +40,10 @@ class MonoidCensus(Census):
         """Points where the count can change: the elements of A_d, ascending."""
         return range(1, self.params.limit + 1, self.params.d)
 
+    def estimate(self, x):
+        """The paper's conjectured count at x, estimate_pi_d."""
+        return estimate_pi_d(self.params.d, x)
+
     def describe(self) -> dict[str, str]:
         return {
             "domain": "monoid",
@@ -106,11 +110,6 @@ def estimate_pi_d(d: int, x):
         raise ValueError("x too large to evaluate in double precision")
     result = x / (d * np.log(x) ** (1.0 / d))
     return float(result) if np.isscalar(x) else result
-
-
-def largest_element(params: MonoidParams) -> int:
-    """Largest member of A_d not exceeding the limit."""
-    return params.limit - (params.limit - 1) % params.d
 
 
 def hilbert_classify(n: int, table: PrimeTable) -> bool:

@@ -137,6 +137,7 @@ def read_series_csv(path) -> CountSeries:
             # numpy's own row number skips blank lines, so only the file line is given
             reason = str(exc).split(" at row ")[0]
             raise ValueError(f"{path} line {line_no}: {reason}") from exc
+    data.setflags(write=False)  # its fields are the series' columns, read-only like any other
     columns = (data["estimate"], data["ratio"], data["pct_err"])
     return CountSeries(data["x"], data["actual"], metadata={"source": "csv"}, columns=columns)
 

@@ -1,12 +1,12 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
 A CountSeries is a view over a census: its points, the actual count at each
-and the estimator; build_series makes one from any census.  The derived
-columns (estimate, ratio, pct_err) are computed on demand, CHUNK_ROWS rows
-at a time for the statistics and the writers; only a series read from a CSV
-stores them.  Points where no percentage error is defined (actual = 0, or
-no estimator supplied) carry NaN in the derived columns; statistics skip
-them.
+and the estimator; build_series makes one from any census, whose own
+``estimate`` is the estimator.  The derived columns (estimate, ratio,
+pct_err) are computed on demand, CHUNK_ROWS rows at a time for the
+statistics and the writers; only a series read from a CSV stores them.
+Points where no percentage error is defined (actual = 0, or a census with
+no estimate) carry NaN in the derived columns; statistics skip them.
 """
 
 from __future__ import annotations
@@ -118,27 +118,28 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     return grid
 
 
-def build_series(census, estimator: Estimator | None = None, grid=None) -> CountSeries:
-    """Evaluate a census on a grid: given points (copied as int64 and checked
-    for order), or by default every point where the count can change, as a
-    view of the census's counts (with an estimator, starting at the first
-    nonzero count, since the estimates are undefined at x <= 1)."""
+def build_series(census, grid=None) -> CountSeries:
+    """Evaluate a census against its own estimate on a grid: given integer
+    points (copied as int64 and checked for order), or by default every point
+    where the count can change, as a view of the census's counts (for a
+    census with an estimate, starting at the first nonzero count, since the
+    estimates are undefined at x <= 1)."""
     if grid is not None:
-        xs = np.array(grid, dtype=np.int64)  # copies, so freezing never hits caller arrays
-        if xs.size == 0:
+        actual = census.counts_at(grid).astype(np.int64)  # rejects non-integer points
+        if actual.size == 0:
             raise ValueError("series grid is empty")
-        actual = census.counts_at(xs).astype(np.int64)
+        xs = np.array(grid, dtype=np.int64)  # a copy, so freezing never hits caller arrays
         xs.setflags(write=False)
         actual.setflags(write=False)
-        return CountSeries(xs, actual, estimator, census.describe())
+        return CountSeries(xs, actual, census.estimate, census.describe())
     grid, actual = census.change_grid(), census.cumulative
-    if estimator is not None:
+    if census.estimate is not None:
         # actual is nondecreasing; a 1 of its own dtype keeps searchsorted from casting it
         first = int(np.searchsorted(actual, actual.dtype.type(1)))
         if first == actual.size:
             raise ValueError("census holds no primes; no default grid exists")
         grid, actual = grid[first:], actual[first:]
-    return CountSeries(grid, actual, estimator, census.describe())
+    return CountSeries(grid, actual, census.estimate, census.describe())
 
 
 def ratio_R(actual: int, estimate: float) -> float:
@@ -198,9 +199,9 @@ class FitResult:
 def fit_model(series: CountSeries) -> FitResult:
     """Fit c * x / (ln x)^e to the actual counts, minimizing RMS relative error.
 
-    Deterministic: a coarse mesh over c in [1e-3, 10] (log steps) and
-    e in [-2, 3], then shrinking-bracket coordinate refinement of e with c
-    re-optimized (within its bounds) at every candidate.
+    Deterministic: for each e the best c in [1e-3, 10] has a closed form, so
+    the search is over e alone: a coarse scan of 101 points in [-2, 3], then
+    a shrinking bracket around the best of them.
     """
     xs = series.x
     mask = (series.actual >= 1) & (xs >= 3)
@@ -211,27 +212,16 @@ def fit_model(series: CountSeries) -> FitResult:
     base = x / act
     log_ln_x = np.log(np.log(x))
 
-    def moments(e: float) -> tuple[float, float]:
-        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
-        return float(u.mean()), float((u * u).mean())
-
     def profiled(e: float) -> tuple[float, float]:
         """Best in-bounds c at this e and the resulting RMS relative error."""
-        m1, m2 = moments(e)
+        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
+        m1, m2 = float(u.mean()), float((u * u).mean())
         c = min(max(m1 / m2, _C_BOUNDS[0]), _C_BOUNDS[1])
         return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
 
     e_grid = np.linspace(_E_BOUNDS[0], _E_BOUNDS[1], 101)
-    c_grid = np.logspace(math.log10(_C_BOUNDS[0]), math.log10(_C_BOUNDS[1]), 81)
-    best_obj2, best_e = math.inf, float(e_grid[0])
-    for e in e_grid:
-        m1, m2 = moments(float(e))
-        obj2 = c_grid * c_grid * m2 - 2.0 * c_grid * m1 + 1.0
-        j = int(np.argmin(obj2))
-        if obj2[j] < best_obj2:
-            best_obj2, best_e = float(obj2[j]), float(e)
-
-    e, span = best_e, float(e_grid[1] - e_grid[0])
+    e = float(e_grid[int(np.argmin([profiled(float(e))[1] for e in e_grid]))])
+    span = float(e_grid[1] - e_grid[0])
     for _ in range(80):
         lo = max(e - span, _E_BOUNDS[0])
         hi = min(e + span, _E_BOUNDS[1])

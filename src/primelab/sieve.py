@@ -4,7 +4,9 @@ the classical census pi(n), and the parts every census shares.
 The classical and Gaussian censuses sieve the PrimeTable they need
 themselves; the monoid and quadratic censuses need none.  All four are a
 ``Census``: one layout, ``cumulative[k]`` the count at ``change_grid()[k]``,
-and one interface, ``counts_at``, ``change_grid``, ``describe`` and ``total``.
+and one interface, ``counts_at``, ``change_grid``, ``describe``, ``total``
+and ``estimate``, the count the paper conjectures for the domain (None where
+it asserts none).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class Census:
     bound, so ``cumulative[n - 1]`` is the count at n."""
 
     cumulative: np.ndarray  # from cumulative_sum: int32 when the census's bound fits
+    estimate = None  # or a method: the conjectured count at each of an array of points
 
     @property
     def total(self) -> int:
@@ -55,8 +58,18 @@ class Census:
         return int(self.cumulative[-1])
 
     def counts_at(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized count at each x (1 <= x <= the census's bound)."""
-        xs = np.asarray(xs, dtype=np.int64)
+        """Vectorized count at each x (1 <= x <= the census's bound).  Like
+        require_int, it rejects bools and non-integers: an array whose dtype is
+        not an integer one, and a bool among a sequence's items (numpy would
+        read it as 0 or 1)."""
+        points = np.asarray(xs)
+        if points.size and (
+            points.dtype.kind not in "iu"
+            or not isinstance(xs, (np.ndarray, range))
+            and any(isinstance(x, (bool, np.bool_)) for x in xs)
+        ):
+            raise ValueError("evaluation points must be integers (bools are not)")
+        xs = points.astype(np.int64, copy=False)
         grid = self.change_grid()
         if xs.size and (xs.min() < 1 or xs.max() >= grid.stop):
             raise ValueError("evaluation points outside census range")

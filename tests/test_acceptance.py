@@ -15,7 +15,6 @@ from primelab import (
     build_series,
     classical_census,
     estimate_pi_d,
-    estimate_pi_G,
     find_crossover,
     fit_model,
     gaussian_brute_irreducible,
@@ -23,7 +22,6 @@ from primelab import (
     hilbert_classify,
     is_gaussian_prime,
     is_monoid_prime,
-    largest_element,
     mape,
     monoid_census,
     quad_census,
@@ -57,9 +55,7 @@ def table1_runs():
     t0 = time.perf_counter()
     censuses = {d: monoid_census(MonoidParams(d, 10**4)) for d in TABLE1}
     elapsed = time.perf_counter() - t0
-    series = {
-        d: build_series(c, lambda xs, d=d: estimate_pi_d(d, xs)) for d, c in censuses.items()
-    }
+    series = {d: build_series(c) for d, c in censuses.items()}
     return censuses, series, elapsed
 
 
@@ -68,7 +64,7 @@ def gauss_10m():
     t0 = time.perf_counter()
     census = gaussian_census(10**7, "both-axes")
     elapsed = time.perf_counter() - t0
-    ser = build_series(census, lambda ns: estimate_pi_G(np.sqrt(ns)))
+    ser = build_series(census)
     return census, ser, elapsed
 
 
@@ -90,7 +86,7 @@ def test_criterion_01_monoid_counts_exact(table1_runs):
 def test_criterion_02_estimates_at_largest_element():
     worst = 0.0
     for d, (x_eval, _, printed, _, _) in TABLE1.items():
-        assert largest_element(MonoidParams(d, 10**4)) == x_eval
+        assert monoid_census(MonoidParams(d, 10**4)).change_grid()[-1] == x_eval
         worst = max(worst, abs(estimate_pi_d(d, x_eval) - printed))
     ok = worst <= 0.05
     report("02 estimates", ok, f"max |deviation| {worst:.4f} <= 0.05")
@@ -123,12 +119,12 @@ def test_criterion_05_crossovers():
     results = {}
     for d, (limit, lo, hi) in CROSSOVER_WINDOWS.items():
         census = monoid_census(MonoidParams(d, limit))
-        ser = build_series(census, lambda xs, d=d: estimate_pi_d(d, xs))
+        ser = build_series(census)
         results[d] = (find_crossover(ser), lo, hi)
     t0 = time.perf_counter()
     limit = 420_000
     census = monoid_census(MonoidParams(50, limit))
-    ser = build_series(census, lambda xs: estimate_pi_d(50, xs))
+    ser = build_series(census)
     results[50] = (find_crossover(ser), 250_000, 420_000)
     d50_elapsed = time.perf_counter() - t0
     ok = d50_elapsed < 30.0 and all(

@@ -10,7 +10,6 @@ from primelab import (
     estimate_pi_d,
     hilbert_classify,
     is_monoid_prime,
-    largest_element,
     monoid_census,
 )
 
@@ -106,10 +105,14 @@ def test_estimate_monotonicity():
 
 
 def test_largest_element():
-    assert largest_element(MonoidParams(5, 10**4)) == 9996
-    assert largest_element(MonoidParams(3, 10**4)) == 10000
-    assert largest_element(MonoidParams(7, 10**4)) == 9997
-    assert largest_element(MonoidParams(50, 10**4)) == 9951
+    """The last point of the change grid is the largest element of A_d."""
+    assert census(5, 10**4).change_grid()[-1] == 9996
+    assert census(3, 10**4).change_grid()[-1] == 10000
+    assert census(7, 10**4).change_grid()[-1] == 9997
+    assert census(50, 10**4).change_grid()[-1] == 9951
+    for d in range(2, 13):
+        for limit in range(1, 201):
+            assert census(d, limit).change_grid()[-1] == limit - (limit - 1) % d
 
 
 def test_params_validation():

@@ -11,7 +11,6 @@ from primelab import (
     CountSeries,
     FitResult,
     build_series,
-    estimate_pi_G,
     gaussian_census,
 )
 from primelab import series as analysis
@@ -79,6 +78,16 @@ def test_series_round_trip(tmp_path):
     assert np.allclose(back.estimate, ser.estimate, rtol=1e-5)
     assert np.allclose(back.ratio, ser.ratio, atol=1e-5)
     assert np.allclose(back.pct_err, ser.pct_err, atol=1e-5)
+
+
+def test_series_read_from_csv_is_read_only(tmp_path):
+    path = tmp_path / "series.csv"
+    write_csv(small_series(), path)
+    back = read_series_csv(path)
+    for column in (back.x, back.actual, *back.columns):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 99
 
 
 def test_round_trip_preserves_missing_values(tmp_path):
@@ -220,9 +229,7 @@ SVG_SERIES = {
     "every-third-row": lambda: stored_estimates(7000, lambda xs: xs % 3 == 0),
     "one-row": lambda: stored_estimates(2500, lambda xs: xs == 1000),
     "no-row": lambda: stored_estimates(2500, lambda xs: xs < 0),
-    "gauss-estimator": lambda: build_series(
-        gaussian_census(5000, "both-axes"), lambda ns: estimate_pi_G(np.sqrt(ns))
-    ),
+    "gauss-estimator": lambda: build_series(gaussian_census(5000, "both-axes")),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from primelab import (
     CountSeries,
     MonoidParams,
+    RegionSpec,
     build_series,
     classical_census,
     estimate_pi_d,
@@ -18,18 +19,15 @@ from primelab import (
     gaussian_census,
     mape,
     monoid_census,
+    quad_census,
     ratio_R,
 )
 from primelab import series as analysis
 
 
-def monoid_estimator(d):
-    return lambda xs: estimate_pi_d(d, xs)
-
-
 def test_build_series_single_point_matches_summary_row():
     census = monoid_census(MonoidParams(3, 10**4))
-    ser = build_series(census, monoid_estimator(3), grid=[10**4])
+    ser = build_series(census, grid=[10**4])
     assert ser.actual[0] == 1380
     assert ser.estimate[0] == pytest.approx(1590.21, abs=0.05)
     assert ser.ratio[0] == pytest.approx(0.86781, abs=5e-6)
@@ -38,7 +36,7 @@ def test_build_series_single_point_matches_summary_row():
 
 def test_build_series_zero_actual_has_no_error():
     census = monoid_census(MonoidParams(5, 100))
-    ser = build_series(census, monoid_estimator(5), grid=[2, 11, 96])
+    ser = build_series(census, grid=[2, 11, 96])
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
     assert math.isnan(ser.pct_err[0])
     assert ser.pct_err[-1] >= 0
@@ -46,7 +44,7 @@ def test_build_series_zero_actual_has_no_error():
 
 def test_build_series_default_grid_starts_at_first_prime():
     census = monoid_census(MonoidParams(3, 1000))
-    ser = build_series(census, monoid_estimator(3))
+    ser = build_series(census)
     assert ser.x[0] == 4  # 4 = 1 + 3 is the first monoid prime
     assert ser.actual[0] == 1
     assert np.all(ser.actual >= 1)
@@ -57,20 +55,23 @@ def test_build_series_default_grid_needs_a_prime():
     empty = monoid_census(MonoidParams(50, 40))  # holds only the identity
     assert empty.total == 0
     with pytest.raises(ValueError, match="census holds no primes"):
-        build_series(empty, monoid_estimator(50))
-    assert np.array_equal(build_series(empty).x, empty.change_grid())
+        build_series(empty)
+    # a census with no estimate keeps its whole grid, empty or not
+    no_estimate = quad_census(5, RegionSpec("norm-ball", 3))
+    assert no_estimate.total == 0
+    assert np.array_equal(build_series(no_estimate).x, no_estimate.change_grid())
 
     census = monoid_census(MonoidParams(50, 1000))
     grid = np.array(census.change_grid())
     first = next(int(x) for x, c in zip(grid, census.counts_at(grid)) if c >= 1)
-    ser = build_series(census, monoid_estimator(50))
+    ser = build_series(census)
     assert first == 51 and ser.x[0] == first and ser.actual[0] == 1
     assert np.array_equal(ser.x, grid[grid >= first])
 
 
 def test_build_series_gaussian():
     census = gaussian_census(10, "both-axes")
-    ser = build_series(census, lambda ns: estimate_pi_G(np.sqrt(ns)), grid=[10])
+    ser = build_series(census, grid=[10])
     assert ser.actual[0] == 5
     assert ser.estimate[0] == pytest.approx(10 / math.log(10), rel=1e-12)
 
@@ -78,7 +79,33 @@ def test_build_series_gaussian():
 def test_build_series_empty_grid():
     census = monoid_census(MonoidParams(3, 1000))
     with pytest.raises(ValueError):
-        build_series(census, monoid_estimator(3), grid=[])
+        build_series(census, grid=[])
+
+
+def test_each_census_carries_its_own_estimate():
+    classical = classical_census(100)
+    monoid = monoid_census(MonoidParams(7, 1000))
+    gauss = gaussian_census(1000, "both-axes")
+    quad = quad_census(5, RegionSpec("norm-ball", 1000))
+    for census in (classical, monoid, gauss, quad):
+        assert build_series(census).estimator == census.estimate
+        assert build_series(census, grid=[50, 99]).estimator == census.estimate
+    assert classical.estimate is None and quad.estimate is None
+    xs = np.array([2, 8, 99, 1000])
+    assert np.array_equal(monoid.estimate(xs), estimate_pi_d(7, xs))
+    assert np.array_equal(gauss.estimate(xs), estimate_pi_G(np.sqrt(xs)))
+    assert monoid.estimate(1000) == estimate_pi_d(7, 1000)
+
+
+@pytest.mark.parametrize(
+    "grid", [[2.5, 10.9], [True, 5], [3, False], np.array([10.9]), np.array([True]), ["7"]]
+)
+def test_grid_points_must_be_integers(grid):
+    census = classical_census(100)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_series(census, grid=grid)
+    with pytest.raises(ValueError, match="must be integers"):
+        census.counts_at(grid)
 
 
 def test_ratio_values():
@@ -147,7 +174,7 @@ def test_crossover_ignores_early_oscillation():
 
 def test_crossover_returns_grid_point():
     census = monoid_census(MonoidParams(3, 2000))
-    ser = build_series(census, monoid_estimator(3))
+    ser = build_series(census)
     x = find_crossover(ser)
     assert x is not None and x % 3 == 1
 
@@ -190,7 +217,7 @@ def test_fit_deterministic():
 
 def test_ratio_times_estimate_recovers_actual():
     census = monoid_census(MonoidParams(3, 5000))
-    ser = build_series(census, monoid_estimator(3))
+    ser = build_series(census)
     recovered = ser.ratio * ser.estimate
     assert np.allclose(recovered, ser.actual, rtol=1e-12)
 
@@ -204,6 +231,9 @@ def test_series_validation():
         build_series(classical_census(10), grid=[])
     with pytest.raises(ValueError):
         build_series(classical_census(10), grid=[3, 2])  # x not increasing
+    # any integer dtype is accepted, and copied as int64
+    ser = build_series(classical_census(100), grid=[np.uint8(5), np.int32(10), 99])
+    assert ser.x.dtype == np.int64 and ser.actual.tolist() == [3, 4, 25]
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,14 +299,16 @@ def oracle_prefix_mapes(x, pct_err, bounds):
     return mapes
 
 
-def gauss_estimator(ns):
-    return estimate_pi_G(np.sqrt(ns))
+def classical_series(n):
+    """pi(x) against x / ln x from x = 2, the first nonzero count, to n."""
+    census = classical_census(n)
+    return CountSeries(range(2, n + 1), census.cumulative[1:], lambda xs: xs / np.log(xs))
 
 
 STREAMED_SERIES = {
-    "gauss": lambda n: build_series(gaussian_census(n, "both-axes"), gauss_estimator),
-    "monoid": lambda n: build_series(monoid_census(MonoidParams(3, 3 * n)), monoid_estimator(3)),
-    "classical": lambda n: build_series(classical_census(n), lambda xs: xs / np.log(xs)),
+    "gauss": lambda n: build_series(gaussian_census(n, "both-axes")),
+    "monoid": lambda n: build_series(monoid_census(MonoidParams(3, 3 * n))),
+    "classical": classical_series,
 }
 
 
@@ -333,7 +365,7 @@ def test_series_memory_does_not_grow_with_census_size():
         census = gaussian_census(n, "both-axes")
         tracemalloc.start()
         try:
-            mape(build_series(census, gauss_estimator))
+            mape(build_series(census))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
