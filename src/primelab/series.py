@@ -11,6 +11,7 @@ no estimate) carry NaN in the derived columns; statistics skip them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
@@ -34,8 +35,9 @@ class CountSeries:
     ``grid`` is a range for a census's change grid: never built whole, it is
     increasing by construction and its counts are a view of the census's
     ``cumulative``, so only its step is checked.  Otherwise it is an
-    int64 array.  ``columns`` holds (estimate, ratio, pct_err) as read from
-    a CSV.
+    int64 array.  The order of ``actual`` is checked for both kinds, one
+    block at a time.  ``columns`` holds (estimate, ratio, pct_err) as read
+    from a CSV.
     """
 
     grid: range | np.ndarray
@@ -51,11 +53,10 @@ class CountSeries:
         if isinstance(self.grid, range):
             if self.grid.step < 1:
                 raise ValueError("x must be strictly increasing")
-        elif n > 1:
-            if not np.all(np.diff(self.grid) > 0):
-                raise ValueError("x must be strictly increasing")
-            if not np.all(np.diff(self.actual) >= 0):
-                raise ValueError("actual must be nondecreasing")
+        elif not _in_order(self.grid, np.greater):
+            raise ValueError("x must be strictly increasing")
+        if not _in_order(self.actual, np.greater_equal):
+            raise ValueError("actual must be nondecreasing")
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -110,6 +111,16 @@ class CountSeries:
         x = grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
         columns = None if self.columns is None else tuple(col[idx] for col in self.columns)
         return CountSeries(x, self.actual[idx], self.estimator, self.metadata, columns)
+
+
+def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
+    """Whether follows(a[i + 1], a[i]) holds for every i, checked CHUNK_ROWS
+    pairs at a time so that no temporary grows with the length of a."""
+    for lo in range(0, len(a) - 1, CHUNK_ROWS):
+        block = a[lo : lo + CHUNK_ROWS + 1]
+        if not follows(block[1:], block[:-1]).all():
+            return False
+    return True
 
 
 def _points(grid: range | np.ndarray) -> np.ndarray:
@@ -202,20 +213,34 @@ def fit_model(series: CountSeries) -> FitResult:
     Deterministic: for each e the best c in [1e-3, 10] has a closed form, so
     the search is over e alone: a coarse scan of 101 points in [-2, 3], then
     a shrinking bracket around the best of them.
-    """
-    xs = series.x
-    mask = (series.actual >= 1) & (xs >= 3)
-    if int(mask.sum()) < 8:
-        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
-    x = xs[mask].astype(np.float64)
-    act = series.actual[mask].astype(np.float64)
-    base = x / act
-    log_ln_x = np.log(np.log(x))
 
+    The fitted points (actual >= 1 and x >= 3) are a suffix of the series,
+    since x increases and actual never decreases.  The search holds three
+    float64 arrays of that length: x/actual, ln ln x, and one work buffer
+    that each evaluation of the objective overwrites in place.  The
+    objective is evaluated once per distinct e.
+    """
+    x, actual = series.x, series.actual
+    # a 1 of actual's own dtype keeps searchsorted from casting it
+    first = max(int(np.searchsorted(actual, actual.dtype.type(1))), int(np.searchsorted(x, 3)))
+    if len(x) - first < 8:
+        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
+    log_ln_x = x[first:].astype(np.float64)  # x, then ln x, then ln ln x, in place
+    del x  # for a range grid, the points were built just for this
+    base = np.true_divide(log_ln_x, actual[first:])
+    np.log(log_ln_x, out=log_ln_x)
+    np.log(log_ln_x, out=log_ln_x)
+    u = np.empty_like(base)
+
+    @functools.cache
     def profiled(e: float) -> tuple[float, float]:
         """Best in-bounds c at this e and the resulting RMS relative error."""
-        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
-        m1, m2 = float(u.mean()), float((u * u).mean())
+        np.multiply(log_ln_x, -e, out=u)
+        np.exp(u, out=u)
+        np.multiply(u, base, out=u)  # model(x; c=1, e) / actual
+        m1 = float(u.mean())
+        np.multiply(u, u, out=u)
+        m2 = float(u.mean())
         c = min(max(m1 / m2, _C_BOUNDS[0]), _C_BOUNDS[1])
         return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
 

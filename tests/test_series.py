@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from primelab import (
     ratio_R,
 )
 from primelab import series as analysis
+from primelab.report import read_series_csv, write_csv
 
 
 def test_build_series_single_point_matches_summary_row():
@@ -204,6 +207,10 @@ def test_fit_needs_enough_points():
     ser = CountSeries(np.array([10, 20, 30]), np.array([1, 2, 3]))
     with pytest.raises(ValueError):
         fit_model(ser)
+    # 7 usable points: x = 2 is below 3 and the first count is 0
+    ser = CountSeries(np.arange(2, 11), np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]))
+    with pytest.raises(ValueError, match="at least 8 points"):
+        fit_model(ser)
 
 
 def test_fit_deterministic():
@@ -227,6 +234,8 @@ def test_series_validation():
         CountSeries(np.array([3, 2]), np.array([1, 2]))  # x not increasing
     with pytest.raises(ValueError):
         CountSeries(np.array([2, 3]), np.array([2, 1]))  # actual decreasing
+    with pytest.raises(ValueError, match="actual must be nondecreasing"):
+        CountSeries(range(2, 40), np.array([0, 1] * 19))  # a range grid too
     with pytest.raises(ValueError):
         build_series(classical_census(10), grid=[])
     with pytest.raises(ValueError):
@@ -234,6 +243,27 @@ def test_series_validation():
     # any integer dtype is accepted, and copied as int64
     ser = build_series(classical_census(100), grid=[np.uint8(5), np.int32(10), 99])
     assert ser.x.dtype == np.int64 and ser.actual.tolist() == [3, 4, 25]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+def test_order_is_checked_across_block_boundaries(monkeypatch, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    n = 20
+    ordered = np.arange(2, n + 2, dtype=np.int64)
+    CountSeries(range(2, n + 2), ordered)
+    CountSeries(ordered, ordered)
+    for i in range(n - 1):  # one pair out of order, at every position
+        swapped = ordered.copy()
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        with pytest.raises(ValueError, match="actual must be nondecreasing"):
+            CountSeries(range(2, n + 2), swapped)
+        with pytest.raises(ValueError, match="x must be strictly increasing"):
+            CountSeries(swapped, ordered)
+        repeated = ordered.copy()
+        repeated[i + 1] = repeated[i]
+        CountSeries(ordered, repeated)  # a count may stay the same
+        with pytest.raises(ValueError, match="x must be strictly increasing"):
+            CountSeries(repeated, ordered)
 
 
 @settings(max_examples=100, deadline=None)
@@ -372,3 +402,105 @@ def test_series_memory_does_not_grow_with_census_size():
 
     small, large = peak(2 * 10**6), peak(8 * 10**6)
     assert large < 1.25 * small, (small, large)
+
+
+# Reference oracle: fit_model as it was before it worked in place on three
+# arrays.  The search and the arithmetic are the same, so the results must
+# be equal to the last bit, not only to the printed digits.
+
+
+def oracle_fit_model(series):
+    xs = series.x
+    mask = (series.actual >= 1) & (xs >= 3)
+    if int(mask.sum()) < 8:
+        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
+    x = xs[mask].astype(np.float64)
+    act = series.actual[mask].astype(np.float64)
+    base = x / act
+    log_ln_x = np.log(np.log(x))
+
+    def profiled(e):
+        """Best in-bounds c at this e and the resulting RMS relative error."""
+        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
+        m1, m2 = float(u.mean()), float((u * u).mean())
+        c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
+        return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
+
+    e_grid = np.linspace(analysis._E_BOUNDS[0], analysis._E_BOUNDS[1], 101)
+    e = float(e_grid[int(np.argmin([profiled(float(e))[1] for e in e_grid]))])
+    span = float(e_grid[1] - e_grid[0])
+    for _ in range(80):
+        lo = max(e - span, analysis._E_BOUNDS[0])
+        hi = min(e + span, analysis._E_BOUNDS[1])
+        cand = np.linspace(lo, hi, 21)
+        scores = [profiled(float(ec))[1] for ec in cand]
+        j = int(np.argmin(scores))
+        e = float(cand[j])
+        if 0 < j < len(cand) - 1:
+            span /= 5.0  # interior minimum: tighten the bracket
+        if span < 1e-5 * max(1.0, abs(e)):
+            break
+    c, rms = profiled(e)
+    return analysis.FitResult(c=c, e=e, rms_rel_err=rms)
+
+
+def quad_growth_thin(census):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "quad_growth.py"
+    spec = importlib.util.spec_from_file_location("quad_growth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.thin(census)
+
+
+def series_read_back(ser, tmp_path):
+    path = tmp_path / "series.csv"
+    write_csv(ser, path)
+    return read_series_csv(path)
+
+
+def synthetic_series(zeros, n):
+    """x = 1 to n, counts 1 + floor(x / ln(x + 2)) except the first `zeros`, which are 0."""
+    xs = np.arange(1, n + 1, dtype=np.int64)
+    actual = 1 + np.floor(xs / np.log(xs + 2)).astype(np.int64)
+    actual[:zeros] = 0
+    return CountSeries(xs, actual)
+
+
+FIT_SERIES = {
+    # the golden fit commands
+    "classical-20000": lambda _: build_series(classical_census(20000)),
+    "monoid-d3-5000": lambda _: build_series(monoid_census(MonoidParams(3, 5000))),
+    "gauss-10000": lambda _: build_series(gaussian_census(10000, "both-axes")),
+    "quad-d5-norm-ball-3000": lambda _: build_series(quad_census(5, RegionSpec("norm-ball", 3000))),
+    "quad-d6-euclidean-2000": lambda _: build_series(
+        quad_census(6, RegionSpec("euclidean-ball", 2000))
+    ),
+    "monoid-d7-100000": lambda _: build_series(monoid_census(MonoidParams(7, 100000))),
+    "from-csv": lambda tmp: series_read_back(
+        build_series(gaussian_census(20000, "both-axes")), tmp
+    ),
+    "quad-growth-thin": lambda _: quad_growth_thin(quad_census(5, RegionSpec("norm-ball", 50000))),
+    "zeros-and-x-below-3": lambda _: synthetic_series(6, 300),  # the zeros set the start
+    "x-below-3": lambda _: synthetic_series(0, 300),  # x >= 3 sets the start
+    "exactly-8-points": lambda _: synthetic_series(3, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_SERIES))
+def test_fit_model_matches_oracle_bit_for_bit(tmp_path, name):
+    ser = FIT_SERIES[name](tmp_path)
+    assert fit_model(ser) == oracle_fit_model(ser)
+
+
+def test_fit_model_memory_is_three_arrays(tmp_path):
+    census = gaussian_census(10**6, "both-axes")
+    ranged = build_series(census)
+    assert isinstance(ranged.grid, range) and len(ranged) > 10**6 - 10
+    for ser in (ranged, build_series(census, grid=ranged.x), series_read_back(ranged, tmp_path)):
+        tracemalloc.start()
+        try:
+            fit_model(ser)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * len(ser) + 64 * 1024, (type(ser.grid), peak / len(ser))
