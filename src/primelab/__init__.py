@@ -6,33 +6,9 @@ Z[sqrt(-d)], together with the evaluation machinery (ratios, MAPE,
 crossover points, model fits) and CSV/SVG reporting.
 """
 
-from .gaussian import (
-    GaussianCensus,
-    GaussPoint,
-    estimate_pi_G,
-    gaussian_brute_irreducible,
-    gaussian_census,
-    is_gaussian_prime,
-)
-from .monoid import (
-    MonoidCensus,
-    MonoidParams,
-    estimate_pi_d,
-    hilbert_classify,
-    is_monoid_prime,
-    monoid_census,
-)
-from .quadratic import (
-    QuadCensus,
-    QuadInt,
-    RegionSpec,
-    quad_census,
-    quad_divide_exact,
-    quad_is_irreducible,
-    quad_is_unit,
-    quad_mul,
-    quad_norm,
-)
+from .gaussian import GaussianCensus, estimate_pi_G, gaussian_census
+from .monoid import MonoidCensus, MonoidParams, estimate_pi_d, monoid_census
+from .quadratic import QuadCensus, RegionSpec, quad_census
 from .series import (
     CountSeries,
     FitResult,
@@ -48,13 +24,11 @@ __all__ = [
     "ClassicalCensus",
     "CountSeries",
     "FitResult",
-    "GaussPoint",
     "GaussianCensus",
     "MonoidCensus",
     "MonoidParams",
     "PrimeTable",
     "QuadCensus",
-    "QuadInt",
     "RegionSpec",
     "build_series",
     "classical_census",
@@ -62,19 +36,10 @@ __all__ = [
     "estimate_pi_d",
     "find_crossover",
     "fit_model",
-    "gaussian_brute_irreducible",
     "gaussian_census",
-    "hilbert_classify",
-    "is_gaussian_prime",
-    "is_monoid_prime",
     "mape",
     "monoid_census",
     "quad_census",
-    "quad_divide_exact",
-    "quad_is_irreducible",
-    "quad_is_unit",
-    "quad_mul",
-    "quad_norm",
     "ratio_R",
     "sieve_primes",
 ]

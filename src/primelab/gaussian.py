@@ -5,7 +5,9 @@ and its nonzero coordinate is a rational prime congruent to 3 mod 4, or it
 is off-axis and its norm a^2 + b^2 is a rational prime.  Counting both
 (q, 0) and (0, q) follows the quadrant restriction literally and is the
 default; the "dedupe-axes" convention keeps only (q, 0) so that no two
-counted points are associates.
+counted points are associates.  The census applies this rule to one sieve of
+the norms; the tests check the rule against a divisor scan
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -15,30 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, PrimeTable, cumulative_sum, require_int, sieve_primes
+from .sieve import Census, cumulative_sum, require_int, sieve_primes
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
-
-# brute-force irreducibility scans every divisor candidate; cap the norm
-BRUTE_NORM_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class GaussPoint:
-    """First-quadrant Gaussian integer a + bi, not zero."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"coordinates must be >= 0, got ({self.a}, {self.b})")
-        if self.a == 0 and self.b == 0:
-            raise ValueError("0 + 0i has no primality status")
-
-    @property
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
 
 
 @dataclass(frozen=True)
@@ -60,45 +41,6 @@ class GaussianCensus(Census):
             "norm_limit": str(self.norm_limit),
             "axes": self.axis_convention,
         }
-
-
-def is_gaussian_prime(p: GaussPoint, table: PrimeTable) -> bool:
-    """Classify via the norm; needs table.limit >= p.norm."""
-    n = p.norm
-    if table.limit < n:
-        raise ValueError(f"table.limit={table.limit} < norm {n}")
-    if p.b == 0:
-        return p.a % 4 == 3 and bool(table.flags[p.a])
-    if p.a == 0:
-        return p.b % 4 == 3 and bool(table.flags[p.b])
-    return bool(table.flags[n])
-
-
-def gaussian_brute_irreducible(p: GaussPoint) -> bool:
-    """Divisor-scan irreducibility, independent of the norm classification.
-
-    Tests one representative x + yi (x >= 1, y >= 0) of every associate
-    class with norm strictly between 1 and N(p); division is exact when
-    p * conj(beta) has both coordinates divisible by N(beta).
-    """
-    n = p.norm
-    if not 1 <= n <= BRUTE_NORM_CAP:
-        raise ValueError(f"norm {n} outside oracle range [1, {BRUTE_NORM_CAP}]")
-    if n == 1:
-        return False  # unit
-    a, b = p.a, p.b
-    for y in range(0, math.isqrt(n - 1) + 1):
-        hi = math.isqrt(n - 1 - y * y)
-        if hi < 1:
-            continue
-        xs = np.arange(1, hi + 1, dtype=np.int64)
-        norms = xs * xs + y * y
-        re = a * xs + b * y
-        im = b * xs - a * y
-        divides = (norms > 1) & (re % norms == 0) & (im % norms == 0)
-        if divides.any():
-            return False
-    return True
 
 
 def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
@@ -124,7 +66,7 @@ def estimate_pi_G(r):
     """Conjectured count r^2 / (2 ln r) inside the norm circle of radius r;
     accepts scalars or arrays."""
     rs = np.asarray(r)
-    if np.any(rs <= 1):
+    if not np.all(rs > 1):  # NaN compares False both ways, so it fails here
         raise ValueError(f"r must be > 1, got {r}")
     if np.any(rs > 2**53):
         raise ValueError("r too large to evaluate in double precision")

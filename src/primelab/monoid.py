@@ -4,6 +4,8 @@ The monoid A_d = {n : n = 1 (mod d)} is closed under multiplication; an
 element p > 1 is prime in A_d when it admits no factorization p = a*b with
 both a, b in A_d and greater than 1.  Factors outside A_d do not count, so
 A_d has primes that are composite in the ordinary sense (9 and 21 for d=4).
+The census sieves A_d itself; the tests check it against trial division and,
+for d=4, against rational factorization (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, PrimeTable, cumulative_sum, require_int
+from .sieve import Census, cumulative_sum, require_int
 
 
 @dataclass(frozen=True)
@@ -80,58 +82,13 @@ def monoid_census(params: MonoidParams) -> MonoidCensus:
     return MonoidCensus(params=params, cumulative=cumulative_sum(prime, len(prime)))
 
 
-def is_monoid_prime(n: int, d: int) -> bool:
-    """Trial-division check, independent of the census sieve.
-
-    True iff n > 1 and no divisor a of n with 1 < a <= sqrt(n) lies in A_d.
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if n < 1 or n % d != 1:
-        raise ValueError(f"n={n} is not in A_{d}")
-    if n == 1:
-        return False
-    a = 1 + d
-    while a * a <= n:
-        if n % a == 0:
-            return False
-        a += d
-    return True
-
-
 def estimate_pi_d(d: int, x):
     """Conjectured count x / (d * (ln x)^(1/d)); accepts scalars or arrays."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    require_int("d", d, 2)
     xs = np.asarray(x)
-    if np.any(xs <= 1):
+    if not np.all(xs > 1):  # NaN compares False both ways, so it fails here
         raise ValueError(f"x must be > 1, got {x}")
     if np.any(xs > 2**53):
         raise ValueError("x too large to evaluate in double precision")
     result = x / (d * np.log(x) ** (1.0 / d))
     return float(result) if np.isscalar(x) else result
-
-
-def hilbert_classify(n: int, table: PrimeTable) -> bool:
-    """Independent primality oracle for A_4 via rational factorization.
-
-    An element of A_4 is a monoid prime exactly when it is a rational prime
-    (necessarily 1 mod 4) or a product of two rational primes that are each
-    3 mod 4.
-    """
-    if n < 1 or n % 4 != 1:
-        raise ValueError(f"n={n} is not in A_4")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds table.limit={table.limit}")
-    if n == 1:
-        return False
-    if table.flags[n]:
-        return True
-    for p in table.primes:
-        p = int(p)
-        if p * p > n:
-            break
-        if n % p == 0:
-            q = n // p
-            return p % 4 == 3 and q % 4 == 3 and bool(table.flags[q])
-    return False  # unreachable for composite n within the table

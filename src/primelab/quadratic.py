@@ -1,11 +1,11 @@
-"""Exact arithmetic and irreducibility counts in Z[sqrt(-d)].
+"""Irreducible counts in Z[sqrt(-d)].
 
 Elements are a + b*sqrt(-d) with integer coordinates and squarefree d >= 1,
 norm a^2 + d*b^2.  These rings are generally not unique factorization
 domains, so the censuses count irreducibles (elements with only trivial
 factorizations); prime and irreducible can differ here, unlike in Z.  The
-census is a product sieve that marks reducible elements; a divisor search
-over one element (``quad_is_irreducible``) is its independent oracle.
+census is a product sieve that marks reducible elements; the tests check it
+against a divisor search over one element at a time (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .sieve import Census, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
-# the divisor-search oracle is exhaustive; cap the norms it will accept
-BRUTE_NORM_CAP = 10**6
 # the census's cofactor list grows with the region's largest norm; cap that norm
 MAX_CENSUS_BOUND = 10**6
 
@@ -38,18 +36,6 @@ def validate_ring_param(d: int) -> None:
         if d % (p * p) == 0:
             raise ValueError(f"d={d} is not squarefree (divisible by {p}^2)")
         p += 1
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    """The element a + b*sqrt(-d) of Z[sqrt(-d)]."""
-
-    a: int
-    b: int
-    d: int
-
-    def __post_init__(self) -> None:
-        validate_ring_param(self.d)
 
 
 @dataclass(frozen=True)
@@ -86,78 +72,6 @@ class QuadCensus(Census):
             "bound": str(self.region.bound),
             "counted": "irreducibles",
         }
-
-
-def quad_norm(x: QuadInt) -> int:
-    return x.a * x.a + x.d * x.b * x.b
-
-
-def quad_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    if x.d != y.d:
-        raise ValueError(f"mismatched ring parameters {x.d} and {y.d}")
-    return QuadInt(x.a * y.a - x.d * x.b * y.b, x.a * y.b + x.b * y.a, x.d)
-
-
-def quad_divide_exact(x: QuadInt, y: QuadInt) -> QuadInt | None:
-    """The quotient x/y when it lies in the ring, else None."""
-    if x.d != y.d:
-        raise ValueError(f"mismatched ring parameters {x.d} and {y.d}")
-    n = quad_norm(y)
-    if n == 0:
-        raise ValueError("division by zero")
-    # x / y = x * conj(y) / N(y)
-    re = x.a * y.a + x.d * x.b * y.b
-    im = x.b * y.a - x.a * y.b
-    if re % n or im % n:
-        return None
-    return QuadInt(re // n, im // n, x.d)
-
-
-def quad_is_unit(x: QuadInt) -> bool:
-    return quad_norm(x) == 1
-
-
-def quad_is_irreducible(x: QuadInt) -> bool:
-    """Exhaustive divisor search over candidate norms dividing N(x)."""
-    n = quad_norm(x)
-    if not 2 <= n <= BRUTE_NORM_CAP:
-        raise ValueError(f"norm {n} outside brute-force range [2, {BRUTE_NORM_CAP}]")
-    return not _has_proper_divisor(x.a, x.b, x.d, _divisors_by_trial(n))
-
-
-def _has_proper_divisor(a: int, b: int, d: int, divisors: list[int]) -> bool:
-    """Any y with 1 < N(y) < n = a^2 + d*b^2 dividing a + b*sqrt(-d)?
-
-    A divisor's norm divides n, so only representations m = alpha^2 + d*beta^2
-    of the proper divisors m of n (``divisors``) need testing; (alpha, beta)
-    and (alpha, -beta) together cover every associate class of that norm.
-    """
-    for m in divisors:
-        for beta in range(0, math.isqrt(m // d) + 1):
-            rem = m - d * beta * beta
-            alpha = math.isqrt(rem)
-            if alpha * alpha != rem:
-                continue
-            candidates = ((alpha, beta), (alpha, -beta)) if alpha and beta else ((alpha, beta),)
-            for ya, yb in candidates:
-                re = a * ya + d * b * yb
-                im = b * ya - a * yb
-                if re % m == 0 and im % m == 0:
-                    return True
-    return False
-
-
-def _divisors_by_trial(n: int) -> list[int]:
-    """Divisors m of n with 1 < m < n, ascending, by sqrt-bounded trial."""
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return [m for m in small + large[::-1] if 1 < m < n]
 
 
 def _half_plane(d: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,9 +7,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    GaussPoint,
+    gaussian_brute_irreducible,
+    hilbert_classify,
+    is_gaussian_prime,
+    is_monoid_prime,
+)
 from primelab import (
     CountSeries,
-    GaussPoint,
     MonoidParams,
     RegionSpec,
     build_series,
@@ -17,11 +23,7 @@ from primelab import (
     estimate_pi_d,
     find_crossover,
     fit_model,
-    gaussian_brute_irreducible,
     gaussian_census,
-    hilbert_classify,
-    is_gaussian_prime,
-    is_monoid_prime,
     mape,
     monoid_census,
     quad_census,

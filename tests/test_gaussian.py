@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab import (
-    GaussPoint,
-    estimate_pi_G,
-    gaussian_brute_irreducible,
-    gaussian_census,
-    is_gaussian_prime,
-)
+from oracles import GaussPoint, gaussian_brute_irreducible, is_gaussian_prime
+from primelab import estimate_pi_G, gaussian_census
 
 
 def test_point_validation():
@@ -77,6 +72,10 @@ def test_pi_G_range():
     with pytest.raises(ValueError):
         c.counts_at([101])
     assert c.counts_at([100])[0] >= c.counts_at([50])[0]
+    with pytest.raises(ValueError):
+        estimate_pi_G(math.nan)
+    with pytest.raises(ValueError):
+        estimate_pi_G(np.array([10.0, math.nan]))
 
 
 def test_estimate_values():

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab import (
-    MonoidParams,
-    estimate_pi_d,
-    hilbert_classify,
-    is_monoid_prime,
-    monoid_census,
-)
+from oracles import a4_atom_count, hilbert_classify, is_monoid_prime
+from primelab import MonoidParams, estimate_pi_d, monoid_census
 
 
 def census(d, limit):
@@ -92,6 +87,13 @@ def test_estimate_values():
         estimate_pi_d(1, 100.0)
     with pytest.raises(ValueError):
         estimate_pi_d(3, 2**53 + 2)  # beyond exact double-precision integers
+    with pytest.raises(ValueError):
+        estimate_pi_d(2.5, 100)  # d must be an integer, as everywhere else
+    with pytest.raises(ValueError):
+        estimate_pi_d(3, math.nan)
+    with pytest.raises(ValueError):
+        estimate_pi_d(3, np.array([100.0, math.nan]))
+    assert estimate_pi_d(3, np.array([])).shape == (0,)
 
 
 def test_estimate_monotonicity():
@@ -131,6 +133,13 @@ def test_hilbert_examples(table_1m):
     assert not hilbert_classify(1, table_1m)
     with pytest.raises(ValueError):
         hilbert_classify(7, table_1m)
+
+
+def test_a4_census_matches_atom_count():
+    for x in range(1, 400):
+        assert census(4, x).total == a4_atom_count(x), x
+    for x, atoms in ((10**6, 89070), (10**7, 784620)):
+        assert census(4, x).total == a4_atom_count(x) == atoms, x
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab import (
+from oracles import (
     GaussPoint,
     QuadInt,
-    RegionSpec,
-    build_series,
-    gaussian_census,
     is_gaussian_prime,
-    quad_census,
     quad_divide_exact,
     quad_is_irreducible,
     quad_is_unit,
     quad_mul,
     quad_norm,
-    sieve_primes,
 )
+from primelab import RegionSpec, build_series, gaussian_census, quad_census, sieve_primes
 from primelab.quadratic import MAX_CENSUS_BOUND, REGION_KINDS, validate_ring_param
 
 small_coord = st.integers(min_value=-30, max_value=30)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_fit_model
 from primelab import (
     CountSeries,
     MonoidParams,
@@ -402,46 +403,6 @@ def test_series_memory_does_not_grow_with_census_size():
 
     small, large = peak(2 * 10**6), peak(8 * 10**6)
     assert large < 1.25 * small, (small, large)
-
-
-# Reference oracle: fit_model as it was before it worked in place on three
-# arrays.  The search and the arithmetic are the same, so the results must
-# be equal to the last bit, not only to the printed digits.
-
-
-def oracle_fit_model(series):
-    xs = series.x
-    mask = (series.actual >= 1) & (xs >= 3)
-    if int(mask.sum()) < 8:
-        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
-    x = xs[mask].astype(np.float64)
-    act = series.actual[mask].astype(np.float64)
-    base = x / act
-    log_ln_x = np.log(np.log(x))
-
-    def profiled(e):
-        """Best in-bounds c at this e and the resulting RMS relative error."""
-        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
-        m1, m2 = float(u.mean()), float((u * u).mean())
-        c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
-        return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
-
-    e_grid = np.linspace(analysis._E_BOUNDS[0], analysis._E_BOUNDS[1], 101)
-    e = float(e_grid[int(np.argmin([profiled(float(e))[1] for e in e_grid]))])
-    span = float(e_grid[1] - e_grid[0])
-    for _ in range(80):
-        lo = max(e - span, analysis._E_BOUNDS[0])
-        hi = min(e + span, analysis._E_BOUNDS[1])
-        cand = np.linspace(lo, hi, 21)
-        scores = [profiled(float(ec))[1] for ec in cand]
-        j = int(np.argmin(scores))
-        e = float(cand[j])
-        if 0 < j < len(cand) - 1:
-            span /= 5.0  # interior minimum: tighten the bracket
-        if span < 1e-5 * max(1.0, abs(e)):
-            break
-    c, rms = profiled(e)
-    return analysis.FitResult(c=c, e=e, rms_rel_err=rms)
 
 
 def quad_growth_thin(census):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import trial_division_is_prime
 from primelab import (
     MonoidParams,
     RegionSpec,
@@ -15,17 +16,6 @@ from primelab import (
 from primelab import sieve
 from primelab.quadratic import validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
-
-
-def trial_division_is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def test_small_limit_exact():
