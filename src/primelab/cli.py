@@ -191,7 +191,7 @@ def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
     )
     for flag, obj, write in outputs:
         path = getattr(args, flag, None)
-        if not path:
+        if path is None:
             continue
         write(obj, path)
         print(f"wrote {path}")
@@ -237,17 +237,18 @@ def _cmd_gauss(args) -> int:
 def _cmd_quad(args) -> int:
     census = _census("quad", args)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
-    ser = analysis.build_series(census) if args.csv or args.svg else None  # artifacts only
+    wanted = (args.csv, args.svg) != (None, None)
+    ser = analysis.build_series(census) if wanted else None  # artifacts only
     _emit(args, ser, ser)
     return EXIT_OK
 
 
 def _fit_series(args) -> analysis.CountSeries:
-    if args.from_csv and args.domain:
+    if args.from_csv is not None and args.domain is not None:
         raise ValueError("choose either --from-csv or --domain, not both")
-    if args.from_csv:
+    if args.from_csv is not None:
         return report.read_series_csv(args.from_csv)
-    if not args.domain:
+    if args.domain is None:
         raise ValueError("fit needs --from-csv or --domain")
     return analysis.build_series(_census(args.domain, args))
 
@@ -274,7 +275,7 @@ def _cmd_table1(args) -> int:
             f"d={d}: largest={row.largest_element} count={row.actual_count} "
             f"estimate={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
         )
-        if args.svg_dir:
+        if args.svg_dir is not None:
             os.makedirs(args.svg_dir, exist_ok=True)
             path = os.path.join(args.svg_dir, f"monoid_d{d}.svg")
             report.render_svg(ser, path)

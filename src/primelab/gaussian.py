@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, cumulative_sum, require_int, sieve_primes
+from .sieve import Census, cumulative_sum, require_estimate_points, require_int, sieve_primes
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -65,10 +65,6 @@ def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
 def estimate_pi_G(r):
     """Conjectured count r^2 / (2 ln r) inside the norm circle of radius r;
     accepts scalars or arrays."""
-    rs = np.asarray(r)
-    if not np.all(rs > 1):  # NaN compares False both ways, so it fails here
-        raise ValueError(f"r must be > 1, got {r}")
-    if np.any(rs > 2**53):
-        raise ValueError("r too large to evaluate in double precision")
+    require_estimate_points("r", r)
     result = r * r / (2.0 * np.log(r))
     return float(result) if np.isscalar(r) else result

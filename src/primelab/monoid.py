@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, cumulative_sum, require_int
+from .sieve import Census, cumulative_sum, require_estimate_points, require_int
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,6 @@ def monoid_census(params: MonoidParams) -> MonoidCensus:
 def estimate_pi_d(d: int, x):
     """Conjectured count x / (d * (ln x)^(1/d)); accepts scalars or arrays."""
     require_int("d", d, 2)
-    xs = np.asarray(x)
-    if not np.all(xs > 1):  # NaN compares False both ways, so it fails here
-        raise ValueError(f"x must be > 1, got {x}")
-    if np.any(xs > 2**53):
-        raise ValueError("x too large to evaluate in double precision")
+    require_estimate_points("x", x)
     result = x / (d * np.log(x) ** (1.0 / d))
     return float(result) if np.isscalar(x) else result

@@ -19,7 +19,7 @@ from .sieve import Census, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
-# the census's cofactor list grows with the region's largest norm; cap that norm
+# the census's norm grid and its marks grow with the region's largest norm; cap that norm
 MAX_CENSUS_BOUND = 10**6
 
 
@@ -74,43 +74,38 @@ class QuadCensus(Census):
         }
 
 
-def _half_plane(d: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, norm) of z with b > 0 or b = 0 < a, and 2 <= N(z) <= limit, by norm."""
-    r = math.isqrt(limit)
-    za, zb = np.ogrid[-r : r + 1, : math.isqrt(limit // d) + 1]
-    norm = za * za + d * zb * zb
-    ia, ib = np.nonzero(((zb > 0) | (za > 0)) & (norm >= 2) & (norm <= limit))
-    order = np.argsort(norm[ia, ib], kind="stable")
-    return ia[order] - r, ib[order], norm[ia, ib][order]
-
-
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Cumulative irreducible counts over all a, b >= 0 inside the region,
     at each bound 1..region.bound (zero and units excluded).
 
-    Product sieve up to top = region.largest_norm(d): each irreducible y with
-    N(y)^2 <= top, by increasing norm, marks y*z for every z (one of each pair
-    z, -z) with N(y) <= N(z) <= top/N(y).  Exact, as a reducible x = p*w has an
-    irreducible p with N(p) <= N(w), and the fold to (|a|, |b|) keeps reducibility.
+    Product sieve on the quadrant grid of norms up to top =
+    region.largest_norm(d): each irreducible y with N(y)^2 <= top, by
+    increasing norm, marks y*z and y*conj(z), folded to (|a|, |b|), for every
+    cell z with N(y) <= N(z) <= top/N(y).  Exact: a reducible x = p*w has an
+    irreducible p with N(p) <= N(w); up to sign p and w are cells or their
+    conjugates, the fold makes x, -x and conj(x) one cell, N(conj z) = N(z),
+    and a marked cell is a product of two non-units, so never an irreducible y.
     """
     validate_ring_param(d)
     top = region.largest_norm(d)
     if top > MAX_CENSUS_BOUND:
         raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
     # every quadrant cell (a, b) of norm <= top: the region's and each product's
-    a, b = np.ogrid[: math.isqrt(top) + 1, : math.isqrt(top // d) + 1]
+    root = math.isqrt(top)
+    a, b = np.ogrid[: root + 1, : math.isqrt(top // d) + 1]
     norm = a * a + d * b * b
     reducible = np.zeros(norm.shape, dtype=bool)
 
-    za, zb, znorm = _half_plane(d, top // 2)
-    small = int(np.searchsorted(znorm, math.isqrt(top), side="right"))
-    for ya, yb, n in zip(za[:small].tolist(), zb[:small].tolist(), znorm[:small].tolist()):
-        if ya < 0 or reducible[ya, yb]:
-            continue  # outside the quadrant, or a multiple already marked
-        lo, hi = np.searchsorted(znorm, (n, top // n + 1))
-        re = np.abs(ya * za[lo:hi] - d * yb * zb[lo:hi])
-        im = np.abs(ya * zb[lo:hi] + yb * za[lo:hi])
-        reducible[re, im] = True
+    corner = norm[: math.isqrt(root) + 1, : math.isqrt(root // d) + 1]
+    ia, ib = np.nonzero((corner >= 2) & (corner <= root))
+    for n, ya, yb in sorted(zip(corner[ia, ib].tolist(), ia.tolist(), ib.tolist())):
+        if reducible[ya, yb]:
+            continue  # a multiple already marked
+        m = top // n
+        cofactors = norm[: math.isqrt(m) + 1, : math.isqrt(m // d) + 1]
+        za, zb = np.nonzero((cofactors >= n) & (cofactors <= m))
+        reducible[np.abs(ya * za - d * yb * zb), ya * zb + yb * za] = True  # y*z
+        reducible[ya * za + d * yb * zb, np.abs(yb * za - ya * zb)] = True  # y*conj(z)
 
     index = a * a + b * b if region.kind == "euclidean-ball" else norm
     counted = (index <= region.bound) & (norm >= 2) & ~reducible

@@ -50,10 +50,9 @@ class CountSeries:
         n = len(self.grid)
         if len(self.actual) != n or any(len(col) != n for col in self.columns or ()):
             raise ValueError("series columns must have equal length")
-        if isinstance(self.grid, range):
-            if self.grid.step < 1:
-                raise ValueError("x must be strictly increasing")
-        elif not _in_order(self.grid, np.greater):
+        grid = self.grid
+        increasing = grid.step >= 1 if isinstance(grid, range) else _in_order(grid, np.greater)
+        if not increasing:
             raise ValueError("x must be strictly increasing")
         if not _in_order(self.actual, np.greater_equal):
             raise ValueError("actual must be nondecreasing")
@@ -129,6 +128,11 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     return grid
 
 
+def _first_nonzero(actual: np.ndarray) -> int:
+    """Index of the first count >= 1 in nondecreasing counts (len if none)."""
+    return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
+
+
 def build_series(census, grid=None) -> CountSeries:
     """Evaluate a census against its own estimate on a grid: given integer
     points (copied as int64 and checked for order), or by default every point
@@ -145,8 +149,7 @@ def build_series(census, grid=None) -> CountSeries:
         return CountSeries(xs, actual, census.estimate, census.describe())
     grid, actual = census.change_grid(), census.cumulative
     if census.estimate is not None:
-        # actual is nondecreasing; a 1 of its own dtype keeps searchsorted from casting it
-        first = int(np.searchsorted(actual, actual.dtype.type(1)))
+        first = _first_nonzero(actual)
         if first == actual.size:
             raise ValueError("census holds no primes; no default grid exists")
         grid, actual = grid[first:], actual[first:]
@@ -221,8 +224,7 @@ def fit_model(series: CountSeries) -> FitResult:
     objective is evaluated once per distinct e.
     """
     x, actual = series.x, series.actual
-    # a 1 of actual's own dtype keeps searchsorted from casting it
-    first = max(int(np.searchsorted(actual, actual.dtype.type(1))), int(np.searchsorted(x, 3)))
+    first = max(_first_nonzero(actual), int(np.searchsorted(x, 3)))
     if len(x) - first < 8:
         raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
     log_ln_x = x[first:].astype(np.float64)  # x, then ln x, then ln ln x, in place

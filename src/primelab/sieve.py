@@ -32,6 +32,15 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
+def require_estimate_points(name: str, value) -> None:
+    """Reject points an estimate cannot take: <= 1, NaN, or above 2**53."""
+    points = np.asarray(value)
+    if not np.all(points > 1):  # NaN compares False both ways, so it fails here
+        raise ValueError(f"{name} must be > 1, got {value}")
+    if np.any(points > 2**53):
+        raise ValueError(f"{name} too large to evaluate in double precision")
+
+
 def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
     """Read-only running totals of counts, as int32 when ``most``, a bound on
     the total known from the census's parameters, is below 2**31 and as

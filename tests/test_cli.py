@@ -115,10 +115,21 @@ def test_fit_rejects_malformed_series_csv(tmp_path, capsys):
     assert "short.csv line 2" in err
 
 
-def test_unwritable_output(tmp_path, capsys):
+def test_unwritable_output(tmp_path, capsys, monkeypatch):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run(["monoid", "--d", "3", "--limit", "100", "--csv", str(target)], capsys)
     assert code == 4
+    # an empty path names no file: an I/O failure, not an omitted option
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gauss", "--norm-limit", "100", "--csv", ""],
+        ["gauss", "--norm-limit", "100", "--series-csv", ""],
+        ["gauss", "--norm-limit", "100", "--svg", ""],
+        ["quad", "--d", "5", "--bound", "100", "--csv", ""],
+        ["quad", "--d", "5", "--bound", "100", "--svg", ""],
+        ["table1", "--svg-dir", ""],
+    ):
+        assert run(argv, capsys)[0] == 4, argv
 
 
 def test_gauss_summary_and_conventions(tmp_path, capsys):
@@ -197,10 +208,15 @@ def test_fit_requires_source(capsys):
     assert code == 2
     code, _, err = run(["fit", "--domain", "monoid", "--d", "3"], capsys)
     assert code == 2
+    code, _, err = run(["fit", "--from-csv", "", "--domain", "classical", "--limit", "100"], capsys)
+    assert code == 2
+    assert "choose either" in err
 
 
 def test_fit_missing_input_file(tmp_path, capsys):
     code, _, _ = run(["fit", "--from-csv", str(tmp_path / "absent.csv")], capsys)
+    assert code == 4
+    code, _, _ = run(["fit", "--from-csv", ""], capsys)
     assert code == 4
 
 
@@ -262,7 +278,7 @@ def switch(*argv):
 
 
 def output(flag, name):
-    return st.sampled_from([[], [flag, name], [flag, os.path.join("absent", name)]])
+    return st.sampled_from([[], [flag, name], [flag, os.path.join("absent", name)], [flag, ""]])
 
 
 COMMAND_PARTS = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,11 +144,16 @@ def oracle_cumulative(d: int, region: RegionSpec) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", REGION_KINDS)
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15, 9973])
 def test_census_matches_divisor_search_oracle(d, kind):
-    oracle = oracle_cumulative(d, RegionSpec(kind, 4000))
-    # the sieve's factor range follows the bound, so try every small bound
-    for bound in [*range(1, 201), 4000]:
+    # the sieve's factor range follows the bound, so try every small bound whose
+    # largest norm is within the cap (at d = 9973 the disc stops at bound 100)
+    bounds = [
+        bound for bound in [*range(1, 201), 4000]
+        if RegionSpec(kind, bound).largest_norm(d) <= MAX_CENSUS_BOUND
+    ]
+    oracle = oracle_cumulative(d, RegionSpec(kind, bounds[-1]))
+    for bound in bounds:
         census = quad_census(d, RegionSpec(kind, bound))
         assert np.array_equal(census.cumulative, oracle[1 : bound + 1]), bound
 
@@ -166,10 +172,31 @@ def test_census_d2_follows_rational_primes():
     assert np.array_equal(census.cumulative, np.cumsum(counts)[1:])
 
 
-def test_census_d1_equals_gaussian_census_at_1e5():
-    gauss = gaussian_census(10**5, "both-axes").cumulative
+@pytest.mark.parametrize("bound", [10**5, MAX_CENSUS_BOUND])
+def test_census_d1_equals_gaussian_census(bound):
+    gauss = gaussian_census(bound, "both-axes").cumulative
     for kind in REGION_KINDS:
-        assert np.array_equal(quad_census(1, RegionSpec(kind, 10**5)).cumulative, gauss)
+        assert np.array_equal(quad_census(1, RegionSpec(kind, bound)).cumulative, gauss)
+
+
+@pytest.mark.parametrize(
+    "d, kind, bound",
+    [(1, "norm-ball", MAX_CENSUS_BOUND), (5, "norm-ball", MAX_CENSUS_BOUND), (6, "euclidean-ball", 150_000)],
+)
+def test_census_peak_memory(d, kind, bound):
+    # the int64 norm grid, the marks and the loop's index temporaries stay under
+    # 24 B per quadrant cell; the int64 bincount and int32 cumulative take 12 B per
+    # bound point; a second, sorted list of cofactors would not fit
+    region = RegionSpec(kind, bound)
+    top = region.largest_norm(d)
+    cells = (math.isqrt(top) + 1) * (math.isqrt(top // d) + 1)
+    tracemalloc.start()
+    try:
+        quad_census(d, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * cells + 12 * (bound + 1)
 
 
 def test_census_d5_known_total():
