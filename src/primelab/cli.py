@@ -237,8 +237,7 @@ def _cmd_gauss(args) -> int:
 def _cmd_quad(args) -> int:
     census = _census("quad", args)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
-    wanted = (args.csv, args.svg) != (None, None)
-    ser = analysis.build_series(census) if wanted else None  # artifacts only
+    ser = analysis.build_series(census)
     _emit(args, ser, ser)
     return EXIT_OK
 

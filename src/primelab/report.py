@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -77,8 +76,7 @@ def write_csv(obj, path) -> None:
     A series is written block by block as it is formatted, so its text is
     never held whole."""
     if isinstance(obj, CountSeries):
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(_series_csv_blocks(obj))
+        _write(path, _series_csv_blocks(obj))
         return
     rows = list(obj)
     if not rows:
@@ -86,7 +84,14 @@ def write_csv(obj, path) -> None:
     if type(rows[0]) not in _ROW_FORMATS:
         raise TypeError(f"cannot serialize {type(rows[0]).__name__} rows")
     header, line = _ROW_FORMATS[type(rows[0])]
-    Path(path).write_text("\n".join([header, *map(line, rows)]) + "\n", encoding="utf-8")
+    _write(path, ["\n".join([header, *map(line, rows)]) + "\n"])
+
+
+def _write(path, texts) -> None:
+    """Write the strings of texts to path in order, as UTF-8 (an empty path
+    names no file)."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(texts)
 
 
 def series_csv_text(series: CountSeries) -> str:
@@ -144,7 +149,7 @@ def read_series_csv(path) -> CountSeries:
 
 def render_svg(series: CountSeries, path) -> None:
     """Standalone 800x600 line chart: actual vs estimate on linear axes."""
-    Path(path).write_text(svg_text(series), encoding="utf-8")
+    _write(path, [svg_text(series)])
 
 
 def svg_text(series: CountSeries) -> str:
@@ -155,14 +160,11 @@ def svg_text(series: CountSeries) -> str:
     plot_w = SVG_WIDTH - margin_l - margin_r
     plot_h = SVG_HEIGHT - margin_t - margin_b
 
-    # the axes span every row: running maxima over the series, block by block
-    x_min, x_max = float(series.grid[0]), float(series.grid[-1])
-    y_top, estimated = float(series.actual.max()), 0
-    for _, _, est, _, _ in series.blocks():
-        est = est[~np.isnan(est)]
-        if est.size:
-            y_top = max(y_top, float(est.max()))
-            estimated += est.size
+    # one read of the drawn rows: the axes span them, and both curves go through them
+    x, actual, est, _, _ = series.take(_thin_indices(len(series))).rows()
+    have = ~np.isnan(est)  # the drawn rows that carry an estimate
+    x_min, x_max = float(x[0]), float(x[-1])
+    y_top = float(est.max(initial=actual.max(), where=have))
     y_top = y_top * 1.05 if y_top > 0 else 1.0
     x_span = (x_max - x_min) or 1.0
 
@@ -210,14 +212,9 @@ def svg_text(series: CountSeries) -> str:
         f'y2="{margin_t + plot_h}" stroke="#000000" stroke-width="1.5"/>'
     )
 
-    # the curves are thinned first, so only their own rows are evaluated
-    rows = series.take(_thin_indices(len(series)))
-    curves = [("actual", "#1f77b4", rows.x, rows.actual)]
-    if estimated:
-        if estimated < len(series):  # thin over the rows that carry an estimate
-            have = np.flatnonzero(~np.isnan(series.estimate))
-            rows = series.take(have[_thin_indices(estimated)])
-        curves.append(("estimate", "#ff7f0e", rows.x, rows.estimate))
+    curves = [("actual", "#1f77b4", x, actual)]
+    if have.any():
+        curves.append(("estimate", "#ff7f0e", x[have], est[have]))
 
     for idx, (name, color, cx, cy) in enumerate(curves):
         cx, cy = cx.astype(np.float64), cy.astype(np.float64)

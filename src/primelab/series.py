@@ -3,8 +3,9 @@
 A CountSeries is a view over a census: its points, the actual count at each
 and the estimator; build_series makes one from any census, whose own
 ``estimate`` is the estimator.  The derived columns (estimate, ratio,
-pct_err) are computed on demand, CHUNK_ROWS rows at a time for the
-statistics and the writers; only a series read from a CSV stores them.
+pct_err) are read through rows() and blocks(), computed for those rows
+alone: CHUNK_ROWS rows at a time for the statistics and the writers, the
+drawn rows for a chart; only a series read from a CSV stores them.
 Points where no percentage error is defined (actual = 0, or a census with
 no estimate) carry NaN in the derived columns; statistics skip them.
 """
@@ -67,28 +68,14 @@ class CountSeries:
     def x(self) -> np.ndarray:
         return _points(self.grid)
 
-    @property
-    def estimate(self) -> np.ndarray:
-        return self.rows()[2]
-
-    @property
-    def ratio(self) -> np.ndarray:
-        return self.rows()[3]
-
-    @property
-    def pct_err(self) -> np.ndarray:
-        return self.rows()[4]
-
     def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
         """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
         derived columns computed for those rows alone."""
         x, actual = _points(self.grid[lo:hi]), self.actual[lo:hi]
         if self.columns is not None:
             return (x, actual, *(col[lo:hi] for col in self.columns))
-        if self.estimator is None:
-            nan = np.full(x.shape, np.nan)
-            return x, actual, nan, nan, nan
-        est = np.asarray(self.estimator(x), dtype=np.float64)
+        estimator = self.estimator or (lambda xs: np.full(xs.shape, np.nan))
+        est = np.asarray(estimator(x), dtype=np.float64)
         if est.shape != x.shape:
             raise ValueError("the estimator must return one value per point")
         with np.errstate(divide="ignore", invalid="ignore"):

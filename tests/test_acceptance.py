@@ -148,7 +148,7 @@ def test_criterion_06_gaussian_mape_trend(gauss_10m):
     mapes = []
     for bound in GAUSS_MAPE_BOUNDS:
         upto = int(np.searchsorted(ser.x, bound, side="right"))
-        pct = ser.pct_err[:upto]
+        pct = ser.rows(0, upto)[4]
         mapes.append(float(pct[~np.isnan(pct)].mean()))
     decreasing = all(a > b for a, b in zip(mapes, mapes[1:]))
     final_ok = abs(mapes[-1] - 7.220) <= 2.0

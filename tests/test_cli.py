@@ -130,6 +130,15 @@ def test_unwritable_output(tmp_path, capsys, monkeypatch):
         ["table1", "--svg-dir", ""],
     ):
         assert run(argv, capsys)[0] == 4, argv
+    # the error names the path as given, not the directory "." that pathlib reads "" as
+    for argv in (
+        ["gauss", "--norm-limit", "100", "--csv", ""],
+        ["gauss", "--norm-limit", "100", "--svg", ""],
+        ["fit", "--domain", "classical", "--limit", "100", "--csv", ""],
+        ["table2", "--csv", ""],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 4 and "''" in err and "'.'" not in err, (argv, err)
 
 
 def test_gauss_summary_and_conventions(tmp_path, capsys):
@@ -151,18 +160,6 @@ def test_quad_series_csv(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "x,actual,estimate,ratio,abs_pct_err"
     assert lines[-1] == "6,3,,,"
-
-
-def test_quad_builds_no_series_without_artifacts(capsys, monkeypatch):
-    _, expected, _ = run(["quad", "--d", "5", "--bound", "1000"], capsys)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("series built without --csv or --svg")
-
-    monkeypatch.setattr("primelab.series.build_series", refuse)
-    code, out, _ = run(["quad", "--d", "5", "--bound", "1000"], capsys)
-    assert code == 0
-    assert out == expected
 
 
 def test_cli_outputs_are_deterministic(tmp_path, capsys):

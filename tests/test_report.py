@@ -74,10 +74,12 @@ def test_series_round_trip(tmp_path):
     back = read_series_csv(path)
     assert back.x.tolist() == ser.x.tolist()
     assert back.actual.tolist() == ser.actual.tolist()
+    _, _, est, ratio, pct_err = back.rows()
+    _, _, want_est, want_ratio, want_pct_err = ser.rows()
     # printed precision: 6 significant digits / 5 decimals
-    assert np.allclose(back.estimate, ser.estimate, rtol=1e-5)
-    assert np.allclose(back.ratio, ser.ratio, atol=1e-5)
-    assert np.allclose(back.pct_err, ser.pct_err, atol=1e-5)
+    assert np.allclose(est, want_est, rtol=1e-5)
+    assert np.allclose(ratio, want_ratio, atol=1e-5)
+    assert np.allclose(pct_err, want_pct_err, atol=1e-5)
 
 
 def test_series_read_from_csv_is_read_only(tmp_path):
@@ -94,8 +96,8 @@ def test_round_trip_preserves_missing_values(tmp_path):
     ser = CountSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
     path = tmp_path / "gaps.csv"
     write_csv(ser, path)
-    back = read_series_csv(path)
-    assert math.isnan(back.pct_err[0]) and not math.isnan(back.pct_err[1])
+    pct_err = read_series_csv(path).rows()[4]
+    assert math.isnan(pct_err[0]) and not math.isnan(pct_err[1])
 
 
 @pytest.mark.parametrize(
@@ -187,39 +189,39 @@ def test_svg_thins_long_series():
     assert longest < 40_000  # ~2000 vertices at most per polyline
 
 
-# Reference oracle: the whole-array vertex choice that the thin-first SVG
-# replaced (every row for the y range, each curve thinned over its own rows).
+# Reference oracle: the drawn rows are every row up to MAX_POLYLINE_POINTS,
+# else every stride-th row and the last. Both curves go through them (the
+# estimate through those that carry one), and the axes span the drawn points.
 
 
 def oracle_polyline_points(series):
-    xs = series.x.astype(np.float64)
-    est_mask = ~np.isnan(series.estimate)
+    x, actual, est, _, _ = series.rows()
+    n = len(x)
+    keep = np.arange(0, n, -(-n // MAX_POLYLINE_POINTS))
+    keep = np.append(keep, n - 1) if keep[-1] != n - 1 else keep
+    xs, actual, est = x[keep].astype(np.float64), actual[keep].astype(np.float64), est[keep]
+    est_mask = ~np.isnan(est)
     x_min, x_max = float(xs[0]), float(xs[-1])
-    y_top = float(series.actual.max())
-    if est_mask.any():
-        y_top = max(y_top, float(series.estimate[est_mask].max()))
+    y_top = max([float(actual.max()), *est[est_mask].tolist()])
     y_top = y_top * 1.05 if y_top > 0 else 1.0
     x_span = (x_max - x_min) or 1.0
-    curves = [(xs, series.actual.astype(np.float64))]
+    curves = [(xs, actual)]
     if est_mask.any():
-        curves.append((xs[est_mask], series.estimate[est_mask]))
-    points = []
-    for cx, cy in curves:
-        n = len(cx)
-        keep = np.arange(0, n, -(-n // MAX_POLYLINE_POINTS))
-        keep = np.append(keep, n - 1) if keep[-1] != n - 1 else keep
-        points.append(
-            " ".join(
-                f"{75 + (a - x_min) / x_span * 700:.2f},{545 - b / y_top * 500:.2f}"
-                for a, b in zip(cx[keep], cy[keep])
-            )
+        curves.append((xs[est_mask], est[est_mask]))
+    return [
+        " ".join(
+            f"{75 + (a - x_min) / x_span * 700:.2f},{545 - b / y_top * 500:.2f}"
+            for a, b in zip(cx, cy)
         )
-    return points
+        for cx, cy in curves
+    ]
 
 
-def stored_estimates(n, defined):
+def stored_estimates(n, defined, peak_at=None):
     xs = np.arange(2, 2 + n)
     est = np.where(defined(xs), xs / 2.5 + 7.0, np.nan)
+    if peak_at is not None:
+        est[peak_at] = 10.0 * n  # above every count and every other estimate
     return CountSeries(xs, np.arange(n), columns=(est, est, est))
 
 
@@ -229,6 +231,8 @@ SVG_SERIES = {
     "every-third-row": lambda: stored_estimates(7000, lambda xs: xs % 3 == 0),
     "one-row": lambda: stored_estimates(2500, lambda xs: xs == 1000),
     "no-row": lambda: stored_estimates(2500, lambda xs: xs < 0),
+    # 5000 rows are drawn every third row: the peak at row 1 is not drawn
+    "peak-between-drawn-rows": lambda: stored_estimates(5000, lambda xs: xs > 0, peak_at=1),
     "gauss-estimator": lambda: build_series(gaussian_census(5000, "both-axes")),
 }
 
@@ -250,15 +254,25 @@ def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, chunk_rows):
     assert polylines == expected
 
 
+def test_svg_evaluates_only_the_drawn_rows():
+    evaluated = []
+
+    def estimator(xs):
+        evaluated.append(len(xs))
+        return xs / 2.0
+
+    n = 100_000
+    svg_text(CountSeries(range(2, 2 + n), np.arange(n), estimator))
+    assert sum(evaluated) <= MAX_POLYLINE_POINTS + 1
+
+
 # Reference oracles: the per-row writer and per-line parser that the block
 # writer and the numpy reader replaced. Bytes and parsed arrays must match.
 
 
 def oracle_series_csv_text(series):
     lines = [SERIES_HEADER]
-    for x, actual, est, ratio, pct in zip(
-        series.x, series.actual, series.estimate, series.ratio, series.pct_err
-    ):
+    for x, actual, est, ratio, pct in zip(*series.rows()):
         est_s = "" if math.isnan(est) else f"{est:.6g}"
         ratio_s = "" if math.isnan(ratio) else f"{ratio:.5f}"
         pct_s = "" if math.isnan(pct) else f"{pct:.5f}"
@@ -311,10 +325,7 @@ def test_series_csv_matches_reference_oracles(tmp_path, monkeypatch, block_rows,
     write_csv(ser, path)
     assert path.read_bytes() == expected.encode("utf-8")
     back = read_series_csv(path)
-    for got, want in zip(
-        (back.x, back.actual, back.estimate, back.ratio, back.pct_err),
-        oracle_read_series_columns(path),
-    ):
+    for got, want in zip(back.rows(), oracle_read_series_columns(path)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -353,15 +364,16 @@ def test_read_series_csv_header_only_is_empty_without_warning(tmp_path):
         warnings.simplefilter("error")
         back = read_series_csv(path)
     assert len(back) == 0
-    assert back.x.dtype == np.int64 and back.estimate.dtype == np.float64
+    assert back.x.dtype == np.int64 and back.rows()[2].dtype == np.float64
 
 
 def test_read_series_csv_last_row_without_newline_keeps_empty_fields(tmp_path):
     path = write_series_file(tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,\n3,1,,,")
     back = read_series_csv(path)
     assert back.x.tolist() == [2, 3]
-    assert back.ratio[0] == 2.0 and math.isnan(back.pct_err[0])
-    assert np.isnan(back.estimate[1]) and np.isnan(back.pct_err[1])
+    _, _, est, ratio, pct_err = back.rows()
+    assert ratio[0] == 2.0 and math.isnan(pct_err[0])
+    assert np.isnan(est[1]) and np.isnan(pct_err[1])
 
 
 def test_read_series_csv_undecodable_text_names_no_line(tmp_path):

@@ -32,18 +32,20 @@ from primelab.report import read_series_csv, write_csv
 def test_build_series_single_point_matches_summary_row():
     census = monoid_census(MonoidParams(3, 10**4))
     ser = build_series(census, grid=[10**4])
-    assert ser.actual[0] == 1380
-    assert ser.estimate[0] == pytest.approx(1590.21, abs=0.05)
-    assert ser.ratio[0] == pytest.approx(0.86781, abs=5e-6)
-    assert ser.pct_err[0] == pytest.approx(100 * (1590.2065 - 1380) / 1380, abs=1e-3)
+    _, actual, est, ratio, pct_err = ser.rows()
+    assert actual[0] == 1380
+    assert est[0] == pytest.approx(1590.21, abs=0.05)
+    assert ratio[0] == pytest.approx(0.86781, abs=5e-6)
+    assert pct_err[0] == pytest.approx(100 * (1590.2065 - 1380) / 1380, abs=1e-3)
 
 
 def test_build_series_zero_actual_has_no_error():
     census = monoid_census(MonoidParams(5, 100))
     ser = build_series(census, grid=[2, 11, 96])
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
-    assert math.isnan(ser.pct_err[0])
-    assert ser.pct_err[-1] >= 0
+    pct_err = ser.rows()[4]
+    assert math.isnan(pct_err[0])
+    assert pct_err[-1] >= 0
 
 
 def test_build_series_default_grid_starts_at_first_prime():
@@ -52,7 +54,7 @@ def test_build_series_default_grid_starts_at_first_prime():
     assert ser.x[0] == 4  # 4 = 1 + 3 is the first monoid prime
     assert ser.actual[0] == 1
     assert np.all(ser.actual >= 1)
-    assert not np.isnan(ser.pct_err).any()
+    assert not np.isnan(ser.rows()[4]).any()
 
 
 def test_build_series_default_grid_needs_a_prime():
@@ -77,7 +79,7 @@ def test_build_series_gaussian():
     census = gaussian_census(10, "both-axes")
     ser = build_series(census, grid=[10])
     assert ser.actual[0] == 5
-    assert ser.estimate[0] == pytest.approx(10 / math.log(10), rel=1e-12)
+    assert ser.rows()[2][0] == pytest.approx(10 / math.log(10), rel=1e-12)
 
 
 def test_build_series_empty_grid():
@@ -226,8 +228,8 @@ def test_fit_deterministic():
 def test_ratio_times_estimate_recovers_actual():
     census = monoid_census(MonoidParams(3, 5000))
     ser = build_series(census)
-    recovered = ser.ratio * ser.estimate
-    assert np.allclose(recovered, ser.actual, rtol=1e-12)
+    _, actual, est, ratio, _ = ser.rows()
+    assert np.allclose(ratio * est, actual, rtol=1e-12)
 
 
 def test_series_validation():
