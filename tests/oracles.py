@@ -11,8 +11,8 @@ machinery:
   divisor scan (``gaussian_brute_irreducible``);
 - irreducibles of Z[sqrt(-d)] by exact ring arithmetic and a divisor search
   over one element (``quad_is_irreducible``);
-- ``fit_model`` by its earlier body, which masks and copies the series
-  (``oracle_fit_model``).
+- ``fit_model`` by its whole search with every candidate evaluated exactly
+  on masked copies of the series (``oracle_fit_model``).
 """
 
 from __future__ import annotations
@@ -239,10 +239,22 @@ def _divisors_by_trial(n: int) -> list[int]:
     return [m for m in small + large[::-1] if 1 < m < n]
 
 
+def oracle_squared_error(base, log_ln_x, e):
+    """Best in-bounds c at this e and the squared RMS relative error, from
+    whole-array means of u = base * exp(-e * log_ln_x), with the arithmetic
+    of fit_model's exact evaluation."""
+    u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
+    m1, m2 = float(u.mean()), float((u * u).mean())
+    c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
+    return c, max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0)
+
+
 def oracle_fit_model(series):
-    """fit_model as it was before it worked in place on three arrays.  The
-    search and the arithmetic are the same, so the results must be equal to
-    the last bit, not only to the printed digits."""
+    """The whole search of fit_model, every candidate evaluated exactly on
+    masked copies of the series: no screen, no work in place.  fit_model
+    screens each round and evaluates exactly only the near-ties, with the
+    same arithmetic, so the results must be equal to the last bit, not only
+    to the printed digits."""
     xs = series.x
     mask = (series.actual >= 1) & (xs >= 3)
     if int(mask.sum()) < 8:
@@ -254,10 +266,8 @@ def oracle_fit_model(series):
 
     def profiled(e):
         """Best in-bounds c at this e and the resulting RMS relative error."""
-        u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
-        m1, m2 = float(u.mean()), float((u * u).mean())
-        c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
-        return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
+        c, rms2 = oracle_squared_error(base, log_ln_x, e)
+        return c, math.sqrt(rms2)
 
     e_grid = np.linspace(analysis._E_BOUNDS[0], analysis._E_BOUNDS[1], 101)
     e = float(e_grid[int(np.argmin([profiled(float(e))[1] for e in e_grid]))])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_fit_model
+from oracles import oracle_fit_model, oracle_squared_error
 from primelab import (
     CountSeries,
     MonoidParams,
@@ -446,11 +446,87 @@ FIT_SERIES = {
     "zeros-and-x-below-3": lambda _: synthetic_series(6, 300),  # the zeros set the start
     "x-below-3": lambda _: synthetic_series(0, 300),  # x >= 3 sets the start
     "exactly-8-points": lambda _: synthetic_series(3, 11),
+    # the benchmark's classical fit: its two best candidates of the last bracket
+    # round lie 7e-16 apart in squared error, inside the screen's margin, so
+    # the exact step decides between them
+    "classical-1000000": lambda _: build_series(classical_census(1_000_000)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIT_SERIES))
 def test_fit_model_matches_oracle_bit_for_bit(tmp_path, name):
+    ser = FIT_SERIES[name](tmp_path)
+    assert fit_model(ser) == oracle_fit_model(ser)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c0=st.floats(0.05, 5.0),
+    e0=st.floats(-1.0, 2.5),
+    noise=st.floats(0.0, 0.3),
+    zeros=st.integers(0, 40),
+    n=st.integers(8, 3000),
+    decades=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_model_matches_oracle_on_synthetic_series(c0, e0, noise, zeros, n, decades, seed):
+    """Noisy model counts c0 * x / (ln x)^e0 with leading zeros, on up to
+    3,000 points spread over up to four more decades than points."""
+    xs = np.unique(np.geomspace(1, n * 10**decades, n).astype(np.int64))
+    model = c0 * xs / np.log(np.maximum(xs, 2)) ** e0
+    noisy = model * (1 + noise * np.random.default_rng(seed).standard_normal(xs.size))
+    actual = np.maximum.accumulate(np.maximum(np.round(noisy), 0).astype(np.int64))
+    actual[:zeros] = 0
+    ser = CountSeries(xs, actual)
+    try:
+        expected = oracle_fit_model(ser)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fit_model(ser)
+    else:
+        assert fit_model(ser) == expected
+
+
+def screen_through(monkeypatch, hook):
+    """Make each screened round of fit_model return
+    hook(base, log_ln_x, cand, rms2, scale) in place of (rms2, scale)."""
+    screen = analysis._moment_screen
+
+    def hooked(base, log_ln_x, work):
+        screened = screen(base, log_ln_x, work)
+        return lambda cand: hook(base, log_ln_x, cand, *screened(cand))
+
+    monkeypatch.setattr(analysis, "_moment_screen", hooked)
+
+
+@pytest.mark.parametrize("name", sorted(FIT_SERIES))
+def test_fit_screen_error_is_a_hundredth_of_its_margin(tmp_path, monkeypatch, name):
+    """Every e the search screens has a screened squared error within
+    _TAU / 100 of its scale of the exact one, so the margin that decides
+    which candidates are evaluated exactly keeps a 100-fold headroom."""
+    errors = []
+
+    def record(base, log_ln_x, cand, rms2, scale):
+        for e, r2, s in zip(cand.tolist(), rms2, scale):
+            errors.append(abs(r2 - oracle_squared_error(base, log_ln_x, e)[1]) / s)
+        return rms2, scale
+
+    screen_through(monkeypatch, record)
+    fit_model(FIT_SERIES[name](tmp_path))
+    assert len(errors) > 101 and max(errors) <= analysis._TAU / 100, max(errors)
+
+
+@pytest.mark.parametrize("name", sorted(FIT_SERIES))
+def test_fit_model_is_exact_for_any_screen_error_within_the_margin(tmp_path, monkeypatch, name):
+    """The exact step, not the screen's accuracy, picks each round's best:
+    with every screened squared error moved by up to _TAU / 2 of its scale,
+    the fit is still the oracle's to the last bit."""
+    rng = np.random.default_rng(0)
+
+    def shake(base, log_ln_x, cand, rms2, scale):
+        return rms2 + rng.uniform(-0.5, 0.5, cand.size) * analysis._TAU * scale, scale
+
+    screen_through(monkeypatch, shake)
     ser = FIT_SERIES[name](tmp_path)
     assert fit_model(ser) == oracle_fit_model(ser)
 
