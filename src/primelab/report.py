@@ -6,11 +6,15 @@ with 6 significant digits and ratio / percentage error with 5 decimals;
 undefined values print as empty fields.
 
 A series CSV is written one series block (series.CHUNK_ROWS rows) at a
-time, each formatted from the columns' list slices with one printf-style
-format per row, and written to the file as it is made.  It is read back by numpy's C parser
-(np.loadtxt) from the file's lines, with empty fields rewritten to nan as
-they go by.  A bad header, a row of the wrong width or an unparsable field
-raises ValueError naming the path and the 1-based line of the file.
+time, formatted by numpy digit arithmetic into the bytes that the
+printf-style row format _SERIES_ROW would print, and written to the file as
+it is made.  Rows where that arithmetic cannot be sure of a rounding (near
+a .5 tie, infinite or negative fields, extreme exponents) are printed by
+_SERIES_ROW itself; _series_csv_blocks states the rule.  It is read back
+by numpy's C parser (np.loadtxt) from the file's lines, with empty fields
+rewritten to nan as they go by.  A bad header, a row of the wrong width or
+an unparsable field raises ValueError naming the path and the 1-based line
+of the file.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ MAPE_SUMMARY_HEADER = "norm_bound,mape_pct"
 FIT_HEADER = "c,e,rms_rel_err"
 
 _SERIES_ROW = "%d,%d,%.6g,%.5f,%.5f\n"
+# a scaled product p is off the exact one by at most 2**-53 * p (one rounding),
+# so farther than this share of p from a .5 tie it rounds as the exact one would
+_TIE_SHARE = 4.5e-16
+_EXACT_POW10 = np.array([float(10**k) for k in range(23)])  # 1e22 is the last exact one
 _SERIES_DTYPE = np.dtype(
     [("x", "i8"), ("actual", "i8"), ("estimate", "f8"), ("ratio", "f8"), ("pct_err", "f8")]
 )
@@ -76,7 +84,8 @@ def write_csv(obj, path) -> None:
     A series is written block by block as it is formatted, so its text is
     never held whole."""
     if isinstance(obj, CountSeries):
-        _write(path, _series_csv_blocks(obj))
+        with open(path, "wb") as f:
+            f.writelines(_series_csv_blocks(obj))
         return
     rows = list(obj)
     if not rows:
@@ -96,17 +105,160 @@ def _write(path, texts) -> None:
 
 def series_csv_text(series: CountSeries) -> str:
     """The series CSV as one string."""
-    return "".join(_series_csv_blocks(series))
+    return b"".join(_series_csv_blocks(series)).decode("ascii")
 
 
 def _series_csv_blocks(series: CountSeries):
-    """The header line, then the rows one series block at a time: one
-    printf-style format per row, and NaN fields blanked once per block."""
-    yield SERIES_HEADER + "\n"
+    """The header line, then the rows one series block at a time, as ASCII
+    bytes, each line as _SERIES_ROW prints it with NaN fields empty.
+
+    A block is laid out as a uint8 table, one line per row: each field in
+    columns as wide as the block needs, with 0 bytes as padding, and one
+    boolean compress drops the padding.  An integer prints from its digits
+    by repeated divmod by 10; %.5f from q = rint(|v| * 1e5); %.6g from
+    m = rint(|v| * 10**(5 - X)) with X = floor(log10|v|), which takes one
+    exact power of ten and so one rounding.  A sign comes from signbit, so
+    -0.0 keeps its "-".
+
+    This is exact when rint rounds the computed product p the way printf
+    rounds the exact one, which holds when p is more than _TIE_SHARE * p
+    from a .5 tie.  A row goes to _percent_row instead when a float field
+    is inf or -inf, an integer is negative, a product lies that close to a
+    tie (exact ties such as 0.015625 * 1e5 exist), m leaves [1e5, 1e6)
+    (log10 can be off by one next to a power of ten, and m can round up to
+    1e6), or X is outside -17..27, where 10**(5 - X) is not an exact double.
+    """
+    yield (SERIES_HEADER + "\n").encode()
     for cols in series.blocks():
-        rows = zip(*(col.tolist() for col in cols))
-        # "nan" is the whole text of a NaN field, and every float field follows a comma
-        yield "".join(map(_SERIES_ROW.__mod__, rows)).replace(",nan", ",")
+        yield _format_rows(cols)
+
+
+def _format_rows(cols) -> bytes:
+    """The block's lines, each as _percent_row would print it."""
+    n = len(cols[0])
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    pieces, unsure = [], np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for field, col in zip((_int_field, _int_field, _g6_field, _f5_field, _f5_field), cols):
+            chars, bad = field(col)
+            pieces += [*chars, comma]
+            unsure |= bad
+    pieces[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
+    table = np.concatenate(pieces, axis=1)
+    keep = table != 0
+    keep[unsure] = False
+    text = table[keep].tobytes()
+    if not unsure.any():
+        return text
+    # an unsure row keeps no bytes, so its text goes in where the rows before it end
+    ends = np.cumsum(keep.sum(axis=1))
+    out, start = [], 0
+    for i in np.flatnonzero(unsure):
+        out += [text[start : ends[i]], _percent_row(tuple(col[i].item() for col in cols))]
+        start = ends[i]
+    out.append(text[start:])
+    return b"".join(out)
+
+
+def _percent_row(values) -> bytes:
+    """One line by the printf-style format, NaN fields empty."""
+    # "nan" is the whole text of a NaN field, and every float field follows a comma
+    return (_SERIES_ROW % values).replace(",nan", ",").encode()
+
+
+def _int_field(v):
+    """%d of the int64 column v, and the rows it leaves to _percent_row."""
+    negative = v < 0
+    return [_digits(np.where(negative, 0, v), 1)], negative
+
+
+def _f5_field(v):
+    """%.5f of the float column v as sign, integer digits, point and five
+    decimals, and the rows it leaves to _percent_row."""
+    empty = np.isnan(v)
+    p = np.abs(v) * 1e5
+    sure = _clear_of_tie(p)  # false for inf and nan
+    digits = _digits(np.rint(np.where(sure, p, 0)), 6)
+    digits[empty] = 0
+    pieces = [digits[:, :-5], _chars(sure, "."), digits[:, -5:]]
+    negative = np.signbit(v) & sure
+    if negative.any():
+        pieces.insert(0, _chars(negative, "-"))
+    return pieces, ~(sure | empty)
+
+
+def _g6_field(v):
+    """%.6g of the float column v, and the rows it leaves to _percent_row.
+
+    The digits of m fall into the whole part and the places after the point:
+    5 - X places in fixed notation (-4 <= X <= 5), 5 places before an
+    exponent e+XX or e-XX otherwise.  The places lose the trailing zeros of
+    m, and the point goes with them when none are left."""
+    a = np.abs(v)
+    empty, zero = np.isnan(v), a == 0
+    x = np.floor(np.log10(a))  # -inf at zero, nan at nan, inf at inf
+    exact = (x >= -17) & (x <= 27)
+    e = np.where(exact, x, 0).astype(np.int64)  # 0 puts a zero in fixed notation
+    scale = _EXACT_POW10[np.abs(5 - e)]
+    p = np.where(e <= 5, a * scale, a / scale)
+    m = np.rint(p)
+    sure = (exact & (m >= 1e5) & (m < 1e6) & _clear_of_tie(p)) | zero
+    m = np.where(sure, m, 0).astype(np.int64)
+    fixed = (e >= -4) & (e <= 5)
+    places = np.where(fixed, 5 - e, 5)
+    whole, after = np.divmod(m, 10**places)
+    width = int(places.max())
+    pieces = [
+        _digits(whole, 1),
+        _chars(after != 0, "."),
+        _digits(after * 10 ** (width - places), width, trailing=True),  # left-aligned
+    ]
+    negative = np.signbit(v)
+    if negative.any():
+        pieces.insert(0, _chars(negative, "-"))
+    sci = ~fixed
+    if sci.any():
+        e_abs = np.abs(e)
+        marks = np.stack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                          e_abs // 10 + ord("0"), e_abs % 10 + ord("0")], axis=1)
+        pieces.append(marks.astype(np.uint8) * sci[:, None])
+    for piece in pieces:
+        piece[empty] = 0
+    return pieces, ~(sure | empty)
+
+
+def _clear_of_tie(p):
+    """Whether rint(p) rounds p as the exact product would: p is more than
+    _TIE_SHARE * p from a .5 tie (false for inf and nan)."""
+    return np.abs(p - np.floor(p) - 0.5) > _TIE_SHARE * p
+
+
+def _chars(mask, char: str):
+    """A one-column table holding char where mask is true, pad bytes elsewhere."""
+    return (mask * np.uint8(ord(char)))[:, None]
+
+
+def _digits(v, always: int, trailing: bool = False):
+    """Right-aligned ASCII digits of the nonnegative integers v, one row
+    each, with pad bytes for leading zeros beyond the last `always` places,
+    or with trailing=True for the trailing zeros instead."""
+    top = int(v.max(initial=0))
+    width = max(len(str(top)), always)
+    v = v.astype(np.uint32 if top < 2**32 else np.uint64)
+    out = np.empty((len(v), width), dtype=np.uint8)
+    seen = np.zeros(len(v), dtype=bool)  # a nonzero digit at this place or below
+    for place in range(width):
+        v_left, r = np.divmod(v, 10)
+        digit = r.astype(np.uint8)
+        digit += ord("0")
+        if trailing:
+            seen |= r != 0
+            digit *= seen
+        elif place >= always:
+            digit *= v != 0
+        out[:, width - 1 - place] = digit
+        v = v_left
+    return out
 
 
 def read_series_csv(path) -> CountSeries:

@@ -11,8 +11,10 @@ from primelab import (
     CountSeries,
     FitResult,
     build_series,
+    classical_census,
     gaussian_census,
 )
+from primelab import report
 from primelab import series as analysis
 from primelab.report import (
     FIT_HEADER,
@@ -295,22 +297,48 @@ def oracle_read_series_columns(path):
     return [np.array(c, dtype=np.int64) for c in cols[:2]] + [np.array(c) for c in cols[2:]]
 
 
-SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 1e12, 0.5, 2.0 / 3.0]
+def tie_and_edge_floats():
+    """Floats where a digit-arithmetic formatter can slip: exact and near
+    .5 ties, the edges of each printed decade, values whose log10 rounds to
+    an integer, and the extremes of the format."""
+    vals = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan, 1e-4, 1e-5, 1e-7, 1e12]
+    vals += [999999.5, 9.999995, 99999.95, 0.5, 2.0 / 3.0, 999999.9999999999, 0.015625]
+    for k in range(41):  # odd / 2**k is an exact .5 tie once scaled by enough powers of 10
+        for odd in (1, 3, 5, 7, 99, 12345):
+            vals.append(odd / 2.0**k)
+    for k in range(-8, 9):  # decimal ties in the sixth digit: no double is one, many are close
+        for tie in (1.000005, 1.234565, 2.718285, 9.876545, 4.000015):
+            vals.append(tie * 10.0**k)
+    for k in range(-20, 30):
+        for share in (1 - 5e-7, 1.0, 1 + 5e-7):
+            vals.append(10.0**k * share)
+        vals.append(math.nextafter(10.0**k, 0.0))  # log10 of these can round up to k
+    near = [math.nextafter(v, t) for v in vals for t in (-math.inf, math.inf)]
+    scaled = [v * s for v in vals for s in (1e-5, 1e-1, 1e5)]
+    signed = [*vals, *near, *scaled]
+    return signed + [-v for v in signed]
+
+
+TIE_AND_EDGE_FLOATS = tie_and_edge_floats()
 any_float = st.one_of(
-    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True)
+    st.sampled_from(TIE_AND_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)
 )
 
 
 @st.composite
 def series_columns(draw):
-    n = draw(st.integers(min_value=0, max_value=40))
-    xs = sorted(draw(st.sets(st.integers(min_value=0, max_value=2**53), min_size=n, max_size=n)))
-    actual = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)))
-    floats = [draw(st.lists(any_float, min_size=n, max_size=n)) for _ in range(3)]
+    # up to a few hundred rows, so that rows of both formatting paths share a
+    # block: each float column repeats a drawn run of values from its own offset
+    n = draw(st.integers(min_value=0, max_value=300))
+    ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    xs = sorted(draw(st.sets(ints, min_size=n, max_size=n)))
+    actual = sorted(draw(st.lists(ints, min_size=n, max_size=n)))
+    runs = [draw(st.lists(any_float, min_size=1, max_size=40)) for _ in range(3)]
+    offsets = [draw(st.integers(min_value=0, max_value=39)) for _ in range(3)]
     return CountSeries(
         np.array(xs, dtype=np.int64),
         np.array(actual, dtype=np.int64),
-        columns=tuple(np.array(col) for col in floats),
+        columns=tuple(np.roll(np.resize(run, n), k) for run, k in zip(runs, offsets)),
     )
 
 
@@ -328,6 +356,66 @@ def test_series_csv_matches_reference_oracles(tmp_path, monkeypatch, block_rows,
     for got, want in zip(back.rows(), oracle_read_series_columns(path)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("block_rows", [7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("column", [0, 1, 2, None])
+def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(monkeypatch, block_rows, column):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", block_rows)
+    vals = np.array(TIE_AND_EDGE_FLOATS)
+    n = len(vals)
+    if column is None:  # every value in every column, beside values of both paths
+        columns = (vals, np.roll(vals, n // 3), np.roll(vals, 2 * n // 3))
+    else:  # one column of the values, the others printed without the percent path
+        columns = tuple(vals if k == column else np.full(n, 0.75) for k in range(3))
+    top = np.iinfo(np.int64).max
+    actual = np.concatenate([[-(2**63), -(2**40), -1], np.arange(n - 3) * 2**40])
+    ser = CountSeries(top - n + 1 + np.arange(n), actual, columns=columns)
+    assert series_csv_text(ser) == oracle_series_csv_text(ser)
+
+
+def count_percent_rows(monkeypatch):
+    """Count the rows the series CSV writer leaves to its printf-style path."""
+    calls = []
+    percent_row = report._percent_row
+
+    def counted(values):
+        calls.append(values)
+        return percent_row(values)
+
+    monkeypatch.setattr(report, "_percent_row", counted)
+    return calls
+
+
+FAST_PATH_SERIES = {
+    "gauss-1e5": lambda: build_series(gaussian_census(10**5, "both-axes")),
+    "classical-1e5": lambda: build_series(classical_census(10**5)),
+    # estimates 1e3 .. 1e8: fixed notation up to 999999, e+06 to e+08 above
+    "both-notations": lambda: CountSeries(
+        range(1, 10**5 + 1), np.arange(1, 10**5 + 1), lambda xs: xs * 1e3
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_SERIES))
+def test_series_csv_formats_real_series_without_the_percent_path(monkeypatch, case):
+    ser = FAST_PATH_SERIES[case]()
+    calls = count_percent_rows(monkeypatch)
+    text = series_csv_text(ser)
+    assert calls == []
+    assert text == oracle_series_csv_text(ser)
+    if case == "both-notations":
+        assert "e+06," in text and "e+08," in text and ",999000," in text
+
+
+def test_series_csv_leaves_ties_and_infinities_to_the_percent_path(monkeypatch):
+    # row 1 has an exact tie (0.015625 * 1e5 = 1562.5), row 2 an infinite estimate
+    est, ratio, pct = [1.5, math.inf, 2.0], [0.015625, 1.0, 1.0], [1.0, 1.0, 1.0]
+    columns = tuple(np.array(col) for col in (est, ratio, pct))
+    ser = CountSeries(np.array([1, 2, 3]), np.array([1, 1, 2]), columns=columns)
+    calls = count_percent_rows(monkeypatch)
+    assert series_csv_text(ser) == oracle_series_csv_text(ser)
+    assert [row[0] for row in calls] == [1, 2]
 
 
 def write_series_file(tmp_path, body):
