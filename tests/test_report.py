@@ -303,7 +303,7 @@ def tie_and_edge_floats():
     an integer, and the extremes of the format."""
     vals = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan, 1e-4, 1e-5, 1e-7, 1e12]
     vals += [999999.5, 9.999995, 99999.95, 0.5, 2.0 / 3.0, 999999.9999999999, 0.015625]
-    for k in range(41):  # odd / 2**k is an exact .5 tie once scaled by enough powers of 10
+    for k in range(41):  # odd / 2**k times 10**(k - 1) is an exact .5 tie
         for odd in (1, 3, 5, 7, 99, 12345):
             vals.append(odd / 2.0**k)
     for k in range(-8, 9):  # decimal ties in the sixth digit: no double is one, many are close
