@@ -66,5 +66,9 @@ def estimate_pi_G(r):
     """Conjectured count r^2 / (2 ln r) inside the norm circle of radius r;
     accepts scalars or arrays."""
     require_estimate_points("r", r)
-    result = r * r / (2.0 * np.log(r))
-    return float(result) if np.isscalar(r) else result
+    if np.ndim(r) == 0:
+        result = r * r / (2.0 * np.log(r))
+        return float(result) if np.isscalar(r) else result
+    result = np.log(r)  # then 2 ln r, then the quotient, in place
+    result *= 2.0
+    return np.divide(r * r, result, out=result)

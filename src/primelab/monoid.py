@@ -86,5 +86,10 @@ def estimate_pi_d(d: int, x):
     """Conjectured count x / (d * (ln x)^(1/d)); accepts scalars or arrays."""
     require_int("d", d, 2)
     require_estimate_points("x", x)
-    result = x / (d * np.log(x) ** (1.0 / d))
-    return float(result) if np.isscalar(x) else result
+    if np.ndim(x) == 0:
+        result = x / (d * np.log(x) ** (1.0 / d))
+        return float(result) if np.isscalar(x) else result
+    result = np.log(x)  # then (ln x)^(1/d), d times it, and the quotient, in place
+    result **= 1.0 / d
+    result *= d
+    return np.divide(x, result, out=result)

@@ -3,15 +3,19 @@
 A CountSeries is a view over a census: its points, the actual count at each
 and the estimator; build_series makes one from any census, whose own
 ``estimate`` is the estimator.  The derived columns (estimate, ratio,
-pct_err) are read through rows() and blocks(), computed for those rows
-alone: CHUNK_ROWS rows at a time for the statistics and the writers, the
-drawn rows for a chart; only a series read from a CSV stores them.
-Points where no percentage error is defined (actual = 0, or a census with
-no estimate) carry NaN in the derived columns; statistics skip them.
+pct_err) are computed for the rows read alone, and each reader computes
+only the columns it reads: mape the estimate and pct_err, find_crossover
+the estimate, CHUNK_ROWS rows at a time; the series CSV writer all three,
+through blocks(), and a chart all three of the rows it draws, through
+rows().  Only a series read from a CSV stores them, and its readers take
+the stored columns.  Points where no percentage error is defined
+(actual = 0, or a census with no estimate) carry NaN in the derived
+columns; statistics skip them.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -71,21 +75,24 @@ class CountSeries:
     def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
         """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
         derived columns computed for those rows alone."""
+        x, actual, est = self._estimated(lo, hi)
+        if self.columns is not None:
+            return (x, actual, est, *(col[lo:hi] for col in self.columns[1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = actual / est
+        return x, actual, est, ratio, _pct_err(actual, est)
+
+    def _estimated(self, lo: int, hi: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x, actual and estimate of rows lo to hi: the stored column for a
+        series read from a CSV, else the estimator's values at those points."""
         x, actual = _points(self.grid[lo:hi]), self.actual[lo:hi]
         if self.columns is not None:
-            return (x, actual, *(col[lo:hi] for col in self.columns))
+            return x, actual, self.columns[0][lo:hi]
         estimator = self.estimator or (lambda xs: np.full(xs.shape, np.nan))
         est = np.asarray(estimator(x), dtype=np.float64)
         if est.shape != x.shape:
             raise ValueError("the estimator must return one value per point")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = actual / est
-            pct = np.where(
-                actual >= 1,
-                100.0 * np.abs(actual - est) / np.where(actual >= 1, actual, 1),
-                np.nan,
-            )
-        return x, actual, est, ratio, pct
+        return x, actual, est
 
     def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
         """rows() of each run of CHUNK_ROWS rows, in order."""
@@ -113,6 +120,18 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     if isinstance(grid, range):
         return np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     return grid
+
+
+def _pct_err(actual: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """100 |actual - est| / actual, in one new array; NaN where actual < 1,
+    a prefix, since actual never decreases."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pct = actual - est
+        np.abs(pct, out=pct)
+        pct *= 100.0
+        pct /= actual
+    pct[: _first_nonzero(actual)] = np.nan
+    return pct
 
 
 def _first_nonzero(actual: np.ndarray) -> int:
@@ -154,16 +173,22 @@ def ratio_R(actual: int, estimate: float) -> float:
 
 def mape(series: CountSeries, upto: int | None = None) -> float:
     """Mean absolute percentage error over the points that carry an error
-    value (only those with x <= upto, when given), one block at a time."""
+    value (only those with x <= upto, when given), one block at a time,
+    computing pct_err alone."""
+    stop = len(series) if upto is None else bisect.bisect_right(series.grid, upto)
     sums, count = [], 0
-    for x, _, _, _, pct in series.blocks():
-        if upto is not None:
-            if x[0] > upto:
-                break
-            pct = pct[: np.searchsorted(x, upto, side="right")]
-        valid = pct[~np.isnan(pct)]
-        sums.append(valid.sum())
-        count += valid.size
+    for lo in range(0, stop, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, stop)
+        if series.columns is None:
+            pct = _pct_err(*series._estimated(lo, hi)[1:])
+        else:
+            pct = series.columns[2][lo:hi]
+        total = pct.sum()
+        if math.isnan(total):  # the block has points without an error value
+            pct = pct[~np.isnan(pct)]
+            total = pct.sum()
+        sums.append(total)
+        count += pct.size
     if count == 0:
         raise ValueError("series has no points with a defined percentage error")
     return math.fsum(sums) / count
@@ -175,11 +200,16 @@ def find_crossover(series: CountSeries) -> int | None:
     Implemented as the point following the last index where actual exceeds
     the estimate, among the points with an estimate; None when the estimate
     is above the actual count on the whole grid or still below it at the end.
+    Reads x, actual and the estimate alone, one block at a time.
     """
     crossover, above_seen = None, False
-    for x, actual, est, _, _ in series.blocks():
-        defined = ~np.isnan(est)
-        x, above = x[defined], np.flatnonzero(actual[defined] - est[defined] > 0)
+    for lo in range(0, len(series), CHUNK_ROWS):
+        x, actual, est = series._estimated(lo, lo + CHUNK_ROWS)
+        undefined = np.isnan(est)
+        if undefined.any():
+            defined = ~undefined
+            x, actual, est = x[defined], actual[defined], est[defined]
+        above = np.flatnonzero(actual - est > 0)
         if above.size:
             after = above[-1] + 1
             crossover, above_seen = (int(x[after]) if after < x.size else None), True

@@ -12,7 +12,10 @@ machinery:
 - irreducibles of Z[sqrt(-d)] by exact ring arithmetic and a divisor search
   over one element (``quad_is_irreducible``);
 - ``fit_model`` by its whole search with every candidate evaluated exactly
-  on masked copies of the series (``oracle_fit_model``).
+  on masked copies of the series (``oracle_fit_model``);
+- ``mape`` and ``find_crossover`` by their bodies over whole ``rows()``
+  blocks, every derived column computed (``oracle_mape``,
+  ``oracle_find_crossover``).
 """
 
 from __future__ import annotations
@@ -285,3 +288,36 @@ def oracle_fit_model(series):
             break
     c, rms = profiled(e)
     return FitResult(c=c, e=e, rms_rel_err=rms)
+
+
+def oracle_mape(series, upto=None):
+    """mape over whole rows() blocks, each with all five columns and the NaN
+    mask's compress: the same blocks and elementwise operations as mape, so
+    the result must be equal to the last bit."""
+    sums, count = [], 0
+    for x, _, _, _, pct in series.blocks():
+        if upto is not None:
+            if x[0] > upto:
+                break
+            pct = pct[: np.searchsorted(x, upto, side="right")]
+        valid = pct[~np.isnan(pct)]
+        sums.append(valid.sum())
+        count += valid.size
+    if count == 0:
+        raise ValueError("series has no points with a defined percentage error")
+    return math.fsum(sums) / count
+
+
+def oracle_find_crossover(series):
+    """find_crossover over whole rows() blocks, each masked by its defined
+    estimates."""
+    crossover, above_seen = None, False
+    for x, actual, est, _, _ in series.blocks():
+        defined = ~np.isnan(est)
+        x, above = x[defined], np.flatnonzero(actual[defined] - est[defined] > 0)
+        if above.size:
+            after = above[-1] + 1
+            crossover, above_seen = (int(x[after]) if after < x.size else None), True
+        elif above_seen and crossover is None and x.size:
+            crossover = int(x[0])  # the first point after a block that ended above
+    return crossover

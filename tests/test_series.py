@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_fit_model, oracle_squared_error
+from oracles import (
+    oracle_find_crossover,
+    oracle_fit_model,
+    oracle_mape,
+    oracle_squared_error,
+)
 from primelab import (
     CountSeries,
     MonoidParams,
@@ -304,14 +309,14 @@ def oracle_columns(series):
     return xs, acts, est, ratio, pct
 
 
-def oracle_mape(pct_err):
+def whole_array_mape(pct_err):
     valid = pct_err[~np.isnan(pct_err)]
     if valid.size == 0:
         raise ValueError("series has no points with a defined percentage error")
     return float(valid.mean())
 
 
-def oracle_find_crossover(x, actual, estimate):
+def whole_array_crossover(x, actual, estimate):
     defined = ~np.isnan(estimate)
     if not defined.any():
         return None
@@ -359,8 +364,8 @@ def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, chun
     for got, want in zip(zip(*blocks), (x, actual, est, ratio, pct)):
         assert np.array_equal(np.concatenate(got), want, equal_nan=True)
 
-    assert find_crossover(ser) == oracle_find_crossover(x, actual, est)
-    assert mape(ser) == pytest.approx(oracle_mape(pct), rel=1e-12)
+    assert find_crossover(ser) == whole_array_crossover(x, actual, est)
+    assert mape(ser) == pytest.approx(whole_array_mape(pct), rel=1e-12)
     bounds = [10, 1000, int(x[len(x) // 3]) + 1, int(x[-1]) - 1, int(x[-1])]
     got = [mape(ser, upto=bound) for bound in bounds]
     assert got == pytest.approx(oracle_prefix_mapes(x, pct, bounds), rel=1e-12)
@@ -378,9 +383,9 @@ def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
     actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
     est, pct = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2))
     ser = CountSeries(x, actual, columns=(est, est, pct))
-    expected_crossover = oracle_find_crossover(x, actual, est)
+    expected_crossover = whole_array_crossover(x, actual, est)
     try:
-        expected_mape = oracle_mape(pct)
+        expected_mape = whole_array_mape(pct)
     except ValueError:
         expected_mape = None
     with pytest.MonkeyPatch.context() as mp:
@@ -391,6 +396,141 @@ def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
                 mape(ser)
         else:
             assert mape(ser) == pytest.approx(expected_mape, rel=1e-12)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or of the ValueError it raises: equal reprs of
+    floats are equal bits, NaN and the sign of zero included."""
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return repr(err)
+
+
+def block_edge_series():
+    """Three blocks: the counts are zero until 10 rows past the first block
+    edge, and the estimate, which overtakes the counts shortly before the
+    second edge, is NaN on 80 rows across that edge."""
+    c = analysis.CHUNK_ROWS
+    xs = np.arange(2, 3 * c + 2, dtype=np.int64)
+    actual = np.floor(xs / np.log(xs)).astype(np.int64)
+    actual[: c + 10] = 0
+    edge = float(xs[2 * c])
+
+    def estimator(v):
+        est = v / np.log(v) + (v - edge + 300.0) * 1e-3
+        return np.where(np.abs(v - edge) < 40, np.nan, est)
+
+    return CountSeries(xs, actual, estimator)
+
+
+STATISTICS_SERIES = {
+    "gauss-1e6": lambda _: build_series(gaussian_census(10**6, "both-axes")),
+    "monoid-d3-1e6": lambda _: build_series(monoid_census(MonoidParams(3, 10**6))),
+    "monoid-d7-1e6": lambda _: build_series(monoid_census(MonoidParams(7, 10**6))),
+    "monoid-d50-1e6": lambda _: build_series(monoid_census(MonoidParams(50, 10**6))),
+    "read-back": lambda tmp: series_read_back(
+        build_series(gaussian_census(200_000, "both-axes")), tmp
+    ),
+    "block-edges": lambda _: block_edge_series(),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [4099, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("name", sorted(STATISTICS_SERIES))
+def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, name, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    ser = STATISTICS_SERIES[name](tmp_path)
+    x = ser.x
+    assert len(ser) > 2 * 4099  # three blocks or more at the smaller size
+    bounds = [None, int(x[0]) - 1, int(x[len(x) // 2]), int(x[-1]), int(x[-1]) + 1]
+    edges = range(chunk_rows, len(x), chunk_rows)
+    for edge in {edges[0], edges[len(edges) // 2], edges[-1]} if edges else ():
+        bounds += [int(x[edge - 1]), int(x[edge])]  # the last x of a block, the first of the next
+    for upto in bounds:
+        assert outcome(mape, ser, upto) == outcome(oracle_mape, ser, upto), upto
+    assert find_crossover(ser) == oracle_find_crossover(ser)
+
+
+def test_block_edge_series_crosses_over_near_the_nan_edge():
+    ser = block_edge_series()
+    c = analysis.CHUNK_ROWS
+    assert ser.rows(0, c + 10)[1].max() == 0 and ser.rows(c + 10)[1].min() > 0
+    crossover = find_crossover(ser)
+    assert crossover is not None and abs(crossover - int(ser.x[2 * c])) < 400
+
+
+def test_statistics_without_an_estimate_equal_the_rows_oracles():
+    ser = build_series(quad_census(5, RegionSpec("norm-ball", 3000)))
+    assert outcome(mape, ser) == outcome(oracle_mape, ser)
+    assert "ValueError" in outcome(mape, ser)
+    assert find_crossover(ser) is None and oracle_find_crossover(ser) is None
+
+
+ANY_FLOATS = st.one_of(SOME_FLOATS, st.sampled_from([math.inf, -math.inf, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chunk_rows=st.integers(1, 8),
+    step=st.integers(1, 3),
+    ranged=st.booleans(),
+    stored=st.booleans(),
+    data=st.data(),
+)
+def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(chunk_rows, step, ranged, stored, data):
+    """One to three blocks of a series with any increments (a zero prefix
+    included) and any estimates, computed or stored with any ratio and
+    pct_err, on a range grid or an array grid, cut at any bound."""
+    n = data.draw(st.integers(1, 3 * chunk_rows))
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 5), ANY_FLOATS, ANY_FLOATS, ANY_FLOATS),
+                              min_size=n, max_size=n))
+    upto = data.draw(st.none() | st.integers(0, 2 + n * step + 2))
+    grid = range(2, 2 + n * step, step)
+    actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
+    est, ratio, pct = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3))
+    if stored:
+        ser = CountSeries(np.array(grid), actual, columns=(est, ratio, pct))
+    else:
+        ser = CountSeries(grid if ranged else np.array(grid), actual, lambda v: est[(v - 2) // step])
+    # values alone are compared: the oracle's rows() also computes the ratio,
+    # which overflows for subnormal estimates, and inf - inf sums warn in both
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+        assert outcome(mape, ser, upto) == outcome(oracle_mape, ser, upto)
+        assert find_crossover(ser) == oracle_find_crossover(ser)
+
+
+ESTIMATE_INPUTS = {
+    "int64": lambda: np.arange(2, 10**6),
+    "float64": lambda: np.linspace(1.5, 2.0**53, 100_001),
+    "gauss-radii": lambda: np.sqrt(np.arange(2, 10**6)),
+    "float32": lambda: np.linspace(1.5, 1e4, 1001, dtype=np.float32),
+    "2-d": lambda: np.arange(2.0, 14.0).reshape(3, 4),
+}
+ONE_LINE_ESTIMATES = [
+    (estimate_pi_G, lambda r: r * r / (2.0 * np.log(r))),
+    *(
+        (lambda x, d=d: estimate_pi_d(d, x), lambda x, d=d: x / (d * np.log(x) ** (1.0 / d)))
+        for d in (2, 3, 7, 50)
+    ),
+]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_INPUTS))
+def test_estimators_equal_their_one_line_expressions(name):
+    """The in-place array paths give the bits of the expressions they
+    replaced, leave their input as it was, and scalars still give a float."""
+    points = ESTIMATE_INPUTS[name]()
+    before = points.copy()
+    for estimate, one_line in ONE_LINE_ESTIMATES:
+        got, want = estimate(points), one_line(points)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert points.tobytes() == before.tobytes()
+        for scalar in (1000, 1000.5, np.float64(77.25), np.int64(5)):
+            value = estimate(scalar)
+            assert type(value) is float and value == float(one_line(scalar))
 
 
 def test_series_memory_does_not_grow_with_census_size():
