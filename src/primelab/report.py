@@ -12,9 +12,10 @@ it is made.  Rows where that arithmetic cannot be sure of a rounding (near
 a .5 tie, infinite or negative fields, extreme exponents) are printed by
 _SERIES_ROW itself; _series_csv_blocks states the rule.  It is read back
 by numpy's C parser (np.loadtxt) from the file's lines, with empty fields
-rewritten to nan as they go by.  A bad header, a row of the wrong width or
-an unparsable field raises ValueError naming the path and the 1-based line
-of the file.
+rewritten to nan as they go by.  Every field is parsed, so that a bad one
+is caught, but only x and actual are kept: the fit reads nothing else.  A
+bad header, a row of the wrong width or an unparsable field raises
+ValueError naming the path and the 1-based line of the file.
 """
 
 from __future__ import annotations
@@ -262,13 +263,14 @@ def _digits(v, always: int, trailing: bool = False):
 
 
 def read_series_csv(path) -> CountSeries:
-    """Round-trip parser for series CSV files.
+    """Read back the points and counts of a series CSV, labelled source=csv
+    (the file holds its five columns and nothing else), with no estimator.
 
-    The file holds the five columns and nothing else, so the series comes
-    back labelled source=csv, not with the domain that wrote it. A bad
-    header, a row that is not five fields, or a field that does not parse
-    (x and actual as integers, the rest as floats, empty meaning NaN) raises
-    ValueError naming the path and the 1-based line of the file."""
+    Every field is parsed: a bad header, a row that is not five fields, or a
+    field that does not parse (x and actual as integers, the rest as floats,
+    empty meaning NaN) raises ValueError naming the path and the 1-based line
+    of the file; x out of order or a falling count names the path.  x and
+    actual are read-only copies, so the parsed rows are freed on return."""
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != SERIES_HEADER:
             raise ValueError(f"{path} is not a series CSV (bad header)")
@@ -294,9 +296,14 @@ def read_series_csv(path) -> CountSeries:
             # numpy's own row number skips blank lines, so only the file line is given
             reason = str(exc).split(" at row ")[0]
             raise ValueError(f"{path} line {line_no}: {reason}") from exc
-    data.setflags(write=False)  # its fields are the series' columns, read-only like any other
-    columns = (data["estimate"], data["ratio"], data["pct_err"])
-    return CountSeries(data["x"], data["actual"], metadata={"source": "csv"}, columns=columns)
+    x, actual = data["x"].copy(), data["actual"].copy()
+    del data  # freed before the order checks' block temporaries are made
+    x.setflags(write=False)
+    actual.setflags(write=False)
+    try:
+        return CountSeries(x, actual, metadata={"source": "csv"})
+    except ValueError as exc:  # x out of order or a count that falls
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def render_svg(series: CountSeries, path) -> None:

@@ -2,15 +2,15 @@
 
 A CountSeries is a view over a census: its points, the actual count at each
 and the estimator; build_series makes one from any census, whose own
-``estimate`` is the estimator.  The derived columns (estimate, ratio,
-pct_err) are computed for the rows read alone, and each reader computes
-only the columns it reads: mape the estimate and pct_err, find_crossover
-the estimate, CHUNK_ROWS rows at a time; the series CSV writer all three,
-through blocks(), and a chart all three of the rows it draws, through
-rows().  Only a series read from a CSV stores them, and its readers take
-the stored columns.  Points where no percentage error is defined
-(actual = 0, or a census with no estimate) carry NaN in the derived
-columns; statistics skip them.
+``estimate`` is the estimator, and a series read from a CSV has points and
+counts alone.  The derived columns (estimate, ratio, pct_err) are never
+stored: they are computed from the estimator for the rows read alone, and
+each reader computes only the columns it reads: mape the estimate and
+pct_err, find_crossover the estimate, CHUNK_ROWS rows at a time; the
+series CSV writer all three, through blocks(), and a chart all three of
+the rows it draws, through rows().  Points where no percentage error is
+defined (actual = 0, or a series with no estimator) carry NaN in the
+derived columns; statistics skip them.
 """
 
 from __future__ import annotations
@@ -35,26 +35,24 @@ _E_BOUNDS = (-2.0, 3.0)
 @dataclass(frozen=True)
 class CountSeries:
     """Ordered evaluation points (x, actual), and (estimate, ratio, pct_err)
-    derived from the estimator, which maps int64 points to one estimate each.
+    derived from the estimator, which maps int64 points to one estimate each
+    (NaN for every point when there is none).
 
     ``grid`` is a range for a census's change grid: never built whole, it is
     increasing by construction and its counts are a view of the census's
     ``cumulative``, so only its step is checked.  Otherwise it is an
     int64 array.  The order of ``actual`` is checked for both kinds, one
-    block at a time.  ``columns`` holds (estimate, ratio, pct_err) as read
-    from a CSV.
+    block at a time.
     """
 
     grid: range | np.ndarray
     actual: np.ndarray  # nondecreasing
     estimator: Estimator | None = None
     metadata: Mapping[str, str] = field(default_factory=dict)
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.grid)
-        if len(self.actual) != n or any(len(col) != n for col in self.columns or ()):
-            raise ValueError("series columns must have equal length")
+        if len(self.actual) != len(self.grid):
+            raise ValueError("x and actual must have equal length")
         grid = self.grid
         increasing = grid.step >= 1 if isinstance(grid, range) else _in_order(grid, np.greater)
         if not increasing:
@@ -76,18 +74,13 @@ class CountSeries:
         """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
         derived columns computed for those rows alone."""
         x, actual, est = self._estimated(lo, hi)
-        if self.columns is not None:
-            return (x, actual, est, *(col[lo:hi] for col in self.columns[1:]))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = actual / est
         return x, actual, est, ratio, _pct_err(actual, est)
 
     def _estimated(self, lo: int, hi: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x, actual and estimate of rows lo to hi: the stored column for a
-        series read from a CSV, else the estimator's values at those points."""
+        """x, actual and the estimator's values at the points of rows lo to hi."""
         x, actual = _points(self.grid[lo:hi]), self.actual[lo:hi]
-        if self.columns is not None:
-            return x, actual, self.columns[0][lo:hi]
         estimator = self.estimator or (lambda xs: np.full(xs.shape, np.nan))
         est = np.asarray(estimator(x), dtype=np.float64)
         if est.shape != x.shape:
@@ -102,8 +95,7 @@ class CountSeries:
         """The rows at the ascending positions idx, as a series of their own."""
         grid = self.grid
         x = grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
-        columns = None if self.columns is None else tuple(col[idx] for col in self.columns)
-        return CountSeries(x, self.actual[idx], self.estimator, self.metadata, columns)
+        return CountSeries(x, self.actual[idx], self.estimator, self.metadata)
 
 
 def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
@@ -178,11 +170,7 @@ def mape(series: CountSeries, upto: int | None = None) -> float:
     stop = len(series) if upto is None else bisect.bisect_right(series.grid, upto)
     sums, count = [], 0
     for lo in range(0, stop, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, stop)
-        if series.columns is None:
-            pct = _pct_err(*series._estimated(lo, hi)[1:])
-        else:
-            pct = series.columns[2][lo:hi]
+        pct = _pct_err(*series._estimated(lo, min(lo + CHUNK_ROWS, stop))[1:])
         total = pct.sum()
         if math.isnan(total):  # the block has points without an error value
             pct = pct[~np.isnan(pct)]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -37,8 +38,7 @@ def small_series(estimator=True):
 
 def empty_series():
     z = np.array([], dtype=np.int64)
-    f = np.array([], dtype=np.float64)
-    return CountSeries(z, z, columns=(f, f, f))
+    return CountSeries(z, z)
 
 
 def test_series_csv_exact_text():
@@ -76,39 +76,53 @@ def test_series_round_trip(tmp_path):
     back = read_series_csv(path)
     assert back.x.tolist() == ser.x.tolist()
     assert back.actual.tolist() == ser.actual.tolist()
-    _, _, est, ratio, pct_err = back.rows()
-    _, _, want_est, want_ratio, want_pct_err = ser.rows()
-    # printed precision: 6 significant digits / 5 decimals
-    assert np.allclose(est, want_est, rtol=1e-5)
-    assert np.allclose(ratio, want_ratio, atol=1e-5)
-    assert np.allclose(pct_err, want_pct_err, atol=1e-5)
+    # the estimate, ratio and error columns are parsed but not kept: a CSV names no estimator
+    assert back.estimator is None and back.label() == "source=csv"
 
 
 def test_series_read_from_csv_is_read_only(tmp_path):
     path = tmp_path / "series.csv"
     write_csv(small_series(), path)
     back = read_series_csv(path)
-    for column in (back.x, back.actual, *back.columns):
+    for column in (back.x, back.actual):
         assert not column.flags.writeable
+        assert column.flags.owndata and column.dtype == np.int64  # 8 bytes a row, no parsed rows behind it
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 99
 
 
-def test_round_trip_preserves_missing_values(tmp_path):
-    ser = CountSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
-    path = tmp_path / "gaps.csv"
-    write_csv(ser, path)
-    pct_err = read_series_csv(path).rows()[4]
-    assert math.isnan(pct_err[0]) and not math.isnan(pct_err[1])
-
-
 @pytest.mark.parametrize(
-    "row", ["3,1,0.5", "3,1,0.5,2.0,50.0,7", "3,one,0.5,2.0,50.0", "2.5,1,0.5,2.0,50.0"]
+    "row",
+    [
+        "3,1,0.5",
+        "3,1,0.5,2.0,50.0,7",
+        "3,one,0.5,2.0,50.0",
+        "2.5,1,0.5,2.0,50.0",
+        # no code reads the last three fields, but each is still parsed
+        "3,1,abc,2.0,50.0",
+        "3,1,0.5,2.0.1,50.0",
+        "3,1,0.5,2.0,5x",
+    ],
 )
 def test_read_series_csv_names_the_bad_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"x,actual,estimate,ratio,abs_pct_err\n2,1,0.5,2.00000,50.00000\n{row}\n")
     with pytest.raises(ValueError, match=r"bad\.csv line 3: "):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ("2,1,,,\n2,1,,,\n", "x must be strictly increasing"),  # x repeats
+        ("3,1,,,\n2,1,,,\n", "x must be strictly increasing"),  # x decreases
+        ("2,2,,,\n3,1,,,\n", "actual must be nondecreasing"),
+    ],
+)
+def test_read_series_csv_order_errors_name_the_file(tmp_path, rows, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{SERIES_HEADER}\n{rows}")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}$"):
         read_series_csv(path)
 
 
@@ -220,11 +234,13 @@ def oracle_polyline_points(series):
 
 
 def stored_estimates(n, defined, peak_at=None):
+    """Estimates x / 2.5 + 7 where defined(x), NaN elsewhere, held in an
+    array that the estimator looks up by x."""
     xs = np.arange(2, 2 + n)
     est = np.where(defined(xs), xs / 2.5 + 7.0, np.nan)
     if peak_at is not None:
         est[peak_at] = 10.0 * n  # above every count and every other estimate
-    return CountSeries(xs, np.arange(n), columns=(est, est, est))
+    return CountSeries(xs, np.arange(n), lambda v: est[v - 2])
 
 
 SVG_SERIES = {
@@ -272,9 +288,10 @@ def test_svg_evaluates_only_the_drawn_rows():
 # writer and the numpy reader replaced. Bytes and parsed arrays must match.
 
 
-def oracle_series_csv_text(series):
+def oracle_series_csv_text(columns):
+    """The series CSV of the five columns x, actual, estimate, ratio and pct_err."""
     lines = [SERIES_HEADER]
-    for x, actual, est, ratio, pct in zip(*series.rows()):
+    for x, actual, est, ratio, pct in zip(*columns):
         est_s = "" if math.isnan(est) else f"{est:.6g}"
         ratio_s = "" if math.isnan(ratio) else f"{ratio:.5f}"
         pct_s = "" if math.isnan(pct) else f"{pct:.5f}"
@@ -325,6 +342,17 @@ any_float = st.one_of(
 )
 
 
+def format_blocks(columns, block_rows):
+    """The series CSV of the five columns, each run of block_rows rows
+    formatted by the writer's block formatter."""
+    n = len(columns[0])
+    blocks = (
+        report._format_rows(tuple(col[lo : lo + block_rows] for col in columns))
+        for lo in range(0, n, block_rows)
+    )
+    return (SERIES_HEADER + "\n").encode() + b"".join(blocks)
+
+
 @st.composite
 def series_columns(draw):
     # up to a few hundred rows, so that rows of both formatting paths share a
@@ -335,33 +363,32 @@ def series_columns(draw):
     actual = sorted(draw(st.lists(ints, min_size=n, max_size=n)))
     runs = [draw(st.lists(any_float, min_size=1, max_size=40)) for _ in range(3)]
     offsets = [draw(st.integers(min_value=0, max_value=39)) for _ in range(3)]
-    return CountSeries(
+    return (
         np.array(xs, dtype=np.int64),
         np.array(actual, dtype=np.int64),
-        columns=tuple(np.roll(np.resize(run, n), k) for run, k in zip(runs, offsets)),
+        *(np.roll(np.resize(run, n), k) for run, k in zip(runs, offsets)),
     )
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, analysis.CHUNK_ROWS])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ser=series_columns())
-def test_series_csv_matches_reference_oracles(tmp_path, monkeypatch, block_rows, ser):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", block_rows)
-    expected = oracle_series_csv_text(ser)
-    assert series_csv_text(ser) == expected
+@given(columns=series_columns())
+def test_series_csv_matches_reference_oracles(tmp_path, block_rows, columns):
+    expected = oracle_series_csv_text(columns).encode("ascii")
+    text = format_blocks(columns, block_rows)
+    assert text == expected
+    # every field the writer prints reads back, and x and actual as the oracle parses them
     path = tmp_path / "series.csv"
-    write_csv(ser, path)
-    assert path.read_bytes() == expected.encode("utf-8")
+    path.write_bytes(text)
     back = read_series_csv(path)
-    for got, want in zip(back.rows(), oracle_read_series_columns(path)):
+    for got, want in zip((back.x, back.actual), oracle_read_series_columns(path)):
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block_rows", [7, analysis.CHUNK_ROWS])
 @pytest.mark.parametrize("column", [0, 1, 2, None])
-def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(monkeypatch, block_rows, column):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", block_rows)
+def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(block_rows, column):
     vals = np.array(TIE_AND_EDGE_FLOATS)
     n = len(vals)
     if column is None:  # every value in every column, beside values of both paths
@@ -370,8 +397,8 @@ def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(monkeypatch, block_
         columns = tuple(vals if k == column else np.full(n, 0.75) for k in range(3))
     top = np.iinfo(np.int64).max
     actual = np.concatenate([[-(2**63), -(2**40), -1], np.arange(n - 3) * 2**40])
-    ser = CountSeries(top - n + 1 + np.arange(n), actual, columns=columns)
-    assert series_csv_text(ser) == oracle_series_csv_text(ser)
+    columns = (top - n + 1 + np.arange(n), actual, *columns)
+    assert format_blocks(columns, block_rows) == oracle_series_csv_text(columns).encode("ascii")
 
 
 def count_percent_rows(monkeypatch):
@@ -403,7 +430,7 @@ def test_series_csv_formats_real_series_without_the_percent_path(monkeypatch, ca
     calls = count_percent_rows(monkeypatch)
     text = series_csv_text(ser)
     assert calls == []
-    assert text == oracle_series_csv_text(ser)
+    assert text == oracle_series_csv_text(ser.rows())
     if case == "both-notations":
         assert "e+06," in text and "e+08," in text and ",999000," in text
 
@@ -411,10 +438,9 @@ def test_series_csv_formats_real_series_without_the_percent_path(monkeypatch, ca
 def test_series_csv_leaves_ties_and_infinities_to_the_percent_path(monkeypatch):
     # row 1 has an exact tie (0.015625 * 1e5 = 1562.5), row 2 an infinite estimate
     est, ratio, pct = [1.5, math.inf, 2.0], [0.015625, 1.0, 1.0], [1.0, 1.0, 1.0]
-    columns = tuple(np.array(col) for col in (est, ratio, pct))
-    ser = CountSeries(np.array([1, 2, 3]), np.array([1, 1, 2]), columns=columns)
+    columns = tuple(np.array(col) for col in ([1, 2, 3], [1, 1, 2], est, ratio, pct))
     calls = count_percent_rows(monkeypatch)
-    assert series_csv_text(ser) == oracle_series_csv_text(ser)
+    assert format_blocks(columns, 3) == oracle_series_csv_text(columns).encode("ascii")
     assert [row[0] for row in calls] == [1, 2]
 
 
@@ -452,16 +478,14 @@ def test_read_series_csv_header_only_is_empty_without_warning(tmp_path):
         warnings.simplefilter("error")
         back = read_series_csv(path)
     assert len(back) == 0
-    assert back.x.dtype == np.int64 and back.rows()[2].dtype == np.float64
+    assert back.x.dtype == np.int64 and back.actual.dtype == np.int64
 
 
 def test_read_series_csv_last_row_without_newline_keeps_empty_fields(tmp_path):
+    # empty fields parse, a trailing one at the end of the file too
     path = write_series_file(tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,\n3,1,,,")
     back = read_series_csv(path)
-    assert back.x.tolist() == [2, 3]
-    _, _, est, ratio, pct_err = back.rows()
-    assert ratio[0] == 2.0 and math.isnan(pct_err[0])
-    assert np.isnan(est[1]) and np.isnan(pct_err[1])
+    assert back.x.tolist() == [2, 3] and back.actual.tolist() == [1, 1]
 
 
 def test_read_series_csv_undecodable_text_names_no_line(tmp_path):

@@ -376,13 +376,16 @@ SOME_FLOATS = st.one_of(st.just(math.nan), st.floats(0.0, 100.0), st.floats(-1e3
 
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 5), SOME_FLOATS, SOME_FLOATS), max_size=30))
+@given(rows=st.lists(st.tuples(st.integers(0, 5), SOME_FLOATS), max_size=30))
 def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
-    # a series read from a CSV: NaN anywhere, crossings at any block boundary
+    # a column of estimates stored in an array that the estimator looks up by
+    # x: NaN anywhere, crossings at any block boundary
     x = np.arange(2, 2 + len(rows), dtype=np.int64)
     actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
-    est, pct = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2))
-    ser = CountSeries(x, actual, columns=(est, est, pct))
+    stored = np.array([r[1] for r in rows], dtype=np.float64)
+    ser = CountSeries(x, actual, lambda v: stored[v - 2])
+    with np.errstate(over="ignore"):  # the oracle's ratio overflows for subnormal estimates
+        _, _, est, _, pct = oracle_columns(ser)
     expected_crossover = whole_array_crossover(x, actual, est)
     try:
         expected_mape = whole_array_mape(pct)
@@ -429,6 +432,7 @@ STATISTICS_SERIES = {
     "monoid-d3-1e6": lambda _: build_series(monoid_census(MonoidParams(3, 10**6))),
     "monoid-d7-1e6": lambda _: build_series(monoid_census(MonoidParams(7, 10**6))),
     "monoid-d50-1e6": lambda _: build_series(monoid_census(MonoidParams(50, 10**6))),
+    # no estimator, on an array grid: no MAPE and no crossover, in blocks as in the oracles
     "read-back": lambda tmp: series_read_back(
         build_series(gaussian_census(200_000, "both-axes")), tmp
     ),
@@ -475,24 +479,19 @@ ANY_FLOATS = st.one_of(SOME_FLOATS, st.sampled_from([math.inf, -math.inf, -0.0])
     chunk_rows=st.integers(1, 8),
     step=st.integers(1, 3),
     ranged=st.booleans(),
-    stored=st.booleans(),
     data=st.data(),
 )
-def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(chunk_rows, step, ranged, stored, data):
+def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(chunk_rows, step, ranged, data):
     """One to three blocks of a series with any increments (a zero prefix
-    included) and any estimates, computed or stored with any ratio and
-    pct_err, on a range grid or an array grid, cut at any bound."""
+    included) and any estimates, on a range grid or an array grid, cut at
+    any bound."""
     n = data.draw(st.integers(1, 3 * chunk_rows))
-    rows = data.draw(st.lists(st.tuples(st.integers(0, 5), ANY_FLOATS, ANY_FLOATS, ANY_FLOATS),
-                              min_size=n, max_size=n))
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 5), ANY_FLOATS), min_size=n, max_size=n))
     upto = data.draw(st.none() | st.integers(0, 2 + n * step + 2))
     grid = range(2, 2 + n * step, step)
     actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
-    est, ratio, pct = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3))
-    if stored:
-        ser = CountSeries(np.array(grid), actual, columns=(est, ratio, pct))
-    else:
-        ser = CountSeries(grid if ranged else np.array(grid), actual, lambda v: est[(v - 2) // step])
+    est = np.array([r[1] for r in rows], dtype=np.float64)
+    ser = CountSeries(grid if ranged else np.array(grid), actual, lambda v: est[(v - 2) // step])
     # values alone are compared: the oracle's rows() also computes the ratio,
     # which overflows for subnormal estimates, and inf - inf sums warn in both
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
@@ -683,3 +682,24 @@ def test_fit_model_memory_is_three_arrays(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= 24 * len(ser) + 64 * 1024, (type(ser.grid), peak / len(ser))
+
+
+def test_fit_from_csv_memory_is_the_parsed_rows_and_two_copies(tmp_path):
+    """read_series_csv keeps x and actual alone, 16 bytes a row, so its peak
+    is the parsed rows (40 bytes each) and the two copies, and the fit's
+    three arrays fit in the parsed rows' room once they are freed."""
+    path = tmp_path / "series.csv"
+    write_csv(build_series(gaussian_census(10**6, "both-axes")), path)
+    tracemalloc.start()
+    try:
+        ser = read_series_csv(path)
+        held = tracemalloc.get_traced_memory()[0]
+        fit_model(ser)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(ser)
+    assert n > 10**6 - 10
+    assert ser.x.nbytes + ser.actual.nbytes == 16 * n
+    assert held <= 16 * n + 64 * 1024, held / n
+    assert peak <= 56 * n + 64 * 1024, peak / n
