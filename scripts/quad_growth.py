@@ -28,11 +28,15 @@ DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
 
 
 def thin(census: QuadCensus, points: int = 250) -> CountSeries:
-    """Keep a geometric subsample so the fit is not dominated by the tail."""
-    grid = census.change_grid()
-    lo = grid[int(np.argmax(census.cumulative >= 1))]
-    xs = np.unique(np.geomspace(max(lo, 3), int(grid[-1]), points).astype(np.int64))
-    return build_series(census, grid=xs)
+    """Keep a geometric subsample so the fit is not dominated by the tail:
+    the rows of the census's series at the distinct integer parts of
+    ``points`` geometrically spaced points from the first nonzero count (or
+    3, if later) to the bound, each of which lies on the census's grid."""
+    ser = build_series(census)
+    grid = ser.grid
+    lo = grid[int(np.argmax(ser.actual >= 1))]
+    xs = np.unique(np.geomspace(max(lo, 3), grid[-1], points).astype(np.int64))
+    return ser.take((xs - grid.start) // grid.step)
 
 
 def main() -> int:

@@ -103,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, help="bound for classical or monoid domains")
     p.add_argument("--norm-limit", type=int, help="bound for the gauss domain")
     p.add_argument("--bound", type=int, help="bound for the quad domain")
-    p.add_argument("--euclidean", action="store_true", help="quad domain region kind")
+    p.add_argument(  # None when not given, as for the census arguments above
+        "--euclidean", action="store_true", default=None, help="quad domain region kind"
+    )
     p.add_argument("--csv", help="write the fitted parameters as CSV")
 
     p = sub.add_parser("table1", help="monoid count-vs-estimate summary for fixed moduli")
@@ -242,13 +244,32 @@ def _cmd_quad(args) -> int:
     return EXIT_OK
 
 
+# the census arguments of fit that each of its sources reads
+_FIT_READS = {
+    "--from-csv": (),
+    "classical": ("limit",),
+    "monoid": ("d", "limit"),
+    "gauss": ("norm_limit",),
+    "quad": ("d", "bound", "euclidean"),
+}
+
+
 def _fit_series(args) -> analysis.CountSeries:
     if args.from_csv is not None and args.domain is not None:
         raise ValueError("choose either --from-csv or --domain, not both")
+    if args.from_csv is None and args.domain is None:
+        raise ValueError("fit needs --from-csv or --domain")
+    reads = _FIT_READS[args.domain or "--from-csv"]
+    unused = [
+        f"--{name.replace('_', '-')}"
+        for name in ("d", "limit", "norm_limit", "bound", "euclidean")
+        if getattr(args, name) is not None and name not in reads
+    ]
+    if unused:
+        source = "--from-csv" if args.domain is None else f"--domain {args.domain}"
+        raise ValueError(f"fit {source} does not read {', '.join(unused)}")
     if args.from_csv is not None:
         return report.read_series_csv(args.from_csv)
-    if args.domain is None:
-        raise ValueError("fit needs --from-csv or --domain")
     return analysis.build_series(_census(args.domain, args))
 
 

@@ -104,11 +104,6 @@ def _write(path, texts) -> None:
         f.writelines(texts)
 
 
-def series_csv_text(series: CountSeries) -> str:
-    """The series CSV as one string."""
-    return b"".join(_series_csv_blocks(series)).decode("ascii")
-
-
 def _series_csv_blocks(series: CountSeries):
     """The header line, then the rows one series block at a time, as ASCII
     bytes, each line as _SERIES_ROW prints it with NaN fields empty.

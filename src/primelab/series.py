@@ -1,16 +1,18 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
-A CountSeries is a view over a census: its points, the actual count at each
-and the estimator; build_series makes one from any census, whose own
-``estimate`` is the estimator, and a series read from a CSV has points and
-counts alone.  The derived columns (estimate, ratio, pct_err) are never
-stored: they are computed from the estimator for the rows read alone, and
-each reader computes only the columns it reads: mape the estimate and
-pct_err, find_crossover the estimate, CHUNK_ROWS rows at a time; the
-series CSV writer all three, through blocks(), and a chart all three of
-the rows it draws, through rows().  Points where no percentage error is
-defined (actual = 0, or a series with no estimator) carry NaN in the
-derived columns; statistics skip them.
+A CountSeries is a view over a census: its points, the actual count at
+each and the estimator.  build_series(census) is the one constructor from
+a census: every point of its change grid, with the census's own
+``estimate`` as the estimator; take() keeps a subset of those rows, and
+a series read from a CSV has points and counts alone.  The derived
+columns (estimate, ratio, pct_err) are never stored: they are computed
+from the estimator for the rows read alone, and each reader computes
+only the columns it reads: mape the estimate and pct_err, find_crossover
+the estimate, CHUNK_ROWS rows at a time; the series CSV writer all
+three, through blocks(), and a chart all three of the rows it draws,
+through rows().  Points where no percentage error is defined (actual = 0,
+or a series with no estimator) carry NaN in the derived columns;
+statistics skip them.
 """
 
 from __future__ import annotations
@@ -131,25 +133,16 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
-def build_series(census, grid=None) -> CountSeries:
-    """Evaluate a census against its own estimate on a grid: given integer
-    points (copied as int64 and checked for order), or by default every point
-    where the count can change, as a view of the census's counts (for a
-    census with an estimate, starting at the first nonzero count, since the
-    estimates are undefined at x <= 1)."""
-    if grid is not None:
-        actual = census.counts_at(grid).astype(np.int64)  # rejects non-integer points
-        if actual.size == 0:
-            raise ValueError("series grid is empty")
-        xs = np.array(grid, dtype=np.int64)  # a copy, so freezing never hits caller arrays
-        xs.setflags(write=False)
-        actual.setflags(write=False)
-        return CountSeries(xs, actual, census.estimate, census.describe())
+def build_series(census) -> CountSeries:
+    """Evaluate a census against its own estimate at every point where the
+    count can change, as a view of the census's counts (for a census with an
+    estimate, starting at the first nonzero count, since the estimates are
+    undefined at x <= 1).  take() keeps a subset of its rows."""
     grid, actual = census.change_grid(), census.cumulative
     if census.estimate is not None:
         first = _first_nonzero(actual)
         if first == actual.size:
-            raise ValueError("census holds no primes; no default grid exists")
+            raise ValueError("census holds no primes; no point to compare with its estimate")
         grid, actual = grid[first:], actual[first:]
     return CountSeries(grid, actual, census.estimate, census.describe())
 

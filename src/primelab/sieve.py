@@ -4,16 +4,16 @@ the classical census pi(n), and the parts every census shares.
 The classical and Gaussian censuses sieve the PrimeTable they need
 themselves; the monoid and quadratic censuses need none.  All four are a
 ``Census``: one layout, ``cumulative[k]`` the count at ``change_grid()[k]``,
-and one interface, ``counts_at``, ``change_grid``, ``describe``, ``total``
-and ``estimate``, the count the paper conjectures for the domain (None where
-it asserts none).
+and one interface, ``change_grid``, ``describe``, ``total`` and
+``estimate``, the count the paper conjectures for the domain (None where it
+asserts none).  A count at a point is read from ``cumulative`` through the
+series that build_series makes of the census.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,24 +66,6 @@ class Census:
         """The count at the census's own bound."""
         return int(self.cumulative[-1])
 
-    def counts_at(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized count at each x (1 <= x <= the census's bound).  Like
-        require_int, it rejects bools and non-integers: an array whose dtype is
-        not an integer one, and a bool among a sequence's items (numpy would
-        read it as 0 or 1)."""
-        points = np.asarray(xs)
-        if points.size and (
-            points.dtype.kind not in "iu"
-            or not isinstance(xs, (np.ndarray, range))
-            and any(isinstance(x, (bool, np.bool_)) for x in xs)
-        ):
-            raise ValueError("evaluation points must be integers (bools are not)")
-        xs = points.astype(np.int64, copy=False)
-        grid = self.change_grid()
-        if xs.size and (xs.min() < 1 or xs.max() >= grid.stop):
-            raise ValueError("evaluation points outside census range")
-        return self.cumulative[(xs - 1) // grid.step]
-
     def change_grid(self) -> range:
         """Every integer bound from 1 to the limit."""
         return range(1, len(self.cumulative) + 1)
@@ -95,11 +77,6 @@ class PrimeTable:
 
     limit: int
     flags: np.ndarray  # bool, length limit + 1, flags[n] == n is prime
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending."""
-        return np.flatnonzero(self.flags).astype(np.int64)
 
 
 def sieve_primes(limit: int) -> PrimeTable:

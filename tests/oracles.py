@@ -15,7 +15,12 @@ machinery:
   on masked copies of the series (``oracle_fit_model``);
 - ``mape`` and ``find_crossover`` by their bodies over whole ``rows()``
   blocks, every derived column computed (``oracle_mape``,
-  ``oracle_find_crossover``).
+  ``oracle_find_crossover``);
+- a census's count at any point by a search of its change grid
+  (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
+  rule it had before it took rows of the census's series (``oracle_thin``).
+
+``table_primes`` lists the primes of a PrimeTable for the tests.
 """
 
 from __future__ import annotations
@@ -25,12 +30,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import FitResult, PrimeTable, sieve_primes
+from primelab import CountSeries, FitResult, PrimeTable, sieve_primes
 from primelab import series as analysis
 from primelab.quadratic import validate_ring_param
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
+
+
+def table_primes(table: PrimeTable) -> np.ndarray:
+    """All primes <= table.limit, ascending."""
+    return np.flatnonzero(table.flags).astype(np.int64)
+
+
+def census_counts_at(census, xs) -> np.ndarray:
+    """The census's count at each integer x from 1 to its bound: the count at
+    the last point of its change grid at or below x, found by a search."""
+    grid = census.change_grid()
+    xs = np.asarray(xs, dtype=np.int64)
+    assert np.all((xs >= 1) & (xs < grid.stop)), xs
+    return census.cumulative[np.searchsorted(np.array(grid), xs, side="right") - 1]
+
+
+def oracle_thin(census, points: int = 250) -> CountSeries:
+    """scripts/quad_growth.thin by its former rule: the distinct integer parts
+    of geometrically spaced points from the first nonzero count (or 3, if
+    later) to the bound, a custom grid whose counts are looked up and copied
+    as int64."""
+    grid = census.change_grid()
+    lo = grid[int(np.argmax(census.cumulative >= 1))]
+    xs = np.unique(np.geomspace(max(lo, 3), int(grid[-1]), points).astype(np.int64))
+    actual = census_counts_at(census, xs).astype(np.int64)
+    return CountSeries(xs, actual, census.estimate, census.describe())
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -78,14 +109,11 @@ def hilbert_classify(n: int, table: PrimeTable) -> bool:
         return False
     if table.flags[n]:
         return True
-    for p in table.primes:
-        p = int(p)
-        if p * p > n:
-            break
-        if n % p == 0:
-            q = n // p
-            return p % 4 == 3 and q % 4 == 3 and bool(table.flags[q])
-    return False  # unreachable for composite n within the table
+    p = 3  # n is odd and composite, so its least divisor > 1 is an odd prime <= sqrt(n)
+    while n % p:
+        p += 2
+    q = n // p
+    return p % 4 == 3 and q % 4 == 3 and bool(table.flags[q])
 
 
 def a4_atom_count(x: int) -> int:
@@ -93,7 +121,7 @@ def a4_atom_count(x: int) -> int:
     one element at a time: pi(x;4,1) + sum over primes p <= sqrt(x) with
     p = 3 (mod 4) of pi(x/p;4,3) - pi(p-1;4,3), the primes q = 3 (mod 4)
     with p <= q <= x/p."""
-    primes = sieve_primes(max(x, 2)).primes
+    primes = table_primes(sieve_primes(max(x, 2)))
     ones, threes = primes[primes % 4 == 1], primes[primes % 4 == 3]
     small = threes[threes * threes <= x]
     # threes[i] = p, so pi(p-1;4,3) = i

@@ -210,6 +210,28 @@ def test_fit_requires_source(capsys):
     assert "choose either" in err
 
 
+# each source of fit, census arguments it reads and does not, and the error naming the latter
+UNREAD_FIT_ARGUMENTS = {
+    "--domain classical": (["--limit", "20000", "--d", "7", "--norm-limit", "5", "--euclidean"],
+                           "--d, --norm-limit, --euclidean"),
+    "--domain monoid": (["--d", "3", "--limit", "100", "--bound", "0"], "--bound"),
+    "--domain gauss": (["--norm-limit", "100", "--limit", "100"], "--limit"),
+    "--domain quad": (["--d", "5", "--bound", "100", "--norm-limit", "9"], "--norm-limit"),
+    "--from-csv": (["absent.csv", "--d", "0", "--euclidean"], "--d, --euclidean"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(UNREAD_FIT_ARGUMENTS))
+def test_fit_rejects_census_arguments_its_source_does_not_read(source, capsys):
+    rest, unread = UNREAD_FIT_ARGUMENTS[source]
+    argv = ["fit", *source.split(), *rest]
+    code, out, err = run([*argv, "--csv", "f.csv"], capsys)
+    assert (code, out, err) == (2, "", f"error: fit {source} does not read {unread}\n")
+    # choosing both sources is still the first error
+    code, _, err = run([*argv, "--from-csv" if "--domain" in argv else "--domain", "gauss"], capsys)
+    assert code == 2 and "choose either --from-csv or --domain" in err
+
+
 def test_fit_missing_input_file(tmp_path, capsys):
     code, _, _ = run(["fit", "--from-csv", str(tmp_path / "absent.csv")], capsys)
     assert code == 4

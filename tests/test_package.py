@@ -37,16 +37,19 @@ ORACLES = {
     "QuadInt",
     "_divisors_by_trial",
     "_has_proper_divisor",
+    "census_counts_at",
     "gaussian_brute_irreducible",
     "hilbert_classify",
     "is_gaussian_prime",
     "is_monoid_prime",
     "oracle_fit_model",
+    "oracle_thin",
     "quad_divide_exact",
     "quad_is_irreducible",
     "quad_is_unit",
     "quad_mul",
     "quad_norm",
+    "table_primes",
     "trial_division_is_prime",
 }
 

@@ -25,10 +25,14 @@ from primelab.report import (
     MonoidSummary,
     read_series_csv,
     render_svg,
-    series_csv_text,
     svg_text,
     write_csv,
 )
+
+
+def series_csv_text(series: CountSeries) -> str:
+    """The series CSV that write_csv writes, as one string."""
+    return b"".join(report._series_csv_blocks(series)).decode("ascii")
 
 
 def small_series(estimator=True):

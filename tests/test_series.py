@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    census_counts_at,
     oracle_find_crossover,
     oracle_fit_model,
     oracle_mape,
     oracle_squared_error,
+    oracle_thin,
 )
 from primelab import (
     CountSeries,
@@ -31,13 +33,14 @@ from primelab import (
     ratio_R,
 )
 from primelab import series as analysis
+from primelab.quadratic import REGION_KINDS
 from primelab.report import read_series_csv, write_csv
 
 
 def test_build_series_single_point_matches_summary_row():
-    census = monoid_census(MonoidParams(3, 10**4))
-    ser = build_series(census, grid=[10**4])
-    _, actual, est, ratio, pct_err = ser.rows()
+    ser = build_series(monoid_census(MonoidParams(3, 10**4)))
+    x, actual, est, ratio, pct_err = ser.rows(len(ser) - 1)
+    assert x.tolist() == [10**4]
     assert actual[0] == 1380
     assert est[0] == pytest.approx(1590.21, abs=0.05)
     assert ratio[0] == pytest.approx(0.86781, abs=5e-6)
@@ -46,7 +49,8 @@ def test_build_series_single_point_matches_summary_row():
 
 def test_build_series_zero_actual_has_no_error():
     census = monoid_census(MonoidParams(5, 100))
-    ser = build_series(census, grid=[2, 11, 96])
+    xs = np.array([2, 11, 96])
+    ser = CountSeries(xs, census_counts_at(census, xs), census.estimate)
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
     pct_err = ser.rows()[4]
     assert math.isnan(pct_err[0])
@@ -74,23 +78,17 @@ def test_build_series_default_grid_needs_a_prime():
 
     census = monoid_census(MonoidParams(50, 1000))
     grid = np.array(census.change_grid())
-    first = next(int(x) for x, c in zip(grid, census.counts_at(grid)) if c >= 1)
+    first = next(int(x) for x, c in zip(grid, census.cumulative) if c >= 1)
     ser = build_series(census)
     assert first == 51 and ser.x[0] == first and ser.actual[0] == 1
     assert np.array_equal(ser.x, grid[grid >= first])
 
 
 def test_build_series_gaussian():
-    census = gaussian_census(10, "both-axes")
-    ser = build_series(census, grid=[10])
-    assert ser.actual[0] == 5
-    assert ser.rows()[2][0] == pytest.approx(10 / math.log(10), rel=1e-12)
-
-
-def test_build_series_empty_grid():
-    census = monoid_census(MonoidParams(3, 1000))
-    with pytest.raises(ValueError):
-        build_series(census, grid=[])
+    ser = build_series(gaussian_census(10, "both-axes"))
+    x, actual, est = ser.rows(len(ser) - 1)[:3]
+    assert x.tolist() == [10] and actual.tolist() == [5]
+    assert est[0] == pytest.approx(10 / math.log(10), rel=1e-12)
 
 
 def test_each_census_carries_its_own_estimate():
@@ -100,23 +98,12 @@ def test_each_census_carries_its_own_estimate():
     quad = quad_census(5, RegionSpec("norm-ball", 1000))
     for census in (classical, monoid, gauss, quad):
         assert build_series(census).estimator == census.estimate
-        assert build_series(census, grid=[50, 99]).estimator == census.estimate
+        assert build_series(census).take(np.array([0, 1])).estimator == census.estimate
     assert classical.estimate is None and quad.estimate is None
     xs = np.array([2, 8, 99, 1000])
     assert np.array_equal(monoid.estimate(xs), estimate_pi_d(7, xs))
     assert np.array_equal(gauss.estimate(xs), estimate_pi_G(np.sqrt(xs)))
     assert monoid.estimate(1000) == estimate_pi_d(7, 1000)
-
-
-@pytest.mark.parametrize(
-    "grid", [[2.5, 10.9], [True, 5], [3, False], np.array([10.9]), np.array([True]), ["7"]]
-)
-def test_grid_points_must_be_integers(grid):
-    census = classical_census(100)
-    with pytest.raises(ValueError, match="must be integers"):
-        build_series(census, grid=grid)
-    with pytest.raises(ValueError, match="must be integers"):
-        census.counts_at(grid)
 
 
 def test_ratio_values():
@@ -244,13 +231,6 @@ def test_series_validation():
         CountSeries(np.array([2, 3]), np.array([2, 1]))  # actual decreasing
     with pytest.raises(ValueError, match="actual must be nondecreasing"):
         CountSeries(range(2, 40), np.array([0, 1] * 19))  # a range grid too
-    with pytest.raises(ValueError):
-        build_series(classical_census(10), grid=[])
-    with pytest.raises(ValueError):
-        build_series(classical_census(10), grid=[3, 2])  # x not increasing
-    # any integer dtype is accepted, and copied as int64
-    ser = build_series(classical_census(100), grid=[np.uint8(5), np.int32(10), 99])
-    assert ser.x.dtype == np.int64 and ser.actual.tolist() == [3, 4, 25]
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
@@ -546,12 +526,28 @@ def test_series_memory_does_not_grow_with_census_size():
     assert large < 1.25 * small, (small, large)
 
 
-def quad_growth_thin(census):
+def quad_growth():
+    """scripts/quad_growth.py, loaded by its path."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "quad_growth.py"
     spec = importlib.util.spec_from_file_location("quad_growth", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.thin(census)
+    return module
+
+
+@pytest.mark.parametrize("bound", [2000, 50000])
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_quad_growth_thin_keeps_its_point_rule(kind, bound):
+    """thin takes rows of the census's own series, at the points, with the
+    counts and so the fit that its former custom-grid rule gave."""
+    script = quad_growth()
+    for d in script.DEFAULT_RINGS:
+        census = quad_census(d, RegionSpec(kind, bound))
+        ser, former = script.thin(census), oracle_thin(census)
+        assert np.array_equal(ser.x, former.x), d
+        assert np.array_equal(ser.actual, former.actual), d
+        assert ser.metadata == former.metadata and ser.estimator is None
+        assert fit_model(ser) == fit_model(former), d
 
 
 def series_read_back(ser, tmp_path):
@@ -581,7 +577,7 @@ FIT_SERIES = {
     "from-csv": lambda tmp: series_read_back(
         build_series(gaussian_census(20000, "both-axes")), tmp
     ),
-    "quad-growth-thin": lambda _: quad_growth_thin(quad_census(5, RegionSpec("norm-ball", 50000))),
+    "quad-growth-thin": lambda _: quad_growth().thin(quad_census(5, RegionSpec("norm-ball", 50000))),
     "zeros-and-x-below-3": lambda _: synthetic_series(6, 300),  # the zeros set the start
     "x-below-3": lambda _: synthetic_series(0, 300),  # x >= 3 sets the start
     "exactly-8-points": lambda _: synthetic_series(3, 11),
@@ -674,7 +670,7 @@ def test_fit_model_memory_is_three_arrays(tmp_path):
     census = gaussian_census(10**6, "both-axes")
     ranged = build_series(census)
     assert isinstance(ranged.grid, range) and len(ranged) > 10**6 - 10
-    for ser in (ranged, build_series(census, grid=ranged.x), series_read_back(ranged, tmp_path)):
+    for ser in (ranged, ranged.take(np.arange(len(ranged))), series_read_back(ranged, tmp_path)):
         tracemalloc.start()
         try:
             fit_model(ser)

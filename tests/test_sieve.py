@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trial_division_is_prime
+from oracles import table_primes, trial_division_is_prime
 from primelab import (
     MonoidParams,
     RegionSpec,
@@ -73,23 +73,16 @@ def test_classical_census_matches_pi():
     census = classical_census(10**4)
     xs = np.array([1, 2, 3, 100, 9973, 10**4])
     expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
-    assert census.counts_at(xs).tolist() == expected
+    assert census.cumulative[xs - 1].tolist() == expected
     assert census.total == 1229
     assert census.describe() == {"domain": "classical", "limit": "10000"}
-    with pytest.raises(ValueError):
-        census.counts_at([10**4 + 1])
 
 
 def test_pi_basics():
     census = classical_census(10**4)
     assert len(census.cumulative) == 10**4  # cumulative[n - 1] is pi(n)
     assert census.cumulative[0] == 0
-    assert census.counts_at([1]).tolist() == [0]
-    assert census.counts_at([2]).tolist() == [1]
-    with pytest.raises(ValueError):
-        census.counts_at([10**4 + 1])
-    with pytest.raises(ValueError):
-        census.counts_at([-1])
+    assert census.cumulative[1] == 1
 
 
 def test_pi_steps_by_zero_or_one(table_10k):
@@ -120,7 +113,7 @@ def test_flags_immutable(table_10k):
 
 
 def test_primes_listing(table_10k):
-    primes = table_10k.primes
+    primes = table_primes(table_10k)
     assert primes[0] == 2 and primes[-1] == 9973
     assert np.all(np.diff(primes) > 0)
     assert len(primes) == 1229
@@ -143,11 +136,6 @@ CENSUSES = {
 def test_census_layout_is_shared(name):
     build, limit = CENSUSES[name]
     census = build()
-    grid = np.array(census.change_grid())
-    assert len(grid) == len(census.cumulative) and grid[0] == 1 and grid[-1] <= limit
-    assert np.array_equal(census.counts_at(grid), census.cumulative)
+    grid = census.change_grid()
+    assert len(grid) == len(census.cumulative) and grid.start == 1 and grid.stop == limit + 1
     assert census.total == census.cumulative[-1]
-    assert census.counts_at([limit]).tolist() == [census.total]
-    for outside in (0, limit + 1):
-        with pytest.raises(ValueError, match="outside census range"):
-            census.counts_at([outside])
