@@ -34,8 +34,10 @@ def thin(census: QuadCensus, points: int = 250) -> CountSeries:
     3, if later) to the bound, each of which lies on the census's grid."""
     ser = build_series(census)
     grid = ser.grid
-    lo = grid[int(np.argmax(ser.actual >= 1))]
-    xs = np.unique(np.geomspace(max(lo, 3), grid[-1], points).astype(np.int64))
+    lo = max(grid[int(np.argmax(ser.actual >= 1))], 3)
+    if lo > grid[-1]:
+        raise ValueError(f"no point from {lo} up to the bound to fit")
+    xs = np.unique(np.geomspace(lo, grid[-1], points).astype(np.int64))
     return ser.take((xs - grid.start) // grid.step)
 
 
@@ -52,8 +54,12 @@ def main() -> int:
     lines = ["d,region,bound,count,c,e,rms_rel_err"]
     for d in args.rings:
         t0 = time.perf_counter()
-        census = quad_census(d, RegionSpec(kind, args.bound))
-        fit = fit_model(thin(census))
+        try:
+            census = quad_census(d, RegionSpec(kind, args.bound))
+            fit = fit_model(thin(census))
+        except ValueError as exc:  # a bad ring or bound, or too few points to fit
+            print(f"error: d={d} {kind} bound={args.bound}: {exc}", file=sys.stderr)
+            return 2
         took = time.perf_counter() - t0
         count = census.total
         print(

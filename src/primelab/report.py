@@ -10,12 +10,18 @@ time, formatted by numpy digit arithmetic into the bytes that the
 printf-style row format _SERIES_ROW would print, and written to the file as
 it is made.  Rows where that arithmetic cannot be sure of a rounding (near
 a .5 tie, infinite or negative fields, extreme exponents) are printed by
-_SERIES_ROW itself; _series_csv_blocks states the rule.  It is read back
-by numpy's C parser (np.loadtxt) from the file's lines, with empty fields
-rewritten to nan as they go by.  Every field is parsed, so that a bad one
-is caught, but only x and actual are kept: the fit reads nothing else.  A
-bad header, a row of the wrong width or an unparsable field raises
-ValueError naming the path and the 1-based line of the file.
+_SERIES_ROW itself; _series_csv_blocks states the rule.
+
+A series CSV is read back in two passes over blocks of _READ_BLOCK_CHARS
+characters.  The first counts the lines, so that x and actual are each made
+once.  The second hands each block's whole lines to numpy's C parser
+(np.loadtxt) as a list of strings: first as they are, then, if numpy
+rejects them, with empty fields rewritten to nan, and only if that fails
+too one line at a time, to find the bad line.  Every field is parsed, so
+that a bad one is caught, but only x and actual are kept: the fit reads
+nothing else.  The reader holds 16 bytes a row and one block's lines and
+parsed rows.  A bad header, a row of the wrong width or an unparsable field
+raises ValueError naming the path and the 1-based line of the file.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ _SERIES_ROW = "%d,%d,%.6g,%.5f,%.5f\n"
 # so farther than this share of p from a .5 tie it rounds as the exact one would
 _TIE_SHARE = 4.5e-16
 _EXACT_POW10 = np.array([float(10**k) for k in range(23)])  # 1e22 is the last exact one
+# characters of a series CSV that read_series_csv takes in at a time
+_READ_BLOCK_CHARS = 1 << 18
 _SERIES_DTYPE = np.dtype(
     [("x", "i8"), ("actual", "i8"), ("estimate", "f8"), ("ratio", "f8"), ("pct_err", "f8")]
 )
@@ -264,41 +272,111 @@ def read_series_csv(path) -> CountSeries:
     Every field is parsed: a bad header, a row that is not five fields, or a
     field that does not parse (x and actual as integers, the rest as floats,
     empty meaning NaN) raises ValueError naming the path and the 1-based line
-    of the file; x out of order or a falling count names the path.  x and
-    actual are read-only copies, so the parsed rows are freed on return."""
+    of the file; x out of order or a falling count names the path.  Blank
+    lines are skipped.  Text that does not decode raises UnicodeDecodeError,
+    naming no line, before any bad line is reported.
+
+    The file is read in two passes, _READ_BLOCK_CHARS characters at a time.
+    The first counts the lines, so that x and actual are each made once as
+    int64 arrays, a slot a line, and are cut short only when blank lines
+    were skipped.  The second parses the whole lines of each block in up to
+    three steps (_parse_block): numpy gets them as they are, then with empty
+    fields written as nan, then one at a time to name the bad line.  x and
+    actual are copied into their slots and made read-only, so the reader
+    holds 16 bytes a row and one block's text, lines and parsed rows."""
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != SERIES_HEADER:
             raise ValueError(f"{path} is not a series CSV (bad header)")
-        line_no = 1
-
-        def lines():
-            nonlocal line_no
-            for line_no, line in enumerate(f, 2):
-                # empty fields become "nan": the second pass catches ",,," runs, and a
-                # trailing one ends the line or, with no final newline, the file
-                line = line.replace(",,", ",nan,").replace(",,", ",nan,")
-                yield line.replace(",\n", ",nan\n") if line[-1:] != "," else line + "nan"
-
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(
-                    lines(), dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1
-                )
-        except UnicodeDecodeError:
-            raise  # text is decoded ahead of the line count, so no line is named
-        except ValueError as exc:
-            # numpy's own row number skips blank lines, so only the file line is given
-            reason = str(exc).split(" at row ")[0]
-            raise ValueError(f"{path} line {line_no}: {reason}") from exc
-    x, actual = data["x"].copy(), data["actual"].copy()
-    del data  # freed before the order checks' block temporaries are made
+        line_count, last = 0, "\n"
+        for last in iter(lambda: f.read(_READ_BLOCK_CHARS), ""):
+            line_count += last.count("\n")
+        if last[-1] != "\n":
+            line_count += 1  # the last line has no newline
+        x, actual = np.empty(line_count, dtype=np.int64), np.empty(line_count, dtype=np.int64)
+        f.seek(0)
+        f.readline()  # the header, checked above
+        rows, line_no, carry = 0, 2, ""
+        for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""):
+            text = carry + text
+            cut = text.rfind("\n")
+            if cut < 0:
+                carry = text
+                continue
+            block = text[:cut].split("\n")
+            rows = _store(_parse_block(path, block, line_no), x, actual, rows)
+            line_no += len(block)
+            carry = text[cut + 1 :]
+        if carry:
+            rows = _store(_parse_block(path, [carry], line_no), x, actual, rows)
+    if rows < line_count:  # blank lines were skipped
+        x, actual = x[:rows].copy(), actual[:rows].copy()
     x.setflags(write=False)
     actual.setflags(write=False)
     try:
         return CountSeries(x, actual, metadata={"source": "csv"})
     except ValueError as exc:  # x out of order or a count that falls
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _store(data, x, actual, rows: int) -> int:
+    """Copy the x and actual of the parsed rows data into their slots from
+    rows on, and return the rows filled."""
+    end = rows + len(data)
+    x[rows:end] = data["x"]
+    actual[rows:end] = data["actual"]
+    return end
+
+
+def _parse_block(path, lines: list[str], line_no: int):
+    """The rows of lines, whole lines of the file at path from line line_no
+    on, parsed by numpy's C parser (np.loadtxt) into _SERIES_DTYPE.
+
+    numpy first gets the lines as they are: it rejects an empty field, so
+    lines that it accepts have none.  Failing that, it gets them with empty
+    fields rewritten to nan.  Failing that too, they go through numpy one at
+    a time from line_no, so that the error names the first bad line."""
+    try:
+        return _loadtxt(lines)
+    except ValueError:
+        pass
+    try:
+        return _loadtxt(_nan_fields("\n".join(lines)).split("\n"))
+    except ValueError:
+        pass
+    return _parse_lines(path, lines, line_no)
+
+
+def _nan_fields(text: str) -> str:
+    """text with each empty field written as nan."""
+    # the second pass catches ",,," runs, and a trailing one ends a line or the text
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+    return text + "nan" if text[-1:] == "," else text
+
+
+def _parse_lines(path, lines: list[str], first_line_no: int):
+    """Parse lines one at a time, empty fields rewritten to nan, the first
+    of them line first_line_no of the file at path; a line that does not
+    parse raises ValueError naming the path and that line."""
+    line_no = first_line_no
+
+    def fed():
+        nonlocal line_no
+        for line_no, line in enumerate(lines, first_line_no):
+            yield _nan_fields(line)
+
+    try:
+        return _loadtxt(fed())
+    except ValueError as exc:
+        # numpy's own row number skips blank lines, so only the file line is given
+        reason = str(exc).split(" at row ")[0]
+        raise ValueError(f"{path} line {line_no}: {reason}") from exc
+
+
+def _loadtxt(lines):
+    """The series rows of lines, by np.loadtxt."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
 def render_svg(series: CountSeries, path) -> None:

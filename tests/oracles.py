@@ -18,7 +18,10 @@ machinery:
   ``oracle_find_crossover``);
 - a census's count at any point by a search of its change grid
   (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
-  rule it had before it took rows of the census's series (``oracle_thin``).
+  rule it had before it took rows of the census's series (``oracle_thin``);
+- ``report.read_series_csv`` by the reader it had before it parsed blocks of
+  lines: one numpy parse of every line, fed through a generator that
+  rewrites empty fields and counts file lines (``oracle_read_series_csv``).
 
 ``table_primes`` lists the primes of a PrimeTable for the tests.
 """
@@ -26,6 +29,7 @@ machinery:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ import numpy as np
 from primelab import CountSeries, FitResult, PrimeTable, sieve_primes
 from primelab import series as analysis
 from primelab.quadratic import validate_ring_param
+from primelab.report import _SERIES_DTYPE, SERIES_HEADER
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
@@ -349,3 +354,42 @@ def oracle_find_crossover(series):
         elif above_seen and crossover is None and x.size:
             crossover = int(x[0])  # the first point after a block that ended above
     return crossover
+
+
+def oracle_read_series_csv(path) -> CountSeries:
+    """read_series_csv as it read a file before it parsed blocks of lines:
+    one np.loadtxt over a generator of every line, empty fields rewritten
+    to nan, whose line count names the bad line."""
+    with open(path, encoding="utf-8") as f:
+        if f.readline().rstrip("\n") != SERIES_HEADER:
+            raise ValueError(f"{path} is not a series CSV (bad header)")
+        line_no = 1
+
+        def lines():
+            nonlocal line_no
+            for line_no, line in enumerate(f, 2):
+                # empty fields become "nan": the second pass catches ",,," runs, and a
+                # trailing one ends the line or, with no final newline, the file
+                line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+                yield line.replace(",\n", ",nan\n") if line[-1:] != "," else line + "nan"
+
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    lines(), dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1
+                )
+        except UnicodeDecodeError:
+            raise  # text is decoded ahead of the line count, so no line is named
+        except ValueError as exc:
+            # numpy's own row number skips blank lines, so only the file line is given
+            reason = str(exc).split(" at row ")[0]
+            raise ValueError(f"{path} line {line_no}: {reason}") from exc
+    x, actual = data["x"].copy(), data["actual"].copy()
+    del data  # freed before the order checks' block temporaries are made
+    x.setflags(write=False)
+    actual.setflags(write=False)
+    try:
+        return CountSeries(x, actual, metadata={"source": "csv"})
+    except ValueError as exc:  # x out of order or a count that falls
+        raise ValueError(f"{path}: {exc}") from exc

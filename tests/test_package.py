@@ -43,6 +43,7 @@ ORACLES = {
     "is_gaussian_prime",
     "is_monoid_prime",
     "oracle_fit_model",
+    "oracle_read_series_csv",
     "oracle_thin",
     "quad_divide_exact",
     "quad_is_irreducible",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import oracle_read_series_csv
 
 from primelab import (
     CountSeries,
@@ -500,3 +501,150 @@ def test_read_series_csv_undecodable_text_names_no_line(tmp_path):
     path.write_bytes(f"{SERIES_HEADER}\n{rows}5000,1,\xff,2,50\n".encode("latin-1"))
     with pytest.raises(UnicodeDecodeError):
         read_series_csv(path)
+
+
+# The block reader against the reader it replaced (oracles.oracle_read_series_csv):
+# the same x and actual or the same error message, whatever the block size.
+
+READ_BLOCK_CHARS = [1, 7, 64, report._READ_BLOCK_CHARS]
+VALID_ROWS = [
+    "2,1,2.88539,0.34657,188.53901",
+    "3,2,,0.5,",
+    "5,3,4.0,0.75000,25.00000",
+    "7,4,,,",
+    "11,5,6.5,0.76923,23.07692",
+    "13,6,7.25,,",
+    "17,7,8.125,0.86154,16.15385",
+    "19,8,,0.91,9.0",
+    "23,9,10.5,0.85714,14.28571",
+    "29,10,11.75,0.85106,14.89362",
+]
+BAD_ROWS = [
+    "3,one,0.5,2.0,50.0",  # a bad integer
+    "3,1,0.5,2.0.1,50.0",  # a bad float
+    "3,1,,2.0,5x",  # a bad float beside an empty field
+    ",1,,,",  # an empty x
+    "3,1,0.5",  # too few fields
+    "3,1,0.5,2.0,50.0,7",  # too many
+    "3,1,,,,,",  # too many, all empty
+]
+
+
+def read_outcome(read, path):
+    """x and actual as lists, or the type and message of the error."""
+    try:
+        ser = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ser.x.tolist(), ser.actual.tolist()
+
+
+def assert_reads_as_the_oracle(monkeypatch, path, block_chars):
+    monkeypatch.setattr(report, "_READ_BLOCK_CHARS", block_chars)
+    got = read_outcome(read_series_csv, path)
+    assert got == read_outcome(oracle_read_series_csv, path), block_chars
+    return got
+
+
+def block_roles(body: str, block_chars: int) -> list[set]:
+    """The roles of each newline-ended line of body (the text after the
+    header) in the reader's blocks of block_chars characters: "first" or
+    "last" of the lines parsed together (those whose newline one read
+    brings in), and "spans" when a read cuts the line."""
+    ends = [i for i, ch in enumerate(body) if ch == "\n"]
+    starts = [0] + [end + 1 for end in ends[:-1]]
+    reads = [end // block_chars for end in ends]
+    roles = []
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        role = set()
+        if i == 0 or reads[i - 1] != reads[i]:
+            role.add("first")
+        if i == len(ends) - 1 or reads[i + 1] != reads[i]:
+            role.add("last")
+        if start // block_chars != end // block_chars:
+            role.add("spans")
+        roles.append(role)
+    return roles
+
+
+READ_BODIES = {
+    "blank-lines": "\n" + "\n\n".join(VALID_ROWS[:4]) + "\n\n\n" + "\n".join(VALID_ROWS[4:]) + "\n\n",
+    "crlf": "\r\n".join(VALID_ROWS) + "\r\n",
+    "lone-cr": "\r".join(VALID_ROWS) + "\r",
+    "last-line-ends-in-comma": "\n".join(VALID_ROWS[:-1]) + "\n31,11,12.0,0.9,",
+    "last-line-empty-fields": "\n".join(VALID_ROWS) + "\n31,11,,,",
+    "some-rows-empty": "\n".join(VALID_ROWS) + "\n",
+    "every-row-empty": "".join(f"{x},{x // 3},,,\n" for x in range(1, 40)),
+    "no-row-empty": "".join(f"{x},{x // 3},0.5,1.00000,2.50000\n" for x in range(1, 40)),
+    "header-only": "",
+}
+
+
+@pytest.mark.parametrize("block_chars", READ_BLOCK_CHARS)
+@pytest.mark.parametrize("name", sorted(READ_BODIES))
+def test_read_series_csv_blocks_read_as_the_oracle(tmp_path, monkeypatch, name, block_chars):
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"{SERIES_HEADER}\n{READ_BODIES[name]}".encode())
+    x, actual = assert_reads_as_the_oracle(monkeypatch, path, block_chars)
+    assert [x, actual] == [col.tolist() for col in oracle_read_series_columns(path)[:2]]
+
+
+@pytest.mark.parametrize("block_chars", READ_BLOCK_CHARS)
+@pytest.mark.parametrize("bad", BAD_ROWS)
+def test_read_series_csv_blocks_name_the_bad_line_as_the_oracle(tmp_path, monkeypatch, bad, block_chars):
+    """The bad row in each place of a file with a blank line, the file
+    shifted by spaces that numpy strips from a first row's last field: the
+    bad row is the first line of a block, the last, and a line that a read
+    cuts, at every block size below the file's length."""
+    path = tmp_path / "bad.csv"
+    roles = set()
+    for shift in range(min(block_chars, 16)):
+        for at in range(len(VALID_ROWS)):
+            rows = ["1,0,1.5,0.5,1.0" + " " * shift, *VALID_ROWS]
+            rows[at + 1] = bad
+            body = "\n".join(rows[:3]) + "\n\n" + "\n".join(rows[3:]) + "\n"
+            path.write_text(f"{SERIES_HEADER}\n{body}")
+            kind, message = assert_reads_as_the_oracle(monkeypatch, path, block_chars)
+            line = at + 3 + (at >= 2)  # the header, the first row and the blank line come before
+            assert kind is ValueError and message.startswith(f"{path} line {line}: "), message
+            roles |= block_roles(body, block_chars)[line - 2]
+    if block_chars < len(body):
+        assert roles == {"first", "last", "spans"}, roles
+
+
+@st.composite
+def series_file_bodies(draw):
+    """Lines of a series CSV after its header: rows with empty fields, now
+    and then a row with odd or bad fields or of another width, and blank
+    lines, joined by one kind of line ending, with or without a final one."""
+    good = ["", "0.5", "2.00000", "1e+06", "nan", "-inf", "-0.0", " 1 "]
+    fields, odd_fields = st.sampled_from(good), st.sampled_from([*good, " ", "x", "1.2.3"])
+    ints = st.sampled_from(["", "1", "7", " 3", "-2", "1.0", "é"])
+    lines, x = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank"] * 2 + ["odd"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        x += draw(st.integers(min_value=1, max_value=1000))
+        if kind == "row":  # parses, so only the order of x and actual can fail
+            lines.append(",".join([str(x), str(x // 2), *draw(st.lists(fields, min_size=3, max_size=3))]))
+        else:
+            width = draw(st.integers(min_value=1, max_value=7))
+            row = [str(x), draw(ints), *draw(st.lists(odd_fields, min_size=3, max_size=3))]
+            lines.append(",".join([*row, *[""] * (width - 5)][:width]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    body=series_file_bodies(),
+    block_chars=st.one_of(st.integers(min_value=1, max_value=80), st.just(report._READ_BLOCK_CHARS)),
+)
+def test_read_series_csv_blocks_match_the_oracle_on_any_rows(tmp_path, monkeypatch, body, block_chars):
+    path = tmp_path / "series.csv"
+    path.write_text(f"{SERIES_HEADER}\n{body}", encoding="utf-8", newline="")
+    got = assert_reads_as_the_oracle(monkeypatch, path, block_chars)
+    if got[0] is not ValueError:
+        assert list(got) == [col.tolist() for col in oracle_read_series_columns(path)[:2]]

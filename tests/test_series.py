@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from primelab import (
     quad_census,
     ratio_R,
 )
+from primelab import report
 from primelab import series as analysis
 from primelab.quadratic import REGION_KINDS
 from primelab.report import read_series_csv, write_csv
@@ -550,6 +553,22 @@ def test_quad_growth_thin_keeps_its_point_rule(kind, bound):
         assert fit_model(ser) == fit_model(former), d
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 10])
+def test_quad_growth_too_small_a_bound_is_a_one_line_error(tmp_path, bound):
+    """Below 3, or with fewer than 8 points to fit, the script exits 2 with
+    one error line naming the ring and the bound, and writes no CSV."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "quad_growth.py"
+    csv = tmp_path / "fits.csv"
+    proc = subprocess.run(
+        [sys.executable, str(path), "--rings", "5", "--bound", str(bound), "--csv", str(csv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: d=5 norm-ball bound={bound}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not csv.exists()
+
+
 def series_read_back(ser, tmp_path):
     path = tmp_path / "series.csv"
     write_csv(ser, path)
@@ -680,16 +699,16 @@ def test_fit_model_memory_is_three_arrays(tmp_path):
         assert peak <= 24 * len(ser) + 64 * 1024, (type(ser.grid), peak / len(ser))
 
 
-def test_fit_from_csv_memory_is_the_parsed_rows_and_two_copies(tmp_path):
-    """read_series_csv keeps x and actual alone, 16 bytes a row, so its peak
-    is the parsed rows (40 bytes each) and the two copies, and the fit's
-    three arrays fit in the parsed rows' room once they are freed."""
+def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
+    """read_series_csv makes x and actual once, 16 bytes a row, and holds
+    besides them only one block's lines and parsed rows, whatever the row
+    count; the fit then adds its three arrays, 24 bytes a row."""
     path = tmp_path / "series.csv"
     write_csv(build_series(gaussian_census(10**6, "both-axes")), path)
     tracemalloc.start()
     try:
         ser = read_series_csv(path)
-        held = tracemalloc.get_traced_memory()[0]
+        held, read_peak = tracemalloc.get_traced_memory()
         fit_model(ser)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -698,4 +717,7 @@ def test_fit_from_csv_memory_is_the_parsed_rows_and_two_copies(tmp_path):
     assert n > 10**6 - 10
     assert ser.x.nbytes + ser.actual.nbytes == 16 * n
     assert held <= 16 * n + 64 * 1024, held / n
-    assert peak <= 56 * n + 64 * 1024, peak / n
+    # about 10 bytes a block character: the text read, its lines and their parsed rows
+    block = 12 * report._READ_BLOCK_CHARS
+    assert read_peak <= 16 * n + block, (read_peak - 16 * n) / report._READ_BLOCK_CHARS
+    assert peak <= 40 * n + 64 * 1024, peak / n
