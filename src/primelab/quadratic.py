@@ -15,12 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, cumulative_sum, require_int
+from .sieve import Census, count_dtype, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
-# the census's norm grid and its marks grow with the region's largest norm; cap that norm
+# the census's norm grid and its marks grow with the region's largest norm top, at
+# 6 bytes per grid cell (a, b), a^2 <= top and d*b^2 <= top; its int32 counts take 4
+# bytes per bound point once the grid is freed; cap that norm
 MAX_CENSUS_BOUND = 10**6
+# cofactor cells per step of the census's walk, which bounds its index temporaries
+WALK_CELLS = 1 << 14
 
 
 def validate_ring_param(d: int) -> None:
@@ -74,6 +78,12 @@ class QuadCensus(Census):
         }
 
 
+def norm_dtype(top: int) -> type[np.integer]:
+    """The norm grid's dtype for largest norm ``top``: the grid is a rectangle
+    whose corner cell's norm is at most 2*top."""
+    return count_dtype(2 * top)
+
+
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Cumulative irreducible counts over all a, b >= 0 inside the region,
     at each bound 1..region.bound (zero and units excluded).
@@ -85,17 +95,43 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     irreducible p with N(p) <= N(w); up to sign p and w are cells or their
     conjugates, the fold makes x, -x and conj(x) one cell, N(conj z) = N(z),
     and a marked cell is a product of two non-units, so never an irreducible y.
+
+    Memory: 6 bytes per cell of the grid (the int32 norm grid, which becomes
+    the disc's a^2 + b^2 in place, the marks and one bool mask), then, once
+    the grid is freed, 4 per bound point (the int32 counts, summed in place);
+    besides, 4 per irreducible counted and the index temporaries of one
+    WALK_CELLS step of the walk, about 40 bytes per cell of the step.
     """
     validate_ring_param(d)
     top = region.largest_norm(d)
     if top > MAX_CENSUS_BOUND:
         raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
     # every quadrant cell (a, b) of norm <= top: the region's and each product's
-    root = math.isqrt(top)
-    a, b = np.ogrid[: root + 1, : math.isqrt(top // d) + 1]
-    norm = a * a + d * b * b
-    reducible = np.zeros(norm.shape, dtype=bool)
+    dtype = norm_dtype(top)
+    a2, b2 = (np.arange(math.isqrt(n) + 1, dtype=np.int64) ** 2 for n in (top, top // d))
+    norm = a2.astype(dtype)[:, None] + (d * b2).astype(dtype)
+    counted = _mark_reducible(norm, d, top)
+    np.logical_not(counted, out=counted)
+    counted[:2, :2] &= norm[:2, :2] >= 2  # zero and the units
+    if region.kind == "euclidean-ball":
+        norm -= ((d - 1) * b2).astype(dtype)  # now a^2 + b^2, the disc's bound parameter
+    counted &= norm <= region.bound
+    bounds = norm[counted]  # the bound at which each irreducible is first counted
+    cells = norm.size  # at most one count per quadrant cell
+    del norm, counted
+    counts = np.zeros(region.bound, dtype=count_dtype(cells))
+    # a value of the counts' own dtype keeps add.at on its fast path
+    np.add.at(counts, np.subtract(bounds, 1, out=bounds), counts.dtype.type(1))
+    return QuadCensus(d=d, region=region, cumulative=cumulative_sum(counts, cells))
 
+
+def _mark_reducible(norm: np.ndarray, d: int, top: int) -> np.ndarray:
+    """The cells of the norm grid that the product sieve marks, as a bool
+    grid.  Each y's cofactor view is walked WALK_CELLS cells (whole rows) at a
+    time, so no index temporary is larger than one step."""
+    reducible = np.zeros(norm.shape, dtype=bool)
+    marks, width = reducible.reshape(-1), norm.shape[1]  # cell (a, b) at a*width + b
+    root = math.isqrt(top)
     corner = norm[: math.isqrt(root) + 1, : math.isqrt(root // d) + 1]
     ia, ib = np.nonzero((corner >= 2) & (corner <= root))
     for n, ya, yb in sorted(zip(corner[ia, ib].tolist(), ia.tolist(), ib.tolist())):
@@ -103,12 +139,12 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
             continue  # a multiple already marked
         m = top // n
         cofactors = norm[: math.isqrt(m) + 1, : math.isqrt(m // d) + 1]
-        za, zb = np.nonzero((cofactors >= n) & (cofactors <= m))
-        reducible[np.abs(ya * za - d * yb * zb), ya * zb + yb * za] = True  # y*z
-        reducible[ya * za + d * yb * zb, np.abs(yb * za - ya * zb)] = True  # y*conj(z)
-
-    index = a * a + b * b if region.kind == "euclidean-ball" else norm
-    counted = (index <= region.bound) & (norm >= 2) & ~reducible
-    counts = np.bincount(index[counted], minlength=region.bound + 1)
-    cumulative = cumulative_sum(counts[1:], norm.size)  # at most one count per quadrant cell
-    return QuadCensus(d=d, region=region, cumulative=cumulative)
+        step = max(1, WALK_CELLS // cofactors.shape[1])
+        for start in range(0, len(cofactors), step):
+            rows = cofactors[start : start + step]
+            za, zb = np.nonzero((rows >= n) & (rows <= m))
+            za += start
+            marks[np.abs(ya * za - d * yb * zb) * width + ya * zb + yb * za] = True  # y*z
+            if ya and yb:  # on an axis y*conj(z) is conj(y*z) or -conj(y*z), the same cell
+                marks[(ya * za + d * yb * zb) * width + np.abs(yb * za - ya * zb)] = True
+    return reducible

@@ -41,12 +41,18 @@ def require_estimate_points(name: str, value) -> None:
         raise ValueError(f"{name} too large to evaluate in double precision")
 
 
+def count_dtype(most: int) -> type[np.integer]:
+    """The integer dtype for values of at most ``most``, a bound known from
+    the census's parameters: int32 when it is below 2**31, else int64."""
+    return np.int32 if most < 2**31 else np.int64
+
+
 def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
-    """Read-only running totals of counts, as int32 when ``most``, a bound on
-    the total known from the census's parameters, is below 2**31 and as
-    int64 otherwise.  Summed in place: np.cumsum with a dtype would first
-    cast the whole input to that dtype."""
-    cumulative = counts.astype(np.int32 if most < 2**31 else np.int64)
+    """Read-only running totals of counts, in count_dtype(most) for ``most``
+    a bound on the total.  Summed in place: np.cumsum with a dtype would
+    first cast the whole input to that dtype, and counts that already have
+    the dtype are summed where they are, with no copy."""
+    cumulative = counts.astype(count_dtype(most), copy=False)
     np.cumsum(cumulative, out=cumulative)
     cumulative.setflags(write=False)
     return cumulative

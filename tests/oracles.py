@@ -21,7 +21,10 @@ machinery:
   rule it had before it took rows of the census's series (``oracle_thin``);
 - ``report.read_series_csv`` by the reader it had before it parsed blocks of
   lines: one numpy parse of every line, fed through a generator that
-  rewrites empty fields and counts file lines (``oracle_read_series_csv``).
+  rewrites empty fields and counts file lines (``oracle_read_series_csv``);
+- ``quad_census`` by the product sieve it ran before its norm grid was int32
+  and its walk went in steps: the whole int64 grid, each y's cofactor view
+  at once, and an int64 bincount (``oracle_quad_census``).
 
 ``table_primes`` lists the primes of a PrimeTable for the tests.
 """
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import CountSeries, FitResult, PrimeTable, sieve_primes
+from primelab import CountSeries, FitResult, PrimeTable, QuadCensus, RegionSpec, sieve_primes
 from primelab import series as analysis
-from primelab.quadratic import validate_ring_param
+from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
 
 # the divisor scans are exhaustive; cap the norms they will accept
@@ -393,3 +396,37 @@ def oracle_read_series_csv(path) -> CountSeries:
         return CountSeries(x, actual, metadata={"source": "csv"})
     except ValueError as exc:  # x out of order or a count that falls
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
+    """quad_census as it was before its norm grid was int32 and its walk went
+    in steps, verbatim but for its running totals, which spell out the int32 or
+    int64 rule that cumulative_sum then applied to the int64 bincount."""
+    validate_ring_param(d)
+    top = region.largest_norm(d)
+    if top > MAX_CENSUS_BOUND:
+        raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
+    # every quadrant cell (a, b) of norm <= top: the region's and each product's
+    root = math.isqrt(top)
+    a, b = np.ogrid[: root + 1, : math.isqrt(top // d) + 1]
+    norm = a * a + d * b * b
+    reducible = np.zeros(norm.shape, dtype=bool)
+
+    corner = norm[: math.isqrt(root) + 1, : math.isqrt(root // d) + 1]
+    ia, ib = np.nonzero((corner >= 2) & (corner <= root))
+    for n, ya, yb in sorted(zip(corner[ia, ib].tolist(), ia.tolist(), ib.tolist())):
+        if reducible[ya, yb]:
+            continue  # a multiple already marked
+        m = top // n
+        cofactors = norm[: math.isqrt(m) + 1, : math.isqrt(m // d) + 1]
+        za, zb = np.nonzero((cofactors >= n) & (cofactors <= m))
+        reducible[np.abs(ya * za - d * yb * zb), ya * zb + yb * za] = True  # y*z
+        reducible[ya * za + d * yb * zb, np.abs(yb * za - ya * zb)] = True  # y*conj(z)
+
+    index = a * a + b * b if region.kind == "euclidean-ball" else norm
+    counted = (index <= region.bound) & (norm >= 2) & ~reducible
+    counts = np.bincount(index[counted], minlength=region.bound + 1)
+    cumulative = counts[1:].astype(np.int32 if norm.size < 2**31 else np.int64)
+    np.cumsum(cumulative, out=cumulative)
+    cumulative.setflags(write=False)
+    return QuadCensus(d=d, region=region, cumulative=cumulative)

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from oracles import (
     GaussPoint,
     QuadInt,
     is_gaussian_prime,
+    oracle_quad_census,
     quad_divide_exact,
     quad_is_irreducible,
     quad_is_unit,
@@ -18,7 +20,14 @@ from oracles import (
     table_primes,
 )
 from primelab import RegionSpec, build_series, gaussian_census, quad_census, sieve_primes
-from primelab.quadratic import MAX_CENSUS_BOUND, REGION_KINDS, validate_ring_param
+from primelab import quadratic
+from primelab.quadratic import (
+    MAX_CENSUS_BOUND,
+    REGION_KINDS,
+    WALK_CELLS,
+    norm_dtype,
+    validate_ring_param,
+)
 
 small_coord = st.integers(min_value=-30, max_value=30)
 ring_d = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13])
@@ -132,6 +141,7 @@ def test_census_validation():
         RegionSpec("norm-ball", 0)
 
 
+@functools.cache
 def oracle_cumulative(d: int, region: RegionSpec) -> np.ndarray:
     """The census rebuilt from quad_is_irreducible at every lattice point."""
     euclidean = region.kind == "euclidean-ball"
@@ -144,9 +154,7 @@ def oracle_cumulative(d: int, region: RegionSpec) -> np.ndarray:
     return np.cumsum(counts)
 
 
-@pytest.mark.parametrize("kind", REGION_KINDS)
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15, 9973])
-def test_census_matches_divisor_search_oracle(d, kind):
+def assert_matches_divisor_search_oracle(d, kind):
     # the sieve's factor range follows the bound, so try every small bound whose
     # largest norm is within the cap (at d = 9973 the disc stops at bound 100)
     bounds = [
@@ -157,6 +165,46 @@ def test_census_matches_divisor_search_oracle(d, kind):
     for bound in bounds:
         census = quad_census(d, RegionSpec(kind, bound))
         assert np.array_equal(census.cumulative, oracle[1 : bound + 1]), bound
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15, 9973])
+def test_census_matches_divisor_search_oracle(d, kind):
+    assert_matches_divisor_search_oracle(d, kind)
+
+
+# one grid row per step of the walk, and steps of a few cells, which take several
+# rows of the narrow cofactor views (d = 9973, small bounds, late y) and one of the rest
+@pytest.mark.parametrize("walk_cells", [1, 5])
+def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
+    monkeypatch.setattr(quadratic, "WALK_CELLS", walk_cells)
+    for d in (1, 2, 5, 6, 9973):
+        for kind in REGION_KINDS:
+            assert_matches_divisor_search_oracle(d, kind)
+    gauss = gaussian_census(10**5, "both-axes").cumulative
+    assert np.array_equal(quad_census(1, RegionSpec("norm-ball", 10**5)).cumulative, gauss)
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15])
+def test_census_counts_as_the_former_sieve(d, kind):
+    # the largest bound under the cap, whose grid is the largest the census makes
+    region = RegionSpec(kind, MAX_CENSUS_BOUND // RegionSpec(kind, 1).largest_norm(d))
+    census, former = quad_census(d, region).cumulative, oracle_quad_census(d, region).cumulative
+    assert census.dtype == former.dtype == np.int32
+    assert np.array_equal(census, former)
+
+
+def test_norm_grid_dtype_holds_the_corner_norm():
+    # the grid's corner cell (isqrt(top), isqrt(top // d)) has norm at most 2*top,
+    # and exactly 2*top when top and top/d are squares, as at d = 1 and top = k^2;
+    # only the dtype is asked for, so no grid of that size is made
+    assert norm_dtype(MAX_CENSUS_BOUND) is np.int32
+    assert norm_dtype(2**30 - 1) is np.int32
+    assert norm_dtype(32767**2) is np.int32  # corner norm 2**31 - 2**17 + 2
+    assert norm_dtype(2**30) is np.int64  # 32768^2, corner norm 2**31
+    for k in (32767, 32768):
+        assert 2 * k * k <= np.iinfo(norm_dtype(k * k)).max
 
 
 def test_census_d2_follows_rational_primes():
@@ -180,24 +228,30 @@ def test_census_d1_equals_gaussian_census(bound):
         assert np.array_equal(quad_census(1, RegionSpec(kind, bound)).cumulative, gauss)
 
 
+WALK_STEP_BYTES = 48 * WALK_CELLS  # one step of the walk, measured at 40 B per cell
+
+
 @pytest.mark.parametrize(
     "d, kind, bound",
     [(1, "norm-ball", MAX_CENSUS_BOUND), (5, "norm-ball", MAX_CENSUS_BOUND), (6, "euclidean-ball", 150_000)],
 )
 def test_census_peak_memory(d, kind, bound):
-    # the int64 norm grid, the marks and the loop's index temporaries stay under
-    # 24 B per quadrant cell; the int64 bincount and int32 cumulative take 12 B per
-    # bound point; a second, sorted list of cofactors would not fit
+    # the int32 norm grid (reused in place as the disc's a^2 + b^2), the marks and
+    # one bool mask take 6 B per quadrant cell; the grid is freed before the int32
+    # counts, 4 B per bound point, are made and summed in place; the bound of each
+    # irreducible counted takes 4 B; a step of the walk holds two int64 coordinates
+    # and a few int64 index temporaries per cell, measured at 40 B. An int64 grid,
+    # an int64 bincount or a walk over a whole cofactor view at once would not fit
     region = RegionSpec(kind, bound)
     top = region.largest_norm(d)
     cells = (math.isqrt(top) + 1) * (math.isqrt(top // d) + 1)
     tracemalloc.start()
     try:
-        quad_census(d, region)
+        total = quad_census(d, region).total
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * cells + 12 * (bound + 1)
+    assert peak <= max(6 * cells, 4 * (bound + 1)) + 4 * total + WALK_STEP_BYTES
 
 
 def test_census_d5_known_total():
