@@ -5,9 +5,11 @@ and its nonzero coordinate is a rational prime congruent to 3 mod 4, or it
 is off-axis and its norm a^2 + b^2 is a rational prime.  Counting both
 (q, 0) and (0, q) follows the quadrant restriction literally and is the
 default; the "dedupe-axes" convention keeps only (q, 0) so that no two
-counted points are associates.  The census applies this rule to one sieve of
-the norms; the tests check the rule against a divisor scan
-(``tests/oracles.py``).
+counted points are associates.  The census applies this rule to the sieve of
+the norms one window at a time, weighting each window's slice of the int32
+running counts, so it holds 4 B per norm and one window of flags (6 B per
+norm while it read the whole table of flags and an int8 copy of it); the
+tests check the rule against a divisor scan (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, cumulative_sum, require_estimate_points, require_int, sieve_primes
+from .sieve import Census, prime_running_counts, require_estimate_points, require_int
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -45,20 +47,29 @@ class GaussianCensus(Census):
 
 def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit,
-    by reduction to the rational primes of each norm."""
+    by reduction to the rational primes of each norm, one sieve window at a
+    time."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
     require_int("norm_limit", norm_limit, 1)
+    axis_points = 2 if convention == "both-axes" else 1
+    squares = None
 
-    flags = sieve_primes(max(norm_limit, 2)).flags[: norm_limit + 1]
-    counts = flags.astype(np.int8)  # norm 2: the one point 1+i
-    counts[1::4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
-    counts[3::4] = 0  # p = 3 (mod 4) is no sum of two squares
-    # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
-    qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
-    qs = qs[qs % 4 == 3]
-    counts[qs * qs] += 2 if convention == "both-axes" else 1
-    cumulative = cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
+    def weigh(first: int, counts: np.ndarray) -> None:
+        """Points of norm first + i from counts[i], 1 where that norm is a
+        rational prime (norm 2: the one point 1+i)."""
+        nonlocal squares
+        if squares is None:  # the first window holds every q <= isqrt(norm_limit)
+            qs = np.flatnonzero(counts[: math.isqrt(norm_limit)]) + first
+            squares = qs[qs % 4 == 3] ** 2
+        counts[(1 - first) % 4 :: 4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
+        counts[(3 - first) % 4 :: 4] = 0  # p = 3 (mod 4) is no sum of two squares
+        # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
+        lo, hi = np.searchsorted(squares, (first, first + len(counts)))
+        counts[squares[lo:hi] - first] += axis_points
+
+    # at most 2 points per norm
+    cumulative = prime_running_counts(norm_limit, 2 * norm_limit, weigh)
     return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)
 
 

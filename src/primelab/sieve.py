@@ -1,13 +1,18 @@
 """Rational-prime sieving (one odd-only, segmented sieve of Eratosthenes),
 the classical census pi(n), and the parts every census shares.
 
-The classical and Gaussian censuses sieve the PrimeTable they need
-themselves; the monoid and quadratic censuses need none.  All four are a
-``Census``: one layout, ``cumulative[k]`` the count at ``change_grid()[k]``,
-and one interface, ``change_grid``, ``describe``, ``total`` and
-``estimate``, the count the paper conjectures for the domain (None where it
-asserts none).  A count at a point is read from ``cumulative`` through the
-series that build_series makes of the census.
+The classical and Gaussian censuses read the sieve one window of
+SEGMENT_SIZE numbers at a time and write their running counts straight from
+each window (``prime_running_counts``), so each holds 4 B per bound point,
+its int32 counts, plus one window of flags (5 B and 6 B per point,
+respectively, while they read a whole PrimeTable); ``sieve_primes`` copies
+the same windows into one table.  The monoid and quadratic censuses need no
+sieve of the primes.  All four are a ``Census``: one layout,
+``cumulative[k]`` the count at ``change_grid()[k]``, and one interface,
+``change_grid``, ``describe``, ``total`` and ``estimate``, the count the
+paper conjectures for the domain (None where it asserts none).  A count at
+a point is read from ``cumulative`` through the series that build_series
+makes of the census.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 # Hard cap on sieve size; requests beyond this are rejected outright.
 MAX_SIEVE_LIMIT = 1 << 40
-# Marking runs in segments of this many numbers.  The first segment holds
+# The sieve runs in windows of this many numbers.  The first window holds
 # every sieving prime, as isqrt(MAX_SIEVE_LIMIT) = 2**20 < SEGMENT_SIZE.
 SEGMENT_SIZE = 1 << 22
 
@@ -64,7 +69,8 @@ class Census:
     stop is the census's bound + 1.  By default the grid is every integer
     bound, so ``cumulative[n - 1]`` is the count at n."""
 
-    cumulative: np.ndarray  # from cumulative_sum: int32 when the census's bound fits
+    # from cumulative_sum or prime_running_counts: int32 when the census's bound fits
+    cumulative: np.ndarray
     estimate = None  # or a method: the conjectured count at each of an array of points
 
     @property
@@ -85,37 +91,78 @@ class PrimeTable:
     flags: np.ndarray  # bool, length limit + 1, flags[n] == n is prime
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including ``limit``.
+def _prime_windows(limit: int):
+    """Primality flags for 0..limit, one window of SEGMENT_SIZE numbers at a
+    time: yields (lo, flags) with flags[i] == lo + i is prime.
 
-    Even numbers are cleared once and only odd multiples are marked, one
-    SEGMENT_SIZE block at a time.  The first block is sieved by itself; each
-    later block [lo, hi) is marked by the odd primes p of the first block
-    with p^2 < hi.
+    One odd-only sieve of Eratosthenes.  The first window is sieved by
+    itself and holds every sieving prime; each later window [lo, hi) is
+    marked by the odd primes p of the first window with p^2 < hi.  Every
+    window is the same buffer, of min(SEGMENT_SIZE, limit + 1) flags, so a
+    window is overwritten once the next one is asked for.
     """
-    require_int("limit", limit, 2)
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
-
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    flags[4::2] = False
-    first = flags[:SEGMENT_SIZE]
-    for p in range(3, math.isqrt(len(first) - 1) + 1, 2):
-        if first[p]:
-            first[p * p :: 2 * p] = False
-    base = (np.flatnonzero(first[3 : math.isqrt(limit) + 1]) + 3).tolist()
-    for lo in range(SEGMENT_SIZE, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        seg = flags[lo:hi]
+    size = min(SEGMENT_SIZE, limit + 1)
+    window = np.ones(size, dtype=bool)
+    window[:2] = False
+    window[4::2] = False
+    for p in range(3, math.isqrt(size - 1) + 1, 2):
+        if window[p]:
+            window[p * p :: 2 * p] = False
+    base = (np.flatnonzero(window[3 : math.isqrt(limit) + 1]) + 3).tolist()
+    yield 0, window
+    for lo in range(size, limit + 1, size):
+        hi = min(lo + size, limit + 1)
+        seg = window[: hi - lo]
+        seg.fill(True)
+        seg[lo % 2 :: 2] = False  # the even numbers
         for p in base:
             if p * p >= hi:
                 break
             start = max(p * p, -(-lo // p) * p)
             start += p * (start % 2 == 0)  # odd multiples only
             seg[start - lo :: 2 * p] = False
+        yield lo, seg
+
+
+def _require_sieve_limit(limit: int) -> None:
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
+
+
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve of Eratosthenes up to and including ``limit``: the windows of
+    the segmented sieve copied into one table."""
+    require_int("limit", limit, 2)
+    _require_sieve_limit(limit)
+    flags = np.empty(limit + 1, dtype=bool)
+    for lo, window in _prime_windows(limit):
+        flags[lo : lo + len(window)] = window
     flags.setflags(write=False)
     return PrimeTable(limit=limit, flags=flags)
+
+
+def prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
+    """Read-only running totals over 1..limit (>= 1) of the rational primes,
+    ``cumulative[n - 1]`` the total at n, in count_dtype(most) for ``most`` a
+    bound on the total.  No table of flags is kept: each sieve window is cast
+    into its slice of the totals, weighted there by ``weigh(first, counts)``
+    when given (counts[i] is 1 where first + i is prime, 0 elsewhere; the
+    first call has first == 1 and sees every n <= isqrt(limit)), then summed
+    in place onto the total carried from the window before."""
+    _require_sieve_limit(limit)
+    cumulative = np.empty(limit, dtype=count_dtype(most))
+    carry = 0
+    for lo, window in _prime_windows(max(limit, 2)):
+        first, stop = max(lo, 1), min(lo + len(window), limit + 1)
+        counts = cumulative[first - 1 : stop - 1]
+        counts[:] = window[first - lo : stop - lo]
+        if weigh is not None:
+            weigh(first, counts)
+        counts[0] += carry
+        np.cumsum(counts, out=counts)
+        carry = counts[-1]
+    cumulative.setflags(write=False)
+    return cumulative
 
 
 @dataclass(frozen=True)
@@ -131,6 +178,5 @@ class ClassicalCensus(Census):
 
 def classical_census(limit: int) -> ClassicalCensus:
     """pi(n) for every n up to limit (>= 2)."""
-    cumulative = cumulative_sum(sieve_primes(limit).flags[1:], limit)
-    return ClassicalCensus(limit=limit, cumulative=cumulative)
-
+    require_int("limit", limit, 2)
+    return ClassicalCensus(limit=limit, cumulative=prime_running_counts(limit, limit))

@@ -22,6 +22,9 @@ machinery:
 - ``report.read_series_csv`` by the reader it had before it parsed blocks of
   lines: one numpy parse of every line, fed through a generator that
   rewrites empty fields and counts file lines (``oracle_read_series_csv``);
+- ``gaussian_census`` by the census it was before it read the sieve one
+  window at a time: the whole table of flags, an int8 copy weighted by
+  residue, and one cumulative sum (``oracle_gaussian_census``);
 - ``quad_census`` by the product sieve it ran before its norm grid was int32
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
@@ -37,10 +40,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import CountSeries, FitResult, PrimeTable, QuadCensus, RegionSpec, sieve_primes
+from primelab import (
+    CountSeries,
+    FitResult,
+    GaussianCensus,
+    PrimeTable,
+    QuadCensus,
+    RegionSpec,
+    sieve_primes,
+)
 from primelab import series as analysis
+from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
+from primelab.sieve import cumulative_sum, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
@@ -430,3 +443,23 @@ def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
     np.cumsum(cumulative, out=cumulative)
     cumulative.setflags(write=False)
     return QuadCensus(d=d, region=region, cumulative=cumulative)
+
+
+def oracle_gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
+    """gaussian_census as it was before it read the sieve one window at a
+    time, verbatim: the whole PrimeTable, an int8 copy of its flags and the
+    int32 or int64 running totals, 6 B per norm at once."""
+    if convention not in AXIS_CONVENTIONS:
+        raise ValueError(f"unknown axis convention {convention!r}")
+    require_int("norm_limit", norm_limit, 1)
+
+    flags = sieve_primes(max(norm_limit, 2)).flags[: norm_limit + 1]
+    counts = flags.astype(np.int8)  # norm 2: the one point 1+i
+    counts[1::4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
+    counts[3::4] = 0  # p = 3 (mod 4) is no sum of two squares
+    # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
+    qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
+    qs = qs[qs % 4 == 3]
+    counts[qs * qs] += 2 if convention == "both-axes" else 1
+    cumulative = cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
+    return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)

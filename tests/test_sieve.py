@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import table_primes, trial_division_is_prime
+from oracles import oracle_gaussian_census, table_primes, trial_division_is_prime
 from primelab import (
     MonoidParams,
     RegionSpec,
@@ -14,6 +17,7 @@ from primelab import (
     sieve_primes,
 )
 from primelab import sieve
+from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
 
@@ -97,14 +101,70 @@ def test_flags_match_trial_division(table_100k, n):
     assert bool(table_100k.flags[n]) == trial_division_is_prime(n)
 
 
+# Window sizes of the segmented sieve for the tests that patch it: three even
+# ones, then two odd ones, after which the later windows start on odd numbers
+# and which put an axis prime's square on a window edge: 361 = 19^2 is the
+# first norm of the second window, and 2 * 265 - 1 = 23^2 the last norm of it.
+WINDOW_SIZES = (224, 1000, 4096, 265, 361)
+
+
 def test_segment_boundaries_match_trial_division(monkeypatch):
     expected = [trial_division_is_prime(n) for n in range(50_002)]
     # each size exceeds isqrt(50_001) = 223, so the first segment holds every
     # sieving prime; 50_001 = 3 * 16_667 checks that the last number is marked
-    for size in (224, 1000, 4096):
+    for size in WINDOW_SIZES:
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
         for limit in (50_000, 50_001):
             assert sieve_primes(limit).flags.tolist() == expected[: limit + 1], (size, limit)
+
+
+def check_windowed_censuses(limit):
+    """The classical census against the running totals of the whole table, and
+    the Gaussian census against the census that read that table, values and
+    dtype."""
+    if limit >= 2:
+        census = classical_census(limit).cumulative
+        pi = np.cumsum(sieve_primes(limit).flags[1:])
+        assert census.dtype == np.int32 and np.array_equal(census, pi), limit
+    for convention in AXIS_CONVENTIONS:
+        census = gaussian_census(limit, convention).cumulative
+        former = oracle_gaussian_census(limit, convention).cumulative
+        assert census.dtype == former.dtype and np.array_equal(census, former), (limit, convention)
+
+
+@pytest.mark.parametrize("size", WINDOW_SIZES)
+def test_windowed_censuses_match_the_whole_table(monkeypatch, size):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    limits = {1, 2, 3, 19**2, 23**2, 31**2}
+    limits |= {k * size + step for k in (1, 2, 3) for step in (-1, 0, 1)}
+    for limit in sorted(limits):
+        assert math.isqrt(limit) < size  # the first window holds every sieving prime
+        check_windowed_censuses(limit)
+
+
+def test_windowed_censuses_at_the_segment_size():
+    for limit in (sieve.SEGMENT_SIZE - 1, sieve.SEGMENT_SIZE, sieve.SEGMENT_SIZE + 1):
+        check_windowed_censuses(limit)
+
+
+@pytest.mark.parametrize("n", (8 * 10**6, 2 * 10**7))
+@pytest.mark.parametrize("name", ("classical", "gaussian-both", "gaussian-dedupe"))
+def test_census_peak_memory_is_its_counts_and_one_window(name, n):
+    # the int32 counts, 4 B a bound point, and one window of flags; a whole
+    # flag table would add 1 B a point (and its int8 copy another)
+    build = {
+        "classical": classical_census,
+        "gaussian-both": lambda n: gaussian_census(n, "both-axes"),
+        "gaussian-dedupe": lambda n: gaussian_census(n, "dedupe-axes"),
+    }[name]
+    tracemalloc.start()
+    try:
+        census = build(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.cumulative.nbytes == 4 * n
+    assert peak <= 4 * n + sieve.SEGMENT_SIZE + (1 << 20), peak
 
 
 def test_flags_immutable(table_10k):
