@@ -114,6 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="Gaussian MAPE at increasing norm bounds")
     p.add_argument("--csv", help="write the summary table CSV")
+    p.add_argument(
+        "--svg", help="render the actual-vs-estimate chart of the largest bound's series"
+    )
 
     return parser
 
@@ -310,5 +313,5 @@ def _cmd_table2(args) -> int:
     for bound in TABLE2_BOUNDS:
         rows.append(report.MapeSummary(bound, analysis.mape(ser, upto=bound)))
         print(f"norm-bound={bound}: mape={rows[-1].mape_pct:.3f}%")
-    _emit(args, rows)
+    _emit(args, rows, ser)
     return EXIT_OK

@@ -313,7 +313,7 @@ COMMAND_PARTS = {
             option("--d", RINGS), option("--limit", SIZES), option("--norm-limit", SIZES),
             option("--bound", SIZES), switch("--euclidean"), output("--csv", "f.csv")],
     "table1": [output("--csv", "t1.csv"), switch("--svg-dir", "figs")],
-    "table2": [output("--csv", "t2.csv")],
+    "table2": [output("--csv", "t2.csv"), output("--svg", "t2.svg")],
 }
 
 

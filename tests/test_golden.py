@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from primelab import series as analysis
-from primelab.cli import run_cli
+from primelab.cli import TABLE2_BOUNDS, run_cli
 
 CASES = {
     "monoid-all-outputs": [
@@ -54,6 +54,7 @@ CASES = {
     "fit-two-sources": [["fit", "--from-csv", "s.csv", "--domain", "monoid"]],
     "table1": [["table1", "--csv", "t1.csv", "--svg-dir", "figs"]],
     "table2": [["table2", "--csv", "t2.csv"]],
+    "table2-svg": [["table2", "--csv", "t2.csv", "--svg", "t2.svg"]],
 }
 
 GOLDEN = {
@@ -206,6 +207,14 @@ GOLDEN = {
             "t2.csv": "0d90f0b51c2fa1467a580360ebf3fec8096c33e1e29d126549b46af830379156",
         },
     },
+    "table2-svg": {
+        "exit": [0],
+        "stdout": "8aa850d2d94dd5ab341f0e54e4e25123ba36cd5d4e9581d4e9fbefb10ad06f3f",
+        "files": {
+            "t2.csv": "0d90f0b51c2fa1467a580360ebf3fec8096c33e1e29d126549b46af830379156",
+            "t2.svg": "b8aa01ee0f46317cc898f691ac2f99221cedd48c8473466ad7cda930d5d1724a",
+        },
+    },
 }
 
 
@@ -232,6 +241,16 @@ def test_golden(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
     monkeypatch.chdir(tmp_path)
     assert observe(CASES[name], tmp_path, capsys) == GOLDEN[name]
+
+
+def test_table2_chart_is_the_gauss_chart_of_its_largest_bound(tmp_path, capsys, monkeypatch):
+    """table2 --svg draws the series that gauss --svg draws at the largest
+    table bound, so the two charts are the same bytes."""
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["table2", "--svg", "t2.svg"]) == 0
+    assert run_cli(["gauss", "--norm-limit", str(TABLE2_BOUNDS[-1]), "--svg", "g.svg"]) == 0
+    assert (tmp_path / "t2.svg").read_bytes() == (tmp_path / "g.svg").read_bytes()
 
 
 # Every case that emits a series artifact, at block sizes that cut each series
