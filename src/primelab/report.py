@@ -8,11 +8,9 @@ undefined values print as empty fields.
 A series CSV is written one series block (series.CHUNK_ROWS rows) at a
 time, formatted by numpy digit arithmetic into the bytes that the
 printf-style row format _SERIES_ROW would print, and written to the file as
-it is made.  The blocks are formatted on one thread per usable CPU
-(series._map_blocks) and written in order, so the bytes do not depend on
-the thread count.  Rows where that arithmetic cannot be sure of a
-rounding (near a .5 tie, infinite or negative fields, extreme exponents)
-are printed by _SERIES_ROW itself; _series_csv_blocks states the rule.
+it is made.  Rows where that arithmetic cannot be sure of a rounding (near
+a .5 tie, infinite or negative fields, extreme exponents) are printed by
+_SERIES_ROW itself; _series_csv_blocks states the rule.
 
 A series CSV is read back in two passes over blocks of _READ_BLOCK_CHARS
 characters.  The first counts the lines, so that x and actual are each made
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CountSeries, FitResult, _map_blocks
+from .series import CountSeries, FitResult
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
@@ -116,9 +114,7 @@ def _write(path, texts) -> None:
 
 def _series_csv_blocks(series: CountSeries):
     """The header line, then the rows one series block at a time, as ASCII
-    bytes, each line as _SERIES_ROW prints it with NaN fields empty.  The
-    blocks are formatted by series._map_blocks, on its threads, and come
-    in order.
+    bytes, each line as _SERIES_ROW prints it with NaN fields empty.
 
     A block is laid out as a uint8 table, one line per row: each field in
     columns as wide as the block needs, with 0 bytes as padding, and one
@@ -137,7 +133,8 @@ def _series_csv_blocks(series: CountSeries):
     1e6), or X is outside -17..27, where 10**(5 - X) is not an exact double.
     """
     yield (SERIES_HEADER + "\n").encode()
-    yield from _map_blocks(lambda lo, hi: _format_rows(series.rows(lo, hi)), len(series))
+    for cols in series.blocks():
+        yield _format_rows(cols)
 
 
 def _format_rows(cols) -> bytes:

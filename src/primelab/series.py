@@ -9,36 +9,23 @@ columns (estimate, ratio, pct_err) are never stored: they are computed
 from the estimator for the rows read alone, and each reader computes
 only the columns it reads: mape the estimate and pct_err, find_crossover
 the estimate, CHUNK_ROWS rows at a time; the series CSV writer all
-three, a block at a time, and a chart all three of the rows it draws,
+three, through blocks(), and a chart all three of the rows it draws,
 through rows().  Points where no percentage error is defined (actual = 0,
 or a series with no estimator) carry NaN in the derived columns;
 statistics skip them.
-
-The blocks of mape, find_crossover and the series CSV writer are
-independent, so _map_blocks computes them on one thread per usable CPU
-and hands them back in order, with at most one block per thread and the
-one being read in flight.  numpy releases the interpreter lock inside its
-array loops, so the threads run at once.  The results do not depend on the
-thread count: each block is computed as it would be alone, and mape joins
-its block sums with math.fsum, which is exact and so independent of their
-order.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
-import contextvars
 import functools
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 Estimator = Callable[[np.ndarray], np.ndarray]
-T = TypeVar("T")
 
 # rows per block when a series is streamed
 CHUNK_ROWS = 1 << 16
@@ -146,52 +133,6 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
-def _map_blocks(block: Callable[[int, int], T], stop: int) -> Iterator[T]:
-    """block(lo, hi) for each run lo:hi of CHUNK_ROWS rows below stop, in
-    order, computed on one thread per usable CPU.
-
-    At most workers + 1 blocks are in flight: one queued or running per
-    worker, and the one the caller holds, so the memory they take does not
-    grow with stop.  Each block runs in a copy of the caller's context, so
-    numpy's error state (np.errstate) holds in the workers too.  A block
-    that raises raises here, at its turn, and the blocks queued behind it
-    are cancelled."""
-    size = CHUNK_ROWS
-    starts = range(0, stop, size)
-    workers = _usable_cpus()
-    if workers == 1 or len(starts) <= 1:
-        yield from (block(lo, min(lo + size, stop)) for lo in starts)
-        return
-    pool, pending = _pool(workers), collections.deque()
-    try:
-        for lo in starts:
-            run = contextvars.copy_context().run
-            pending.append(pool.submit(run, block, lo, min(lo + size, stop)))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool(workers: int):
-    """The thread pool of _map_blocks, made on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # not at import: --help never needs it
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="primelab-block")
-
-
 def build_series(census) -> CountSeries:
     """Evaluate a census against its own estimate at every point where the
     count can change, as a view of the census's counts (for a census with an
@@ -220,20 +161,15 @@ def mape(series: CountSeries, upto: int | None = None) -> float:
     value (only those with x <= upto, when given), one block at a time,
     computing pct_err alone."""
     stop = len(series) if upto is None else bisect.bisect_right(series.grid, upto)
-
-    def block(lo: int, hi: int) -> tuple[float, int]:
-        """Sum and count of the block's error values."""
-        pct = _pct_err(*series._estimated(lo, hi)[1:])
+    sums, count = [], 0
+    for lo in range(0, stop, CHUNK_ROWS):
+        pct = _pct_err(*series._estimated(lo, min(lo + CHUNK_ROWS, stop))[1:])
         total = pct.sum()
         if math.isnan(total):  # the block has points without an error value
             pct = pct[~np.isnan(pct)]
             total = pct.sum()
-        return total, pct.size
-
-    sums, count = [], 0
-    for total, size in _map_blocks(block, stop):
         sums.append(total)
-        count += size
+        count += pct.size
     if count == 0:
         raise ValueError("series has no points with a defined percentage error")
     return math.fsum(sums) / count
@@ -247,28 +183,19 @@ def find_crossover(series: CountSeries) -> int | None:
     is above the actual count on the whole grid or still below it at the end.
     Reads x, actual and the estimate alone, one block at a time.
     """
-
-    def block(lo: int, hi: int) -> tuple[bool, int | None, int | None]:
-        """Whether actual exceeds the estimate somewhere in the block; the x
-        after the last such point (None at the block's end), and the
-        block's first x with an estimate (None if it has none)."""
-        x, actual, est = series._estimated(lo, hi)
+    crossover, above_seen = None, False
+    for lo in range(0, len(series), CHUNK_ROWS):
+        x, actual, est = series._estimated(lo, lo + CHUNK_ROWS)
         undefined = np.isnan(est)
         if undefined.any():
             defined = ~undefined
             x, actual, est = x[defined], actual[defined], est[defined]
         above = np.flatnonzero(actual - est > 0)
-        if not above.size:
-            return False, None, (int(x[0]) if x.size else None)
-        after = above[-1] + 1
-        return True, (int(x[after]) if after < x.size else None), None
-
-    crossover, above_seen = None, False
-    for above, after_x, first_x in _map_blocks(block, len(series)):
-        if above:
-            crossover, above_seen = after_x, True
-        elif above_seen and crossover is None and first_x is not None:
-            crossover = first_x  # the first point after a block that ended above
+        if above.size:
+            after = above[-1] + 1
+            crossover, above_seen = (int(x[after]) if after < x.size else None), True
+        elif above_seen and crossover is None and x.size:
+            crossover = int(x[0])  # the first point after a block that ended above
     return crossover
 
 

@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 import warnings
 from pathlib import Path
 
@@ -8,16 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_find_crossover, oracle_mape, oracle_read_series_csv
+from oracles import oracle_read_series_csv
 
 from primelab import (
     CountSeries,
     FitResult,
     build_series,
     classical_census,
-    find_crossover,
     gaussian_census,
-    mape,
 )
 from primelab import report
 from primelab import series as analysis
@@ -407,45 +404,6 @@ def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(block_rows, column)
     actual = np.concatenate([[-(2**63), -(2**40), -1], np.arange(n - 3) * 2**40])
     columns = (top - n + 1 + np.arange(n), actual, *columns)
     assert format_blocks(columns, block_rows) == oracle_series_csv_text(columns).encode("ascii")
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 7, analysis.CHUNK_ROWS])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_block_results_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, workers, chunk_rows):
-    """mape, find_crossover and the series CSV writer give what the oracles
-    give on any number of block threads, and a block that raises raises
-    from the call, as it does on the caller's thread."""
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
-    rows = 300 if chunk_rows < 100 else 2 * chunk_rows + 5  # several blocks either way
-    census = gaussian_census(rows + 1, "both-axes")
-    threads = set()
-
-    def estimator(norms):
-        threads.add(threading.current_thread())
-        return census.estimate(norms)
-
-    ser = CountSeries(range(2, rows + 2), census.cumulative[1:], estimator)
-    x = ser.x
-    for upto in (None, int(x[len(x) // 3]), int(x[-1])):
-        assert mape(ser, upto) == oracle_mape(ser, upto), upto
-    assert find_crossover(ser) == oracle_find_crossover(ser)
-    path = tmp_path / "series.csv"
-    write_csv(ser, path)
-    assert path.read_text() == oracle_series_csv_text(ser.rows())
-    assert (threads == {threading.main_thread()}) == (workers == 1), threads
-
-    bad = int(x[len(x) // 2])  # the estimator fails on the block of this point
-
-    def failing(norms):
-        if bad in norms:
-            raise ValueError(f"no estimate at {bad}")
-        return census.estimate(norms)
-
-    ser = CountSeries(ser.grid, ser.actual, failing)
-    for statistic in (mape, find_crossover, lambda s: write_csv(s, path)):
-        with pytest.raises(ValueError, match=f"no estimate at {bad}"):
-            statistic(ser)
 
 
 def count_percent_rows(monkeypatch):
