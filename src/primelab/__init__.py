@@ -18,7 +18,7 @@ from .series import (
     mape,
     ratio_R,
 )
-from .sieve import ClassicalCensus, PrimeTable, classical_census, sieve_primes
+from .sieve import ClassicalCensus, classical_census
 
 __all__ = [
     "ClassicalCensus",
@@ -27,7 +27,6 @@ __all__ = [
     "GaussianCensus",
     "MonoidCensus",
     "MonoidParams",
-    "PrimeTable",
     "QuadCensus",
     "RegionSpec",
     "build_series",
@@ -41,5 +40,4 @@ __all__ = [
     "monoid_census",
     "quad_census",
     "ratio_R",
-    "sieve_primes",
 ]

@@ -159,23 +159,31 @@ def _require(args, domain: str, *names: str) -> None:
         raise ValueError(f"{' and '.join(missing)} {verb} required for the {domain} domain")
 
 
+# the census flags each domain reads, all but --euclidean required; in this
+# order, the flags that fit names as unread print as --d, --limit,
+# --norm-limit, --bound, --euclidean
+_CENSUS_FLAGS = {
+    "monoid": ("d", "limit"),
+    "classical": ("limit",),
+    "gauss": ("norm_limit",),
+    "quad": ("d", "bound", "euclidean"),
+}
+
+
 def _census(domain: str, args):
     """Build the census a subcommand asks for, after the resource guard."""
+    _require(args, domain, *(name for name in _CENSUS_FLAGS[domain] if name != "euclidean"))
     if domain == "classical":
-        _require(args, domain, "limit")
         _check_guard(args.limit, "limit")
         census = sieve.classical_census(args.limit)
     elif domain == "monoid":
-        _require(args, domain, "d", "limit")
         _check_guard(args.limit, "limit")
         census = monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
     elif domain == "gauss":
-        _require(args, domain, "norm_limit")
         _check_guard(args.norm_limit, "norm-limit")
         convention = "dedupe-axes" if getattr(args, "dedupe_axes", False) else "both-axes"
         census = gaussian.gaussian_census(args.norm_limit, convention)
     else:
-        _require(args, domain, "d", "bound")
         # squarefree validation of d trial-divides up to sqrt(d): guard d first
         _check_guard(args.d, "d")
         kind = "euclidean-ball" if args.euclidean else "norm-ball"
@@ -247,25 +255,15 @@ def _cmd_quad(args) -> int:
     return EXIT_OK
 
 
-# the census arguments of fit that each of its sources reads
-_FIT_READS = {
-    "--from-csv": (),
-    "classical": ("limit",),
-    "monoid": ("d", "limit"),
-    "gauss": ("norm_limit",),
-    "quad": ("d", "bound", "euclidean"),
-}
-
-
 def _fit_series(args) -> analysis.CountSeries:
     if args.from_csv is not None and args.domain is not None:
         raise ValueError("choose either --from-csv or --domain, not both")
     if args.from_csv is None and args.domain is None:
         raise ValueError("fit needs --from-csv or --domain")
-    reads = _FIT_READS[args.domain or "--from-csv"]
+    reads = _CENSUS_FLAGS.get(args.domain, ())  # --from-csv reads none
     unused = [
         f"--{name.replace('_', '-')}"
-        for name in ("d", "limit", "norm_limit", "bound", "euclidean")
+        for name in dict.fromkeys(sum(_CENSUS_FLAGS.values(), ()))
         if getattr(args, name) is not None and name not in reads
     ]
     if unused:

@@ -3,16 +3,15 @@ the classical census pi(n), and the parts every census shares.
 
 The classical and Gaussian censuses read the sieve one window of
 SEGMENT_SIZE numbers at a time and write their running counts straight from
-each window (``prime_running_counts``), so each holds 4 B per bound point,
-its int32 counts, plus one window of flags (5 B and 6 B per point,
-respectively, while they read a whole PrimeTable); ``sieve_primes`` copies
-the same windows into one table.  The monoid and quadratic censuses need no
-sieve of the primes.  All four are a ``Census``: one layout,
-``cumulative[k]`` the count at ``change_grid()[k]``, and one interface,
-``change_grid``, ``describe``, ``total`` and ``estimate``, the count the
-paper conjectures for the domain (None where it asserts none).  A count at
-a point is read from ``cumulative`` through the series that build_series
-makes of the census.
+each window (``prime_running_counts``, the sieve's one reader), so each
+holds 4 B per bound point, its int32 counts, plus one window of flags (5 B
+and 6 B per point, respectively, while they read a whole table of flags).
+The monoid and quadratic censuses need no sieve of the primes.  All four
+are a ``Census``: one layout, ``cumulative[k]`` the count at
+``change_grid()[k]``, and one interface, ``change_grid``, ``describe``,
+``total`` and ``estimate``, the count the paper conjectures for the domain
+(None where it asserts none).  A count at a point is read from
+``cumulative`` through the series that build_series makes of the census.
 """
 
 from __future__ import annotations
@@ -83,14 +82,6 @@ class Census:
         return range(1, len(self.cumulative) + 1)
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Boolean primality flags for 0..limit, immutable after construction."""
-
-    limit: int
-    flags: np.ndarray  # bool, length limit + 1, flags[n] == n is prime
-
-
 def _prime_windows(limit: int):
     """Primality flags for 0..limit, one window of SEGMENT_SIZE numbers at a
     time: yields (lo, flags) with flags[i] == lo + i is prime.
@@ -124,23 +115,6 @@ def _prime_windows(limit: int):
         yield lo, seg
 
 
-def _require_sieve_limit(limit: int) -> None:
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including ``limit``: the windows of
-    the segmented sieve copied into one table."""
-    require_int("limit", limit, 2)
-    _require_sieve_limit(limit)
-    flags = np.empty(limit + 1, dtype=bool)
-    for lo, window in _prime_windows(limit):
-        flags[lo : lo + len(window)] = window
-    flags.setflags(write=False)
-    return PrimeTable(limit=limit, flags=flags)
-
-
 def prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
     """Read-only running totals over 1..limit (>= 1) of the rational primes,
     ``cumulative[n - 1]`` the total at n, in count_dtype(most) for ``most`` a
@@ -149,7 +123,8 @@ def prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
     when given (counts[i] is 1 where first + i is prime, 0 elsewhere; the
     first call has first == 1 and sees every n <= isqrt(limit)), then summed
     in place onto the total carried from the window before."""
-    _require_sieve_limit(limit)
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
     cumulative = np.empty(limit, dtype=count_dtype(most))
     carry = 0
     for lo, window in _prime_windows(max(limit, 2)):

@@ -6,19 +6,19 @@ import pytest
 # allow running the suite from a checkout without installing
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from primelab import sieve_primes  # noqa: E402
+from oracles import eratosthenes_flags  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def table_10k():
-    return sieve_primes(10**4)
+    return eratosthenes_flags(10**4)
 
 
 @pytest.fixture(scope="session")
 def table_100k():
-    return sieve_primes(10**5)
+    return eratosthenes_flags(10**5)
 
 
 @pytest.fixture(scope="session")
 def table_1m():
-    return sieve_primes(10**6)
+    return eratosthenes_flags(10**6)

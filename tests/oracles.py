@@ -3,7 +3,10 @@
 Each census in primelab is checked against a method that shares none of its
 machinery:
 
-- rational primes by trial division (``trial_division_is_prime``);
+- rational primes by trial division (``trial_division_is_prime``) and by a
+  whole-array sieve of Eratosthenes over every integer
+  (``eratosthenes_flags``), the prime source of every oracle below that
+  needs primes: the package's odd-only, windowed sieve is what they check;
 - monoid primes by trial division (``is_monoid_prime``), A_4 by rational
   factorization (``hilbert_classify``) and, at scale, by counting rational
   primes in residue classes (``a4_atom_count``);
@@ -23,13 +26,14 @@ machinery:
   lines: one numpy parse of every line, fed through a generator that
   rewrites empty fields and counts file lines (``oracle_read_series_csv``);
 - ``gaussian_census`` by the census it was before it read the sieve one
-  window at a time: the whole table of flags, an int8 copy weighted by
-  residue, and one cumulative sum (``oracle_gaussian_census``);
+  window at a time: a whole table of flags, here ``eratosthenes_flags``,
+  an int8 copy weighted by residue, and one cumulative sum
+  (``oracle_gaussian_census``);
 - ``quad_census`` by the product sieve it ran before its norm grid was int32
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
 
-``table_primes`` lists the primes of a PrimeTable for the tests.
+``table_primes`` lists the primes of a table of flags for the tests.
 """
 
 from __future__ import annotations
@@ -40,15 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import (
-    CountSeries,
-    FitResult,
-    GaussianCensus,
-    PrimeTable,
-    QuadCensus,
-    RegionSpec,
-    sieve_primes,
-)
+from primelab import CountSeries, FitResult, GaussianCensus, QuadCensus, RegionSpec
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
@@ -59,9 +55,22 @@ from primelab.sieve import cumulative_sum, require_int
 BRUTE_NORM_CAP = 10**6
 
 
-def table_primes(table: PrimeTable) -> np.ndarray:
-    """All primes <= table.limit, ascending."""
-    return np.flatnonzero(table.flags).astype(np.int64)
+def eratosthenes_flags(limit: int) -> np.ndarray:
+    """Read-only primality flags for 0..limit (>= 0), flags[n] == n is prime:
+    one sieve of Eratosthenes over the whole array, every multiple of every
+    prime p <= sqrt(limit) crossed out from p^2."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    flags.setflags(write=False)
+    return flags
+
+
+def table_primes(table: np.ndarray) -> np.ndarray:
+    """All primes of a table of flags (``eratosthenes_flags``), ascending."""
+    return np.flatnonzero(table).astype(np.int64)
 
 
 def census_counts_at(census, xs) -> np.ndarray:
@@ -115,7 +124,7 @@ def is_monoid_prime(n: int, d: int) -> bool:
     return True
 
 
-def hilbert_classify(n: int, table: PrimeTable) -> bool:
+def hilbert_classify(n: int, table: np.ndarray) -> bool:
     """Independent primality oracle for A_4 via rational factorization.
 
     An element of A_4 is a monoid prime exactly when it is a rational prime
@@ -124,17 +133,17 @@ def hilbert_classify(n: int, table: PrimeTable) -> bool:
     """
     if n < 1 or n % 4 != 1:
         raise ValueError(f"n={n} is not in A_4")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds table.limit={table.limit}")
+    if n >= len(table):
+        raise ValueError(f"n={n} exceeds the table's limit {len(table) - 1}")
     if n == 1:
         return False
-    if table.flags[n]:
+    if table[n]:
         return True
     p = 3  # n is odd and composite, so its least divisor > 1 is an odd prime <= sqrt(n)
     while n % p:
         p += 2
     q = n // p
-    return p % 4 == 3 and q % 4 == 3 and bool(table.flags[q])
+    return p % 4 == 3 and q % 4 == 3 and bool(table[q])
 
 
 def a4_atom_count(x: int) -> int:
@@ -142,7 +151,7 @@ def a4_atom_count(x: int) -> int:
     one element at a time: pi(x;4,1) + sum over primes p <= sqrt(x) with
     p = 3 (mod 4) of pi(x/p;4,3) - pi(p-1;4,3), the primes q = 3 (mod 4)
     with p <= q <= x/p."""
-    primes = table_primes(sieve_primes(max(x, 2)))
+    primes = table_primes(eratosthenes_flags(x))
     ones, threes = primes[primes % 4 == 1], primes[primes % 4 == 3]
     small = threes[threes * threes <= x]
     # threes[i] = p, so pi(p-1;4,3) = i
@@ -168,16 +177,16 @@ class GaussPoint:
         return self.a * self.a + self.b * self.b
 
 
-def is_gaussian_prime(p: GaussPoint, table: PrimeTable) -> bool:
-    """Classify via the norm; needs table.limit >= p.norm."""
+def is_gaussian_prime(p: GaussPoint, table: np.ndarray) -> bool:
+    """Classify via the norm; needs a table of flags that reaches p.norm."""
     n = p.norm
-    if table.limit < n:
-        raise ValueError(f"table.limit={table.limit} < norm {n}")
+    if len(table) <= n:
+        raise ValueError(f"the table's limit {len(table) - 1} < norm {n}")
     if p.b == 0:
-        return p.a % 4 == 3 and bool(table.flags[p.a])
+        return p.a % 4 == 3 and bool(table[p.a])
     if p.a == 0:
-        return p.b % 4 == 3 and bool(table.flags[p.b])
-    return bool(table.flags[n])
+        return p.b % 4 == 3 and bool(table[p.b])
+    return bool(table[n])
 
 
 def gaussian_brute_irreducible(p: GaussPoint) -> bool:
@@ -447,13 +456,15 @@ def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
 
 def oracle_gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     """gaussian_census as it was before it read the sieve one window at a
-    time, verbatim: the whole PrimeTable, an int8 copy of its flags and the
-    int32 or int64 running totals, 6 B per norm at once."""
+    time: a whole table of flags, an int8 copy of it and the int32 or int64
+    running totals, 6 B per norm at once.  Its flags come from
+    ``eratosthenes_flags``, not from the package's sieve as they did then;
+    the rest is as it was."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
     require_int("norm_limit", norm_limit, 1)
 
-    flags = sieve_primes(max(norm_limit, 2)).flags[: norm_limit + 1]
+    flags = eratosthenes_flags(norm_limit)
     counts = flags.astype(np.int8)  # norm 2: the one point 1+i
     counts[1::4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
     counts[3::4] = 0  # p = 3 (mod 4) is no sum of two squares

@@ -203,8 +203,6 @@ def test_fit_classical(capsys):
 def test_fit_requires_source(capsys):
     code, _, err = run(["fit"], capsys)
     assert code == 2
-    code, _, err = run(["fit", "--domain", "monoid", "--d", "3"], capsys)
-    assert code == 2
     code, _, err = run(["fit", "--from-csv", "", "--domain", "classical", "--limit", "100"], capsys)
     assert code == 2
     assert "choose either" in err
@@ -230,6 +228,26 @@ def test_fit_rejects_census_arguments_its_source_does_not_read(source, capsys):
     # choosing both sources is still the first error
     code, _, err = run([*argv, "--from-csv" if "--domain" in argv else "--domain", "gauss"], capsys)
     assert code == 2 and "choose either --from-csv or --domain" in err
+
+
+# each domain of fit with the census arguments given, and the error naming those missing
+MISSING_FIT_ARGUMENTS = {
+    "classical": "--limit is",
+    "monoid": "--d and --limit are",
+    "monoid --d 3": "--limit is",
+    "monoid --limit 100": "--d is",
+    "gauss": "--norm-limit is",
+    "quad": "--d and --bound are",
+    "quad --euclidean --bound 100": "--d is",
+    "quad --d 5": "--bound is",
+}
+
+
+@pytest.mark.parametrize("source", sorted(MISSING_FIT_ARGUMENTS))
+def test_fit_names_the_census_arguments_its_domain_misses(source, capsys):
+    code, out, err = run(["fit", "--domain", *source.split()], capsys)
+    missing, domain = MISSING_FIT_ARGUMENTS[source], source.split()[0]
+    assert (code, out, err) == (2, "", f"error: {missing} required for the {domain} domain\n")
 
 
 def test_fit_missing_input_file(tmp_path, capsys):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import GaussPoint, gaussian_brute_irreducible, is_gaussian_prime, table_primes
+from oracles import (
+    GaussPoint,
+    eratosthenes_flags,
+    gaussian_brute_irreducible,
+    is_gaussian_prime,
+    table_primes,
+)
 from primelab import estimate_pi_G, gaussian_census
 
 
@@ -28,11 +34,8 @@ def test_classifier_examples(table_10k):
 
 
 def test_classifier_needs_covering_table():
-    from primelab import sieve_primes
-
-    small = sieve_primes(10)
     with pytest.raises(ValueError):
-        is_gaussian_prime(GaussPoint(3, 2), small)  # norm 13 > 10
+        is_gaussian_prime(GaussPoint(3, 2), eratosthenes_flags(10))  # norm 13 > 10
 
 
 def test_brute_force_examples():
@@ -116,7 +119,7 @@ def test_cumulative_changes_only_at_primes_or_inert_squares(table_10k):
     limit = 10**4
     c = gaussian_census(limit, "both-axes").cumulative
     change = np.flatnonzero(np.diff(c, prepend=0)) + 1  # cumulative[n - 1]: norm n
-    flags = table_10k.flags
+    flags = table_10k
     for n in change.tolist():
         root = math.isqrt(n)
         is_inert_square = root * root == n and root % 4 == 3 and flags[root]

@@ -14,7 +14,6 @@ PUBLIC = {
     "GaussianCensus",
     "MonoidCensus",
     "MonoidParams",
-    "PrimeTable",
     "QuadCensus",
     "RegionSpec",
     "build_series",
@@ -28,7 +27,6 @@ PUBLIC = {
     "monoid_census",
     "quad_census",
     "ratio_R",
-    "sieve_primes",
 }
 
 ORACLES = {
@@ -38,6 +36,7 @@ ORACLES = {
     "_divisors_by_trial",
     "_has_proper_divisor",
     "census_counts_at",
+    "eratosthenes_flags",
     "gaussian_brute_irreducible",
     "hilbert_classify",
     "is_gaussian_prime",
@@ -58,7 +57,7 @@ ORACLES = {
 
 
 def test_package_exports():
-    assert len(primelab.__all__) == len(PUBLIC) == 21
+    assert len(primelab.__all__) == len(PUBLIC) == 19
     assert set(primelab.__all__) == PUBLIC
     for name in primelab.__all__:
         assert getattr(primelab, name) is not None, name

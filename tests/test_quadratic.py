@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     GaussPoint,
     QuadInt,
+    eratosthenes_flags,
     is_gaussian_prime,
     oracle_quad_census,
     quad_divide_exact,
@@ -19,7 +20,7 @@ from oracles import (
     quad_norm,
     table_primes,
 )
-from primelab import RegionSpec, build_series, gaussian_census, quad_census, sieve_primes
+from primelab import RegionSpec, build_series, gaussian_census, quad_census
 from primelab import quadratic
 from primelab.quadratic import (
     MAX_CENSUS_BOUND,
@@ -211,7 +212,7 @@ def test_census_d2_follows_rational_primes():
     # Z[sqrt(-2)] is a UFD, so its irreducibles are its primes: sqrt(-2), one
     # first-quadrant cell a + b*sqrt(-2) over each p = 1, 3 (mod 8), and each
     # inert q = 5, 7 (mod 8) itself, at norm q^2
-    primes = table_primes(sieve_primes(MAX_CENSUS_BOUND))
+    primes = table_primes(eratosthenes_flags(MAX_CENSUS_BOUND))
     split = primes[(primes == 2) | np.isin(primes % 8, (1, 3))]
     inert = primes[np.isin(primes % 8, (5, 7))]
     counts = np.zeros(MAX_CENSUS_BOUND + 1, dtype=np.int64)

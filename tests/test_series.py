@@ -194,7 +194,7 @@ def test_fit_recovers_synthetic_parameters():
 
 def test_fit_classical_exponent_near_one(table_100k):
     xs = np.arange(10**3, 10**5 + 1, 97, dtype=np.int64)
-    counts = np.cumsum(table_100k.flags)
+    counts = np.cumsum(table_100k)
     ser = CountSeries(xs, counts[xs])
     fit = fit_model(ser)
     assert 0.8 <= fit.e <= 1.2

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_gaussian_census, table_primes, trial_division_is_prime
+from oracles import (
+    eratosthenes_flags,
+    oracle_gaussian_census,
+    table_primes,
+    trial_division_is_prime,
+)
 from primelab import (
     MonoidParams,
     RegionSpec,
@@ -14,7 +19,6 @@ from primelab import (
     gaussian_census,
     monoid_census,
     quad_census,
-    sieve_primes,
 )
 from primelab import sieve
 from primelab.gaussian import AXIS_CONVENTIONS
@@ -22,9 +26,19 @@ from primelab.quadratic import validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
 
 
+def pi_steps(limit):
+    """pi(n) - pi(n - 1) for 0 <= n <= limit, from the classical census: 1
+    where n is prime, 0 elsewhere."""
+    return np.diff(classical_census(limit).cumulative, prepend=[0, 0])
+
+
+@pytest.fixture(scope="module")
+def steps_100k():
+    return pi_steps(10**5)
+
+
 def test_small_limit_exact():
-    table = sieve_primes(10)
-    assert np.flatnonzero(table.flags).tolist() == [2, 3, 5, 7]
+    assert np.flatnonzero(pi_steps(10)).tolist() == [2, 3, 5, 7]
 
 
 def test_count_at_10k():
@@ -45,18 +59,12 @@ def test_count_at_1e8():
 
 
 def test_limit_validation():
-    with pytest.raises(ValueError):
-        sieve_primes(1)
-    with pytest.raises(ValueError):
-        sieve_primes(0)
-    with pytest.raises(ValueError):
-        sieve_primes(MAX_SIEVE_LIMIT + 1)
-    with pytest.raises(ValueError):
-        sieve_primes(2.5)
+    for limit in (1, 0, MAX_SIEVE_LIMIT + 1, 2.5):
+        with pytest.raises(ValueError):
+            classical_census(limit)
 
 
 INTEGER_PARAMETERS = {
-    "sieve_primes": sieve_primes,
     "classical_census": classical_census,
     "MonoidParams.d": lambda v: MonoidParams(d=v, limit=100),
     "MonoidParams.limit": lambda v: MonoidParams(d=3, limit=v),
@@ -89,16 +97,14 @@ def test_pi_basics():
     assert census.cumulative[1] == 1
 
 
-def test_pi_steps_by_zero_or_one(table_10k):
-    counts = np.cumsum(table_10k.flags)
-    steps = np.diff(counts)
-    assert set(np.unique(steps)) <= {0, 1}
+def test_pi_steps_by_zero_or_one():
+    assert set(np.unique(pi_steps(10**4))) <= {0, 1}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**5))
-def test_flags_match_trial_division(table_100k, n):
-    assert bool(table_100k.flags[n]) == trial_division_is_prime(n)
+def test_flags_match_trial_division(steps_100k, n):
+    assert bool(steps_100k[n]) == trial_division_is_prime(n)
 
 
 # Window sizes of the segmented sieve for the tests that patch it: three even
@@ -109,22 +115,23 @@ WINDOW_SIZES = (224, 1000, 4096, 265, 361)
 
 
 def test_segment_boundaries_match_trial_division(monkeypatch):
-    expected = [trial_division_is_prime(n) for n in range(50_002)]
+    expected = np.cumsum([trial_division_is_prime(n) for n in range(1, 50_002)])
     # each size exceeds isqrt(50_001) = 223, so the first segment holds every
     # sieving prime; 50_001 = 3 * 16_667 checks that the last number is marked
     for size in WINDOW_SIZES:
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
         for limit in (50_000, 50_001):
-            assert sieve_primes(limit).flags.tolist() == expected[: limit + 1], (size, limit)
+            census = classical_census(limit).cumulative
+            assert np.array_equal(census, expected[:limit]), (size, limit)
 
 
 def check_windowed_censuses(limit):
-    """The classical census against the running totals of the whole table, and
-    the Gaussian census against the census that read that table, values and
-    dtype."""
+    """The classical census against the running totals of the tests' own
+    sieve, and the Gaussian census against the census that read a whole table,
+    values and dtype."""
     if limit >= 2:
         census = classical_census(limit).cumulative
-        pi = np.cumsum(sieve_primes(limit).flags[1:])
+        pi = np.cumsum(eratosthenes_flags(limit)[1:])
         assert census.dtype == np.int32 and np.array_equal(census, pi), limit
     for convention in AXIS_CONVENTIONS:
         census = gaussian_census(limit, convention).cumulative
@@ -167,11 +174,6 @@ def test_census_peak_memory_is_its_counts_and_one_window(name, n):
     assert peak <= 4 * n + sieve.SEGMENT_SIZE + (1 << 20), peak
 
 
-def test_flags_immutable(table_10k):
-    with pytest.raises(ValueError):
-        table_10k.flags[4] = True
-
-
 def test_primes_listing(table_10k):
     primes = table_primes(table_10k)
     assert primes[0] == 2 and primes[-1] == 9973
@@ -199,3 +201,10 @@ def test_census_layout_is_shared(name):
     grid = census.change_grid()
     assert len(grid) == len(census.cumulative) and grid.start == 1 and grid.stop == limit + 1
     assert census.total == census.cumulative[-1]
+
+
+@pytest.mark.parametrize("name", sorted(CENSUSES))
+def test_census_counts_are_read_only(name):
+    census = CENSUSES[name][0]()
+    with pytest.raises(ValueError):
+        census.cumulative[0] = 1
