@@ -5,6 +5,14 @@ Exit codes: 0 success, 2 invalid arguments, 3 resource guard tripped,
 PRIMES_LAB_MAX_LIMIT environment variable.  Each census carries the
 paper's estimate for its domain (none for Z[sqrt(-d)]); a command that
 compares a census with its estimate exits 2 when the census holds no primes.
+
+Every command but fit reads its census once, block by block
+(series.stream_series), and feeds that one pass to all of its reducers:
+its statistics, and the series CSV writer and the chart when they are asked
+for.  So gauss and table2 never hold a count per norm: their memory is one
+sieve window and one block, whatever the bound.  The printed lines and the
+files come after the pass, in the order the command names them; fit reads
+its series whole (build_series), since the fit needs random access.
 """
 
 from __future__ import annotations
@@ -193,24 +201,35 @@ def _census(domain: str, args):
     return census
 
 
-def _emit(args, csv_obj, ser: analysis.CountSeries | None = None) -> None:
-    """Write whichever of --csv, --series-csv and --svg the subcommand has:
-    csv_obj (summary rows, fit rows or a series) to --csv, the series to
-    the other two."""
-    outputs = (
-        ("csv", csv_obj, report.write_csv),
-        ("series_csv", ser, report.write_csv),
-        ("svg", ser, report.render_svg),
-    )
-    for flag, obj, write in outputs:
+def _writers(args, ser: analysis.Series, series_csv: str = "series_csv") -> dict:
+    """The reducers that write the series, by the flag they write to: the
+    series CSV to the flag named series_csv (quad's is --csv) and the chart
+    to --svg, for those given."""
+    writers = {}
+    if getattr(args, series_csv, None) is not None:
+        writers[series_csv] = report.SeriesCsvWriter(ser, getattr(args, series_csv))
+    if getattr(args, "svg", None) is not None:
+        writers["svg"] = report.Chart(ser, args.svg)
+    return writers
+
+
+def _emit(args, rows=None, writers=None) -> None:
+    """Finish whichever of --csv, --series-csv and --svg the subcommand has,
+    in that order: a writer fed by the pass, or the summary or fit rows to
+    --csv."""
+    writers = writers or {}
+    for flag in ("csv", "series_csv", "svg"):
         path = getattr(args, flag, None)
         if path is None:
             continue
-        write(obj, path)
+        if flag in writers:
+            writers[flag].finish()
+        else:
+            report.write_csv(rows, path)
         print(f"wrote {path}")
 
 
-def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.MonoidSummary:
+def _monoid_summary(census: monoid.MonoidCensus, mape_pct: float, eval_x: int):
     estimate = census.estimate(eval_x)
     return report.MonoidSummary(
         d=census.params.d,
@@ -218,40 +237,46 @@ def _monoid_summary(census: monoid.MonoidCensus, ser, eval_x: int) -> report.Mon
         actual_count=census.total,
         estimate=estimate,
         r_ratio=analysis.ratio_R(census.total, estimate),
-        mape_pct=analysis.mape(ser),
+        mape_pct=mape_pct,
     )
 
 
 def _cmd_monoid(args) -> int:
     census = _census("monoid", args)
-    ser = analysis.build_series(census)
+    ser = analysis.stream_series(census)
+    error, writers = analysis.Mape(ser), _writers(args, ser)
+    analysis.scan(ser, error, *writers.values())
     eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
-    row = _monoid_summary(census, ser, eval_x)
+    row = _monoid_summary(census, error.result()[0], eval_x)
     print(
         f"monoid d={args.d} limit={args.limit}: count={row.actual_count} "
         f"estimate({eval_x})={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
     )
-    _emit(args, [row], ser)
+    _emit(args, [row], writers)
     return EXIT_OK
 
 
 def _cmd_gauss(args) -> int:
     census = _census("gauss", args)
-    ser = analysis.build_series(census)
-    row = report.MapeSummary(args.norm_limit, analysis.mape(ser))
+    ser = analysis.stream_series(census)
+    total, error, writers = analysis.Total(), analysis.Mape(ser), _writers(args, ser)
+    analysis.scan(ser, total, error, *writers.values())
+    row = report.MapeSummary(args.norm_limit, error.result()[0])
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
-        f"count={census.total} mape={row.mape_pct:.3f}%"
+        f"count={total.value} mape={row.mape_pct:.3f}%"
     )
-    _emit(args, [row], ser)
+    _emit(args, [row], writers)
     return EXIT_OK
 
 
 def _cmd_quad(args) -> int:
     census = _census("quad", args)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
-    ser = analysis.build_series(census)
-    _emit(args, ser, ser)
+    ser = analysis.stream_series(census)
+    writers = _writers(args, ser, series_csv="csv")
+    analysis.scan(ser, *writers.values())
+    _emit(args, writers=writers)
     return EXIT_OK
 
 
@@ -289,27 +314,32 @@ def _cmd_table1(args) -> int:
     rows = []
     for d in TABLE1_MODULI:
         census = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
-        ser = analysis.build_series(census)
-        row = _monoid_summary(census, ser, census.change_grid()[-1])
+        ser = analysis.stream_series(census)
+        error = analysis.Mape(ser)
+        path = None if args.svg_dir is None else os.path.join(args.svg_dir, f"monoid_d{d}.svg")
+        charts = [] if path is None else [report.Chart(ser, path)]
+        analysis.scan(ser, error, *charts)
+        row = _monoid_summary(census, error.result()[0], census.change_grid()[-1])
         rows.append(row)
         print(
             f"d={d}: largest={row.largest_element} count={row.actual_count} "
             f"estimate={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
         )
-        if args.svg_dir is not None:
+        if path is not None:
             os.makedirs(args.svg_dir, exist_ok=True)
-            path = os.path.join(args.svg_dir, f"monoid_d{d}.svg")
-            report.render_svg(ser, path)
+            charts[0].finish()
             print(f"wrote {path}")
     _emit(args, rows)
     return EXIT_OK
 
 
 def _cmd_table2(args) -> int:
-    ser = analysis.build_series(_census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1])))
-    rows = []
-    for bound in TABLE2_BOUNDS:
-        rows.append(report.MapeSummary(bound, analysis.mape(ser, upto=bound)))
-        print(f"norm-bound={bound}: mape={rows[-1].mape_pct:.3f}%")
-    _emit(args, rows, ser)
+    census = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
+    ser = analysis.stream_series(census)
+    error, writers = analysis.Mape(ser, TABLE2_BOUNDS), _writers(args, ser)
+    analysis.scan(ser, error, *writers.values())
+    rows = [report.MapeSummary(bound, pct) for bound, pct in zip(TABLE2_BOUNDS, error.result())]
+    for row in rows:
+        print(f"norm-bound={row.norm_bound}: mape={row.mape_pct:.3f}%")
+    _emit(args, rows, writers)
     return EXIT_OK

@@ -5,11 +5,12 @@ and its nonzero coordinate is a rational prime congruent to 3 mod 4, or it
 is off-axis and its norm a^2 + b^2 is a rational prime.  Counting both
 (q, 0) and (0, q) follows the quadrant restriction literally and is the
 default; the "dedupe-axes" convention keeps only (q, 0) so that no two
-counted points are associates.  The census applies this rule to the sieve of
-the norms one window at a time, weighting each window's slice of the int32
-running counts, so it holds 4 B per norm and one window of flags (6 B per
-norm while it read the whole table of flags and an int8 copy of it); the
-tests check the rule against a divisor scan (``tests/oracles.py``).
+counted points are associates.  The census applies this rule to each block
+of running counts that the sieve of the norms yields (a SievedCensus): a
+streamed pass holds one window of flags and one block of counts, and the
+whole counts, when read, take 4 B per norm.  The axis points' norms q^2
+come from the sieve's base primes q <= isqrt(norm_limit).  The tests check
+the rule against a divisor scan (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,18 +20,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, prime_running_counts, require_estimate_points, require_int
+from .sieve import SievedCensus, primes_upto, require_estimate_points, require_sieve_limit
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
 
 @dataclass(frozen=True)
-class GaussianCensus(Census):
-    """Cumulative Gaussian-prime counts by integer norm bound."""
+class GaussianCensus(SievedCensus):
+    """Cumulative Gaussian-prime counts by integer norm bound: cumulative[n - 1]
+    is the count for norm bound n, int32 when 2 * norm_limit < 2**31."""
 
     norm_limit: int
     axis_convention: str
-    cumulative: np.ndarray  # index n - 1 for norm bound n; int32 when 2*norm_limit < 2**31
+
+    def _sieve(self):
+        """The sieve of the norms up to norm_limit, each block weighted by
+        the rule above; at most 2 points per norm."""
+        axis_points = 2 if self.axis_convention == "both-axes" else 1
+        squares = None
+
+        def weigh(first: int, counts: np.ndarray) -> None:
+            """Points of norm first + i from counts[i], 1 where that norm is a
+            rational prime (norm 2: the one point 1+i)."""
+            nonlocal squares
+            if squares is None:
+                qs = primes_upto(math.isqrt(self.norm_limit))
+                squares = qs[qs % 4 == 3] ** 2
+            # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
+            counts[(1 - first) % 4 :: 4] *= 2
+            counts[(3 - first) % 4 :: 4] = 0  # p = 3 (mod 4) is no sum of two squares
+            # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
+            lo, hi = np.searchsorted(squares, (first, first + len(counts)))
+            counts[squares[lo:hi] - first] += axis_points
+
+        return self.norm_limit, 2 * self.norm_limit, weigh
 
     def estimate(self, norms):
         """The paper's conjectured count at each norm bound: estimate_pi_G
@@ -47,30 +70,12 @@ class GaussianCensus(Census):
 
 def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit,
-    by reduction to the rational primes of each norm, one sieve window at a
-    time."""
+    by reduction to the rational primes of each norm, read from the sieve
+    when first streamed or read whole."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
-    require_int("norm_limit", norm_limit, 1)
-    axis_points = 2 if convention == "both-axes" else 1
-    squares = None
-
-    def weigh(first: int, counts: np.ndarray) -> None:
-        """Points of norm first + i from counts[i], 1 where that norm is a
-        rational prime (norm 2: the one point 1+i)."""
-        nonlocal squares
-        if squares is None:  # the first window holds every q <= isqrt(norm_limit)
-            qs = np.flatnonzero(counts[: math.isqrt(norm_limit)]) + first
-            squares = qs[qs % 4 == 3] ** 2
-        counts[(1 - first) % 4 :: 4] *= 2  # p = 1 (mod 4) is a^2 + b^2 as (a, b) and (b, a), a != b
-        counts[(3 - first) % 4 :: 4] = 0  # p = 3 (mod 4) is no sum of two squares
-        # ...but its axis points (q, 0) and (0, q), of norm q^2, are prime
-        lo, hi = np.searchsorted(squares, (first, first + len(counts)))
-        counts[squares[lo:hi] - first] += axis_points
-
-    # at most 2 points per norm
-    cumulative = prime_running_counts(norm_limit, 2 * norm_limit, weigh)
-    return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)
+    require_sieve_limit("norm_limit", norm_limit, 1)
+    return GaussianCensus(norm_limit=norm_limit, axis_convention=convention)
 
 
 def estimate_pi_G(r):

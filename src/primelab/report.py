@@ -5,12 +5,16 @@ fixed "\n" line endings, no timestamps.  Series CSV columns print estimates
 with 6 significant digits and ratio / percentage error with 5 decimals;
 undefined values print as empty fields.
 
-A series CSV is written one series block (series.CHUNK_ROWS rows) at a
-time, formatted by numpy digit arithmetic into the bytes that the
-printf-style row format _SERIES_ROW would print, and written to the file as
-it is made.  Rows where that arithmetic cannot be sure of a rounding (near
-a .5 tie, infinite or negative fields, extreme exponents) are printed by
-_SERIES_ROW itself; _series_csv_blocks states the rule.
+The series CSV writer and the chart are reducers (SeriesCsvWriter, Chart),
+fed by series.scan in the pass that feeds a command's statistics, so
+neither needs the series whole.  A series CSV is written one series block
+(series.CHUNK_ROWS rows) at a time, formatted by numpy digit arithmetic
+into the bytes that the printf-style row format _SERIES_ROW would print,
+and written to the file as it is made.  Rows where that arithmetic cannot
+be sure of a rounding (near a .5 tie, infinite or negative fields, extreme
+exponents) are printed by _SERIES_ROW itself; _format_rows states the rule.
+The chart keeps the counts of the at most MAX_POLYLINE_POINTS + 1 rows it
+draws and evaluates the estimate at those rows alone.
 
 A series CSV is read back in two passes over blocks of _READ_BLOCK_CHARS
 characters.  The first counts the lines, so that x and actual are each made
@@ -31,13 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CountSeries, FitResult
+from .series import CountSeries, FitResult, Series, _points_at, scan
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
 MAPE_SUMMARY_HEADER = "norm_bound,mape_pct"
 FIT_HEADER = "c,e,rms_rel_err"
 
+_SERIES_HEADER_LINE = (SERIES_HEADER + "\n").encode()
 _SERIES_ROW = "%d,%d,%.6g,%.5f,%.5f\n"
 # a scaled product p is off the exact one by at most 2**-53 * p (one rounding),
 # so farther than this share of p from a .5 tie it rounds as the exact one would
@@ -88,13 +93,14 @@ _ROW_FORMATS = {
 
 
 def write_csv(obj, path) -> None:
-    """Write a CountSeries or a list of summary or fit rows to path.
+    """Write a series or a list of summary or fit rows to path.
 
     A series is written block by block as it is formatted, so its text is
-    never held whole."""
-    if isinstance(obj, CountSeries):
-        with open(path, "wb") as f:
-            f.writelines(_series_csv_blocks(obj))
+    never held whole: a pass of one SeriesCsvWriter."""
+    if isinstance(obj, Series):
+        writer = SeriesCsvWriter(obj, path)
+        scan(obj, writer)
+        writer.finish()
         return
     rows = list(obj)
     if not rows:
@@ -105,6 +111,47 @@ def write_csv(obj, path) -> None:
     _write(path, ["\n".join([header, *map(line, rows)]) + "\n"])
 
 
+class SeriesCsvWriter:
+    """The CSV of a series at path, as a reducer: the header, then each
+    block's lines (_format_rows), written as they are made, and
+    the file closed after the series' last row.
+
+    An OSError from opening or writing the file is kept, and raised by
+    finish(): a command reports it in the order of its outputs, after its
+    summary.  Once one is kept, the writer reads no more blocks."""
+
+    def __init__(self, series: Series, path) -> None:
+        self._rows, self._file, self._error = len(series), None, None
+        try:
+            self._file = open(path, "wb")
+            self._file.write(_SERIES_HEADER_LINE)
+        except OSError as exc:
+            self._close(exc)
+
+    def _close(self, exc: OSError | None = None) -> None:
+        self._error = self._error or exc
+        if self._file is not None:
+            file, self._file = self._file, None
+            file.close()
+
+    def feed(self, block) -> None:
+        if self._file is None:
+            return
+        try:
+            self._file.write(_format_rows(block.columns()))
+            if block.lo + len(block) == self._rows:
+                self._close()
+        except OSError as exc:
+            self._close(exc)
+
+    def finish(self) -> None:
+        """Close the file (a series of no rows gets no block), and raise the
+        OSError kept, if any."""
+        self._close()
+        if self._error is not None:
+            raise self._error
+
+
 def _write(path, texts) -> None:
     """Write the strings of texts to path in order, as UTF-8 (an empty path
     names no file)."""
@@ -112,9 +159,9 @@ def _write(path, texts) -> None:
         f.writelines(texts)
 
 
-def _series_csv_blocks(series: CountSeries):
-    """The header line, then the rows one series block at a time, as ASCII
-    bytes, each line as _SERIES_ROW prints it with NaN fields empty.
+def _format_rows(cols) -> bytes:
+    """The block's lines, as ASCII bytes, each as _SERIES_ROW prints it
+    with NaN fields empty (_percent_row).
 
     A block is laid out as a uint8 table, one line per row: each field in
     columns as wide as the block needs, with 0 bytes as padding, and one
@@ -132,13 +179,6 @@ def _series_csv_blocks(series: CountSeries):
     (log10 can be off by one next to a power of ten, and m can round up to
     1e6), or X is outside -17..27, where 10**(5 - X) is not an exact double.
     """
-    yield (SERIES_HEADER + "\n").encode()
-    for cols in series.blocks():
-        yield _format_rows(cols)
-
-
-def _format_rows(cols) -> bytes:
-    """The block's lines, each as _percent_row would print it."""
     n = len(cols[0])
     comma = np.full((n, 1), ord(","), dtype=np.uint8)
     pieces, unsure = [], np.zeros(n, dtype=bool)
@@ -379,21 +419,54 @@ def _loadtxt(lines):
         return np.loadtxt(lines, dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
-def render_svg(series: CountSeries, path) -> None:
+def render_svg(series: Series, path) -> None:
     """Standalone 800x600 line chart: actual vs estimate on linear axes."""
     _write(path, [svg_text(series)])
 
 
-def svg_text(series: CountSeries) -> str:
-    if len(series) == 0:
-        raise ValueError("cannot render an empty series")
+def svg_text(series: Series) -> str:
+    """The chart's text, by a pass of one Chart."""
+    chart = Chart(series)
+    scan(series, chart)
+    return chart.text()
 
+
+class Chart:
+    """The chart of a series, as a reducer: it keeps the counts of the rows
+    it draws, every row up to MAX_POLYLINE_POINTS, else every stride-th row
+    and the last, which follow from the series' length; text() evaluates the
+    estimate at those rows alone, and finish() writes the chart to path."""
+
+    def __init__(self, series: Series, path=None) -> None:
+        if len(series) == 0:
+            raise ValueError("cannot render an empty series")
+        self._series, self._path = series, path
+        self._drawn = _thin_indices(len(series))
+        self._actual: list[np.ndarray] = []
+
+    def feed(self, block) -> None:
+        lo, hi = np.searchsorted(self._drawn, (block.lo, block.lo + len(block)))
+        if hi > lo:
+            self._actual.append(block.actual[self._drawn[lo:hi] - block.lo])
+
+    def text(self) -> str:
+        series = self._series
+        drawn = CountSeries(_points_at(series.grid, self._drawn), np.concatenate(self._actual),
+                            series.estimator, series.metadata)
+        return _svg(drawn)
+
+    def finish(self) -> None:
+        _write(self._path, [self.text()])
+
+
+def _svg(series: CountSeries) -> str:
+    """The chart through every row of series, the rows that a Chart draws."""
     margin_l, margin_r, margin_t, margin_b = 75, 25, 45, 55
     plot_w = SVG_WIDTH - margin_l - margin_r
     plot_h = SVG_HEIGHT - margin_t - margin_b
 
     # one read of the drawn rows: the axes span them, and both curves go through them
-    x, actual, est, _, _ = series.take(_thin_indices(len(series))).rows()
+    x, actual, est, _, _ = series.rows()
     have = ~np.isnan(est)  # the drawn rows that carry an estimate
     x_min, x_max = float(x[0]), float(x[-1])
     y_top = float(est.max(initial=actual.max(), where=have))

@@ -1,18 +1,29 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
-A CountSeries is a view over a census: its points, the actual count at
-each and the estimator.  build_series(census) is the one constructor from
-a census: every point of its change grid, with the census's own
-``estimate`` as the estimator; take() keeps a subset of those rows, and
-a series read from a CSV has points and counts alone.  The derived
-columns (estimate, ratio, pct_err) are never stored: they are computed
-from the estimator for the rows read alone, and each reader computes
-only the columns it reads: mape the estimate and pct_err, find_crossover
-the estimate, CHUNK_ROWS rows at a time; the series CSV writer all
-three, through blocks(), and a chart all three of the rows it draws,
-through rows().  Points where no percentage error is defined (actual = 0,
-or a series with no estimator) carry NaN in the derived columns;
-statistics skip them.
+A series compares a census's counts on its change grid with the census's
+own ``estimate``, from the first nonzero count on (the estimates are
+undefined at x <= 1).  It comes in two kinds, read the same way:
+
+- build_series(census) is a CountSeries, a view of the census's whole
+  ``cumulative``, for the readers that need random access: fit_model and
+  take() (and so scripts/quad_growth.thin).  A series read from a CSV is a
+  CountSeries of points and counts alone.
+- stream_series(census) is a StreamedSeries, read from the census's
+  running_blocks(): the classical and Gaussian censuses yield them from the
+  sieve windows, so a pass holds one window of flags and one block of
+  counts, never a count per point; the monoid and quadratic censuses yield
+  their whole arrays, which are read in slices.
+
+Every statistic is a reducer, and scan(series, *reducers) feeds all of a
+command's reducers in one pass, CHUNK_ROWS rows at a time from the series'
+first row: Total, Mape (at several bounds at once), Crossover, and in the
+report layer the series CSV writer and the chart.  mape, find_crossover,
+write_csv and render_svg are one-reducer passes.  The derived columns
+(estimate, ratio, pct_err) are never stored: a Block computes each one the
+first time a reducer reads it, for its own rows alone, so a pass computes
+only the columns its reducers read.  Points where no percentage error is
+defined (actual = 0, or a series with no estimator) carry NaN in the
+derived columns; statistics skip them.
 """
 
 from __future__ import annotations
@@ -21,21 +32,88 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 Estimator = Callable[[np.ndarray], np.ndarray]
 
-# rows per block when a series is streamed
+# rows per block when a series is read
 CHUNK_ROWS = 1 << 16
 
 _C_BOUNDS = (1e-3, 10.0)
 _E_BOUNDS = (-2.0, 3.0)
 
+_NO_PRIMES = "census holds no primes; no point to compare with its estimate"
+
+
+class Block:
+    """Rows lo to lo + len(actual) of a series.  x, the estimate and pct_err
+    are each computed the first time they are read, for these rows alone."""
+
+    def __init__(self, lo: int, grid: range | np.ndarray, actual: np.ndarray,
+                 estimator: Estimator | None) -> None:
+        self.lo, self.grid, self.actual, self._estimator = lo, grid, actual, estimator
+
+    def __len__(self) -> int:
+        return len(self.actual)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return _points(self.grid)
+
+    @functools.cached_property
+    def est(self) -> np.ndarray:
+        """The estimator's values at x (NaN for a series with no estimator)."""
+        x = self.x
+        estimator = self._estimator or (lambda xs: np.full(xs.shape, np.nan))
+        est = np.asarray(estimator(x), dtype=np.float64)
+        if est.shape != x.shape:
+            raise ValueError("the estimator must return one value per point")
+        return est
+
+    @functools.cached_property
+    def pct_err(self) -> np.ndarray:
+        return _pct_err(self.actual, self.est)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """x, actual, estimate, ratio and pct_err."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = self.actual / self.est
+        return self.x, self.actual, self.est, ratio, self.pct_err
+
+
+class Series:
+    """What both kinds of series share: ``grid``, the points, increasing;
+    ``estimator``; ``metadata``; and the counts, CHUNK_ROWS rows at a time
+    (``_count_blocks``)."""
+
+    grid: range | np.ndarray
+    estimator: Estimator | None
+    metadata: Mapping[str, str]
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def label(self) -> str:
+        return " ".join(f"{k}={v}" for k, v in self.metadata.items())
+
+    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, actual) of each run of CHUNK_ROWS rows from row 0, in order."""
+        raise NotImplementedError
+
+    def _blocks(self) -> Iterator[Block]:
+        for lo, actual in self._count_blocks():
+            yield Block(lo, self.grid[lo : lo + len(actual)], actual, self.estimator)
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """The columns of each run of CHUNK_ROWS rows, in order."""
+        return (block.columns() for block in self._blocks())
+
 
 @dataclass(frozen=True)
-class CountSeries:
+class CountSeries(Series):
     """Ordered evaluation points (x, actual), and (estimate, ratio, pct_err)
     derived from the estimator, which maps int64 points to one estimate each
     (NaN for every point when there is none).
@@ -62,12 +140,6 @@ class CountSeries:
         if not _in_order(self.actual, np.greater_equal):
             raise ValueError("actual must be nondecreasing")
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    def label(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.metadata.items())
-
     @property
     def x(self) -> np.ndarray:
         return _points(self.grid)
@@ -75,29 +147,85 @@ class CountSeries:
     def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
         """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
         derived columns computed for those rows alone."""
-        x, actual, est = self._estimated(lo, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = actual / est
-        return x, actual, est, ratio, _pct_err(actual, est)
+        return Block(lo, self.grid[lo:hi], self.actual[lo:hi], self.estimator).columns()
 
-    def _estimated(self, lo: int, hi: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x, actual and the estimator's values at the points of rows lo to hi."""
-        x, actual = _points(self.grid[lo:hi]), self.actual[lo:hi]
-        estimator = self.estimator or (lambda xs: np.full(xs.shape, np.nan))
-        est = np.asarray(estimator(x), dtype=np.float64)
-        if est.shape != x.shape:
-            raise ValueError("the estimator must return one value per point")
-        return x, actual, est
-
-    def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """rows() of each run of CHUNK_ROWS rows, in order."""
-        return (self.rows(lo, lo + CHUNK_ROWS) for lo in range(0, len(self), CHUNK_ROWS))
+    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        return ((lo, self.actual[lo : lo + CHUNK_ROWS]) for lo in range(0, len(self), CHUNK_ROWS))
 
     def take(self, idx: np.ndarray) -> CountSeries:
         """The rows at the ascending positions idx, as a series of their own."""
-        grid = self.grid
-        x = grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
-        return CountSeries(x, self.actual[idx], self.estimator, self.metadata)
+        return CountSeries(_points_at(self.grid, idx), self.actual[idx], self.estimator,
+                           self.metadata)
+
+
+class StreamedSeries(Series):
+    """A census's series read from its running_blocks(), in one pass, never
+    held whole.
+
+    Making it reads the census up to its first nonzero count (for a census
+    with an estimate), so that the grid, and so the length, is known before
+    any reducer is fed; an empty census raises ValueError there.  Its pass
+    goes on from those blocks, so it can be read once: scan feeds every
+    reducer in that one pass.  Runs of rows that span two of the census's
+    blocks are copied into one buffer; the others are views."""
+
+    def __init__(self, census) -> None:
+        grid, blocks, first = census.change_grid(), census.running_blocks(), 0
+        if census.estimate is not None:
+            first, blocks = _from_first_nonzero(blocks)
+        self.grid, self.estimator, self.metadata = grid[first:], census.estimate, census.describe()
+        self._blocks_left = blocks
+
+    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        blocks, self._blocks_left = self._blocks_left, None
+        if blocks is None:
+            raise RuntimeError("a streamed series is read once; scan it with every reducer")
+        return _recut(blocks)
+
+
+def _from_first_nonzero(blocks) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """The index of the first nonzero count of (k, counts) blocks, and the
+    blocks from that count on."""
+    for k, counts in blocks:
+        i = _first_nonzero(counts)
+        if i < len(counts):
+            return k + i, chain([(k + i, counts[i:])], blocks)
+    raise ValueError(_NO_PRIMES)
+
+
+def _recut(blocks) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, actual) runs of CHUNK_ROWS rows, lo counted from the first
+    block's start, cut from (k, counts) blocks that follow one another: a
+    view where a run lies within one block, else a read-only copy in one
+    buffer, which the next such run overwrites."""
+    rows, lo, filled, buffer = CHUNK_ROWS, 0, 0, None
+    for _, counts in blocks:
+        if filled:  # a run begun in the blocks before
+            take = min(rows - filled, len(counts))
+            buffer[filled : filled + take] = counts[:take]
+            filled += take
+            counts = counts[take:]
+            if filled < rows:
+                continue
+            yield lo, _read_only(buffer)
+            lo, filled = lo + rows, 0
+        whole = len(counts) - len(counts) % rows
+        for start in range(0, whole, rows):
+            yield lo, counts[start : start + rows]
+            lo += rows
+        filled = len(counts) - whole
+        if filled:
+            if buffer is None:
+                buffer = np.empty(rows, dtype=counts.dtype)
+            buffer[:filled] = counts[whole:]
+    if filled:
+        yield lo, _read_only(buffer[:filled])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
@@ -114,6 +242,11 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     if isinstance(grid, range):
         return np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     return grid
+
+
+def _points_at(grid: range | np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The points at the positions idx, an int64 array."""
+    return grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
 
 
 def _pct_err(actual: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -135,16 +268,29 @@ def _first_nonzero(actual: np.ndarray) -> int:
 
 def build_series(census) -> CountSeries:
     """Evaluate a census against its own estimate at every point where the
-    count can change, as a view of the census's counts (for a census with an
-    estimate, starting at the first nonzero count, since the estimates are
-    undefined at x <= 1).  take() keeps a subset of its rows."""
+    count can change, as a view of the census's whole counts (for a census
+    with an estimate, starting at the first nonzero count, since the
+    estimates are undefined at x <= 1).  take() keeps a subset of its rows."""
     grid, actual = census.change_grid(), census.cumulative
     if census.estimate is not None:
         first = _first_nonzero(actual)
         if first == actual.size:
-            raise ValueError("census holds no primes; no point to compare with its estimate")
+            raise ValueError(_NO_PRIMES)
         grid, actual = grid[first:], actual[first:]
     return CountSeries(grid, actual, census.estimate, census.describe())
+
+
+def stream_series(census) -> StreamedSeries:
+    """The series that build_series makes, read block by block from the
+    census's running_blocks() instead of its whole counts."""
+    return StreamedSeries(census)
+
+
+def scan(series: Series, *reducers) -> None:
+    """Feed each block of the series, in order, to every reducer: one pass."""
+    for block in series._blocks():
+        for reducer in reducers:
+            reducer.feed(block)
 
 
 def ratio_R(actual: int, estimate: float) -> float:
@@ -156,36 +302,76 @@ def ratio_R(actual: int, estimate: float) -> float:
     return actual / estimate
 
 
-def mape(series: CountSeries, upto: int | None = None) -> float:
+class Total:
+    """The count at the last row: the census's total, for a census's series."""
+
+    value: int | None = None
+
+    def feed(self, block: Block) -> None:
+        self.value = int(block.actual[-1])
+
+
+class Mape:
     """Mean absolute percentage error over the points that carry an error
-    value (only those with x <= upto, when given), one block at a time,
-    computing pct_err alone."""
-    stop = len(series) if upto is None else bisect.bisect_right(series.grid, upto)
-    sums, count = [], 0
-    for lo in range(0, stop, CHUNK_ROWS):
-        pct = _pct_err(*series._estimated(lo, min(lo + CHUNK_ROWS, stop))[1:])
+    value, with x <= upto for each of ``bounds`` (None: every point).
+
+    A block's sum of pct_err is shared by every bound past it; a bound that
+    ends inside a block sums that block's rows up to it alone.  So each
+    bound gets the sums of a pass that stops at it, which are its bits."""
+
+    def __init__(self, series: Series, bounds=(None,)) -> None:
+        self._stops = [len(series) if upto is None else bisect.bisect_right(series.grid, upto)
+                       for upto in bounds]
+        self._end = max(self._stops)
+        self._sums: list[tuple[int, float, int]] = []  # (hi, sum, count) of each whole block
+        self._partial: list[tuple[float, int] | None] = [None] * len(self._stops)
+
+    def feed(self, block: Block) -> None:
+        lo, hi = block.lo, block.lo + len(block)
+        if lo >= self._end:
+            return
+        for i, stop in enumerate(self._stops):
+            if lo < stop < hi:
+                self._partial[i] = _defined_sum(block.pct_err[: stop - lo])
+        if hi <= self._end:
+            self._sums.append((hi, *_defined_sum(block.pct_err)))
+
+    def result(self) -> list[float]:
+        """The MAPE at each bound, in order."""
+        out = []
+        for stop, partial in zip(self._stops, self._partial):
+            parts = [(total, count) for hi, total, count in self._sums if hi <= stop]
+            parts += [partial] if partial is not None else []
+            count = sum(count for _, count in parts)
+            if count == 0:
+                raise ValueError("series has no points with a defined percentage error")
+            out.append(math.fsum(total for total, _ in parts) / count)
+        return out
+
+
+def _defined_sum(pct: np.ndarray) -> tuple[float, int]:
+    """The sum and the number of the values of pct that are not NaN."""
+    total = pct.sum()
+    if math.isnan(total):  # the block has points without an error value
+        pct = pct[~np.isnan(pct)]
         total = pct.sum()
-        if math.isnan(total):  # the block has points without an error value
-            pct = pct[~np.isnan(pct)]
-            total = pct.sum()
-        sums.append(total)
-        count += pct.size
-    if count == 0:
-        raise ValueError("series has no points with a defined percentage error")
-    return math.fsum(sums) / count
+    return total, pct.size
 
 
-def find_crossover(series: CountSeries) -> int | None:
+class Crossover:
     """Smallest grid x after which estimate >= actual holds to the end.
 
     Implemented as the point following the last index where actual exceeds
     the estimate, among the points with an estimate; None when the estimate
     is above the actual count on the whole grid or still below it at the end.
-    Reads x, actual and the estimate alone, one block at a time.
+    Reads x, actual and the estimate alone.
     """
-    crossover, above_seen = None, False
-    for lo in range(0, len(series), CHUNK_ROWS):
-        x, actual, est = series._estimated(lo, lo + CHUNK_ROWS)
+
+    def __init__(self) -> None:
+        self.value, self._above_seen = None, False
+
+    def feed(self, block: Block) -> None:
+        x, actual, est = block.x, block.actual, block.est
         undefined = np.isnan(est)
         if undefined.any():
             defined = ~undefined
@@ -193,10 +379,25 @@ def find_crossover(series: CountSeries) -> int | None:
         above = np.flatnonzero(actual - est > 0)
         if above.size:
             after = above[-1] + 1
-            crossover, above_seen = (int(x[after]) if after < x.size else None), True
-        elif above_seen and crossover is None and x.size:
-            crossover = int(x[0])  # the first point after a block that ended above
-    return crossover
+            self.value, self._above_seen = (int(x[after]) if after < x.size else None), True
+        elif self._above_seen and self.value is None and x.size:
+            self.value = int(x[0])  # the first point after a block that ended above
+
+
+def mape(series: Series, upto: int | None = None) -> float:
+    """Mean absolute percentage error over the points that carry an error
+    value (only those with x <= upto, when given): a pass of one Mape."""
+    error = Mape(series, (upto,))
+    scan(series, error)
+    return error.result()[0]
+
+
+def find_crossover(series: Series) -> int | None:
+    """Smallest grid x after which estimate >= actual holds to the end (see
+    Crossover): a pass of one Crossover."""
+    crossover = Crossover()
+    scan(series, crossover)
+    return crossover.value
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,41 @@
 """Rational-prime sieving (one odd-only, segmented sieve of Eratosthenes),
 the classical census pi(n), and the parts every census shares.
 
-The classical and Gaussian censuses read the sieve one window of
-SEGMENT_SIZE numbers at a time and write their running counts straight from
-each window (``prime_running_counts``, the sieve's one reader), so each
-holds 4 B per bound point, its int32 counts, plus one window of flags (5 B
-and 6 B per point, respectively, while they read a whole table of flags).
-The monoid and quadratic censuses need no sieve of the primes.  All four
-are a ``Census``: one layout, ``cumulative[k]`` the count at
-``change_grid()[k]``, and one interface, ``change_grid``, ``describe``,
-``total`` and ``estimate``, the count the paper conjectures for the domain
-(None where it asserts none).  A count at a point is read from
-``cumulative`` through the series that build_series makes of the census.
+The sieve runs in windows of SEGMENT_SIZE numbers, each marked by the base
+primes up to the square root of the limit, which the same loop sieves first
+(``_prime_windows``).  ``prime_running_blocks``, the sieve's one reader,
+turns each window into read-only blocks of running counts, weighted and
+carried from block to block.  The classical and Gaussian censuses are read
+from it (``SievedCensus``): ``running_blocks()`` streams their counts,
+COUNT_BLOCK points at a time, so a pass holds one window of flags and one
+block of counts whatever the bound, and ``cumulative``, built only when
+first read, is the same blocks collected in place, each window written
+into its slice: 4 B per bound point while the total fits int32.  The
+monoid and quadratic censuses hold their whole counts, and their
+``running_blocks()`` is that one array.  All four are a ``Census``: one
+layout, ``cumulative[k]`` the count at ``change_grid()[k]``, and one
+interface, ``change_grid``, ``running_blocks``, ``describe``, ``total`` and
+``estimate``, the count the paper conjectures for the domain (None where
+it asserts none).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 # Hard cap on sieve size; requests beyond this are rejected outright.
 MAX_SIEVE_LIMIT = 1 << 40
-# The sieve runs in windows of this many numbers.  The first window holds
-# every sieving prime, as isqrt(MAX_SIEVE_LIMIT) = 2**20 < SEGMENT_SIZE.
+# The sieve runs in windows of this many numbers.
 SEGMENT_SIZE = 1 << 22
+# Streamed running counts come in blocks of at most this many numbers.
+COUNT_BLOCK = 1 << 16
+
+Weigh = Callable[[int, np.ndarray], None]
 
 
 def require_int(name: str, value, minimum: int | None = None) -> None:
@@ -34,6 +44,13 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def require_sieve_limit(name: str, value, minimum: int) -> None:
+    """require_int, and reject sieve limits above MAX_SIEVE_LIMIT."""
+    require_int(name, value, minimum)
+    if value > MAX_SIEVE_LIMIT:
+        raise ValueError(f"limit {value} exceeds maximum {MAX_SIEVE_LIMIT}")
 
 
 def require_estimate_points(name: str, value) -> None:
@@ -68,7 +85,7 @@ class Census:
     stop is the census's bound + 1.  By default the grid is every integer
     bound, so ``cumulative[n - 1]`` is the count at n."""
 
-    # from cumulative_sum or prime_running_counts: int32 when the census's bound fits
+    # int32 when the census's bound fits
     cumulative: np.ndarray
     estimate = None  # or a method: the conjectured count at each of an array of points
 
@@ -81,77 +98,132 @@ class Census:
         """Every integer bound from 1 to the limit."""
         return range(1, len(self.cumulative) + 1)
 
+    def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The counts in order, as read-only blocks (k, counts) with
+        counts[i] the count at change_grid()[k + i]: here the whole array."""
+        yield 0, self.cumulative
+
+
+class SievedCensus(Census):
+    """A census of the integers 1..limit read from the sieve, through
+    prime_running_blocks: cumulative[n - 1] is the count at n.  Subclasses
+    give the sieve's arguments (``_sieve``)."""
+
+    def _sieve(self) -> tuple[int, int, Weigh | None]:
+        """The limit, a bound on the total, and the weighting of each block
+        of counts (None: each prime counts 1)."""
+        raise NotImplementedError
+
+    def change_grid(self) -> range:
+        return range(1, self._sieve()[0] + 1)
+
+    def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The counts from the sieve windows, COUNT_BLOCK points at a time in
+        one buffer that each block overwrites: nothing is held whole."""
+        for first, counts in prime_running_blocks(*self._sieve()):
+            yield first - 1, counts
+
+    @functools.cached_property
+    def cumulative(self) -> np.ndarray:
+        """The whole counts, for the readers that need random access, made
+        on first read: the sieve writes each window into its slice."""
+        limit, most, weigh = self._sieve()
+        cumulative = np.empty(limit, dtype=count_dtype(most))
+        for _ in prime_running_blocks(limit, most, weigh, out=cumulative):
+            pass
+        cumulative.setflags(write=False)
+        return cumulative
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """The primes <= n (>= 0), ascending, as int64, from the sieve's windows."""
+    return np.concatenate([np.flatnonzero(flags) + lo for lo, flags in _prime_windows(n)])
+
 
 def _prime_windows(limit: int):
     """Primality flags for 0..limit, one window of SEGMENT_SIZE numbers at a
     time: yields (lo, flags) with flags[i] == lo + i is prime.
 
-    One odd-only sieve of Eratosthenes.  The first window is sieved by
-    itself and holds every sieving prime; each later window [lo, hi) is
-    marked by the odd primes p of the first window with p^2 < hi.  Every
-    window is the same buffer, of min(SEGMENT_SIZE, limit + 1) flags, so a
-    window is overwritten once the next one is asked for.
+    One odd-only sieve of Eratosthenes.  The base primes, up to
+    isqrt(limit), are sieved first, by this same loop, so a window of any
+    size is exact; each window [lo, hi) is marked by the odd ones p with
+    p^2 < hi.  Each window is a new array, made once the loop has dropped
+    the one before, so a reader that drops it too holds one window at a
+    time.  (Freeing a window of this size also lets glibc's malloc serve a
+    reader's per-block temporaries from its heap instead of faulting in
+    fresh pages for each block.)
     """
+    root = math.isqrt(limit)
+    base = primes_upto(root)[1:].tolist() if root >= 3 else []  # the odd ones
     size = min(SEGMENT_SIZE, limit + 1)
-    window = np.ones(size, dtype=bool)
-    window[:2] = False
-    window[4::2] = False
-    for p in range(3, math.isqrt(size - 1) + 1, 2):
-        if window[p]:
-            window[p * p :: 2 * p] = False
-    base = (np.flatnonzero(window[3 : math.isqrt(limit) + 1]) + 3).tolist()
-    yield 0, window
-    for lo in range(size, limit + 1, size):
+    for lo in range(0, limit + 1, size):
         hi = min(lo + size, limit + 1)
-        seg = window[: hi - lo]
-        seg.fill(True)
-        seg[lo % 2 :: 2] = False  # the even numbers
+        window = np.ones(hi - lo, dtype=bool)
+        window[lo % 2 :: 2] = False  # the even numbers
+        if lo == 0:
+            window[:2] = False
+            window[2:3] = True  # 2, the one even prime
         for p in base:
             if p * p >= hi:
                 break
             start = max(p * p, -(-lo // p) * p)
             start += p * (start % 2 == 0)  # odd multiples only
-            seg[start - lo :: 2 * p] = False
-        yield lo, seg
+            window[start - lo :: 2 * p] = False
+        yield lo, window
+        del window
 
 
-def prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
-    """Read-only running totals over 1..limit (>= 1) of the rational primes,
-    ``cumulative[n - 1]`` the total at n, in count_dtype(most) for ``most`` a
-    bound on the total.  No table of flags is kept: each sieve window is cast
-    into its slice of the totals, weighted there by ``weigh(first, counts)``
-    when given (counts[i] is 1 where first + i is prime, 0 elsewhere; the
-    first call has first == 1 and sees every n <= isqrt(limit)), then summed
-    in place onto the total carried from the window before."""
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds maximum {MAX_SIEVE_LIMIT}")
-    cumulative = np.empty(limit, dtype=count_dtype(most))
+def prime_running_blocks(limit: int, most: int, weigh: Weigh | None = None, out=None):
+    """Running totals over 1..limit (>= 1) of the rational primes, in order,
+    as read-only blocks (first, counts): counts[i] is the total at first + i,
+    in count_dtype(most) for ``most`` a bound on the total.  No table of
+    flags is kept: each block is cast from its slice of a sieve window,
+    weighted there by ``weigh(first, counts)`` when given (counts[i] is 1
+    where first + i is prime, 0 elsewhere), then summed in place onto the
+    total carried from the block before.
+
+    Without ``out``, the blocks are at most COUNT_BLOCK numbers long and
+    share one buffer, which the next block overwrites.  With ``out``, an
+    array of ``limit`` of that dtype, each window is one block, written into
+    its slice, out[n - 1] the total at n: out collects the blocks in place.
+    """
+    require_sieve_limit("limit", limit, 1)
+    if out is None:
+        buffer = np.empty(min(COUNT_BLOCK, limit), dtype=count_dtype(most))
     carry = 0
-    for lo, window in _prime_windows(max(limit, 2)):
-        first, stop = max(lo, 1), min(lo + len(window), limit + 1)
-        counts = cumulative[first - 1 : stop - 1]
-        counts[:] = window[first - lo : stop - lo]
-        if weigh is not None:
-            weigh(first, counts)
-        counts[0] += carry
-        np.cumsum(counts, out=counts)
-        carry = counts[-1]
-    cumulative.setflags(write=False)
-    return cumulative
+    for lo, window in _prime_windows(limit):
+        end = min(lo + len(window), limit + 1)
+        step = len(window) if out is not None else COUNT_BLOCK
+        for first in range(max(lo, 1), end, step):
+            stop = min(first + step, end)
+            counts = out[first - 1 : stop - 1] if out is not None else buffer[: stop - first]
+            counts[:] = window[first - lo : stop - lo]
+            if weigh is not None:
+                weigh(first, counts)
+            counts[0] += carry
+            np.cumsum(counts, out=counts)
+            carry = counts[-1]
+            block = counts.view()
+            block.setflags(write=False)
+            yield first, block
+        del window
 
 
 @dataclass(frozen=True)
-class ClassicalCensus(Census):
+class ClassicalCensus(SievedCensus):
     """Cumulative rational-prime counts: cumulative[n - 1] is pi(n), 1 <= n <= limit."""
 
     limit: int
-    cumulative: np.ndarray
+
+    def _sieve(self) -> tuple[int, int, None]:
+        return self.limit, self.limit, None
 
     def describe(self) -> dict[str, str]:
         return {"domain": "classical", "limit": str(self.limit)}
 
 
 def classical_census(limit: int) -> ClassicalCensus:
-    """pi(n) for every n up to limit (>= 2)."""
-    require_int("limit", limit, 2)
-    return ClassicalCensus(limit=limit, cumulative=prime_running_counts(limit, limit))
+    """pi(n) for every n up to limit (>= 2), read from the sieve when first
+    streamed or read whole."""
+    require_sieve_limit("limit", limit, 2)
+    return ClassicalCensus(limit=limit)

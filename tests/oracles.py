@@ -29,6 +29,8 @@ machinery:
   window at a time: a whole table of flags, here ``eratosthenes_flags``,
   an int8 copy weighted by residue, and one cumulative sum
   (``oracle_gaussian_census``);
+- the sieve's running-count blocks, streamed or collected, by their
+  whole-array form over ``eratosthenes_flags`` (``oracle_prime_running_counts``);
 - ``quad_census`` by the product sieve it ran before its norm grid was int32
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
@@ -44,12 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import CountSeries, FitResult, GaussianCensus, QuadCensus, RegionSpec
+from primelab import CountSeries, FitResult, QuadCensus, RegionSpec
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
-from primelab.sieve import cumulative_sum, require_int
+from primelab.sieve import count_dtype, cumulative_sum, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
@@ -454,12 +456,13 @@ def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
     return QuadCensus(d=d, region=region, cumulative=cumulative)
 
 
-def oracle_gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
-    """gaussian_census as it was before it read the sieve one window at a
-    time: a whole table of flags, an int8 copy of it and the int32 or int64
-    running totals, 6 B per norm at once.  Its flags come from
-    ``eratosthenes_flags``, not from the package's sieve as they did then;
-    the rest is as it was."""
+def oracle_gaussian_census(norm_limit: int, convention: str) -> np.ndarray:
+    """The counts of gaussian_census as it made them before it read the
+    sieve one window at a time: a whole table of flags, an int8 copy of it
+    and the int32 or int64 running totals, 6 B per norm at once.  Its flags
+    come from ``eratosthenes_flags``, not from the package's sieve as they
+    did then; the rest is as it was, but that it returns the read-only
+    counts alone, since a GaussianCensus now makes its own."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
     require_int("norm_limit", norm_limit, 1)
@@ -472,5 +475,18 @@ def oracle_gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
-    cumulative = cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
-    return GaussianCensus(norm_limit=norm_limit, axis_convention=convention, cumulative=cumulative)
+    return cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
+
+
+def oracle_prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
+    """The whole-array form of sieve.prime_running_blocks, as
+    prime_running_counts made it before the blocks were streamed, but over
+    one whole table of ``eratosthenes_flags`` instead of the package's
+    windows: the flags of 1..limit cast to count_dtype(most), weighted by
+    ``weigh(1, counts)`` when given, then summed in place.  Read-only."""
+    counts = eratosthenes_flags(limit)[1:].astype(count_dtype(most))
+    if weigh is not None:
+        weigh(1, counts)
+    np.cumsum(counts, out=counts)
+    counts.setflags(write=False)
+    return counts

@@ -141,6 +141,27 @@ def test_unwritable_output(tmp_path, capsys, monkeypatch):
         assert code == 4 and "''" in err and "'.'" not in err, (argv, err)
 
 
+def test_empty_census_writes_no_artifact(tmp_path, capsys):
+    series_csv, svg = tmp_path / "s.csv", tmp_path / "g.svg"
+    argv = ["gauss", "--norm-limit", "1", "--series-csv", str(series_csv), "--svg", str(svg)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "") and "census holds no primes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_series_outputs_fail_after_the_summary(tmp_path, capsys):
+    """The series CSV is written during the pass, but an I/O error on it is
+    reported in the order of the outputs, after the summary line and the
+    outputs before it, as when the series was written after the census."""
+    csv, missing = tmp_path / "g.csv", tmp_path / "no" / "s.csv"
+    argv = ["gauss", "--norm-limit", "100", "--csv", str(csv), "--series-csv", str(missing),
+            "--svg", str(tmp_path / "g.svg")]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_IO and "No such file or directory" in err
+    assert out == f"gauss norm-limit=100 axes=both-axes: count=27 mape=25.359%\nwrote {csv}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+
 def test_gauss_summary_and_conventions(tmp_path, capsys):
     csv = tmp_path / "g.csv"
     code, out, _ = run(["gauss", "--norm-limit", "10", "--csv", str(csv)], capsys)

@@ -33,7 +33,8 @@ from primelab.report import (
 
 def series_csv_text(series: CountSeries) -> str:
     """The series CSV that write_csv writes, as one string."""
-    return b"".join(report._series_csv_blocks(series)).decode("ascii")
+    blocks = b"".join(report._format_rows(cols) for cols in series.blocks())
+    return SERIES_HEADER + "\n" + blocks.decode("ascii")
 
 
 def small_series(estimator=True):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     eratosthenes_flags,
     oracle_gaussian_census,
+    oracle_prime_running_counts,
     table_primes,
     trial_division_is_prime,
 )
@@ -135,7 +136,7 @@ def check_windowed_censuses(limit):
         assert census.dtype == np.int32 and np.array_equal(census, pi), limit
     for convention in AXIS_CONVENTIONS:
         census = gaussian_census(limit, convention).cumulative
-        former = oracle_gaussian_census(limit, convention).cumulative
+        former = oracle_gaussian_census(limit, convention)
         assert census.dtype == former.dtype and np.array_equal(census, former), (limit, convention)
 
 
@@ -147,6 +148,44 @@ def test_windowed_censuses_match_the_whole_table(monkeypatch, size):
     for limit in sorted(limits):
         assert math.isqrt(limit) < size  # the first window holds every sieving prime
         check_windowed_censuses(limit)
+
+
+def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
+    # isqrt(10^5) = 316 > 224: the base primes 227..313 lie past the first
+    # window, and so do the axis squares 227^2 and more (the counts were
+    # 9907 and 9947 while both came from the first window alone)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 224)
+    limit = 10**5
+    pi = np.cumsum(eratosthenes_flags(limit)[1:])
+    assert np.array_equal(classical_census(limit).cumulative, pi) and pi[-1] == 9592
+    for convention in AXIS_CONVENTIONS:
+        census = gaussian_census(limit, convention).cumulative
+        assert np.array_equal(census, oracle_gaussian_census(limit, convention)), convention
+    assert gaussian_census(limit, "both-axes").total == 9635
+
+
+@pytest.mark.parametrize("size", WINDOW_SIZES)
+@pytest.mark.parametrize("count_block", [1, 97, sieve.COUNT_BLOCK])
+def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
+    """The streamed blocks follow one another from index 0, are read-only,
+    and hold what the whole-array form of the sieve's reader gives, which
+    is what the census collects in place."""
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
+    limit = 3 * size + 2 if count_block == 1 else 7 * size + 1
+    censuses = [classical_census(limit)] + [gaussian_census(limit, c) for c in AXIS_CONVENTIONS]
+    for census in censuses:
+        limit_, most, weigh = census._sieve()
+        whole = oracle_prime_running_counts(limit_, most, weigh)
+        blocks, k = [], 0
+        for start, counts in census.running_blocks():
+            assert start == k and 0 < len(counts) <= count_block and not counts.flags.writeable
+            blocks.append(counts.copy())  # the next block overwrites it
+            k += len(counts)
+        assert np.array_equal(np.concatenate(blocks), whole), census
+        assert census.cumulative.dtype == whole.dtype
+        assert np.array_equal(census.cumulative, whole), census
+    assert np.array_equal(censuses[1].cumulative, oracle_gaussian_census(limit, "both-axes"))
 
 
 def test_windowed_censuses_at_the_segment_size():
@@ -167,6 +206,7 @@ def test_census_peak_memory_is_its_counts_and_one_window(name, n):
     tracemalloc.start()
     try:
         census = build(n)
+        census.cumulative  # the whole counts, collected on first read
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

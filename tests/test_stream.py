@@ -1,0 +1,154 @@
+"""The streamed pass: a census read block by block from its sieve windows
+feeds every reducer of a command in one pass, and gives what the whole-array
+path gives (the census's collected counts, each statistic and writer in a
+pass of its own), whatever the window and block sizes; its memory is one
+window and one block, whatever the bound."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from oracles import eratosthenes_flags, oracle_find_crossover, oracle_gaussian_census, oracle_mape
+from primelab import (
+    MonoidParams,
+    build_series,
+    classical_census,
+    find_crossover,
+    gaussian_census,
+    mape,
+    monoid_census,
+)
+from primelab import cli, report, sieve
+from primelab import series as analysis
+from primelab.cli import run_cli
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or of the ValueError it raises: equal reprs of
+    floats are equal bits."""
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return repr(err)
+
+
+def oracle_counts(name, limit):
+    """The census's counts from the tests' own whole-array sieve."""
+    if name == "classical":
+        return np.cumsum(eratosthenes_flags(limit)[1:])
+    return oracle_gaussian_census(limit, name.removeprefix("gauss-") + "-axes")
+
+
+CENSUSES = {
+    "classical": classical_census,
+    "gauss-both": lambda n: gaussian_census(n, "both-axes"),
+    "gauss-dedupe": lambda n: gaussian_census(n, "dedupe-axes"),
+}
+WINDOW_SIZES = (224, 265, 361, 1000, 4096)
+# rows per block, and the bound that cuts each series into several blocks
+CHUNKS = {1: 300, 7: 2000, 4099: 20_000, analysis.CHUNK_ROWS: 2 * analysis.CHUNK_ROWS + 4099}
+
+
+def edge_bounds(ser, limit, window, chunk_rows):
+    """upto bounds on and next to block and window edges, below the first
+    point, at and past the last, and None."""
+    rows = len(ser)
+    bounds = {None, 1, 2, int(ser.grid[0]) - 1, limit - 1, limit, limit + 5}
+    for edge in (chunk_rows, 2 * chunk_rows, rows - 1):
+        for r in (edge - 1, edge, edge + 1):
+            if 0 <= r < rows:
+                bounds.add(int(ser.grid[r]))
+    windows = limit // window  # the first, a middle and the last window edge
+    for lo in {window, windows // 2 * window, windows * window} - {0, limit + 1}:
+        bounds |= {lo - 1, lo, lo + 1}
+    return sorted(bounds, key=lambda b: -1 if b is None else b)
+
+
+@pytest.mark.parametrize("chunk_rows", sorted(CHUNKS))
+@pytest.mark.parametrize("window", WINDOW_SIZES)
+@pytest.mark.parametrize("name", sorted(CENSUSES))
+def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, window, chunk_rows):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    limit = CHUNKS[chunk_rows]
+
+    ser = analysis.stream_series(CENSUSES[name](limit))
+    bounds = edge_bounds(ser, limit, window, chunk_rows)
+    total, crossover = analysis.Total(), analysis.Crossover()
+    per_bound = [analysis.Mape(ser, (upto,)) for upto in bounds]
+    defined = [upto for upto in bounds if upto is None or upto >= ser.grid[0]]
+    shared = analysis.Mape(ser, defined)
+    csv = report.SeriesCsvWriter(ser, tmp_path / "streamed.csv")
+    chart = report.Chart(ser, tmp_path / "streamed.svg")
+    analysis.scan(ser, total, crossover, shared, csv, chart, *per_bound)
+    csv.finish()
+    chart.finish()
+
+    census = CENSUSES[name](limit)
+    assert np.array_equal(census.cumulative, oracle_counts(name, limit))
+    whole = build_series(census)
+    assert len(whole) == len(ser) and whole.grid == ser.grid
+    assert total.value == census.total
+    got = [outcome(lambda m=m: m.result()[0]) for m in per_bound]
+    assert got == [outcome(oracle_mape, whole, upto) for upto in bounds]
+    if name != "classical":  # no estimate: no bound has a defined error
+        assert [repr(pct) for pct in shared.result()] == [
+            value for upto, value in zip(bounds, got) if upto in defined
+        ]
+    assert crossover.value == oracle_find_crossover(whole) == find_crossover(whole)
+    report.write_csv(whole, tmp_path / "whole.csv")
+    report.render_svg(whole, tmp_path / "whole.svg")
+    for artifact in ("csv", "svg"):
+        streamed = (tmp_path / f"streamed.{artifact}").read_bytes()
+        assert streamed == (tmp_path / f"whole.{artifact}").read_bytes(), artifact
+
+
+def test_streamed_series_is_read_in_one_pass(monkeypatch):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 4099)
+    ser = analysis.stream_series(gaussian_census(50_000, "both-axes"))
+    assert mape(ser) == mape(build_series(gaussian_census(50_000, "both-axes")))
+    with pytest.raises(RuntimeError, match="read once"):
+        find_crossover(ser)
+
+
+def test_streamed_series_of_a_whole_array_census_reads_slices_of_it():
+    census = monoid_census(MonoidParams(3, 10**6))
+    blocks = list(analysis.stream_series(census)._count_blocks())
+    assert all(np.shares_memory(actual, census.cumulative) for _, actual in blocks[:-1])
+    assert np.array_equal(np.concatenate([a for _, a in blocks]), build_series(census).actual)
+
+
+def test_empty_census_streams_nothing():
+    with pytest.raises(ValueError, match="census holds no primes"):
+        analysis.stream_series(gaussian_census(1, "both-axes"))
+
+
+def traced_peak(argv):
+    """The tracemalloc peak of one command, in bytes."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A streamed command holds one window of flags, the sieve's block of counts
+# (int32), and one block's columns (at most five float64 arrays), plus 1 MB.
+STREAMED_PEAK = sieve.SEGMENT_SIZE + 4 * sieve.COUNT_BLOCK + 40 * analysis.CHUNK_ROWS + (1 << 20)
+
+
+def test_gauss_memory_does_not_grow_with_the_bound(capsys):
+    small = traced_peak(["gauss", "--norm-limit", str(4 * 10**6)])
+    large = traced_peak(["gauss", "--norm-limit", str(2 * 10**7)])
+    assert abs(large - small) < 1 << 20, (small, large)
+    assert large < STREAMED_PEAK, large
+
+
+def test_table2_memory_does_not_grow_with_the_bound(tmp_path, capsys, monkeypatch):
+    large = traced_peak(["table2", "--svg", str(tmp_path / "t2.svg")])
+    monkeypatch.setattr(cli, "TABLE2_BOUNDS", (*cli.TABLE2_BOUNDS[:-1], 4 * 10**6))
+    small = traced_peak(["table2", "--svg", str(tmp_path / "t2.svg")])
+    assert abs(large - small) < 1 << 20, (small, large)
+    assert large < STREAMED_PEAK, large
