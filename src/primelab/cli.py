@@ -9,10 +9,11 @@ compares a census with its estimate exits 2 when the census holds no primes.
 Every command but fit reads its census once, block by block
 (series.stream_series), and feeds that one pass to all of its reducers:
 its statistics, and the series CSV writer and the chart when they are asked
-for.  So gauss and table2 never hold a count per norm: their memory is one
-sieve window and one block, whatever the bound.  The printed lines and the
-files come after the pass, in the order the command names them; fit reads
-its series whole (build_series), since the fit needs random access.
+for.  So monoid, table1, gauss and table2 never hold a count per point:
+their memory is one sieve window and one block, whatever the bound.  The
+printed lines and the files come after the pass, in the order the command
+names them; fit reads its series whole (build_series), since the fit needs
+random access.
 """
 
 from __future__ import annotations
@@ -229,14 +230,14 @@ def _emit(args, rows=None, writers=None) -> None:
         print(f"wrote {path}")
 
 
-def _monoid_summary(census: monoid.MonoidCensus, mape_pct: float, eval_x: int):
+def _monoid_summary(census: monoid.MonoidCensus, total: int, mape_pct: float, eval_x: int):
     estimate = census.estimate(eval_x)
     return report.MonoidSummary(
         d=census.params.d,
         largest_element=census.change_grid()[-1],
-        actual_count=census.total,
+        actual_count=total,
         estimate=estimate,
-        r_ratio=analysis.ratio_R(census.total, estimate),
+        r_ratio=analysis.ratio_R(total, estimate),
         mape_pct=mape_pct,
     )
 
@@ -244,10 +245,10 @@ def _monoid_summary(census: monoid.MonoidCensus, mape_pct: float, eval_x: int):
 def _cmd_monoid(args) -> int:
     census = _census("monoid", args)
     ser = analysis.stream_series(census)
-    error, writers = analysis.Mape(ser), _writers(args, ser)
-    analysis.scan(ser, error, *writers.values())
+    total, error, writers = analysis.Total(), analysis.Mape(ser), _writers(args, ser)
+    analysis.scan(ser, total, error, *writers.values())
     eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
-    row = _monoid_summary(census, error.result()[0], eval_x)
+    row = _monoid_summary(census, total.value, error.result()[0], eval_x)
     print(
         f"monoid d={args.d} limit={args.limit}: count={row.actual_count} "
         f"estimate({eval_x})={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
@@ -315,11 +316,11 @@ def _cmd_table1(args) -> int:
     for d in TABLE1_MODULI:
         census = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
         ser = analysis.stream_series(census)
-        error = analysis.Mape(ser)
+        total, error = analysis.Total(), analysis.Mape(ser)
         path = None if args.svg_dir is None else os.path.join(args.svg_dir, f"monoid_d{d}.svg")
         charts = [] if path is None else [report.Chart(ser, path)]
-        analysis.scan(ser, error, *charts)
-        row = _monoid_summary(census, error.result()[0], census.change_grid()[-1])
+        analysis.scan(ser, total, error, *charts)
+        row = _monoid_summary(census, total.value, error.result()[0], census.change_grid()[-1])
         rows.append(row)
         print(
             f"d={d}: largest={row.largest_element} count={row.actual_count} "

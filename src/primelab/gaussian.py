@@ -53,7 +53,7 @@ class GaussianCensus(SievedCensus):
             lo, hi = np.searchsorted(squares, (first, first + len(counts)))
             counts[squares[lo:hi] - first] += axis_points
 
-        return self.norm_limit, 2 * self.norm_limit, weigh
+        return 1, self.norm_limit, 2 * self.norm_limit, weigh
 
     def estimate(self, norms):
         """The paper's conjectured count at each norm bound: estimate_pi_G

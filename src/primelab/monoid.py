@@ -4,8 +4,10 @@ The monoid A_d = {n : n = 1 (mod d)} is closed under multiplication; an
 element p > 1 is prime in A_d when it admits no factorization p = a*b with
 both a, b in A_d and greater than 1.  Factors outside A_d do not count, so
 A_d has primes that are composite in the ordinary sense (9 and 21 for d=4).
-The census sieves A_d itself; the tests check it against trial division and,
-for d=4, against rational factorization (``tests/oracles.py``).
+The census reads the package's one sieve (``sieve.py``) at modulus d, as a
+SievedCensus.  The tests check it against trial division, against the
+marking loop it ran before over a whole array of elements and, for d=4,
+against rational factorization (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, cumulative_sum, require_estimate_points, require_int
+from .sieve import SievedCensus, require_estimate_points, require_int, require_sieve_limit
 
 
 @dataclass(frozen=True)
@@ -30,17 +32,16 @@ class MonoidParams:
 
 
 @dataclass(frozen=True)
-class MonoidCensus(Census):
+class MonoidCensus(SievedCensus):
     """Monoid-prime counts over A_d up to the limit, one per monoid element:
     cumulative[k] is the number of monoid primes <= 1 + k*d, the k-th point
-    of change_grid() (nothing is stored for integers outside the monoid)."""
+    of change_grid(), int32 when the element count fits, else int64."""
 
     params: MonoidParams
-    cumulative: np.ndarray  # int32 when the element count fits, else int64
 
-    def change_grid(self) -> range:
-        """Points where the count can change: the elements of A_d, ascending."""
-        return range(1, self.params.limit + 1, self.params.d)
+    def _sieve(self) -> tuple[int, int, int, None]:
+        d, limit = self.params.d, self.params.limit
+        return d, limit, (limit - 1) // d + 1, None  # at most one prime per element
 
     def estimate(self, x):
         """The paper's conjectured count at x, estimate_pi_d."""
@@ -55,31 +56,10 @@ class MonoidCensus(Census):
 
 
 def monoid_census(params: MonoidParams) -> MonoidCensus:
-    """Sieve the monoid primes of A_d up to the limit.
-
-    Marking scheme: for each unmarked a in A_d with 1 < a, a*a <= limit, mark
-    every product a*b with b in A_d, b >= a.  One-sided marking suffices
-    because a | n with a, n = 1 (mod d) forces n/a = 1 (mod d); restricting
-    the outer loop to unmarked a is safe because any monoid composite has a
-    monoid-prime divisor p with p <= n/p.
-    """
-    d, limit = params.d, params.limit
-
-    k_max = (limit - 1) // d
-    composite = np.zeros(k_max + 1, dtype=bool)
-    i = 1
-    while True:
-        a = 1 + i * d
-        if a * a > limit:
-            break
-        if not composite[i]:
-            # element a*(1 + j*d) sits at index i + a*j; start at j = i
-            composite[i * (a + 1) :: a] = True
-        i += 1
-
-    prime = np.logical_not(composite, out=composite)
-    prime[0] = False  # the identity 1 is not a prime
-    return MonoidCensus(params=params, cumulative=cumulative_sum(prime, len(prime)))
+    """The monoid primes of A_d up to the limit, read from the sieve of A_d
+    when first streamed or read whole."""
+    require_sieve_limit("limit", params.limit, 1)
+    return MonoidCensus(params=params)
 
 
 def estimate_pi_d(d: int, x):

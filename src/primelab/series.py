@@ -9,10 +9,10 @@ undefined at x <= 1).  It comes in two kinds, read the same way:
   take() (and so scripts/quad_growth.thin).  A series read from a CSV is a
   CountSeries of points and counts alone.
 - stream_series(census) is a StreamedSeries, read from the census's
-  running_blocks(): the classical and Gaussian censuses yield them from the
-  sieve windows, so a pass holds one window of flags and one block of
-  counts, never a count per point; the monoid and quadratic censuses yield
-  their whole arrays, which are read in slices.
+  running_blocks(): the classical, monoid and Gaussian censuses yield them
+  from the sieve windows, so a pass holds one window of flags and one
+  block of counts, never a count per point; the quadratic census yields
+  its whole array, which is read in slices.
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in one pass, CHUNK_ROWS rows at a time from the series'

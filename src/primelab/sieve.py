@@ -1,22 +1,23 @@
-"""Rational-prime sieving (one odd-only, segmented sieve of Eratosthenes),
-the classical census pi(n), and the parts every census shares.
+"""The one sieve: a segmented sieve of Eratosthenes over the congruence
+monoid A_d = {1, 1 + d, 1 + 2d, ...}, whose primes at d = 1 are the rational
+primes; the classical census pi(n); and the parts every census shares.
 
-The sieve runs in windows of SEGMENT_SIZE numbers, each marked by the base
-primes up to the square root of the limit, which the same loop sieves first
-(``_prime_windows``).  ``prime_running_blocks``, the sieve's one reader,
-turns each window into read-only blocks of running counts, weighted and
-carried from block to block.  The classical and Gaussian censuses are read
-from it (``SievedCensus``): ``running_blocks()`` streams their counts,
-COUNT_BLOCK points at a time, so a pass holds one window of flags and one
-block of counts whatever the bound, and ``cumulative``, built only when
-first read, is the same blocks collected in place, each window written
-into its slice: 4 B per bound point while the total fits int32.  The
-monoid and quadratic censuses hold their whole counts, and their
-``running_blocks()`` is that one array.  All four are a ``Census``: one
-layout, ``cumulative[k]`` the count at ``change_grid()[k]``, and one
-interface, ``change_grid``, ``running_blocks``, ``describe``, ``total`` and
-``estimate``, the count the paper conjectures for the domain (None where
-it asserts none).
+The sieve runs in windows of SEGMENT_SIZE elements of A_d, each marked by
+the base primes of A_d up to the square root of the limit, which the same
+loop sieves first (``_prime_windows``; odd-only at d = 1).
+``prime_running_blocks``, the sieve's one reader, turns each window into
+read-only blocks of running counts, weighted and carried from block to
+block.  The classical, monoid and Gaussian censuses are read from it
+(``SievedCensus``): ``running_blocks()`` streams their counts, COUNT_BLOCK
+elements at a time, so a pass holds one window of flags and one block of
+counts whatever the bound, and ``cumulative``, built only when first read,
+is the same blocks collected in place, each window written into its slice:
+4 B per element while the total fits int32.  The quadratic census alone
+holds its whole counts, and its ``running_blocks()`` is that one array.
+All four are a ``Census``: one layout, ``cumulative[k]`` the count at
+``change_grid()[k]``, and one interface, ``change_grid``,
+``running_blocks``, ``describe``, ``total`` and ``estimate``, the count the
+paper conjectures for the domain (None where it asserts none).
 """
 
 from __future__ import annotations
@@ -105,101 +106,117 @@ class Census:
 
 
 class SievedCensus(Census):
-    """A census of the integers 1..limit read from the sieve, through
-    prime_running_blocks: cumulative[n - 1] is the count at n.  Subclasses
+    """A census of the elements of A_d = {1, 1 + d, 1 + 2d, ...} up to a
+    limit, read from the sieve of A_d, through prime_running_blocks:
+    cumulative[k] is the count at 1 + k*d (at d = 1, at k + 1).  Subclasses
     give the sieve's arguments (``_sieve``)."""
 
-    def _sieve(self) -> tuple[int, int, Weigh | None]:
-        """The limit, a bound on the total, and the weighting of each block
-        of counts (None: each prime counts 1)."""
+    def _sieve(self) -> tuple[int, int, int, Weigh | None]:
+        """The modulus d, the limit, a bound on the total, and the weighting
+        of each block of counts (None: each prime counts 1)."""
         raise NotImplementedError
 
     def change_grid(self) -> range:
-        return range(1, self._sieve()[0] + 1)
+        d, limit, _, _ = self._sieve()
+        return range(1, limit + 1, d)
 
     def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The counts from the sieve windows, COUNT_BLOCK points at a time in
         one buffer that each block overwrites: nothing is held whole."""
-        for first, counts in prime_running_blocks(*self._sieve()):
-            yield first - 1, counts
+        return prime_running_blocks(*self._sieve())
 
     @functools.cached_property
     def cumulative(self) -> np.ndarray:
         """The whole counts, for the readers that need random access, made
         on first read: the sieve writes each window into its slice."""
-        limit, most, weigh = self._sieve()
-        cumulative = np.empty(limit, dtype=count_dtype(most))
-        for _ in prime_running_blocks(limit, most, weigh, out=cumulative):
+        d, limit, most, weigh = self._sieve()
+        cumulative = np.empty(len(self.change_grid()), dtype=count_dtype(most))
+        for _ in prime_running_blocks(d, limit, most, weigh, out=cumulative):
             pass
         cumulative.setflags(write=False)
         return cumulative
 
 
-def primes_upto(n: int) -> np.ndarray:
-    """The primes <= n (>= 0), ascending, as int64, from the sieve's windows."""
-    return np.concatenate([np.flatnonzero(flags) + lo for lo, flags in _prime_windows(n)])
+def primes_upto(n: int, d: int = 1) -> np.ndarray:
+    """The primes of A_d up to n (>= 1), ascending, as int64, from the
+    sieve's windows: at d = 1, the rational primes."""
+    windows = _prime_windows(d, n)
+    return np.concatenate([1 + d * (lo + np.flatnonzero(flags)) for lo, flags in windows])
 
 
-def _prime_windows(limit: int):
-    """Primality flags for 0..limit, one window of SEGMENT_SIZE numbers at a
-    time: yields (lo, flags) with flags[i] == lo + i is prime.
+def _prime_windows(d: int, limit: int):
+    """Primality flags for the elements 1 + k*d <= limit of A_d, one window
+    of SEGMENT_SIZE indices k at a time: yields (lo, flags), flags[i] true
+    when 1 + (lo + i)*d is a prime of A_d (at d = 1, a rational prime).
 
-    One odd-only sieve of Eratosthenes.  The base primes, up to
-    isqrt(limit), are sieved first, by this same loop, so a window of any
-    size is exact; each window [lo, hi) is marked by the odd ones p with
-    p^2 < hi.  Each window is a new array, made once the loop has dropped
-    the one before, so a reader that drops it too holds one window at a
-    time.  (Freeing a window of this size also lets glibc's malloc serve a
-    reader's per-block temporaries from its heap instead of faulting in
-    fresh pages for each block.)
+    A composite of A_d has a prime factor a of A_d with a^2 <= it, and its
+    cofactor is in A_d too (a | n with a, n = 1 mod d forces n/a = 1 mod d),
+    so each prime a = 1 + i*d marks its products a*b, b >= a in A_d: index
+    i*(a + 1) on, stride a.  The base primes, up to isqrt(limit), are sieved
+    first by this same loop, so a window of any size is exact; a window is
+    marked by those with a^2 <= its top element.  At d = 1 the sieve is
+    odd-only: the even numbers go in one slice, odd a marks stride 2a.
+    Each window is a new array, made once the loop has dropped the one
+    before, so a reader that drops it too holds one window at a time.
+    (Freeing a window of this size also lets glibc's malloc serve a reader's
+    per-block temporaries from its heap instead of faulting in fresh pages
+    for each block.)
     """
-    root = math.isqrt(limit)
-    base = primes_upto(root)[1:].tolist() if root >= 3 else []  # the odd ones
-    size = min(SEGMENT_SIZE, limit + 1)
-    for lo in range(0, limit + 1, size):
-        hi = min(lo + size, limit + 1)
+    root, elements = math.isqrt(limit), (limit - 1) // d + 1
+    base = primes_upto(root, d).tolist() if root > d else []
+    if d == 1:
+        base = base[1:]  # the odd primes: 2's multiples go in one slice
+    size = min(SEGMENT_SIZE, elements)
+    for lo in range(0, elements, size):
+        hi = min(lo + size, elements)
         window = np.ones(hi - lo, dtype=bool)
-        window[lo % 2 :: 2] = False  # the even numbers
+        if d == 1:
+            window[(lo + 1) % 2 :: 2] = False  # the even numbers
+            if lo <= 1 < hi:
+                window[1 - lo] = True  # 2, the one even prime
         if lo == 0:
-            window[:2] = False
-            window[2:3] = True  # 2, the one even prime
-        for p in base:
-            if p * p >= hi:
+            window[0] = False  # the identity 1
+        top = 1 + (hi - 1) * d
+        for a in base:
+            if a * a > top:
                 break
-            start = max(p * p, -(-lo // p) * p)
-            start += p * (start % 2 == 0)  # odd multiples only
-            window[start - lo :: 2 * p] = False
+            i = (a - 1) // d
+            start = max(i * (a + 1), lo + (i - lo) % a)  # the first product a*b in the window
+            if d == 1:
+                start += a * (start % 2)  # odd multiples only
+            window[start - lo :: 2 * a if d == 1 else a] = False
         yield lo, window
         del window
 
 
-def prime_running_blocks(limit: int, most: int, weigh: Weigh | None = None, out=None):
-    """Running totals over 1..limit (>= 1) of the rational primes, in order,
-    as read-only blocks (first, counts): counts[i] is the total at first + i,
-    in count_dtype(most) for ``most`` a bound on the total.  No table of
-    flags is kept: each block is cast from its slice of a sieve window,
-    weighted there by ``weigh(first, counts)`` when given (counts[i] is 1
-    where first + i is prime, 0 elsewhere), then summed in place onto the
-    total carried from the block before.
+def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None, out=None):
+    """Running totals of the primes of A_d over its elements 1 + k*d <=
+    limit (>= 1), in order, as read-only blocks (first, counts): counts[i]
+    is the total at element index first + i, in count_dtype(most) for
+    ``most`` a bound on the total.  No table of flags is kept: each block is
+    cast from its slice of a sieve window, weighted there by
+    ``weigh(1 + first*d, counts)`` when given (counts[i] is 1 where the
+    element 1 + (first + i)*d is prime, 0 elsewhere), then summed in place
+    onto the total carried from the block before.
 
-    Without ``out``, the blocks are at most COUNT_BLOCK numbers long and
+    Without ``out``, the blocks are at most COUNT_BLOCK elements long and
     share one buffer, which the next block overwrites.  With ``out``, an
-    array of ``limit`` of that dtype, each window is one block, written into
-    its slice, out[n - 1] the total at n: out collects the blocks in place.
+    array of one entry per element, of that dtype, each window is one
+    block, written into its slice: out collects the blocks in place.
     """
     require_sieve_limit("limit", limit, 1)
     if out is None:
-        buffer = np.empty(min(COUNT_BLOCK, limit), dtype=count_dtype(most))
+        buffer = np.empty(min(COUNT_BLOCK, (limit - 1) // d + 1), dtype=count_dtype(most))
     carry = 0
-    for lo, window in _prime_windows(limit):
-        end = min(lo + len(window), limit + 1)
+    for lo, window in _prime_windows(d, limit):
+        hi = lo + len(window)
         step = len(window) if out is not None else COUNT_BLOCK
-        for first in range(max(lo, 1), end, step):
-            stop = min(first + step, end)
-            counts = out[first - 1 : stop - 1] if out is not None else buffer[: stop - first]
+        for first in range(lo, hi, step):
+            stop = min(first + step, hi)
+            counts = out[first:stop] if out is not None else buffer[: stop - first]
             counts[:] = window[first - lo : stop - lo]
             if weigh is not None:
-                weigh(first, counts)
+                weigh(1 + first * d, counts)
             counts[0] += carry
             np.cumsum(counts, out=counts)
             carry = counts[-1]
@@ -215,8 +232,8 @@ class ClassicalCensus(SievedCensus):
 
     limit: int
 
-    def _sieve(self) -> tuple[int, int, None]:
-        return self.limit, self.limit, None
+    def _sieve(self) -> tuple[int, int, int, None]:
+        return 1, self.limit, self.limit, None
 
     def describe(self) -> dict[str, str]:
         return {"domain": "classical", "limit": str(self.limit)}

@@ -31,6 +31,9 @@ machinery:
   (``oracle_gaussian_census``);
 - the sieve's running-count blocks, streamed or collected, by their
   whole-array form over ``eratosthenes_flags`` (``oracle_prime_running_counts``);
+- ``monoid_census`` by the census it was before A_d was one modulus of the
+  package's windowed sieve: its own marking loop over a whole array of the
+  elements of A_d, and one cumulative sum (``oracle_monoid_census``);
 - ``quad_census`` by the product sieve it ran before its norm grid was int32
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from primelab import CountSeries, FitResult, QuadCensus, RegionSpec
+from primelab import CountSeries, FitResult, MonoidParams, QuadCensus, RegionSpec
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
@@ -476,6 +479,38 @@ def oracle_gaussian_census(norm_limit: int, convention: str) -> np.ndarray:
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
     return cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
+
+
+def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
+    """The counts of monoid_census as it made them before A_d was one modulus
+    of the package's windowed sieve: its own marking loop over one bool per
+    element of A_d for the whole range, then one cumulative sum in
+    count_dtype of the element count.  The loop is as it was; it returns
+    the read-only counts alone, since a MonoidCensus now makes its own.
+
+    Marking scheme: for each unmarked a in A_d with 1 < a, a*a <= limit, mark
+    every product a*b with b in A_d, b >= a.  One-sided marking suffices
+    because a | n with a, n = 1 (mod d) forces n/a = 1 (mod d); restricting
+    the outer loop to unmarked a is safe because any monoid composite has a
+    monoid-prime divisor p with p <= n/p.
+    """
+    d, limit = params.d, params.limit
+
+    k_max = (limit - 1) // d
+    composite = np.zeros(k_max + 1, dtype=bool)
+    i = 1
+    while True:
+        a = 1 + i * d
+        if a * a > limit:
+            break
+        if not composite[i]:
+            # element a*(1 + j*d) sits at index i + a*j; start at j = i
+            composite[i * (a + 1) :: a] = True
+        i += 1
+
+    prime = np.logical_not(composite, out=composite)
+    prime[0] = False  # the identity 1 is not a prime
+    return cumulative_sum(prime, len(prime))
 
 
 def oracle_prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:

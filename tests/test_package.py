@@ -43,6 +43,7 @@ ORACLES = {
     "is_monoid_prime",
     "oracle_fit_model",
     "oracle_gaussian_census",
+    "oracle_monoid_census",
     "oracle_prime_running_counts",
     "oracle_quad_census",
     "oracle_read_series_csv",

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from oracles import (
     eratosthenes_flags,
     oracle_gaussian_census,
+    oracle_monoid_census,
     oracle_prime_running_counts,
     table_primes,
     trial_division_is_prime,
 )
 from primelab import (
+    MonoidCensus,
     MonoidParams,
     RegionSpec,
     classical_census,
@@ -63,6 +65,8 @@ def test_limit_validation():
     for limit in (1, 0, MAX_SIEVE_LIMIT + 1, 2.5):
         with pytest.raises(ValueError):
             classical_census(limit)
+    with pytest.raises(ValueError, match="exceeds maximum"):
+        monoid_census(MonoidParams(3, MAX_SIEVE_LIMIT + 1))
 
 
 INTEGER_PARAMETERS = {
@@ -108,11 +112,13 @@ def test_flags_match_trial_division(steps_100k, n):
     assert bool(steps_100k[n]) == trial_division_is_prime(n)
 
 
-# Window sizes of the segmented sieve for the tests that patch it: three even
-# ones, then two odd ones, after which the later windows start on odd numbers
-# and which put an axis prime's square on a window edge: 361 = 19^2 is the
-# first norm of the second window, and 2 * 265 - 1 = 23^2 the last norm of it.
+# Window sizes of the segmented sieve for the tests that patch it, in
+# elements of A_d (at d = 1, the numbers from 1): three even ones, then two
+# odd ones, after which the later windows start on even numbers; 361 = 19^2,
+# an axis prime's square, is the last norm of the first window of 361.
 WINDOW_SIZES = (224, 1000, 4096, 265, 361)
+# The moduli of the monoid censuses that the windowed tests check.
+MODULI = (2, 3, 4, 7, 50)
 
 
 def test_segment_boundaries_match_trial_division(monkeypatch):
@@ -128,7 +134,8 @@ def test_segment_boundaries_match_trial_division(monkeypatch):
 
 def check_windowed_censuses(limit):
     """The classical census against the running totals of the tests' own
-    sieve, and the Gaussian census against the census that read a whole table,
+    sieve, the Gaussian census against the census that read a whole table,
+    and the monoid census against its own marking loop over a whole array,
     values and dtype."""
     if limit >= 2:
         census = classical_census(limit).cumulative
@@ -138,6 +145,10 @@ def check_windowed_censuses(limit):
         census = gaussian_census(limit, convention).cumulative
         former = oracle_gaussian_census(limit, convention)
         assert census.dtype == former.dtype and np.array_equal(census, former), (limit, convention)
+    for d in MODULI:
+        census = monoid_census(MonoidParams(d, limit)).cumulative
+        former = oracle_monoid_census(MonoidParams(d, limit))
+        assert census.dtype == former.dtype and np.array_equal(census, former), (limit, d)
 
 
 @pytest.mark.parametrize("size", WINDOW_SIZES)
@@ -162,6 +173,10 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
         census = gaussian_census(limit, convention).cumulative
         assert np.array_equal(census, oracle_gaussian_census(limit, convention)), convention
     assert gaussian_census(limit, "both-axes").total == 9635
+    # isqrt(10^6) = 1000: the base primes of A_3 past 1 + 224 * 3 = 673 lie
+    # past the first window of 224 elements
+    params = MonoidParams(3, 10**6)
+    assert np.array_equal(monoid_census(params).cumulative, oracle_monoid_census(params))
 
 
 @pytest.mark.parametrize("size", WINDOW_SIZES)
@@ -174,9 +189,13 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
     monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
     limit = 3 * size + 2 if count_block == 1 else 7 * size + 1
     censuses = [classical_census(limit)] + [gaussian_census(limit, c) for c in AXIS_CONVENTIONS]
+    censuses += [monoid_census(MonoidParams(d, d * limit)) for d in MODULI]
     for census in censuses:
-        limit_, most, weigh = census._sieve()
-        whole = oracle_prime_running_counts(limit_, most, weigh)
+        if isinstance(census, MonoidCensus):
+            whole = oracle_monoid_census(census.params)
+        else:
+            _, limit_, most, weigh = census._sieve()
+            whole = oracle_prime_running_counts(limit_, most, weigh)
         blocks, k = [], 0
         for start, counts in census.running_blocks():
             assert start == k and 0 < len(counts) <= count_block and not counts.flags.writeable
@@ -194,14 +213,16 @@ def test_windowed_censuses_at_the_segment_size():
 
 
 @pytest.mark.parametrize("n", (8 * 10**6, 2 * 10**7))
-@pytest.mark.parametrize("name", ("classical", "gaussian-both", "gaussian-dedupe"))
+@pytest.mark.parametrize("name", ("classical", "gaussian-both", "gaussian-dedupe", "monoid-3"))
 def test_census_peak_memory_is_its_counts_and_one_window(name, n):
-    # the int32 counts, 4 B a bound point, and one window of flags; a whole
-    # flag table would add 1 B a point (and its int8 copy another)
+    # the int32 counts, 4 B a point of the change grid (a bound point, or an
+    # element of A_3), and one window of flags; a whole flag table would add
+    # 1 B a point (and its int8 copy another)
     build = {
         "classical": classical_census,
         "gaussian-both": lambda n: gaussian_census(n, "both-axes"),
         "gaussian-dedupe": lambda n: gaussian_census(n, "dedupe-axes"),
+        "monoid-3": lambda n: monoid_census(MonoidParams(3, n)),
     }[name]
     tracemalloc.start()
     try:
@@ -210,8 +231,9 @@ def test_census_peak_memory_is_its_counts_and_one_window(name, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert census.cumulative.nbytes == 4 * n
-    assert peak <= 4 * n + sieve.SEGMENT_SIZE + (1 << 20), peak
+    points = len(census.change_grid())
+    assert census.cumulative.nbytes == 4 * points
+    assert peak <= 4 * points + sieve.SEGMENT_SIZE + (1 << 20), peak
 
 
 def test_primes_listing(table_10k):

@@ -9,15 +9,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import eratosthenes_flags, oracle_find_crossover, oracle_gaussian_census, oracle_mape
+from oracles import (
+    eratosthenes_flags,
+    oracle_find_crossover,
+    oracle_gaussian_census,
+    oracle_mape,
+    oracle_monoid_census,
+)
 from primelab import (
     MonoidParams,
+    RegionSpec,
     build_series,
     classical_census,
     find_crossover,
     gaussian_census,
     mape,
     monoid_census,
+    quad_census,
 )
 from primelab import cli, report, sieve
 from primelab import series as analysis
@@ -34,9 +42,12 @@ def outcome(fn, *args):
 
 
 def oracle_counts(name, limit):
-    """The census's counts from the tests' own whole-array sieve."""
+    """The counts of CENSUSES[name](limit) from the tests' own whole-array
+    sieves."""
     if name == "classical":
         return np.cumsum(eratosthenes_flags(limit)[1:])
+    if name == "monoid-3":
+        return oracle_monoid_census(MonoidParams(3, 3 * limit))
     return oracle_gaussian_census(limit, name.removeprefix("gauss-") + "-axes")
 
 
@@ -44,24 +55,27 @@ CENSUSES = {
     "classical": classical_census,
     "gauss-both": lambda n: gaussian_census(n, "both-axes"),
     "gauss-dedupe": lambda n: gaussian_census(n, "dedupe-axes"),
+    "monoid-3": lambda n: monoid_census(MonoidParams(3, 3 * n)),  # n elements
 }
 WINDOW_SIZES = (224, 265, 361, 1000, 4096)
 # rows per block, and the bound that cuts each series into several blocks
 CHUNKS = {1: 300, 7: 2000, 4099: 20_000, analysis.CHUNK_ROWS: 2 * analysis.CHUNK_ROWS + 4099}
 
 
-def edge_bounds(ser, limit, window, chunk_rows):
+def edge_bounds(ser, grid, window, chunk_rows):
     """upto bounds on and next to block and window edges, below the first
-    point, at and past the last, and None."""
-    rows = len(ser)
+    point, at and past the last, and None; grid is the census's change
+    grid, whose k-th point is the sieve's element k."""
+    rows, limit = len(ser), grid.stop - 1
     bounds = {None, 1, 2, int(ser.grid[0]) - 1, limit - 1, limit, limit + 5}
     for edge in (chunk_rows, 2 * chunk_rows, rows - 1):
         for r in (edge - 1, edge, edge + 1):
             if 0 <= r < rows:
                 bounds.add(int(ser.grid[r]))
-    windows = limit // window  # the first, a middle and the last window edge
-    for lo in {window, windows // 2 * window, windows * window} - {0, limit + 1}:
-        bounds |= {lo - 1, lo, lo + 1}
+    windows = (len(grid) - 1) // window  # the first, a middle and the last window edge
+    for lo in {window, windows // 2 * window, windows * window} - {0}:
+        if lo < len(grid):
+            bounds |= {grid[lo - 1], grid[lo], grid[lo] + 1}
     return sorted(bounds, key=lambda b: -1 if b is None else b)
 
 
@@ -74,7 +88,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     limit = CHUNKS[chunk_rows]
 
     ser = analysis.stream_series(CENSUSES[name](limit))
-    bounds = edge_bounds(ser, limit, window, chunk_rows)
+    bounds = edge_bounds(ser, CENSUSES[name](limit).change_grid(), window, chunk_rows)
     total, crossover = analysis.Total(), analysis.Crossover()
     per_bound = [analysis.Mape(ser, (upto,)) for upto in bounds]
     defined = [upto for upto in bounds if upto is None or upto >= ser.grid[0]]
@@ -113,7 +127,7 @@ def test_streamed_series_is_read_in_one_pass(monkeypatch):
 
 
 def test_streamed_series_of_a_whole_array_census_reads_slices_of_it():
-    census = monoid_census(MonoidParams(3, 10**6))
+    census = quad_census(2, RegionSpec("norm-ball", 10**6))
     blocks = list(analysis.stream_series(census)._count_blocks())
     assert all(np.shares_memory(actual, census.cumulative) for _, actual in blocks[:-1])
     assert np.array_equal(np.concatenate([a for _, a in blocks]), build_series(census).actual)
@@ -142,6 +156,15 @@ STREAMED_PEAK = sieve.SEGMENT_SIZE + 4 * sieve.COUNT_BLOCK + 40 * analysis.CHUNK
 def test_gauss_memory_does_not_grow_with_the_bound(capsys):
     small = traced_peak(["gauss", "--norm-limit", str(4 * 10**6)])
     large = traced_peak(["gauss", "--norm-limit", str(2 * 10**7)])
+    assert abs(large - small) < 1 << 20, (small, large)
+    assert large < STREAMED_PEAK, large
+
+
+def test_monoid_memory_does_not_grow_with_the_bound(capsys):
+    # 4*10^6 and 2*10^7 elements of A_3, as many points as the gauss runs: a
+    # census of fewer elements than a window has a smaller window
+    small = traced_peak(["monoid", "--d", "3", "--limit", str(12 * 10**6)])
+    large = traced_peak(["monoid", "--d", "3", "--limit", str(6 * 10**7)])
     assert abs(large - small) < 1 << 20, (small, large)
     assert large < STREAMED_PEAK, large
 
