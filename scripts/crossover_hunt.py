@@ -16,9 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from primelab import (  # noqa: E402
     MonoidParams,
-    build_series,
     find_crossover,
     monoid_census,
+    stream_series,
 )
 
 DEFAULT_MODULI = (3, 5, 7, 9, 11, 13, 21, 50)
@@ -28,8 +28,7 @@ def hunt(d: int, start: int = 2000, cap: int = 2_000_000) -> tuple[int | None, i
     limit = start
     while True:
         census = monoid_census(MonoidParams(d, limit))
-        series = build_series(census)
-        x = find_crossover(series)
+        x = find_crossover(stream_series(census))
         if x is not None and x <= limit // 2:
             return x, limit
         if limit >= cap:

@@ -15,30 +15,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from primelab import (  # noqa: E402
-    CountSeries,
-    QuadCensus,
-    RegionSpec,
-    build_series,
-    fit_model,
-    quad_census,
-)
+from primelab import CountSeries, QuadCensus, RegionSpec, fit_model, quad_census  # noqa: E402
 
 DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
 
 
 def thin(census: QuadCensus, points: int = 250) -> CountSeries:
     """Keep a geometric subsample so the fit is not dominated by the tail:
-    the rows of the census's series at the distinct integer parts of
-    ``points`` geometrically spaced points from the first nonzero count (or
-    3, if later) to the bound, each of which lies on the census's grid."""
-    ser = build_series(census)
-    grid = ser.grid
-    lo = max(grid[int(np.argmax(ser.actual >= 1))], 3)
+    the census's counts at the distinct integer parts of ``points``
+    geometrically spaced points from the first nonzero count (or 3, if
+    later) to the bound, each of which lies on the census's grid."""
+    grid, counts = census.change_grid(), census.cumulative
+    lo = max(grid[int(np.argmax(counts >= 1))], 3)
     if lo > grid[-1]:
         raise ValueError(f"no point from {lo} up to the bound to fit")
     xs = np.unique(np.geomspace(lo, grid[-1], points).astype(np.int64))
-    return ser.take((xs - grid.start) // grid.step)
+    actual = counts[(xs - grid.start) // grid.step]
+    return CountSeries(xs, actual, census.estimate, census.describe())
 
 
 def main() -> int:

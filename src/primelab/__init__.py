@@ -12,11 +12,11 @@ from .quadratic import QuadCensus, RegionSpec, quad_census
 from .series import (
     CountSeries,
     FitResult,
-    build_series,
     find_crossover,
     fit_model,
     mape,
     ratio_R,
+    stream_series,
 )
 from .sieve import ClassicalCensus, classical_census
 
@@ -29,7 +29,6 @@ __all__ = [
     "MonoidParams",
     "QuadCensus",
     "RegionSpec",
-    "build_series",
     "classical_census",
     "estimate_pi_G",
     "estimate_pi_d",
@@ -40,4 +39,5 @@ __all__ = [
     "monoid_census",
     "quad_census",
     "ratio_R",
+    "stream_series",
 ]

@@ -6,14 +6,14 @@ PRIMES_LAB_MAX_LIMIT environment variable.  Each census carries the
 paper's estimate for its domain (none for Z[sqrt(-d)]); a command that
 compares a census with its estimate exits 2 when the census holds no primes.
 
-Every command but fit reads its census once, block by block
+Every command reads its census once, block by block
 (series.stream_series), and feeds that one pass to all of its reducers:
 its statistics, and the series CSV writer and the chart when they are asked
 for.  So monoid, table1, gauss and table2 never hold a count per point:
-their memory is one sieve window and one block, whatever the bound.  The
-printed lines and the files come after the pass, in the order the command
-names them; fit reads its series whole (build_series), since the fit needs
-random access.
+their memory is one sieve window and one block, whatever the bound.  fit
+--domain fills the fit's own three arrays from its pass, and holds no
+other array per point.  The printed lines and the files come after the
+pass, in the order the command names them.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def _cmd_quad(args) -> int:
     return EXIT_OK
 
 
-def _fit_series(args) -> analysis.CountSeries:
+def _fit_series(args) -> analysis.Series:
     if args.from_csv is not None and args.domain is not None:
         raise ValueError("choose either --from-csv or --domain, not both")
     if args.from_csv is None and args.domain is None:
@@ -297,7 +297,7 @@ def _fit_series(args) -> analysis.CountSeries:
         raise ValueError(f"fit {source} does not read {', '.join(unused)}")
     if args.from_csv is not None:
         return report.read_series_csv(args.from_csv)
-    return analysis.build_series(_census(args.domain, args))
+    return analysis.stream_series(_census(args.domain, args))
 
 
 def _cmd_fit(args) -> int:

@@ -4,24 +4,23 @@ A series compares a census's counts on its change grid with the census's
 own ``estimate``, from the first nonzero count on (the estimates are
 undefined at x <= 1).  It comes in two kinds, read the same way:
 
-- build_series(census) is a CountSeries, a view of the census's whole
-  ``cumulative``, for the readers that need random access: fit_model and
-  take() (and so scripts/quad_growth.thin).  A series read from a CSV is a
-  CountSeries of points and counts alone.
 - stream_series(census) is a StreamedSeries, read from the census's
   running_blocks(): the classical, monoid and Gaussian censuses yield them
   from the sieve windows, so a pass holds one window of flags and one
   block of counts, never a count per point; the quadratic census yields
   its whole array, which is read in slices.
+- a CountSeries holds its points and counts: a series read from a CSV, or
+  one made from chosen points of a census (scripts/quad_growth.thin).
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in one pass, CHUNK_ROWS rows at a time from the series'
 first row: Total, Mape (at several bounds at once), Crossover, and in the
 report layer the series CSV writer and the chart.  mape, find_crossover,
-write_csv and render_svg are one-reducer passes.  The derived columns
-(estimate, ratio, pct_err) are never stored: a Block computes each one the
-first time a reducer reads it, for its own rows alone, so a pass computes
-only the columns its reducers read.  Points where no percentage error is
+write_csv and render_svg are one-reducer passes; fit_model fills its
+arrays in a pass of its own.  The derived columns (estimate, ratio,
+pct_err) are never stored: a Block computes each one the first time a
+reducer reads it, for its own rows alone, so a pass computes only the
+columns its reducers read.  Points where no percentage error is
 defined (actual = 0, or a series with no estimator) carry NaN in the
 derived columns; statistics skip them.
 """
@@ -118,11 +117,9 @@ class CountSeries(Series):
     derived from the estimator, which maps int64 points to one estimate each
     (NaN for every point when there is none).
 
-    ``grid`` is a range for a census's change grid: never built whole, it is
-    increasing by construction and its counts are a view of the census's
-    ``cumulative``, so only its step is checked.  Otherwise it is an
-    int64 array.  The order of ``actual`` is checked for both kinds, one
-    block at a time.
+    ``grid`` is a range, never built whole and increasing by construction,
+    so only its step is checked, or an int64 array.  The order of ``actual``
+    is checked for both kinds, one block at a time.
     """
 
     grid: range | np.ndarray
@@ -151,11 +148,6 @@ class CountSeries(Series):
 
     def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         return ((lo, self.actual[lo : lo + CHUNK_ROWS]) for lo in range(0, len(self), CHUNK_ROWS))
-
-    def take(self, idx: np.ndarray) -> CountSeries:
-        """The rows at the ascending positions idx, as a series of their own."""
-        return CountSeries(_points_at(self.grid, idx), self.actual[idx], self.estimator,
-                           self.metadata)
 
 
 class StreamedSeries(Series):
@@ -266,23 +258,11 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
-def build_series(census) -> CountSeries:
-    """Evaluate a census against its own estimate at every point where the
-    count can change, as a view of the census's whole counts (for a census
-    with an estimate, starting at the first nonzero count, since the
-    estimates are undefined at x <= 1).  take() keeps a subset of its rows."""
-    grid, actual = census.change_grid(), census.cumulative
-    if census.estimate is not None:
-        first = _first_nonzero(actual)
-        if first == actual.size:
-            raise ValueError(_NO_PRIMES)
-        grid, actual = grid[first:], actual[first:]
-    return CountSeries(grid, actual, census.estimate, census.describe())
-
-
 def stream_series(census) -> StreamedSeries:
-    """The series that build_series makes, read block by block from the
-    census's running_blocks() instead of its whole counts."""
+    """Evaluate a census against its own estimate at every point where the
+    count can change (for a census with an estimate, from the first nonzero
+    count on, since the estimates are undefined at x <= 1), read block by
+    block from the census's running_blocks()."""
     return StreamedSeries(census)
 
 
@@ -409,7 +389,7 @@ class FitResult:
     rms_rel_err: float
 
 
-def fit_model(series: CountSeries) -> FitResult:
+def fit_model(series: Series) -> FitResult:
     """Fit c * x / (ln x)^e to the actual counts, minimizing RMS relative error.
 
     Deterministic: for each e the best c in [1e-3, 10] has a closed form, so
@@ -419,9 +399,10 @@ def fit_model(series: CountSeries) -> FitResult:
 
     The fitted points (actual >= 1 and x >= 3) are a suffix of the series,
     since x increases and actual never decreases.  The search holds three
-    float64 arrays of that length: b = x/actual, L = ln ln x, and one work
-    buffer that each exact evaluation of the objective overwrites in place
-    (the mean of u = b * exp(-e * L) and of u^2 give c and the error).
+    float64 arrays of that length, b = x/actual and L = ln ln x, filled in
+    one pass of the series' blocks, and one work buffer that each exact
+    evaluation of the objective overwrites in place (the mean of u = b *
+    exp(-e * L) and of u^2 give c and the error).
 
     Each round is screened before it is evaluated: one pass over the points
     sums b * (L - centre)^j and b^2 * (L - centre)^j in bins of L (see
@@ -440,15 +421,7 @@ def fit_model(series: CountSeries) -> FitResult:
     candidate would pick, and the result is equal to the last bit.  The
     exact objective is evaluated once per distinct e.
     """
-    x, actual = series.x, series.actual
-    first = max(_first_nonzero(actual), int(np.searchsorted(x, 3)))
-    if len(x) - first < 8:
-        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
-    log_ln_x = x[first:].astype(np.float64)  # x, then ln x, then ln ln x, in place
-    del x  # for a range grid, the points were built just for this
-    base = np.true_divide(log_ln_x, actual[first:])
-    np.log(log_ln_x, out=log_ln_x)
-    np.log(log_ln_x, out=log_ln_x)
+    log_ln_x, base = _fit_arrays(series)
     u = np.empty_like(base)
     screened = _moment_screen(base, log_ln_x, u)
 
@@ -487,6 +460,30 @@ def fit_model(series: CountSeries) -> FitResult:
             break
     c, rms = profiled(e)
     return FitResult(c=c, e=e, rms_rel_err=rms)
+
+
+def _fit_arrays(series: Series) -> tuple[np.ndarray, np.ndarray]:
+    """ln ln x and x/actual over the fitted suffix, in float64, from one
+    pass of the series' blocks: the arrays are made at the suffix's first
+    row, whose index fixes their length, and each block fills its slice."""
+    log_ln_x = base = None
+    for block in series._blocks():
+        x, actual, start = block.x, block.actual, 0
+        if log_ln_x is None:
+            start = max(_first_nonzero(actual), int(np.searchsorted(x, 3)))
+            if start == len(block):
+                continue
+            first = block.lo + start
+            log_ln_x, base = np.empty(len(series) - first), np.empty(len(series) - first)
+        rows = slice(block.lo + start - first, block.lo + len(block) - first)
+        points = log_ln_x[rows]  # x, then ln x, then ln ln x, in place
+        np.copyto(points, x[start:])
+        np.true_divide(points, actual[start:], out=base[rows])
+        np.log(points, out=points)
+        np.log(points, out=points)
+    if log_ln_x is None or len(log_ln_x) < 8:
+        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
+    return log_ln_x, base
 
 
 # screen margin, relative to the magnitude s of the terms of the squared error

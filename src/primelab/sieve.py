@@ -10,14 +10,14 @@ read-only blocks of running counts, weighted and carried from block to
 block.  The classical, monoid and Gaussian censuses are read from it
 (``SievedCensus``): ``running_blocks()`` streams their counts, COUNT_BLOCK
 elements at a time, so a pass holds one window of flags and one block of
-counts whatever the bound, and ``cumulative``, built only when first read,
-is the same blocks collected in place, each window written into its slice:
-4 B per element while the total fits int32.  The quadratic census alone
-holds its whole counts, and its ``running_blocks()`` is that one array.
-All four are a ``Census``: one layout, ``cumulative[k]`` the count at
-``change_grid()[k]``, and one interface, ``change_grid``,
-``running_blocks``, ``describe``, ``total`` and ``estimate``, the count the
-paper conjectures for the domain (None where it asserts none).
+counts whatever the bound; ``cumulative``, which no command reads, copies
+those blocks into one array when first read: 4 B per element while the
+total fits int32.  The quadratic census alone holds its whole counts, and
+its ``running_blocks()`` is that one array.  All four are a ``Census``: one
+layout, ``cumulative[k]`` the count at ``change_grid()[k]``, and one
+interface, ``change_grid``, ``running_blocks``, ``describe``, ``total``
+(the last streamed count) and ``estimate``, the count the paper
+conjectures for the domain (None where it asserts none).
 """
 
 from __future__ import annotations
@@ -92,8 +92,11 @@ class Census:
 
     @property
     def total(self) -> int:
-        """The count at the census's own bound."""
-        return int(self.cumulative[-1])
+        """The count at the census's own bound: the last count of its
+        running_blocks(), so a sieved census streams it."""
+        for _, counts in self.running_blocks():
+            pass
+        return int(counts[-1])
 
     def change_grid(self) -> range:
         """Every integer bound from 1 to the limit."""
@@ -128,11 +131,11 @@ class SievedCensus(Census):
     @functools.cached_property
     def cumulative(self) -> np.ndarray:
         """The whole counts, for the readers that need random access, made
-        on first read: the sieve writes each window into its slice."""
-        d, limit, most, weigh = self._sieve()
+        on first read: each block of running_blocks() copied into its slice."""
+        _, _, most, _ = self._sieve()
         cumulative = np.empty(len(self.change_grid()), dtype=count_dtype(most))
-        for _ in prime_running_blocks(d, limit, most, weigh, out=cumulative):
-            pass
+        for k, counts in self.running_blocks():
+            cumulative[k : k + len(counts)] = counts
         cumulative.setflags(write=False)
         return cumulative
 
@@ -189,7 +192,7 @@ def _prime_windows(d: int, limit: int):
         del window
 
 
-def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None, out=None):
+def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
     """Running totals of the primes of A_d over its elements 1 + k*d <=
     limit (>= 1), in order, as read-only blocks (first, counts): counts[i]
     is the total at element index first + i, in count_dtype(most) for
@@ -197,23 +200,18 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
     cast from its slice of a sieve window, weighted there by
     ``weigh(1 + first*d, counts)`` when given (counts[i] is 1 where the
     element 1 + (first + i)*d is prime, 0 elsewhere), then summed in place
-    onto the total carried from the block before.
-
-    Without ``out``, the blocks are at most COUNT_BLOCK elements long and
-    share one buffer, which the next block overwrites.  With ``out``, an
-    array of one entry per element, of that dtype, each window is one
-    block, written into its slice: out collects the blocks in place.
+    onto the total carried from the block before.  The blocks are at most
+    COUNT_BLOCK elements long and share one buffer, which the next block
+    overwrites.
     """
     require_sieve_limit("limit", limit, 1)
-    if out is None:
-        buffer = np.empty(min(COUNT_BLOCK, (limit - 1) // d + 1), dtype=count_dtype(most))
+    buffer = np.empty(min(COUNT_BLOCK, (limit - 1) // d + 1), dtype=count_dtype(most))
     carry = 0
     for lo, window in _prime_windows(d, limit):
         hi = lo + len(window)
-        step = len(window) if out is not None else COUNT_BLOCK
-        for first in range(lo, hi, step):
-            stop = min(first + step, hi)
-            counts = out[first:stop] if out is not None else buffer[: stop - first]
+        for first in range(lo, hi, COUNT_BLOCK):
+            stop = min(first + COUNT_BLOCK, hi)
+            counts = buffer[: stop - first]
             counts[:] = window[first - lo : stop - lo]
             if weigh is not None:
                 weigh(1 + first * d, counts)

@@ -22,6 +22,9 @@ machinery:
 - a census's count at any point by a search of its change grid
   (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
   rule it had before it took rows of the census's series (``oracle_thin``);
+- ``series.stream_series`` by the whole series that the package built before
+  every command streamed its census: a view of the census's whole
+  ``cumulative`` from its first nonzero count on (``build_series``);
 - ``report.read_series_csv`` by the reader it had before it parsed blocks of
   lines: one numpy parse of every line, fed through a generator that
   rewrites empty fields and counts file lines (``oracle_read_series_csv``);
@@ -85,6 +88,19 @@ def census_counts_at(census, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     assert np.all((xs >= 1) & (xs < grid.stop)), xs
     return census.cumulative[np.searchsorted(np.array(grid), xs, side="right") - 1]
+
+
+def build_series(census) -> CountSeries:
+    """The series of a census as a view of its whole counts (for a census
+    with an estimate, from the first nonzero count on, since the estimates
+    are undefined at x <= 1): what stream_series reads block by block."""
+    grid, actual = census.change_grid(), census.cumulative
+    if census.estimate is not None:
+        first = analysis._first_nonzero(actual)
+        if first == actual.size:
+            raise ValueError(analysis._NO_PRIMES)
+        grid, actual = grid[first:], actual[first:]
+    return CountSeries(grid, actual, census.estimate, census.describe())
 
 
 def oracle_thin(census, points: int = 250) -> CountSeries:

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     GaussPoint,
+    build_series,
     gaussian_brute_irreducible,
     hilbert_classify,
     is_gaussian_prime,
@@ -18,7 +19,6 @@ from primelab import (
     CountSeries,
     MonoidParams,
     RegionSpec,
-    build_series,
     classical_census,
     estimate_pi_d,
     find_crossover,

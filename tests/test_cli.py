@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from primelab import sieve
 from primelab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, run_cli
 
 
@@ -219,6 +220,19 @@ def test_fit_classical(capsys):
     assert code == 0
     e = float(out.split("e=")[1].split()[0])
     assert 0.5 <= e <= 1.5
+
+
+def test_fit_domain_streams_its_census(monkeypatch, capsys):
+    """fit --domain reads its census as a stream: with the whole counts made
+    unreadable it prints its golden line."""
+
+    def whole_counts(census):
+        raise AssertionError(f"fit read the whole counts of {census}")
+
+    monkeypatch.setattr(sieve.SievedCensus, "cumulative", property(whole_counts))
+    code, out, err = run(["fit", "--domain", "classical", "--limit", "20000"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "fit domain=classical limit=20000: c=1.28326 e=1.05676 rms_rel_err=0.0112577\n"
 
 
 def test_fit_requires_source(capsys):

@@ -16,7 +16,6 @@ PUBLIC = {
     "MonoidParams",
     "QuadCensus",
     "RegionSpec",
-    "build_series",
     "classical_census",
     "estimate_pi_G",
     "estimate_pi_d",
@@ -27,6 +26,7 @@ PUBLIC = {
     "monoid_census",
     "quad_census",
     "ratio_R",
+    "stream_series",
 }
 
 ORACLES = {
@@ -35,6 +35,7 @@ ORACLES = {
     "QuadInt",
     "_divisors_by_trial",
     "_has_proper_divisor",
+    "build_series",
     "census_counts_at",
     "eratosthenes_flags",
     "gaussian_brute_irreducible",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     GaussPoint,
     QuadInt,
+    build_series,
     eratosthenes_flags,
     is_gaussian_prime,
     oracle_quad_census,
@@ -20,7 +21,7 @@ from oracles import (
     quad_norm,
     table_primes,
 )
-from primelab import RegionSpec, build_series, gaussian_census, quad_census
+from primelab import RegionSpec, gaussian_census, quad_census
 from primelab import quadratic
 from primelab.quadratic import (
     MAX_CENSUS_BOUND,

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_read_series_csv
+from oracles import build_series, oracle_read_series_csv
 
 from primelab import (
     CountSeries,
     FitResult,
-    build_series,
     classical_census,
     gaussian_census,
 )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    build_series,
     census_counts_at,
     oracle_find_crossover,
     oracle_fit_model,
@@ -22,7 +23,6 @@ from primelab import (
     CountSeries,
     MonoidParams,
     RegionSpec,
-    build_series,
     classical_census,
     estimate_pi_d,
     estimate_pi_G,
@@ -33,8 +33,9 @@ from primelab import (
     monoid_census,
     quad_census,
     ratio_R,
+    stream_series,
 )
-from primelab import report
+from primelab import report, sieve
 from primelab import series as analysis
 from primelab.quadratic import REGION_KINDS
 from primelab.report import read_series_csv, write_csv
@@ -100,8 +101,7 @@ def test_each_census_carries_its_own_estimate():
     gauss = gaussian_census(1000, "both-axes")
     quad = quad_census(5, RegionSpec("norm-ball", 1000))
     for census in (classical, monoid, gauss, quad):
-        assert build_series(census).estimator == census.estimate
-        assert build_series(census).take(np.array([0, 1])).estimator == census.estimate
+        assert stream_series(census).estimator == census.estimate
     assert classical.estimate is None and quad.estimate is None
     xs = np.array([2, 8, 99, 1000])
     assert np.array_equal(monoid.estimate(xs), estimate_pi_d(7, xs))
@@ -602,34 +602,61 @@ def synthetic_series(zeros, n):
     return CountSeries(xs, actual)
 
 
+def streamed(census):
+    """The census's streamed series, which the fit reads, and its whole
+    series, which the oracles read."""
+    return stream_series(census), build_series(census)
+
+
+def held(ser):
+    """A series held whole, which the fit and the oracles both read."""
+    return ser, ser
+
+
+# each case gives (the series to fit, the same series whole, for the oracles)
 FIT_SERIES = {
     # the golden fit commands
-    "classical-20000": lambda _: build_series(classical_census(20000)),
-    "monoid-d3-5000": lambda _: build_series(monoid_census(MonoidParams(3, 5000))),
-    "gauss-10000": lambda _: build_series(gaussian_census(10000, "both-axes")),
-    "quad-d5-norm-ball-3000": lambda _: build_series(quad_census(5, RegionSpec("norm-ball", 3000))),
-    "quad-d6-euclidean-2000": lambda _: build_series(
+    "classical-20000": lambda _: streamed(classical_census(20000)),
+    "monoid-d3-5000": lambda _: streamed(monoid_census(MonoidParams(3, 5000))),
+    "gauss-10000": lambda _: streamed(gaussian_census(10000, "both-axes")),
+    "quad-d5-norm-ball-3000": lambda _: streamed(quad_census(5, RegionSpec("norm-ball", 3000))),
+    "quad-d6-euclidean-2000": lambda _: streamed(
         quad_census(6, RegionSpec("euclidean-ball", 2000))
     ),
-    "monoid-d7-100000": lambda _: build_series(monoid_census(MonoidParams(7, 100000))),
-    "from-csv": lambda tmp: series_read_back(
-        build_series(gaussian_census(20000, "both-axes")), tmp
+    "monoid-d7-100000": lambda _: streamed(monoid_census(MonoidParams(7, 100000))),
+    "from-csv": lambda tmp: held(
+        series_read_back(build_series(gaussian_census(20000, "both-axes")), tmp)
     ),
-    "quad-growth-thin": lambda _: quad_growth().thin(quad_census(5, RegionSpec("norm-ball", 50000))),
-    "zeros-and-x-below-3": lambda _: synthetic_series(6, 300),  # the zeros set the start
-    "x-below-3": lambda _: synthetic_series(0, 300),  # x >= 3 sets the start
-    "exactly-8-points": lambda _: synthetic_series(3, 11),
+    "quad-growth-thin": lambda _: held(
+        quad_growth().thin(quad_census(5, RegionSpec("norm-ball", 50000)))
+    ),
+    "zeros-and-x-below-3": lambda _: held(synthetic_series(6, 300)),  # the zeros set the start
+    "x-below-3": lambda _: held(synthetic_series(0, 300)),  # x >= 3 sets the start
+    "exactly-8-points": lambda _: held(synthetic_series(3, 11)),
     # the benchmark's classical fit: its two best candidates of the last bracket
     # round lie 7e-16 apart in squared error, inside the screen's margin, so
     # the exact step decides between them
-    "classical-1000000": lambda _: build_series(classical_census(1_000_000)),
+    "classical-1000000": lambda _: streamed(classical_census(1_000_000)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIT_SERIES))
 def test_fit_model_matches_oracle_bit_for_bit(tmp_path, name):
-    ser = FIT_SERIES[name](tmp_path)
-    assert fit_model(ser) == oracle_fit_model(ser)
+    ser, whole = FIT_SERIES[name](tmp_path)
+    assert fit_model(ser) == oracle_fit_model(whole)
+
+
+SMALL_FITS = ("classical-20000", "exactly-8-points", "x-below-3", "zeros-and-x-below-3")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", SMALL_FITS)
+def test_fit_model_is_the_oracles_at_any_block_size(tmp_path, monkeypatch, name, chunk_rows):
+    """The fitted suffix may start in any block, after whole blocks of zero
+    counts or of x below 3, and its arrays are filled block by block."""
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    ser, whole = FIT_SERIES[name](tmp_path)
+    assert fit_model(ser) == oracle_fit_model(whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -685,7 +712,7 @@ def test_fit_screen_error_is_a_hundredth_of_its_margin(tmp_path, monkeypatch, na
         return rms2, scale
 
     screen_through(monkeypatch, record)
-    fit_model(FIT_SERIES[name](tmp_path))
+    fit_model(FIT_SERIES[name](tmp_path)[0])
     assert len(errors) > 101 and max(errors) <= analysis._TAU / 100, max(errors)
 
 
@@ -700,22 +727,26 @@ def test_fit_model_is_exact_for_any_screen_error_within_the_margin(tmp_path, mon
         return rms2 + rng.uniform(-0.5, 0.5, cand.size) * analysis._TAU * scale, scale
 
     screen_through(monkeypatch, shake)
-    ser = FIT_SERIES[name](tmp_path)
-    assert fit_model(ser) == oracle_fit_model(ser)
+    ser, whole = FIT_SERIES[name](tmp_path)
+    assert fit_model(ser) == oracle_fit_model(whole)
 
 
-def test_fit_model_memory_is_three_arrays(tmp_path):
-    census = gaussian_census(10**6, "both-axes")
-    ranged = build_series(census)
-    assert isinstance(ranged.grid, range) and len(ranged) > 10**6 - 10
-    for ser in (ranged, ranged.take(np.arange(len(ranged))), series_read_back(ranged, tmp_path)):
-        tracemalloc.start()
-        try:
-            fit_model(ser)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * len(ser) + 64 * 1024, (type(ser.grid), peak / len(ser))
+def test_streamed_fit_memory_is_three_arrays_one_window_and_one_block():
+    """The census and its streamed series are made inside the traced span:
+    the fit's pass holds one sieve window and one block besides its three
+    float64 arrays, 24 bytes a point, and no count per point."""
+    tracemalloc.start()
+    try:
+        ser = stream_series(gaussian_census(10**6, "both-axes"))
+        fit_model(ser)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(ser)
+    window = min(sieve.SEGMENT_SIZE, 10**6)  # one bool per norm
+    block = analysis.CHUNK_ROWS * 8 + sieve.COUNT_BLOCK * 4  # a block's points and counts
+    assert n > 10**6 - 10
+    assert peak <= 24 * n + window + block + 64 * 1024, (peak - 24 * n) / 1024
 
 
 def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):

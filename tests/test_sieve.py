@@ -184,7 +184,7 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
 def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
     """The streamed blocks follow one another from index 0, are read-only,
     and hold what the whole-array form of the sieve's reader gives, which
-    is what the census collects in place."""
+    is what the census copies into its whole counts."""
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
     limit = 3 * size + 2 if count_block == 1 else 7 * size + 1
@@ -234,6 +234,31 @@ def test_census_peak_memory_is_its_counts_and_one_window(name, n):
     points = len(census.change_grid())
     assert census.cumulative.nbytes == 4 * points
     assert peak <= 4 * points + sieve.SEGMENT_SIZE + (1 << 20), peak
+
+
+# censuses of 10^7 points, and their totals: pi(10^7) and the tests' own marking loop's
+TOTALS = {
+    "classical": (lambda: classical_census(10**7), lambda: 664_579),
+    "monoid-3": (
+        lambda: monoid_census(MonoidParams(3, 3 * 10**7)),
+        lambda: int(oracle_monoid_census(MonoidParams(3, 3 * 10**7))[-1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_census_total_streams_its_counts(name):
+    """total is the last streamed count: it holds one window of flags and
+    one block of counts, never the whole counts (40 MB for these two)."""
+    census, expected = TOTALS[name]
+    tracemalloc.start()
+    try:
+        total = census().total
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve.SEGMENT_SIZE + 4 * sieve.COUNT_BLOCK + (1 << 20), peak
+    assert total == expected()
 
 
 def test_primes_listing(table_10k):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    build_series,
     eratosthenes_flags,
     oracle_find_crossover,
     oracle_gaussian_census,
@@ -19,7 +20,6 @@ from oracles import (
 from primelab import (
     MonoidParams,
     RegionSpec,
-    build_series,
     classical_census,
     find_crossover,
     gaussian_census,
