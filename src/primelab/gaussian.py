@@ -6,11 +6,12 @@ is off-axis and its norm a^2 + b^2 is a rational prime.  Counting both
 (q, 0) and (0, q) follows the quadrant restriction literally and is the
 default; the "dedupe-axes" convention keeps only (q, 0) so that no two
 counted points are associates.  The census applies this rule to each block
-of running counts that the sieve of the norms yields (a SievedCensus): a
-streamed pass holds one window of flags and one block of counts, and the
-whole counts, when read, take 4 B per norm.  The axis points' norms q^2
-come from the sieve's base primes q <= isqrt(norm_limit).  The tests check
-the rule against a divisor scan (``tests/oracles.py``).
+of running counts that the sieve of the norms yields (a SievedCensus), from
+norm 2 on, since no point of norm 1, a unit, is prime: a streamed pass
+holds one window of flags and one block of counts, and the whole counts,
+when read, take 4 B per norm.  The axis points' norms q^2 come from the
+sieve's base primes q <= isqrt(norm_limit).  The tests check the rule
+against a divisor scan (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
 @dataclass(frozen=True)
 class GaussianCensus(SievedCensus):
-    """Cumulative Gaussian-prime counts by integer norm bound: cumulative[n - 1]
-    is the count for norm bound n, int32 when 2 * norm_limit < 2**31."""
+    """Cumulative Gaussian-prime counts by integer norm bound from 2, the
+    norm of 1+i: cumulative[n - 2] is the count for norm bound n, int32 when
+    2 * norm_limit < 2**31."""
 
     norm_limit: int
     axis_convention: str

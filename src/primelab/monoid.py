@@ -5,9 +5,11 @@ element p > 1 is prime in A_d when it admits no factorization p = a*b with
 both a, b in A_d and greater than 1.  Factors outside A_d do not count, so
 A_d has primes that are composite in the ordinary sense (9 and 21 for d=4).
 The census reads the package's one sieve (``sieve.py``) at modulus d, as a
-SievedCensus.  The tests check it against trial division, against the
-marking loop it ran before over a whole array of elements and, for d=4,
-against rational factorization (``tests/oracles.py``).
+SievedCensus, over the elements past the identity 1, from 1 + d, which is
+always prime: nothing smaller in A_d divides it.  The tests check it
+against trial division, against the marking loop it ran before over a
+whole array of elements and, for d=4, against rational factorization
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ class MonoidParams:
 
 @dataclass(frozen=True)
 class MonoidCensus(SievedCensus):
-    """Monoid-prime counts over A_d up to the limit, one per monoid element:
-    cumulative[k] is the number of monoid primes <= 1 + k*d, the k-th point
-    of change_grid(), int32 when the element count fits, else int64."""
+    """Monoid-prime counts over A_d up to the limit, one per monoid element
+    past the unit: cumulative[k] is the number of monoid primes <= 1 +
+    (k + 1)*d, the k-th point of change_grid(), int32 when the element
+    count fits, else int64."""
 
     params: MonoidParams
 

@@ -8,7 +8,7 @@ undefined values print as empty fields.
 The series CSV writer and the chart are reducers (SeriesCsvWriter, Chart),
 fed by series.scan in the pass that feeds a command's statistics, so
 neither needs the series whole.  A series CSV is written one series block
-(series.CHUNK_ROWS rows) at a time, formatted by numpy digit arithmetic
+(sieve.COUNT_BLOCK rows) at a time, formatted by numpy digit arithmetic
 into the bytes that the printf-style row format _SERIES_ROW would print,
 and written to the file as it is made.  Rows where that arithmetic cannot
 be sure of a rounding (near a .5 tie, infinite or negative fields, extreme
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CountSeries, FitResult, Series, _points_at, scan
+from .series import Block, CountSeries, FitResult, Series, _points_at, scan
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
@@ -451,22 +451,21 @@ class Chart:
 
     def text(self) -> str:
         series = self._series
-        drawn = CountSeries(_points_at(series.grid, self._drawn), np.concatenate(self._actual),
-                            series.estimator, series.metadata)
-        return _svg(drawn)
+        x, actual = _points_at(series.grid, self._drawn), np.concatenate(self._actual)
+        return _svg(series.label(), x, actual, Block(0, x, actual, series.estimator).est)
 
     def finish(self) -> None:
         _write(self._path, [self.text()])
 
 
-def _svg(series: CountSeries) -> str:
-    """The chart through every row of series, the rows that a Chart draws."""
+def _svg(label: str, x: np.ndarray, actual: np.ndarray, est: np.ndarray) -> str:
+    """The chart through the rows (x, actual, est) that a Chart draws,
+    titled label."""
     margin_l, margin_r, margin_t, margin_b = 75, 25, 45, 55
     plot_w = SVG_WIDTH - margin_l - margin_r
     plot_h = SVG_HEIGHT - margin_t - margin_b
 
-    # one read of the drawn rows: the axes span them, and both curves go through them
-    x, actual, est, _, _ = series.rows()
+    # the axes span the drawn rows, and both curves go through them
     have = ~np.isnan(est)  # the drawn rows that carry an estimate
     x_min, x_max = float(x[0]), float(x[-1])
     y_top = float(est.max(initial=actual.max(), where=have))
@@ -484,7 +483,7 @@ def _svg(series: CountSeries) -> str:
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{SVG_WIDTH / 2:.2f}" y="25" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{_escape(series.label())}</text>',
+        f'font-family="sans-serif">{_escape(label)}</text>',
     ]
 
     # gridlines and tick labels

@@ -1,20 +1,23 @@
 """Evaluation series over censuses: ratios, MAPE, crossover points, model fits.
 
 A series compares a census's counts on its change grid with the census's
-own ``estimate``, from the first nonzero count on (the estimates are
-undefined at x <= 1).  It comes in two kinds, read the same way:
+own ``estimate``, which is defined for x > 1 alone.  The censuses that
+have one (monoid, Gaussian) start their grids past the unit, at a point
+that is always prime, so a series is its census, row for row.  It comes
+in two kinds, read the same way:
 
-- stream_series(census) is a StreamedSeries, read from the census's
-  running_blocks(): the classical, monoid and Gaussian censuses yield them
-  from the sieve windows, so a pass holds one window of flags and one
-  block of counts, never a count per point; the quadratic census yields
-  its whole array, which is read in slices.
+- stream_series(census) is a StreamedSeries, the census's grid and
+  running_blocks() as they are: the classical, monoid and Gaussian
+  censuses yield their blocks from the sieve windows, so a pass holds one
+  window of flags and one block of counts, never a count per point; the
+  quadratic census yields slices of its whole array.
 - a CountSeries holds its points and counts: a series read from a CSV, or
   one made from chosen points of a census (scripts/quad_growth.thin).
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
-command's reducers in one pass, CHUNK_ROWS rows at a time from the series'
-first row: Total, Mape (at several bounds at once), Crossover, and in the
+command's reducers in one pass, in blocks of the sieve's COUNT_BLOCK rows
+from the series' first row (a streamed series' blocks are those its census
+yields): Total, Mape (at several bounds at once), Crossover, and in the
 report layer the series CSV writer and the chart.  mape, find_crossover,
 write_csv and render_svg are one-reducer passes; fit_model fills its
 arrays in a pass of its own.  The derived columns (estimate, ratio,
@@ -31,15 +34,13 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-Estimator = Callable[[np.ndarray], np.ndarray]
+from . import sieve
 
-# rows per block when a series is read
-CHUNK_ROWS = 1 << 16
+Estimator = Callable[[np.ndarray], np.ndarray]
 
 _C_BOUNDS = (1e-3, 10.0)
 _E_BOUNDS = (-2.0, 3.0)
@@ -85,7 +86,7 @@ class Block:
 
 class Series:
     """What both kinds of series share: ``grid``, the points, increasing;
-    ``estimator``; ``metadata``; and the counts, CHUNK_ROWS rows at a time
+    ``estimator``; ``metadata``; and the counts, COUNT_BLOCK rows at a time
     (``_count_blocks``)."""
 
     grid: range | np.ndarray
@@ -99,7 +100,7 @@ class Series:
         return " ".join(f"{k}={v}" for k, v in self.metadata.items())
 
     def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, actual) of each run of CHUNK_ROWS rows from row 0, in order."""
+        """(lo, actual) of each run of COUNT_BLOCK rows from row 0, in order."""
         raise NotImplementedError
 
     def _blocks(self) -> Iterator[Block]:
@@ -107,7 +108,7 @@ class Series:
             yield Block(lo, self.grid[lo : lo + len(actual)], actual, self.estimator)
 
     def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """The columns of each run of CHUNK_ROWS rows, in order."""
+        """The columns of each run of COUNT_BLOCK rows, in order."""
         return (block.columns() for block in self._blocks())
 
 
@@ -141,90 +142,40 @@ class CountSeries(Series):
     def x(self) -> np.ndarray:
         return _points(self.grid)
 
-    def rows(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
-        """x, actual, estimate, ratio and pct_err of rows lo to hi, with the
-        derived columns computed for those rows alone."""
-        return Block(lo, self.grid[lo:hi], self.actual[lo:hi], self.estimator).columns()
-
     def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        return ((lo, self.actual[lo : lo + CHUNK_ROWS]) for lo in range(0, len(self), CHUNK_ROWS))
+        rows = sieve.COUNT_BLOCK
+        return ((lo, self.actual[lo : lo + rows]) for lo in range(0, len(self), rows))
 
 
 class StreamedSeries(Series):
     """A census's series read from its running_blocks(), in one pass, never
-    held whole.
-
-    Making it reads the census up to its first nonzero count (for a census
-    with an estimate), so that the grid, and so the length, is known before
-    any reducer is fed; an empty census raises ValueError there.  Its pass
-    goes on from those blocks, so it can be read once: scan feeds every
-    reducer in that one pass.  Runs of rows that span two of the census's
-    blocks are copied into one buffer; the others are views."""
+    held whole: its grid, estimator and blocks are the census's own, so
+    making it reads no block, and scan feeds each block to the reducers as
+    the census yields it.  It can be read once: scan feeds every reducer in
+    that one pass.  A census with an estimate and no point raises
+    ValueError here."""
 
     def __init__(self, census) -> None:
-        grid, blocks, first = census.change_grid(), census.running_blocks(), 0
-        if census.estimate is not None:
-            first, blocks = _from_first_nonzero(blocks)
-        self.grid, self.estimator, self.metadata = grid[first:], census.estimate, census.describe()
-        self._blocks_left = blocks
+        self.grid, self.estimator, self.metadata = (
+            census.change_grid(), census.estimate, census.describe())
+        if self.estimator is not None and not self.grid:
+            raise ValueError(_NO_PRIMES)
+        self._blocks_left = census.running_blocks()
 
     def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         blocks, self._blocks_left = self._blocks_left, None
         if blocks is None:
             raise RuntimeError("a streamed series is read once; scan it with every reducer")
-        return _recut(blocks)
-
-
-def _from_first_nonzero(blocks) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
-    """The index of the first nonzero count of (k, counts) blocks, and the
-    blocks from that count on."""
-    for k, counts in blocks:
-        i = _first_nonzero(counts)
-        if i < len(counts):
-            return k + i, chain([(k + i, counts[i:])], blocks)
-    raise ValueError(_NO_PRIMES)
-
-
-def _recut(blocks) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, actual) runs of CHUNK_ROWS rows, lo counted from the first
-    block's start, cut from (k, counts) blocks that follow one another: a
-    view where a run lies within one block, else a read-only copy in one
-    buffer, which the next such run overwrites."""
-    rows, lo, filled, buffer = CHUNK_ROWS, 0, 0, None
-    for _, counts in blocks:
-        if filled:  # a run begun in the blocks before
-            take = min(rows - filled, len(counts))
-            buffer[filled : filled + take] = counts[:take]
-            filled += take
-            counts = counts[take:]
-            if filled < rows:
-                continue
-            yield lo, _read_only(buffer)
-            lo, filled = lo + rows, 0
-        whole = len(counts) - len(counts) % rows
-        for start in range(0, whole, rows):
-            yield lo, counts[start : start + rows]
-            lo += rows
-        filled = len(counts) - whole
-        if filled:
-            if buffer is None:
-                buffer = np.empty(rows, dtype=counts.dtype)
-            buffer[:filled] = counts[whole:]
-    if filled:
-        yield lo, _read_only(buffer[:filled])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.setflags(write=False)
-    return view
+        return blocks
 
 
 def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
-    """Whether follows(a[i + 1], a[i]) holds for every i, checked CHUNK_ROWS
-    pairs at a time so that no temporary grows with the length of a."""
-    for lo in range(0, len(a) - 1, CHUNK_ROWS):
-        block = a[lo : lo + CHUNK_ROWS + 1]
+    """Whether follows(a[i + 1], a[i]) holds for every i, checked
+    COUNT_BLOCK pairs at a time so that no temporary grows with the length
+    of a."""
+    rows = sieve.COUNT_BLOCK
+    for lo in range(0, len(a) - 1, rows):
+        block = a[lo : lo + rows + 1]
         if not follows(block[1:], block[:-1]).all():
             return False
     return True
@@ -260,9 +211,8 @@ def _first_nonzero(actual: np.ndarray) -> int:
 
 def stream_series(census) -> StreamedSeries:
     """Evaluate a census against its own estimate at every point where the
-    count can change (for a census with an estimate, from the first nonzero
-    count on, since the estimates are undefined at x <= 1), read block by
-    block from the census's running_blocks()."""
+    count can change, read block by block from the census's
+    running_blocks()."""
     return StreamedSeries(census)
 
 

@@ -2,21 +2,24 @@
 monoid A_d = {1, 1 + d, 1 + 2d, ...}, whose primes at d = 1 are the rational
 primes; the classical census pi(n); and the parts every census shares.
 
-The sieve runs in windows of SEGMENT_SIZE elements of A_d, each marked by
-the base primes of A_d up to the square root of the limit, which the same
-loop sieves first (``_prime_windows``; odd-only at d = 1).
-``prime_running_blocks``, the sieve's one reader, turns each window into
-read-only blocks of running counts, weighted and carried from block to
-block.  The classical, monoid and Gaussian censuses are read from it
-(``SievedCensus``): ``running_blocks()`` streams their counts, COUNT_BLOCK
-elements at a time, so a pass holds one window of flags and one block of
-counts whatever the bound; ``cumulative``, which no command reads, copies
-those blocks into one array when first read: 4 B per element while the
-total fits int32.  The quadratic census alone holds its whole counts, and
-its ``running_blocks()`` is that one array.  All four are a ``Census``: one
-layout, ``cumulative[k]`` the count at ``change_grid()[k]``, and one
-interface, ``change_grid``, ``running_blocks``, ``describe``, ``total``
-(the last streamed count) and ``estimate``, the count the paper
+The sieve runs over the elements past the unit 1, which is never prime, in
+windows of SEGMENT_SIZE elements of A_d, each marked by the base primes of
+A_d up to the square root of the limit, which the same loop sieves first
+(``_prime_windows``; odd-only at d = 1).  ``prime_running_blocks``, the
+sieve's one reader, cuts each window into whole read-only blocks of
+COUNT_BLOCK running counts, weighted and carried from block to block.  The
+classical, monoid and Gaussian censuses are read from it
+(``SievedCensus``): their grids start past the unit too, at 1 + d (2 at
+d = 1), a point that is always prime, so the sieve's blocks are their
+blocks, and ``running_blocks()`` streams them: a pass holds one window of
+flags and one block of counts whatever the bound.  ``cumulative``, which
+no command reads, copies those blocks into one array when first read: 4 B
+per element while the total fits int32.  The quadratic census alone holds
+its whole counts, from bound 1, and its ``running_blocks()`` yields
+COUNT_BLOCK slices of them.  All four are a ``Census``: one layout,
+``cumulative[k]`` the count at ``change_grid()[k]``, and one interface,
+``change_grid``, ``running_blocks``, ``describe``, ``total`` (the last
+streamed count, 0 for an empty grid) and ``estimate``, the count the paper
 conjectures for the domain (None where it asserts none).
 """
 
@@ -94,9 +97,10 @@ class Census:
     def total(self) -> int:
         """The count at the census's own bound: the last count of its
         running_blocks(), so a sieved census streams it."""
+        total = 0
         for _, counts in self.running_blocks():
-            pass
-        return int(counts[-1])
+            total = counts[-1]
+        return int(total)
 
     def change_grid(self) -> range:
         """Every integer bound from 1 to the limit."""
@@ -104,15 +108,18 @@ class Census:
 
     def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The counts in order, as read-only blocks (k, counts) with
-        counts[i] the count at change_grid()[k + i]: here the whole array."""
-        yield 0, self.cumulative
+        counts[i] the count at change_grid()[k + i]: here slices of
+        COUNT_BLOCK points of the whole array."""
+        block = COUNT_BLOCK
+        return ((k, self.cumulative[k : k + block]) for k in range(0, len(self.cumulative), block))
 
 
 class SievedCensus(Census):
     """A census of the elements of A_d = {1, 1 + d, 1 + 2d, ...} up to a
-    limit, read from the sieve of A_d, through prime_running_blocks:
-    cumulative[k] is the count at 1 + k*d (at d = 1, at k + 1).  Subclasses
-    give the sieve's arguments (``_sieve``)."""
+    limit, read from the sieve of A_d, through prime_running_blocks.  Its
+    grid starts past the unit, which is never prime: cumulative[k] is the
+    count at 1 + (k + 1)*d (at d = 1, at k + 2), and the grid's first point
+    is always prime.  Subclasses give the sieve's arguments (``_sieve``)."""
 
     def _sieve(self) -> tuple[int, int, int, Weigh | None]:
         """The modulus d, the limit, a bound on the total, and the weighting
@@ -121,7 +128,7 @@ class SievedCensus(Census):
 
     def change_grid(self) -> range:
         d, limit, _, _ = self._sieve()
-        return range(1, limit + 1, d)
+        return range(1 + d, limit + 1, d)
 
     def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The counts from the sieve windows, COUNT_BLOCK points at a time in
@@ -142,15 +149,16 @@ class SievedCensus(Census):
 
 def primes_upto(n: int, d: int = 1) -> np.ndarray:
     """The primes of A_d up to n (>= 1), ascending, as int64, from the
-    sieve's windows: at d = 1, the rational primes."""
-    windows = _prime_windows(d, n)
-    return np.concatenate([1 + d * (lo + np.flatnonzero(flags)) for lo, flags in windows])
+    sieve's windows: at d = 1, the rational primes (none up to 1)."""
+    found = [1 + d * (lo + np.flatnonzero(flags)) for lo, flags in _prime_windows(d, n)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *found])
 
 
 def _prime_windows(d: int, limit: int):
-    """Primality flags for the elements 1 + k*d <= limit of A_d, one window
-    of SEGMENT_SIZE indices k at a time: yields (lo, flags), flags[i] true
-    when 1 + (lo + i)*d is a prime of A_d (at d = 1, a rational prime).
+    """Primality flags for the elements 1 + k*d <= limit of A_d past the
+    unit (k >= 1), one window of SEGMENT_SIZE indices k at a time, from
+    k = 1: yields (lo, flags), flags[i] true when 1 + (lo + i)*d is a prime
+    of A_d (at d = 1, a rational prime).
 
     A composite of A_d has a prime factor a of A_d with a^2 <= it, and its
     cofactor is in A_d too (a | n with a, n = 1 mod d forces n/a = 1 mod d),
@@ -169,16 +177,13 @@ def _prime_windows(d: int, limit: int):
     base = primes_upto(root, d).tolist() if root > d else []
     if d == 1:
         base = base[1:]  # the odd primes: 2's multiples go in one slice
-    size = min(SEGMENT_SIZE, elements)
-    for lo in range(0, elements, size):
-        hi = min(lo + size, elements)
+    for lo in range(1, elements, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, elements)
         window = np.ones(hi - lo, dtype=bool)
         if d == 1:
             window[(lo + 1) % 2 :: 2] = False  # the even numbers
-            if lo <= 1 < hi:
-                window[1 - lo] = True  # 2, the one even prime
-        if lo == 0:
-            window[0] = False  # the identity 1
+            if lo == 1:
+                window[0] = True  # 2, the one even prime
         top = 1 + (hi - 1) * d
         for a in base:
             if a * a > top:
@@ -193,40 +198,47 @@ def _prime_windows(d: int, limit: int):
 
 
 def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
-    """Running totals of the primes of A_d over its elements 1 + k*d <=
-    limit (>= 1), in order, as read-only blocks (first, counts): counts[i]
-    is the total at element index first + i, in count_dtype(most) for
-    ``most`` a bound on the total.  No table of flags is kept: each block is
-    cast from its slice of a sieve window, weighted there by
-    ``weigh(1 + first*d, counts)`` when given (counts[i] is 1 where the
-    element 1 + (first + i)*d is prime, 0 elsewhere), then summed in place
-    onto the total carried from the block before.  The blocks are at most
-    COUNT_BLOCK elements long and share one buffer, which the next block
-    overwrites.
+    """Running totals of the primes of A_d over its elements past the unit
+    up to limit (>= 1), in order, as read-only blocks (first, counts):
+    counts[i] is the total at grid index first + i, the element
+    1 + (first + i + 1)*d, in count_dtype(most) for ``most`` a bound on the
+    total.  No table of flags is kept: each block is cast from its slice of
+    a sieve window, weighted there by ``weigh(e, counts)`` when given, e the
+    block's first element (counts[i] is 1 where the element e + i*d is
+    prime, 0 elsewhere), then summed in place onto the total carried from
+    the block before.
+
+    Every window is cut into whole blocks of COUNT_BLOCK elements, so block
+    k starts at grid index k * COUNT_BLOCK, as a CountSeries of the same
+    counts cuts them; a census of more than one window thus needs a
+    SEGMENT_SIZE that is a multiple of COUNT_BLOCK (ValueError otherwise).
+    The blocks share one buffer, which the next block overwrites.
     """
     require_sieve_limit("limit", limit, 1)
-    buffer = np.empty(min(COUNT_BLOCK, (limit - 1) // d + 1), dtype=count_dtype(most))
+    points, block = (limit - 1) // d, COUNT_BLOCK
+    if points > SEGMENT_SIZE and SEGMENT_SIZE % block:
+        raise ValueError(f"a sieve window of {SEGMENT_SIZE} elements is no whole number "
+                         f"of blocks of {block}")
+    buffer = np.empty(min(block, points), dtype=count_dtype(most))
     carry = 0
     for lo, window in _prime_windows(d, limit):
-        hi = lo + len(window)
-        for first in range(lo, hi, COUNT_BLOCK):
-            stop = min(first + COUNT_BLOCK, hi)
-            counts = buffer[: stop - first]
-            counts[:] = window[first - lo : stop - lo]
+        for start in range(0, len(window), block):
+            counts = buffer[: min(block, len(window) - start)]
+            counts[:] = window[start : start + len(counts)]
             if weigh is not None:
-                weigh(1 + first * d, counts)
+                weigh(1 + (lo + start) * d, counts)
             counts[0] += carry
             np.cumsum(counts, out=counts)
             carry = counts[-1]
-            block = counts.view()
-            block.setflags(write=False)
-            yield first, block
+            view = counts.view()
+            view.setflags(write=False)
+            yield lo - 1 + start, view
         del window
 
 
 @dataclass(frozen=True)
 class ClassicalCensus(SievedCensus):
-    """Cumulative rational-prime counts: cumulative[n - 1] is pi(n), 1 <= n <= limit."""
+    """Cumulative rational-prime counts: cumulative[n - 2] is pi(n), 2 <= n <= limit."""
 
     limit: int
 

@@ -16,15 +16,16 @@ machinery:
   over one element (``quad_is_irreducible``);
 - ``fit_model`` by its whole search with every candidate evaluated exactly
   on masked copies of the series (``oracle_fit_model``);
-- ``mape`` and ``find_crossover`` by their bodies over whole ``rows()``
-  blocks, every derived column computed (``oracle_mape``,
+- ``mape`` and ``find_crossover`` by their bodies over whole ``blocks()``,
+  every derived column computed (``oracle_mape``,
   ``oracle_find_crossover``);
 - a census's count at any point by a search of its change grid
   (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
   rule it had before it took rows of the census's series (``oracle_thin``);
 - ``series.stream_series`` by the whole series that the package built before
   every command streamed its census: a view of the census's whole
-  ``cumulative`` from its first nonzero count on (``build_series``);
+  ``cumulative`` from its first nonzero count on (``build_series``), which
+  for the sieved censuses, whose grids start at a prime, trims nothing;
 - ``report.read_series_csv`` by the reader it had before it parsed blocks of
   lines: one numpy parse of every line, fed through a generator that
   rewrites empty fields and counts file lines (``oracle_read_series_csv``);
@@ -41,7 +42,8 @@ machinery:
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
 
-``table_primes`` lists the primes of a table of flags for the tests.
+``table_primes`` lists the primes of a table of flags for the tests, and
+``series_rows`` gives the five columns of rows of a CountSeries.
 """
 
 from __future__ import annotations
@@ -83,11 +85,20 @@ def table_primes(table: np.ndarray) -> np.ndarray:
 
 def census_counts_at(census, xs) -> np.ndarray:
     """The census's count at each integer x from 1 to its bound: the count at
-    the last point of its change grid at or below x, found by a search."""
+    the last point of its change grid at or below x, found by a search, and
+    0 below the grid's first point."""
     grid = census.change_grid()
     xs = np.asarray(xs, dtype=np.int64)
     assert np.all((xs >= 1) & (xs < grid.stop)), xs
-    return census.cumulative[np.searchsorted(np.array(grid), xs, side="right") - 1]
+    counts = np.concatenate([np.zeros(1, census.cumulative.dtype), census.cumulative])
+    return counts[np.searchsorted(np.array(grid), xs, side="right")]
+
+
+def series_rows(series: CountSeries, lo: int = 0, hi: int | None = None):
+    """x, actual, estimate, ratio and pct_err of rows lo to hi of a series
+    that holds its counts, computed for those rows alone."""
+    grid, actual = series.grid[lo:hi], series.actual[lo:hi]
+    return analysis.Block(lo, grid, actual, series.estimator).columns()
 
 
 def build_series(census) -> CountSeries:
@@ -494,7 +505,8 @@ def oracle_gaussian_census(norm_limit: int, convention: str) -> np.ndarray:
     qs = np.flatnonzero(flags[: math.isqrt(norm_limit) + 1])
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
-    return cumulative_sum(counts[1:], 2 * norm_limit)  # at most 2 points per norm
+    # from norm 2, the census's first point; at most 2 points per norm
+    return cumulative_sum(counts[2:], 2 * norm_limit)
 
 
 def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
@@ -502,7 +514,8 @@ def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
     of the package's windowed sieve: its own marking loop over one bool per
     element of A_d for the whole range, then one cumulative sum in
     count_dtype of the element count.  The loop is as it was; it returns
-    the read-only counts alone, since a MonoidCensus now makes its own.
+    the read-only counts alone, from 1 + d, the census's first point, since
+    a MonoidCensus now makes its own.
 
     Marking scheme: for each unmarked a in A_d with 1 < a, a*a <= limit, mark
     every product a*b with b in A_d, b >= a.  One-sided marking suffices
@@ -525,19 +538,19 @@ def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
         i += 1
 
     prime = np.logical_not(composite, out=composite)
-    prime[0] = False  # the identity 1 is not a prime
-    return cumulative_sum(prime, len(prime))
+    return cumulative_sum(prime[1:], len(prime))  # the identity 1 is not a prime
 
 
 def oracle_prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
     """The whole-array form of sieve.prime_running_blocks, as
     prime_running_counts made it before the blocks were streamed, but over
     one whole table of ``eratosthenes_flags`` instead of the package's
-    windows: the flags of 1..limit cast to count_dtype(most), weighted by
-    ``weigh(1, counts)`` when given, then summed in place.  Read-only."""
-    counts = eratosthenes_flags(limit)[1:].astype(count_dtype(most))
+    windows: the flags of 2..limit (the sieve's elements past the unit)
+    cast to count_dtype(most), weighted by ``weigh(2, counts)`` when given,
+    then summed in place.  Read-only."""
+    counts = eratosthenes_flags(limit)[2:].astype(count_dtype(most))
     if weigh is not None:
-        weigh(1, counts)
+        weigh(2, counts)
     np.cumsum(counts, out=counts)
     counts.setflags(write=False)
     return counts

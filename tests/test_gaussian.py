@@ -58,7 +58,7 @@ def test_census_small():
     assert dedup.total == 4
     tiny = gaussian_census(2, "both-axes")
     assert tiny.total == 1
-    assert both.cumulative[0] == 0  # the count at norm 1
+    assert both.change_grid()[0] == 2 and both.cumulative[0] == 1  # norm 2: 1+i
 
 
 def test_census_validation():
@@ -70,7 +70,7 @@ def test_census_validation():
 
 def test_pi_G_range():
     c = gaussian_census(100, "both-axes")
-    assert len(c.cumulative) == 100 and c.cumulative[99] >= c.cumulative[49]
+    assert len(c.cumulative) == 99 and c.cumulative[98] >= c.cumulative[48]  # norms 100, 50
     with pytest.raises(ValueError):
         estimate_pi_G(math.nan)
     with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ def test_axis_convention_identity(table_10k):
     dedup = gaussian_census(limit, "dedupe-axes").cumulative
     primes = table_primes(table_10k)
     qs = primes[primes % 4 == 3]
-    ns = np.arange(1, limit + 1)
+    ns = np.arange(2, limit + 1)
     expected = np.searchsorted(qs * qs, ns, side="right")
     assert np.array_equal(both - dedup, expected)
 
@@ -118,7 +118,7 @@ def test_axis_convention_identity(table_10k):
 def test_cumulative_changes_only_at_primes_or_inert_squares(table_10k):
     limit = 10**4
     c = gaussian_census(limit, "both-axes").cumulative
-    change = np.flatnonzero(np.diff(c, prepend=0)) + 1  # cumulative[n - 1]: norm n
+    change = np.flatnonzero(np.diff(c, prepend=0)) + 2  # cumulative[n - 2]: norm n
     flags = table_10k
     for n in change.tolist():
         root = math.isqrt(n)

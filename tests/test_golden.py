@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from primelab import series as analysis
+from primelab import sieve
 from primelab.cli import TABLE2_BOUNDS, run_cli
 
 CASES = {
@@ -261,10 +261,10 @@ BLOCKED_CASES = (
 )
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
 @pytest.mark.parametrize("name", BLOCKED_CASES)
-def test_golden_at_small_block_sizes(name, chunk_rows, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+def test_golden_at_small_block_sizes(name, block_rows, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
     monkeypatch.chdir(tmp_path)
     assert observe(CASES[name], tmp_path, capsys) == GOLDEN[name]

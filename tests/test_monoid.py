@@ -46,7 +46,8 @@ def test_census_d3_count():
 
 def test_census_identity_not_prime():
     c = census(7, 10**3)
-    assert not prime_flags(c)[0]
+    # the grid starts past the identity 1, at 1 + d, which is prime
+    assert c.change_grid()[0] == 8 and prime_flags(c)[0]
     steps = np.diff(c.cumulative)
     assert set(np.unique(steps)) <= {0, 1}
 
@@ -109,14 +110,16 @@ def test_estimate_monotonicity():
 
 
 def test_largest_element():
-    """The last point of the change grid is the largest element of A_d."""
+    """The last point of the change grid is the largest element of A_d;
+    the grid is empty when that is the unit 1, which is no point."""
     assert census(5, 10**4).change_grid()[-1] == 9996
     assert census(3, 10**4).change_grid()[-1] == 10000
     assert census(7, 10**4).change_grid()[-1] == 9997
     assert census(50, 10**4).change_grid()[-1] == 9951
     for d in range(2, 13):
         for limit in range(1, 201):
-            assert census(d, limit).change_grid()[-1] == limit - (limit - 1) % d
+            grid = census(d, limit).change_grid()
+            assert (grid[-1] if grid else 1) == limit - (limit - 1) % d
 
 
 def test_params_validation():
@@ -151,7 +154,8 @@ def test_census_matches_trial_division(d, k):
     if n > 10**4:
         n = 1 + ((10**4 - 1) // d) * d
     c = census(d, 10**4)
-    assert bool(prime_flags(c)[(n - 1) // d]) == is_monoid_prime(n, d)
+    flags = prime_flags(c)  # from 1 + d: the unit 1 is no point
+    assert (n > 1 and bool(flags[(n - 1) // d - 1])) == is_monoid_prime(n, d)
 
 
 def test_rational_primes_in_monoid_are_monoid_primes(table_10k):
@@ -160,7 +164,7 @@ def test_rational_primes_in_monoid_are_monoid_primes(table_10k):
         primes = table_primes(table_10k)
         ps = primes[primes % d == 1]
         flags = prime_flags(c)
-        assert all(flags[(int(p) - 1) // d] for p in ps)
+        assert all(flags[(int(p) - 1) // d - 1] for p in ps)
 
 
 def test_count_bounded_by_elements():

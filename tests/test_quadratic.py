@@ -19,7 +19,7 @@ from oracles import (
     quad_is_unit,
     quad_mul,
     quad_norm,
-    table_primes,
+    table_primes,    series_rows,
 )
 from primelab import RegionSpec, gaussian_census, quad_census
 from primelab import quadratic
@@ -107,7 +107,7 @@ def test_census_small_d5():
     ser = build_series(quad_census(5, RegionSpec("norm-ball", 6)))
     # (2,0) norm 4, (0,1) norm 5, (1,1) norm 6
     assert ser.actual.tolist() == [0, 0, 0, 1, 2, 3]
-    assert np.isnan(ser.rows()[2]).all()
+    assert np.isnan(series_rows(ser)[2]).all()
 
 
 def test_census_bound_one():
@@ -120,7 +120,8 @@ def test_census_matches_gaussian_for_d1():
     bound = 500
     ser = build_series(quad_census(1, RegionSpec("norm-ball", bound)))
     gauss = gaussian_census(bound, "both-axes")
-    assert np.array_equal(ser.actual, gauss.cumulative)
+    # bound 1 holds the units alone; the Gaussian census starts at norm 2
+    assert ser.actual[0] == 0 and np.array_equal(ser.actual[1:], gauss.cumulative)
 
 
 def test_census_euclidean_region():
@@ -183,8 +184,8 @@ def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
     for d in (1, 2, 5, 6, 9973):
         for kind in REGION_KINDS:
             assert_matches_divisor_search_oracle(d, kind)
-    gauss = gaussian_census(10**5, "both-axes").cumulative
-    assert np.array_equal(quad_census(1, RegionSpec("norm-ball", 10**5)).cumulative, gauss)
+    gauss = gaussian_census(10**5, "both-axes").cumulative  # from norm 2
+    assert np.array_equal(quad_census(1, RegionSpec("norm-ball", 10**5)).cumulative[1:], gauss)
 
 
 @pytest.mark.parametrize("kind", REGION_KINDS)
@@ -225,9 +226,10 @@ def test_census_d2_follows_rational_primes():
 
 @pytest.mark.parametrize("bound", [10**5, MAX_CENSUS_BOUND])
 def test_census_d1_equals_gaussian_census(bound):
-    gauss = gaussian_census(bound, "both-axes").cumulative
+    gauss = gaussian_census(bound, "both-axes").cumulative  # from norm 2
     for kind in REGION_KINDS:
-        assert np.array_equal(quad_census(1, RegionSpec(kind, bound)).cumulative, gauss)
+        quad = quad_census(1, RegionSpec(kind, bound)).cumulative
+        assert quad[0] == 0 and np.array_equal(quad[1:], gauss)
 
 
 WALK_STEP_BYTES = 48 * WALK_CELLS  # one step of the walk, measured at 40 B per cell

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import build_series, oracle_read_series_csv
+from oracles import build_series, oracle_read_series_csv, series_rows
 
 from primelab import (
     CountSeries,
@@ -15,8 +15,7 @@ from primelab import (
     classical_census,
     gaussian_census,
 )
-from primelab import report
-from primelab import series as analysis
+from primelab import report, sieve
 from primelab.report import (
     FIT_HEADER,
     MAX_POLYLINE_POINTS,
@@ -216,7 +215,7 @@ def test_svg_thins_long_series():
 
 
 def oracle_polyline_points(series):
-    x, actual, est, _, _ = series.rows()
+    x, actual, est, _, _ = series_rows(series)
     n = len(x)
     keep = np.arange(0, n, -(-n // MAX_POLYLINE_POINTS))
     keep = np.append(keep, n - 1) if keep[-1] != n - 1 else keep
@@ -260,10 +259,10 @@ SVG_SERIES = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("case", sorted(SVG_SERIES))
-def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, chunk_rows):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, block_rows):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     ser = SVG_SERIES[case]()
     polylines = [
         line.split(' points="')[1].removesuffix('"/>')
@@ -375,7 +374,7 @@ def series_columns(draw):
     )
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, sieve.COUNT_BLOCK])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=series_columns())
 def test_series_csv_matches_reference_oracles(tmp_path, block_rows, columns):
@@ -391,7 +390,7 @@ def test_series_csv_matches_reference_oracles(tmp_path, block_rows, columns):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("block_rows", [7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [7, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("column", [0, 1, 2, None])
 def test_series_csv_prints_tie_and_edge_floats_as_the_oracle(block_rows, column):
     vals = np.array(TIE_AND_EDGE_FLOATS)
@@ -435,7 +434,7 @@ def test_series_csv_formats_real_series_without_the_percent_path(monkeypatch, ca
     calls = count_percent_rows(monkeypatch)
     text = series_csv_text(ser)
     assert calls == []
-    assert text == oracle_series_csv_text(ser.rows())
+    assert text == oracle_series_csv_text(series_rows(ser))
     if case == "both-notations":
         assert "e+06," in text and "e+08," in text and ",999000," in text
 

@@ -17,7 +17,7 @@ from oracles import (
     oracle_fit_model,
     oracle_mape,
     oracle_squared_error,
-    oracle_thin,
+    oracle_thin,    series_rows,
 )
 from primelab import (
     CountSeries,
@@ -43,7 +43,7 @@ from primelab.report import read_series_csv, write_csv
 
 def test_build_series_single_point_matches_summary_row():
     ser = build_series(monoid_census(MonoidParams(3, 10**4)))
-    x, actual, est, ratio, pct_err = ser.rows(len(ser) - 1)
+    x, actual, est, ratio, pct_err = series_rows(ser, len(ser) - 1)
     assert x.tolist() == [10**4]
     assert actual[0] == 1380
     assert est[0] == pytest.approx(1590.21, abs=0.05)
@@ -56,7 +56,7 @@ def test_build_series_zero_actual_has_no_error():
     xs = np.array([2, 11, 96])
     ser = CountSeries(xs, census_counts_at(census, xs), census.estimate)
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
-    pct_err = ser.rows()[4]
+    pct_err = series_rows(ser)[4]
     assert math.isnan(pct_err[0])
     assert pct_err[-1] >= 0
 
@@ -67,11 +67,11 @@ def test_build_series_default_grid_starts_at_first_prime():
     assert ser.x[0] == 4  # 4 = 1 + 3 is the first monoid prime
     assert ser.actual[0] == 1
     assert np.all(ser.actual >= 1)
-    assert not np.isnan(ser.rows()[4]).any()
+    assert not np.isnan(series_rows(ser)[4]).any()
 
 
 def test_build_series_default_grid_needs_a_prime():
-    empty = monoid_census(MonoidParams(50, 40))  # holds only the identity
+    empty = monoid_census(MonoidParams(50, 40))  # no element past the identity
     assert empty.total == 0
     with pytest.raises(ValueError, match="census holds no primes"):
         build_series(empty)
@@ -90,7 +90,7 @@ def test_build_series_default_grid_needs_a_prime():
 
 def test_build_series_gaussian():
     ser = build_series(gaussian_census(10, "both-axes"))
-    x, actual, est = ser.rows(len(ser) - 1)[:3]
+    x, actual, est = series_rows(ser, len(ser) - 1)[:3]
     assert x.tolist() == [10] and actual.tolist() == [5]
     assert est[0] == pytest.approx(10 / math.log(10), rel=1e-12)
 
@@ -223,7 +223,7 @@ def test_fit_deterministic():
 def test_ratio_times_estimate_recovers_actual():
     census = monoid_census(MonoidParams(3, 5000))
     ser = build_series(census)
-    _, actual, est, ratio, _ = ser.rows()
+    _, actual, est, ratio, _ = series_rows(ser)
     assert np.allclose(ratio * est, actual, rtol=1e-12)
 
 
@@ -236,9 +236,9 @@ def test_series_validation():
         CountSeries(range(2, 40), np.array([0, 1] * 19))  # a range grid too
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
-def test_order_is_checked_across_block_boundaries(monkeypatch, chunk_rows):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+def test_order_is_checked_across_block_boundaries(monkeypatch, block_rows):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     n = 20
     ordered = np.arange(2, n + 2, dtype=np.int64)
     CountSeries(range(2, n + 2), ordered)
@@ -321,9 +321,10 @@ def oracle_prefix_mapes(x, pct_err, bounds):
 
 
 def classical_series(n):
-    """pi(x) against x / ln x from x = 2, the first nonzero count, to n."""
+    """pi(x) against x / ln x on the classical census's grid, from x = 2,
+    the first nonzero count, to n."""
     census = classical_census(n)
-    return CountSeries(range(2, n + 1), census.cumulative[1:], lambda xs: xs / np.log(xs))
+    return CountSeries(census.change_grid(), census.cumulative, lambda xs: xs / np.log(xs))
 
 
 STREAMED_SERIES = {
@@ -333,17 +334,17 @@ STREAMED_SERIES = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("domain", sorted(STREAMED_SERIES))
-def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, chunk_rows):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
-    rows = 3000 if chunk_rows < 100 else 3 * chunk_rows + 5  # several blocks either way
+def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, block_rows):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
+    rows = 3000 if block_rows < 100 else 3 * block_rows + 5  # several blocks either way
     ser = STREAMED_SERIES[domain](rows)
-    assert len(ser) > 2 * chunk_rows
+    assert len(ser) > 2 * block_rows
     x, actual, est, ratio, pct = oracle_columns(ser)
 
     blocks = list(ser.blocks())
-    assert len(blocks) == -(-len(ser) // chunk_rows)
+    assert len(blocks) == -(-len(ser) // block_rows)
     for got, want in zip(zip(*blocks), (x, actual, est, ratio, pct)):
         assert np.array_equal(np.concatenate(got), want, equal_nan=True)
 
@@ -357,10 +358,10 @@ def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, chun
 SOME_FLOATS = st.one_of(st.just(math.nan), st.floats(0.0, 100.0), st.floats(-1e3, 1e3))
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, 5), SOME_FLOATS), max_size=30))
-def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
+def test_streamed_statistics_match_oracles_on_stored_columns(block_rows, rows):
     # a column of estimates stored in an array that the estimator looks up by
     # x: NaN anywhere, crossings at any block boundary
     x = np.arange(2, 2 + len(rows), dtype=np.int64)
@@ -375,7 +376,7 @@ def test_streamed_statistics_match_oracles_on_stored_columns(chunk_rows, rows):
     except ValueError:
         expected_mape = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(sieve, "COUNT_BLOCK", block_rows)
         assert find_crossover(ser) == expected_crossover
         if expected_mape is None:
             with pytest.raises(ValueError):
@@ -397,7 +398,7 @@ def block_edge_series():
     """Three blocks: the counts are zero until 10 rows past the first block
     edge, and the estimate, which overtakes the counts shortly before the
     second edge, is NaN on 80 rows across that edge."""
-    c = analysis.CHUNK_ROWS
+    c = sieve.COUNT_BLOCK
     xs = np.arange(2, 3 * c + 2, dtype=np.int64)
     actual = np.floor(xs / np.log(xs)).astype(np.int64)
     actual[: c + 10] = 0
@@ -423,15 +424,15 @@ STATISTICS_SERIES = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [4099, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [4099, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("name", sorted(STATISTICS_SERIES))
-def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, name, chunk_rows):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, name, block_rows):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     ser = STATISTICS_SERIES[name](tmp_path)
     x = ser.x
     assert len(ser) > 2 * 4099  # three blocks or more at the smaller size
     bounds = [None, int(x[0]) - 1, int(x[len(x) // 2]), int(x[-1]), int(x[-1]) + 1]
-    edges = range(chunk_rows, len(x), chunk_rows)
+    edges = range(block_rows, len(x), block_rows)
     for edge in {edges[0], edges[len(edges) // 2], edges[-1]} if edges else ():
         bounds += [int(x[edge - 1]), int(x[edge])]  # the last x of a block, the first of the next
     for upto in bounds:
@@ -441,8 +442,8 @@ def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, na
 
 def test_block_edge_series_crosses_over_near_the_nan_edge():
     ser = block_edge_series()
-    c = analysis.CHUNK_ROWS
-    assert ser.rows(0, c + 10)[1].max() == 0 and ser.rows(c + 10)[1].min() > 0
+    c = sieve.COUNT_BLOCK
+    assert series_rows(ser, 0, c + 10)[1].max() == 0 and series_rows(ser, c + 10)[1].min() > 0
     crossover = find_crossover(ser)
     assert crossover is not None and abs(crossover - int(ser.x[2 * c])) < 400
 
@@ -459,16 +460,16 @@ ANY_FLOATS = st.one_of(SOME_FLOATS, st.sampled_from([math.inf, -math.inf, -0.0])
 
 @settings(max_examples=150, deadline=None)
 @given(
-    chunk_rows=st.integers(1, 8),
+    block_rows=st.integers(1, 8),
     step=st.integers(1, 3),
     ranged=st.booleans(),
     data=st.data(),
 )
-def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(chunk_rows, step, ranged, data):
+def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(block_rows, step, ranged, data):
     """One to three blocks of a series with any increments (a zero prefix
     included) and any estimates, on a range grid or an array grid, cut at
     any bound."""
-    n = data.draw(st.integers(1, 3 * chunk_rows))
+    n = data.draw(st.integers(1, 3 * block_rows))
     rows = data.draw(st.lists(st.tuples(st.integers(0, 5), ANY_FLOATS), min_size=n, max_size=n))
     upto = data.draw(st.none() | st.integers(0, 2 + n * step + 2))
     grid = range(2, 2 + n * step, step)
@@ -478,7 +479,7 @@ def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(chunk_rows, step,
     # values alone are compared: the oracle's rows() also computes the ratio,
     # which overflows for subnormal estimates, and inf - inf sums warn in both
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        mp.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(sieve, "COUNT_BLOCK", block_rows)
         assert outcome(mape, ser, upto) == outcome(oracle_mape, ser, upto)
         assert find_crossover(ser) == oracle_find_crossover(ser)
 
@@ -533,7 +534,7 @@ def test_series_csv_memory_does_not_grow_with_census_size(tmp_path, monkeypatch)
     """The writer formats one block at a time and writes it before the next,
     so its peak is the same at four times the rows (small blocks, so that
     small censuses are many blocks long)."""
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", 1 << 12)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 1 << 12)
 
     def peak(n):
         ser = build_series(gaussian_census(n, "both-axes"))
@@ -649,12 +650,12 @@ def test_fit_model_matches_oracle_bit_for_bit(tmp_path, name):
 SMALL_FITS = ("classical-20000", "exactly-8-points", "x-below-3", "zeros-and-x-below-3")
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
 @pytest.mark.parametrize("name", SMALL_FITS)
-def test_fit_model_is_the_oracles_at_any_block_size(tmp_path, monkeypatch, name, chunk_rows):
+def test_fit_model_is_the_oracles_at_any_block_size(tmp_path, monkeypatch, name, block_rows):
     """The fitted suffix may start in any block, after whole blocks of zero
     counts or of x below 3, and its arrays are filled block by block."""
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     ser, whole = FIT_SERIES[name](tmp_path)
     assert fit_model(ser) == oracle_fit_model(whole)
 
@@ -744,7 +745,7 @@ def test_streamed_fit_memory_is_three_arrays_one_window_and_one_block():
         tracemalloc.stop()
     n = len(ser)
     window = min(sieve.SEGMENT_SIZE, 10**6)  # one bool per norm
-    block = analysis.CHUNK_ROWS * 8 + sieve.COUNT_BLOCK * 4  # a block's points and counts
+    block = 12 * sieve.COUNT_BLOCK  # a block's points and counts
     assert n > 10**6 - 10
     assert peak <= 24 * n + window + block + 64 * 1024, (peak - 24 * n) / 1024
 

@@ -30,9 +30,9 @@ from primelab.sieve import MAX_SIEVE_LIMIT
 
 
 def pi_steps(limit):
-    """pi(n) - pi(n - 1) for 0 <= n <= limit, from the classical census: 1
-    where n is prime, 0 elsewhere."""
-    return np.diff(classical_census(limit).cumulative, prepend=[0, 0])
+    """pi(n) - pi(n - 1) for 0 <= n <= limit, from the classical census,
+    whose grid starts at 2: 1 where n is prime, 0 elsewhere."""
+    return np.diff(classical_census(limit).cumulative, prepend=[0, 0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +88,18 @@ def test_integer_parameters_reject_bools_and_non_integers(name, value):
 
 def test_classical_census_matches_pi():
     census = classical_census(10**4)
-    xs = np.array([1, 2, 3, 100, 9973, 10**4])
+    xs = np.array([2, 3, 100, 9973, 10**4])
     expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
-    assert census.cumulative[xs - 1].tolist() == expected
+    assert census.cumulative[xs - 2].tolist() == expected
     assert census.total == 1229
     assert census.describe() == {"domain": "classical", "limit": "10000"}
 
 
 def test_pi_basics():
     census = classical_census(10**4)
-    assert len(census.cumulative) == 10**4  # cumulative[n - 1] is pi(n)
-    assert census.cumulative[0] == 0
-    assert census.cumulative[1] == 1
+    assert len(census.cumulative) == 10**4 - 1  # cumulative[n - 2] is pi(n)
+    assert census.cumulative[0] == 1  # pi(2)
+    assert census.cumulative[1] == 2  # pi(3)
 
 
 def test_pi_steps_by_zero_or_one():
@@ -113,23 +113,34 @@ def test_flags_match_trial_division(steps_100k, n):
 
 
 # Window sizes of the segmented sieve for the tests that patch it, in
-# elements of A_d (at d = 1, the numbers from 1): three even ones, then two
-# odd ones, after which the later windows start on even numbers; 361 = 19^2,
-# an axis prime's square, is the last norm of the first window of 361.
+# elements of A_d past the unit (at d = 1, the numbers from 2): three even
+# ones, whose windows all start on even numbers, then two odd ones, whose
+# windows start on even and odd numbers in turn; 361 = 19^2, an axis
+# prime's square, is the next to last norm of the first window of 361.
 WINDOW_SIZES = (224, 1000, 4096, 265, 361)
+# A divisor of each window size, the block of the tests that patch the
+# window: the sieve cuts every window into whole blocks.
+WINDOW_BLOCKS = {224: 7, 265: 53, 361: 19, 1000: 8, 4096: 4096}
 # The moduli of the monoid censuses that the windowed tests check.
 MODULI = (2, 3, 4, 7, 50)
 
 
 def test_segment_boundaries_match_trial_division(monkeypatch):
-    expected = np.cumsum([trial_division_is_prime(n) for n in range(1, 50_002)])
+    expected = np.cumsum([trial_division_is_prime(n) for n in range(2, 50_002)])
     # each size exceeds isqrt(50_001) = 223, so the first segment holds every
     # sieving prime; 50_001 = 3 * 16_667 checks that the last number is marked
     for size in WINDOW_SIZES:
-        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+        patch_window(monkeypatch, size)
         for limit in (50_000, 50_001):
             census = classical_census(limit).cumulative
-            assert np.array_equal(census, expected[:limit]), (size, limit)
+            assert np.array_equal(census, expected[: limit - 1]), (size, limit)
+
+
+def patch_window(monkeypatch, size, block=None):
+    """Windows of size elements, cut into blocks of block elements (by
+    default WINDOW_BLOCKS[size])."""
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", WINDOW_BLOCKS[size] if block is None else block)
 
 
 def check_windowed_censuses(limit):
@@ -139,7 +150,7 @@ def check_windowed_censuses(limit):
     values and dtype."""
     if limit >= 2:
         census = classical_census(limit).cumulative
-        pi = np.cumsum(eratosthenes_flags(limit)[1:])
+        pi = np.cumsum(eratosthenes_flags(limit)[2:])
         assert census.dtype == np.int32 and np.array_equal(census, pi), limit
     for convention in AXIS_CONVENTIONS:
         census = gaussian_census(limit, convention).cumulative
@@ -153,7 +164,7 @@ def check_windowed_censuses(limit):
 
 @pytest.mark.parametrize("size", WINDOW_SIZES)
 def test_windowed_censuses_match_the_whole_table(monkeypatch, size):
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    patch_window(monkeypatch, size)
     limits = {1, 2, 3, 19**2, 23**2, 31**2}
     limits |= {k * size + step for k in (1, 2, 3) for step in (-1, 0, 1)}
     for limit in sorted(limits):
@@ -165,9 +176,9 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
     # isqrt(10^5) = 316 > 224: the base primes 227..313 lie past the first
     # window, and so do the axis squares 227^2 and more (the counts were
     # 9907 and 9947 while both came from the first window alone)
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 224)
+    patch_window(monkeypatch, 224)
     limit = 10**5
-    pi = np.cumsum(eratosthenes_flags(limit)[1:])
+    pi = np.cumsum(eratosthenes_flags(limit)[2:])
     assert np.array_equal(classical_census(limit).cumulative, pi) and pi[-1] == 9592
     for convention in AXIS_CONVENTIONS:
         census = gaussian_census(limit, convention).cumulative
@@ -179,15 +190,34 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
     assert np.array_equal(monoid_census(params).cumulative, oracle_monoid_census(params))
 
 
-@pytest.mark.parametrize("size", WINDOW_SIZES)
-@pytest.mark.parametrize("count_block", [1, 97, sieve.COUNT_BLOCK])
+# (block, window) pairs: block 1 and WINDOW_BLOCKS at every window, the
+# default block at the default window, and blocks that divide no window
+# size: 97, and the default block at the small windows
+BLOCKS_AND_WINDOWS = (
+    [(1, size) for size in WINDOW_SIZES]
+    + [(block, size) for size, block in WINDOW_BLOCKS.items()]
+    + [(sieve.COUNT_BLOCK, sieve.SEGMENT_SIZE)]
+    + [(block, size) for block in (97, sieve.COUNT_BLOCK) for size in WINDOW_SIZES]
+)
+
+
+@pytest.mark.parametrize(("count_block", "size"), BLOCKS_AND_WINDOWS)
 def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
-    """The streamed blocks follow one another from index 0, are read-only,
-    and hold what the whole-array form of the sieve's reader gives, which
-    is what the census copies into its whole counts."""
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
-    monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
-    limit = 3 * size + 2 if count_block == 1 else 7 * size + 1
+    """The streamed blocks follow one another from grid index 0, each
+    count_block long but the census's last, are read-only, and hold what
+    the whole-array form of the sieve's reader gives, which is what the
+    census copies into its whole counts.  Where the window is no whole
+    number of blocks, a census of more than one window is refused, and one
+    of a single window is checked."""
+    patch_window(monkeypatch, size, count_block)
+    if size % count_block:
+        with pytest.raises(ValueError, match="no whole number of blocks"):
+            classical_census(size + 2).total  # size + 1 points
+        limit = size + 1
+    elif count_block == 1:
+        limit = 3 * size + 2
+    else:  # seven windows, or two blocks past the default window
+        limit = min(7 * size, size + 2 * count_block) + 1
     censuses = [classical_census(limit)] + [gaussian_census(limit, c) for c in AXIS_CONVENTIONS]
     censuses += [monoid_census(MonoidParams(d, d * limit)) for d in MODULI]
     for census in censuses:
@@ -196,11 +226,12 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
         else:
             _, limit_, most, weigh = census._sieve()
             whole = oracle_prime_running_counts(limit_, most, weigh)
-        blocks, k = [], 0
+        blocks = []
         for start, counts in census.running_blocks():
-            assert start == k and 0 < len(counts) <= count_block and not counts.flags.writeable
+            assert start == count_block * len(blocks) and not counts.flags.writeable
+            assert 0 < len(counts) <= count_block
             blocks.append(counts.copy())  # the next block overwrites it
-            k += len(counts)
+        assert all(len(block) == count_block for block in blocks[:-1]), census
         assert np.array_equal(np.concatenate(blocks), whole), census
         assert census.cumulative.dtype == whole.dtype
         assert np.array_equal(census.cumulative, whole), census
@@ -268,26 +299,30 @@ def test_primes_listing(table_10k):
     assert len(primes) == 1229
 
 
-# Every census, with its bound; the monoid bound 46 is no element of A_4, and
-# the last three hold no primes.
+# Every census, with its bound and the first point of its grid: past the
+# unit for a sieved census (1 + d in A_d, 2 for the classical and Gaussian
+# censuses), 1 for the quadratic one.  The monoid bound 46 is no element of
+# A_4, and the last three hold no primes: the sieved ones have no point.
 CENSUSES = {
-    "classical": (lambda: classical_census(1000), 1000),
-    "monoid": (lambda: monoid_census(MonoidParams(4, 46)), 46),
-    "gaussian": (lambda: gaussian_census(1000, "both-axes"), 1000),
-    "quadratic": (lambda: quad_census(5, RegionSpec("euclidean-ball", 300)), 300),
-    "monoid-empty": (lambda: monoid_census(MonoidParams(50, 40)), 40),
-    "gaussian-empty": (lambda: gaussian_census(1, "dedupe-axes"), 1),
-    "quadratic-empty": (lambda: quad_census(3, RegionSpec("norm-ball", 1)), 1),
+    "classical": (lambda: classical_census(1000), 1000, 2),
+    "monoid": (lambda: monoid_census(MonoidParams(4, 46)), 46, 5),
+    "gaussian": (lambda: gaussian_census(1000, "both-axes"), 1000, 2),
+    "quadratic": (lambda: quad_census(5, RegionSpec("euclidean-ball", 300)), 300, 1),
+    "monoid-empty": (lambda: monoid_census(MonoidParams(50, 40)), 40, 51),
+    "gaussian-empty": (lambda: gaussian_census(1, "dedupe-axes"), 1, 2),
+    "quadratic-empty": (lambda: quad_census(3, RegionSpec("norm-ball", 1)), 1, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_layout_is_shared(name):
-    build, limit = CENSUSES[name]
+    build, limit, start = CENSUSES[name]
     census = build()
     grid = census.change_grid()
-    assert len(grid) == len(census.cumulative) and grid.start == 1 and grid.stop == limit + 1
-    assert census.total == census.cumulative[-1]
+    assert len(grid) == len(census.cumulative) and grid.start == start and grid.stop == limit + 1
+    assert census.total == (census.cumulative[-1] if len(grid) else 0)
+    if isinstance(census, sieve.SievedCensus) and len(grid):
+        assert census.cumulative[0] == 1  # the first point is prime
 
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))

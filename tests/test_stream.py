@@ -18,6 +18,7 @@ from oracles import (
     oracle_monoid_census,
 )
 from primelab import (
+    GaussianCensus,
     MonoidParams,
     RegionSpec,
     classical_census,
@@ -45,7 +46,7 @@ def oracle_counts(name, limit):
     """The counts of CENSUSES[name](limit) from the tests' own whole-array
     sieves."""
     if name == "classical":
-        return np.cumsum(eratosthenes_flags(limit)[1:])
+        return np.cumsum(eratosthenes_flags(limit)[2:])
     if name == "monoid-3":
         return oracle_monoid_census(MonoidParams(3, 3 * limit))
     return oracle_gaussian_census(limit, name.removeprefix("gauss-") + "-axes")
@@ -58,17 +59,29 @@ CENSUSES = {
     "monoid-3": lambda n: monoid_census(MonoidParams(3, 3 * n)),  # n elements
 }
 WINDOW_SIZES = (224, 265, 361, 1000, 4096)
-# rows per block, and the bound that cuts each series into several blocks
-CHUNKS = {1: 300, 7: 2000, 4099: 20_000, analysis.CHUNK_ROWS: 2 * analysis.CHUNK_ROWS + 4099}
+# A divisor of each window size: the sieve cuts every window into whole blocks.
+WINDOW_BLOCKS = {224: 7, 265: 53, 361: 19, 1000: 8, 4096: 4096}
+# (window, block) pairs: block 1 and a divisor of every window, and the
+# default block at the default window; then blocks that divide no window
+# here (7 but at 224, 4099 and the default block), under which a census of
+# more than one window is refused, and one of a single window is checked
+PAIRS = sorted(
+    {(window, block) for window in WINDOW_SIZES
+     for block in (1, WINDOW_BLOCKS[window], 7, 4099, sieve.COUNT_BLOCK)}
+    | {(sieve.SEGMENT_SIZE, sieve.COUNT_BLOCK)}
+)
+# the bound that cuts a series into several blocks of each size
+BOUNDS = {1: 300, 7: 2000, 8: 2000, 19: 2000, 53: 2000, 4096: 20_000, 4099: 20_000,
+          sieve.COUNT_BLOCK: 2 * sieve.COUNT_BLOCK + 4099}
 
 
-def edge_bounds(ser, grid, window, chunk_rows):
+def edge_bounds(ser, grid, window, block):
     """upto bounds on and next to block and window edges, below the first
     point, at and past the last, and None; grid is the census's change
-    grid, whose k-th point is the sieve's element k."""
+    grid, whose k-th point is in the sieve's window k // window."""
     rows, limit = len(ser), grid.stop - 1
     bounds = {None, 1, 2, int(ser.grid[0]) - 1, limit - 1, limit, limit + 5}
-    for edge in (chunk_rows, 2 * chunk_rows, rows - 1):
+    for edge in (block, 2 * block, rows - 1):
         for r in (edge - 1, edge, edge + 1):
             if 0 <= r < rows:
                 bounds.add(int(ser.grid[r]))
@@ -79,16 +92,19 @@ def edge_bounds(ser, grid, window, chunk_rows):
     return sorted(bounds, key=lambda b: -1 if b is None else b)
 
 
-@pytest.mark.parametrize("chunk_rows", sorted(CHUNKS))
-@pytest.mark.parametrize("window", WINDOW_SIZES)
+@pytest.mark.parametrize(("window", "block"), PAIRS)
 @pytest.mark.parametrize("name", sorted(CENSUSES))
-def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, window, chunk_rows):
+def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, window, block):
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
-    limit = CHUNKS[chunk_rows]
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block)
+    limit = BOUNDS[block]
+    if window % block and len(CENSUSES[name](limit).change_grid()) > window:
+        with pytest.raises(ValueError, match="no whole number of blocks"):
+            analysis.scan(analysis.stream_series(CENSUSES[name](limit)))
+        limit = window + 1  # a census of window points: one window
 
     ser = analysis.stream_series(CENSUSES[name](limit))
-    bounds = edge_bounds(ser, CENSUSES[name](limit).change_grid(), window, chunk_rows)
+    bounds = edge_bounds(ser, CENSUSES[name](limit).change_grid(), window, block)
     total, crossover = analysis.Total(), analysis.Crossover()
     per_bound = [analysis.Mape(ser, (upto,)) for upto in bounds]
     defined = [upto for upto in bounds if upto is None or upto >= ser.grid[0]]
@@ -102,7 +118,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     census = CENSUSES[name](limit)
     assert np.array_equal(census.cumulative, oracle_counts(name, limit))
     whole = build_series(census)
-    assert len(whole) == len(ser) and whole.grid == ser.grid
+    assert len(whole) == len(ser) and whole.grid == ser.grid == census.change_grid()
     assert total.value == census.total
     got = [outcome(lambda m=m: m.result()[0]) for m in per_bound]
     assert got == [outcome(oracle_mape, whole, upto) for upto in bounds]
@@ -118,8 +134,35 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
         assert streamed == (tmp_path / f"whole.{artifact}").read_bytes(), artifact
 
 
+def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
+    """Every block that a pass feeds its reducers is the block that the
+    census's running_blocks() yielded, at its grid index, not a copy: a
+    Gaussian census of several windows."""
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 512)
+    running_blocks, yielded = GaussianCensus.running_blocks, []
+
+    def recorded(census):
+        for k, counts in running_blocks(census):
+            yielded.append((k, counts))
+            yield k, counts
+
+    monkeypatch.setattr(GaussianCensus, "running_blocks", recorded)
+    fed = []
+
+    class Recorder:
+        def feed(self, block):
+            k, counts = yielded[-1]
+            fed.append(block.lo == k and np.shares_memory(block.actual, counts)
+                       and len(block) == len(counts))
+
+    ser = analysis.stream_series(gaussian_census(5 * 4096 + 100, "both-axes"))
+    analysis.scan(ser, Recorder())
+    assert len(fed) == len(yielded) == -(-len(ser) // 512) and all(fed)
+
+
 def test_streamed_series_is_read_in_one_pass(monkeypatch):
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", 4099)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 4099)
     ser = analysis.stream_series(gaussian_census(50_000, "both-axes"))
     assert mape(ser) == mape(build_series(gaussian_census(50_000, "both-axes")))
     with pytest.raises(RuntimeError, match="read once"):
@@ -138,6 +181,31 @@ def test_empty_census_streams_nothing():
         analysis.stream_series(gaussian_census(1, "both-axes"))
 
 
+# the censuses of the goldens gauss-norm-limit-1, monoid-empty-census and
+# monoid-limit-1: no element past the unit, so no point
+EMPTY_CENSUSES = {
+    "gauss-norm-limit-1": lambda: gaussian_census(1, "both-axes"),
+    "monoid-empty-census": lambda: monoid_census(MonoidParams(50, 40)),
+    "monoid-limit-1": lambda: monoid_census(MonoidParams(4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CENSUSES))
+def test_an_empty_grid_holds_no_count(name):
+    census = EMPTY_CENSUSES[name]()
+    assert len(census.change_grid()) == 0 and census.total == 0
+    assert census.cumulative.size == 0 and list(census.running_blocks()) == []
+    with pytest.raises(ValueError, match="census holds no primes"):
+        analysis.stream_series(census)
+
+
+def test_no_prime_lies_below_2():
+    for d in (1, 4, 50):
+        primes = sieve.primes_upto(1, d)
+        assert primes.dtype == np.int64 and primes.size == 0
+    assert sieve.primes_upto(2).tolist() == [2] and sieve.primes_upto(3).tolist() == [2, 3]
+
+
 def traced_peak(argv):
     """The tracemalloc peak of one command, in bytes."""
     tracemalloc.start()
@@ -150,7 +218,7 @@ def traced_peak(argv):
 
 # A streamed command holds one window of flags, the sieve's block of counts
 # (int32), and one block's columns (at most five float64 arrays), plus 1 MB.
-STREAMED_PEAK = sieve.SEGMENT_SIZE + 4 * sieve.COUNT_BLOCK + 40 * analysis.CHUNK_ROWS + (1 << 20)
+STREAMED_PEAK = sieve.SEGMENT_SIZE + 44 * sieve.COUNT_BLOCK + (1 << 20)
 
 
 def test_gauss_memory_does_not_grow_with_the_bound(capsys):
