@@ -15,12 +15,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from primelab import CountSeries, QuadCensus, RegionSpec, fit_model, quad_census  # noqa: E402
+from primelab import QuadCensus, RegionSpec, Series, fit_model, quad_census  # noqa: E402
+from primelab.sieve import count_blocks  # noqa: E402
 
 DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
 
 
-def thin(census: QuadCensus, points: int = 250) -> CountSeries:
+def thin(census: QuadCensus, points: int = 250) -> Series:
     """Keep a geometric subsample so the fit is not dominated by the tail:
     the census's counts at the distinct integer parts of ``points``
     geometrically spaced points from the first nonzero count (or 3, if
@@ -31,7 +32,7 @@ def thin(census: QuadCensus, points: int = 250) -> CountSeries:
         raise ValueError(f"no point from {lo} up to the bound to fit")
     xs = np.unique(np.geomspace(lo, grid[-1], points).astype(np.int64))
     actual = counts[(xs - grid.start) // grid.step]
-    return CountSeries(xs, actual, census.estimate, census.describe())
+    return Series(xs, count_blocks(actual), census.estimate, census.describe())
 
 
 def main() -> int:

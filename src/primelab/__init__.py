@@ -10,8 +10,8 @@ from .gaussian import GaussianCensus, estimate_pi_G, gaussian_census
 from .monoid import MonoidCensus, MonoidParams, estimate_pi_d, monoid_census
 from .quadratic import QuadCensus, RegionSpec, quad_census
 from .series import (
-    CountSeries,
     FitResult,
+    Series,
     find_crossover,
     fit_model,
     mape,
@@ -22,13 +22,13 @@ from .sieve import ClassicalCensus, classical_census
 
 __all__ = [
     "ClassicalCensus",
-    "CountSeries",
     "FitResult",
     "GaussianCensus",
     "MonoidCensus",
     "MonoidParams",
     "QuadCensus",
     "RegionSpec",
+    "Series",
     "classical_census",
     "estimate_pi_G",
     "estimate_pi_d",

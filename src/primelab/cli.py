@@ -273,10 +273,10 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_quad(args) -> int:
     census = _census("quad", args)
-    print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={census.total}")
     ser = analysis.stream_series(census)
-    writers = _writers(args, ser, series_csv="csv")
-    analysis.scan(ser, *writers.values())
+    total, writers = analysis.Total(), _writers(args, ser, series_csv="csv")
+    analysis.scan(ser, total, *writers.values())
+    print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={total.value}")
     _emit(args, writers=writers)
     return EXIT_OK
 

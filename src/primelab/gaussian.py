@@ -8,8 +8,7 @@ default; the "dedupe-axes" convention keeps only (q, 0) so that no two
 counted points are associates.  The census applies this rule to each block
 of running counts that the sieve of the norms yields (a SievedCensus), from
 norm 2 on, since no point of norm 1, a unit, is prime: a streamed pass
-holds one window of flags and one block of counts, and the whole counts,
-when read, take 4 B per norm.  The axis points' norms q^2 come from the
+holds one window of flags and one block of counts.  The axis points' norms q^2 come from the
 sieve's base primes q <= isqrt(norm_limit).  The tests check the rule
 against a divisor scan (``tests/oracles.py``).
 """
@@ -28,9 +27,8 @@ AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
 @dataclass(frozen=True)
 class GaussianCensus(SievedCensus):
-    """Cumulative Gaussian-prime counts by integer norm bound from 2, the
-    norm of 1+i: cumulative[n - 2] is the count for norm bound n, int32 when
-    2 * norm_limit < 2**31."""
+    """Gaussian-prime counts by integer norm bound from 2, the norm of 1+i,
+    to norm_limit: int32 when 2 * norm_limit < 2**31."""
 
     norm_limit: int
     axis_convention: str
@@ -73,7 +71,7 @@ class GaussianCensus(SievedCensus):
 def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit,
     by reduction to the rational primes of each norm, read from the sieve
-    when first streamed or read whole."""
+    when streamed."""
     if convention not in AXIS_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
     require_sieve_limit("norm_limit", norm_limit, 1)

@@ -36,9 +36,8 @@ class MonoidParams:
 @dataclass(frozen=True)
 class MonoidCensus(SievedCensus):
     """Monoid-prime counts over A_d up to the limit, one per monoid element
-    past the unit: cumulative[k] is the number of monoid primes <= 1 +
-    (k + 1)*d, the k-th point of change_grid(), int32 when the element
-    count fits, else int64."""
+    past the unit: the number of monoid primes <= 1 + (k + 1)*d at the k-th
+    point of change_grid(), int32 when the element count fits, else int64."""
 
     params: MonoidParams
 
@@ -60,7 +59,7 @@ class MonoidCensus(SievedCensus):
 
 def monoid_census(params: MonoidParams) -> MonoidCensus:
     """The monoid primes of A_d up to the limit, read from the sieve of A_d
-    when first streamed or read whole."""
+    when streamed."""
     require_sieve_limit("limit", params.limit, 1)
     return MonoidCensus(params=params)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, count_dtype, cumulative_sum, require_int
+from .sieve import Census, count_blocks, count_dtype, cumulative_sum, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
@@ -62,11 +62,20 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class QuadCensus(Census):
-    """Cumulative irreducible counts by the region's bound parameter."""
+    """Cumulative irreducible counts by the region's bound parameter, held
+    whole: the one census that is."""
 
     d: int
     region: RegionSpec
     cumulative: np.ndarray  # index n - 1 for bound n; int32 under the census cap
+
+    def change_grid(self) -> range:
+        """Every integer bound from 1 to the region's bound."""
+        return range(1, len(self.cumulative) + 1)
+
+    def running_blocks(self):
+        """COUNT_BLOCK slices of the whole counts (count_blocks)."""
+        return count_blocks(self.cumulative)
 
     def describe(self) -> dict[str, str]:
         return {

@@ -7,8 +7,8 @@ undefined values print as empty fields.
 
 The series CSV writer and the chart are reducers (SeriesCsvWriter, Chart),
 fed by series.scan in the pass that feeds a command's statistics, so
-neither needs the series whole.  A series CSV is written one series block
-(sieve.COUNT_BLOCK rows) at a time, formatted by numpy digit arithmetic
+neither needs the series whole.  A series CSV is written one block of the
+series at a time, formatted by numpy digit arithmetic
 into the bytes that the printf-style row format _SERIES_ROW would print,
 and written to the file as it is made.  Rows where that arithmetic cannot
 be sure of a rounding (near a .5 tie, infinite or negative fields, extreme
@@ -25,7 +25,10 @@ too one line at a time, to find the bad line.  Every field is parsed, so
 that a bad one is caught, but only x and actual are kept: the fit reads
 nothing else.  The reader holds 16 bytes a row and one block's lines and
 parsed rows.  A bad header, a row of the wrong width or an unparsable field
-raises ValueError naming the path and the 1-based line of the file.
+raises ValueError naming the path and the 1-based line of the file.  The
+order of x and actual is checked COUNT_BLOCK pairs at a time, and the
+series it returns is x and the COUNT_BLOCK slices of actual
+(sieve.count_blocks), read once like every series.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Block, CountSeries, FitResult, Series, _points_at, scan
+from . import sieve
+from .series import Block, FitResult, Series, _points_at, scan
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
@@ -93,15 +97,8 @@ _ROW_FORMATS = {
 
 
 def write_csv(obj, path) -> None:
-    """Write a series or a list of summary or fit rows to path.
-
-    A series is written block by block as it is formatted, so its text is
-    never held whole: a pass of one SeriesCsvWriter."""
-    if isinstance(obj, Series):
-        writer = SeriesCsvWriter(obj, path)
-        scan(obj, writer)
-        writer.finish()
-        return
+    """Write a list of summary or fit rows to path (a series is written by
+    a SeriesCsvWriter fed by its pass)."""
     rows = list(obj)
     if not rows:
         raise ValueError("no summary rows to write")
@@ -305,7 +302,7 @@ def _digits(v, always: int, trailing: bool = False):
     return out
 
 
-def read_series_csv(path) -> CountSeries:
+def read_series_csv(path) -> Series:
     """Read back the points and counts of a series CSV, labelled source=csv
     (the file holds its five columns and nothing else), with no estimator.
 
@@ -352,10 +349,23 @@ def read_series_csv(path) -> CountSeries:
         x, actual = x[:rows].copy(), actual[:rows].copy()
     x.setflags(write=False)
     actual.setflags(write=False)
-    try:
-        return CountSeries(x, actual, metadata={"source": "csv"})
-    except ValueError as exc:  # x out of order or a count that falls
-        raise ValueError(f"{path}: {exc}") from exc
+    if not _in_order(x, np.greater):
+        raise ValueError(f"{path}: x must be strictly increasing")
+    if not _in_order(actual, np.greater_equal):
+        raise ValueError(f"{path}: actual must be nondecreasing")
+    return Series(x, sieve.count_blocks(actual), metadata={"source": "csv"})
+
+
+def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
+    """Whether follows(a[i + 1], a[i]) holds for every i, checked
+    COUNT_BLOCK pairs at a time so that no temporary grows with the length
+    of a."""
+    rows = sieve.COUNT_BLOCK
+    for lo in range(0, len(a) - 1, rows):
+        block = a[lo : lo + rows + 1]
+        if not follows(block[1:], block[:-1]).all():
+            return False
+    return True
 
 
 def _store(data, x, actual, rows: int) -> int:

@@ -3,29 +3,30 @@
 A series compares a census's counts on its change grid with the census's
 own ``estimate``, which is defined for x > 1 alone.  The censuses that
 have one (monoid, Gaussian) start their grids past the unit, at a point
-that is always prime, so a series is its census, row for row.  It comes
-in two kinds, read the same way:
+that is always prime, so a series is its census, row for row.
 
-- stream_series(census) is a StreamedSeries, the census's grid and
-  running_blocks() as they are: the classical, monoid and Gaussian
-  censuses yield their blocks from the sieve windows, so a pass holds one
-  window of flags and one block of counts, never a count per point; the
-  quadratic census yields slices of its whole array.
-- a CountSeries holds its points and counts: a series read from a CSV, or
-  one made from chosen points of a census (scripts/quad_growth.thin).
+A Series is a grid of points and a stream of blocks of counts, read once.
+It comes from one of three sources:
+
+- stream_series(census): the census's grid and running_blocks() as they
+  are.  The classical, monoid and Gaussian censuses yield their blocks
+  from the sieve windows, so a pass holds one window of flags and one
+  block of counts, never a count per point; the quadratic census yields
+  COUNT_BLOCK slices of its whole array.
+- report.read_series_csv: the points and counts of a series CSV, in
+  COUNT_BLOCK slices (sieve.count_blocks).
+- scripts/quad_growth.thin: chosen points of a quadratic census, likewise.
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
-command's reducers in one pass, in blocks of the sieve's COUNT_BLOCK rows
-from the series' first row (a streamed series' blocks are those its census
-yields): Total, Mape (at several bounds at once), Crossover, and in the
-report layer the series CSV writer and the chart.  mape, find_crossover,
-write_csv and render_svg are one-reducer passes; fit_model fills its
-arrays in a pass of its own.  The derived columns (estimate, ratio,
-pct_err) are never stored: a Block computes each one the first time a
-reducer reads it, for its own rows alone, so a pass computes only the
-columns its reducers read.  Points where no percentage error is
-defined (actual = 0, or a series with no estimator) carry NaN in the
-derived columns; statistics skip them.
+command's reducers in the series' one pass, block by block: Total, Mape
+(at several bounds at once), Crossover, and in the report layer the
+series CSV writer and the chart.  mape, find_crossover and render_svg are
+one-reducer passes; fit_model fills its arrays in a pass of its own.  The
+derived columns (estimate, ratio, pct_err) are never stored: a Block
+computes each one the first time a reducer reads it, for its own rows
+alone, so a pass computes only the columns its reducers read.  Points
+where no percentage error is defined (actual = 0, or a series with no
+estimator) carry NaN in the derived columns; statistics skip them.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
-
-from . import sieve
 
 Estimator = Callable[[np.ndarray], np.ndarray]
 
@@ -85,13 +84,18 @@ class Block:
 
 
 class Series:
-    """What both kinds of series share: ``grid``, the points, increasing;
-    ``estimator``; ``metadata``; and the counts, COUNT_BLOCK rows at a time
-    (``_count_blocks``)."""
+    """A series: ``grid``, its points, increasing (a range, or an int64
+    array); ``blocks``, its counts as (lo, actual) runs in order from row 0,
+    nondecreasing, read once; ``estimator``, which maps int64 points to one
+    estimate each (None: NaN at every point); and ``metadata``.  Making one
+    reads no block, and scan feeds each block to the reducers as it comes:
+    scan it with every reducer, since a second pass raises RuntimeError."""
 
-    grid: range | np.ndarray
-    estimator: Estimator | None
-    metadata: Mapping[str, str]
+    def __init__(self, grid: range | np.ndarray, blocks: Iterable[tuple[int, np.ndarray]],
+                 estimator: Estimator | None = None,
+                 metadata: Mapping[str, str] | None = None) -> None:
+        self.grid, self.estimator, self.metadata = grid, estimator, metadata or {}
+        self._blocks_left = blocks
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -99,86 +103,12 @@ class Series:
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.metadata.items())
 
-    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, actual) of each run of COUNT_BLOCK rows from row 0, in order."""
-        raise NotImplementedError
-
     def _blocks(self) -> Iterator[Block]:
-        for lo, actual in self._count_blocks():
-            yield Block(lo, self.grid[lo : lo + len(actual)], actual, self.estimator)
-
-    def blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """The columns of each run of COUNT_BLOCK rows, in order."""
-        return (block.columns() for block in self._blocks())
-
-
-@dataclass(frozen=True)
-class CountSeries(Series):
-    """Ordered evaluation points (x, actual), and (estimate, ratio, pct_err)
-    derived from the estimator, which maps int64 points to one estimate each
-    (NaN for every point when there is none).
-
-    ``grid`` is a range, never built whole and increasing by construction,
-    so only its step is checked, or an int64 array.  The order of ``actual``
-    is checked for both kinds, one block at a time.
-    """
-
-    grid: range | np.ndarray
-    actual: np.ndarray  # nondecreasing
-    estimator: Estimator | None = None
-    metadata: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.actual) != len(self.grid):
-            raise ValueError("x and actual must have equal length")
-        grid = self.grid
-        increasing = grid.step >= 1 if isinstance(grid, range) else _in_order(grid, np.greater)
-        if not increasing:
-            raise ValueError("x must be strictly increasing")
-        if not _in_order(self.actual, np.greater_equal):
-            raise ValueError("actual must be nondecreasing")
-
-    @property
-    def x(self) -> np.ndarray:
-        return _points(self.grid)
-
-    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        rows = sieve.COUNT_BLOCK
-        return ((lo, self.actual[lo : lo + rows]) for lo in range(0, len(self), rows))
-
-
-class StreamedSeries(Series):
-    """A census's series read from its running_blocks(), in one pass, never
-    held whole: its grid, estimator and blocks are the census's own, so
-    making it reads no block, and scan feeds each block to the reducers as
-    the census yields it.  It can be read once: scan feeds every reducer in
-    that one pass.  A census with an estimate and no point raises
-    ValueError here."""
-
-    def __init__(self, census) -> None:
-        self.grid, self.estimator, self.metadata = (
-            census.change_grid(), census.estimate, census.describe())
-        if self.estimator is not None and not self.grid:
-            raise ValueError(_NO_PRIMES)
-        self._blocks_left = census.running_blocks()
-
-    def _count_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         blocks, self._blocks_left = self._blocks_left, None
         if blocks is None:
             raise RuntimeError("a streamed series is read once; scan it with every reducer")
-        return blocks
-
-
-def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
-    """Whether follows(a[i + 1], a[i]) holds for every i, checked
-    COUNT_BLOCK pairs at a time so that no temporary grows with the length
-    of a."""
-    rows = sieve.COUNT_BLOCK
-    for lo in range(0, len(a) - 1, rows):
-        block = a[lo : lo + rows + 1]
-        if not follows(block[1:], block[:-1]).all():
-            return False
-    return True
+        for lo, actual in blocks:
+            yield Block(lo, self.grid[lo : lo + len(actual)], actual, self.estimator)
 
 
 def _points(grid: range | np.ndarray) -> np.ndarray:
@@ -209,11 +139,14 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
-def stream_series(census) -> StreamedSeries:
-    """Evaluate a census against its own estimate at every point where the
-    count can change, read block by block from the census's
-    running_blocks()."""
-    return StreamedSeries(census)
+def stream_series(census) -> Series:
+    """A census's series, its change_grid(), running_blocks() and estimate
+    as they are, so a pass holds what the census's blocks hold; a census
+    with an estimate and no point raises ValueError."""
+    grid = census.change_grid()
+    if census.estimate is not None and not grid:
+        raise ValueError(_NO_PRIMES)
+    return Series(grid, census.running_blocks(), census.estimate, census.describe())
 
 
 def scan(series: Series, *reducers) -> None:

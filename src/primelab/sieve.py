@@ -12,20 +12,19 @@ classical, monoid and Gaussian censuses are read from it
 (``SievedCensus``): their grids start past the unit too, at 1 + d (2 at
 d = 1), a point that is always prime, so the sieve's blocks are their
 blocks, and ``running_blocks()`` streams them: a pass holds one window of
-flags and one block of counts whatever the bound.  ``cumulative``, which
-no command reads, copies those blocks into one array when first read: 4 B
-per element while the total fits int32.  The quadratic census alone holds
-its whole counts, from bound 1, and its ``running_blocks()`` yields
-COUNT_BLOCK slices of them.  All four are a ``Census``: one layout,
-``cumulative[k]`` the count at ``change_grid()[k]``, and one interface,
-``change_grid``, ``running_blocks``, ``describe``, ``total`` (the last
-streamed count, 0 for an empty grid) and ``estimate``, the count the paper
-conjectures for the domain (None where it asserts none).
+flags and one block of counts whatever the bound, and no census of theirs
+holds its counts whole.  The quadratic census alone does, from bound 1,
+and its ``running_blocks()`` yields COUNT_BLOCK slices of them
+(``count_blocks``, which also cuts the counts of a series read from a CSV).
+All four are a ``Census``, with one interface: ``change_grid``,
+``running_blocks`` (the count at each grid point, in order), ``describe``,
+``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
+the count the paper conjectures for the domain (None where it asserts
+none).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -83,14 +82,20 @@ def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
     return cumulative
 
 
-class Census:
-    """Cumulative counts on the points where the count can change:
-    ``cumulative[k]`` is the count at ``change_grid()[k]``, and the grid's
-    stop is the census's bound + 1.  By default the grid is every integer
-    bound, so ``cumulative[n - 1]`` is the count at n."""
+def count_blocks(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, counts[k : k + COUNT_BLOCK]) for each run of COUNT_BLOCK rows of
+    counts from row 0, in order: slices, no copy.  COUNT_BLOCK is read at
+    the call."""
+    block = COUNT_BLOCK
+    return ((k, counts[k : k + block]) for k in range(0, len(counts), block))
 
-    # int32 when the census's bound fits
-    cumulative: np.ndarray
+
+class Census:
+    """Counts on the points where the count can change: the census's
+    change_grid(), whose stop is its bound + 1, and running_blocks(), the
+    counts in order as read-only blocks (k, counts), counts[i] the count at
+    change_grid()[k + i]."""
+
     estimate = None  # or a method: the conjectured count at each of an array of points
 
     @property
@@ -102,24 +107,13 @@ class Census:
             total = counts[-1]
         return int(total)
 
-    def change_grid(self) -> range:
-        """Every integer bound from 1 to the limit."""
-        return range(1, len(self.cumulative) + 1)
-
-    def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The counts in order, as read-only blocks (k, counts) with
-        counts[i] the count at change_grid()[k + i]: here slices of
-        COUNT_BLOCK points of the whole array."""
-        block = COUNT_BLOCK
-        return ((k, self.cumulative[k : k + block]) for k in range(0, len(self.cumulative), block))
-
 
 class SievedCensus(Census):
     """A census of the elements of A_d = {1, 1 + d, 1 + 2d, ...} up to a
     limit, read from the sieve of A_d, through prime_running_blocks.  Its
-    grid starts past the unit, which is never prime: cumulative[k] is the
-    count at 1 + (k + 1)*d (at d = 1, at k + 2), and the grid's first point
-    is always prime.  Subclasses give the sieve's arguments (``_sieve``)."""
+    grid starts past the unit, which is never prime: its k-th point is
+    1 + (k + 1)*d (at d = 1, k + 2), and its first point is always prime.
+    Subclasses give the sieve's arguments (``_sieve``)."""
 
     def _sieve(self) -> tuple[int, int, int, Weigh | None]:
         """The modulus d, the limit, a bound on the total, and the weighting
@@ -134,17 +128,6 @@ class SievedCensus(Census):
         """The counts from the sieve windows, COUNT_BLOCK points at a time in
         one buffer that each block overwrites: nothing is held whole."""
         return prime_running_blocks(*self._sieve())
-
-    @functools.cached_property
-    def cumulative(self) -> np.ndarray:
-        """The whole counts, for the readers that need random access, made
-        on first read: each block of running_blocks() copied into its slice."""
-        _, _, most, _ = self._sieve()
-        cumulative = np.empty(len(self.change_grid()), dtype=count_dtype(most))
-        for k, counts in self.running_blocks():
-            cumulative[k : k + len(counts)] = counts
-        cumulative.setflags(write=False)
-        return cumulative
 
 
 def primes_upto(n: int, d: int = 1) -> np.ndarray:
@@ -209,8 +192,8 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
     the block before.
 
     Every window is cut into whole blocks of COUNT_BLOCK elements, so block
-    k starts at grid index k * COUNT_BLOCK, as a CountSeries of the same
-    counts cuts them; a census of more than one window thus needs a
+    k starts at grid index k * COUNT_BLOCK, as count_blocks cuts the same
+    counts held whole; a census of more than one window thus needs a
     SEGMENT_SIZE that is a multiple of COUNT_BLOCK (ValueError otherwise).
     The blocks share one buffer, which the next block overwrites.
     """
@@ -238,7 +221,7 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
 
 @dataclass(frozen=True)
 class ClassicalCensus(SievedCensus):
-    """Cumulative rational-prime counts: cumulative[n - 2] is pi(n), 2 <= n <= limit."""
+    """Rational-prime counts: pi(n) at each n from 2 to the limit."""
 
     limit: int
 
@@ -250,7 +233,7 @@ class ClassicalCensus(SievedCensus):
 
 
 def classical_census(limit: int) -> ClassicalCensus:
-    """pi(n) for every n up to limit (>= 2), read from the sieve when first
-    streamed or read whole."""
+    """pi(n) for every n up to limit (>= 2), read from the sieve when
+    streamed."""
     require_sieve_limit("limit", limit, 2)
     return ClassicalCensus(limit=limit)

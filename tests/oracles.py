@@ -23,9 +23,10 @@ machinery:
   (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
   rule it had before it took rows of the census's series (``oracle_thin``);
 - ``series.stream_series`` by the whole series that the package built before
-  every command streamed its census: a view of the census's whole
-  ``cumulative`` from its first nonzero count on (``build_series``), which
-  for the sieved censuses, whose grids start at a prime, trims nothing;
+  every command streamed its census: a view of the census's whole counts
+  (``whole_counts``) from its first nonzero count on (``build_series``),
+  which for the sieved censuses, whose grids start at a prime, trims
+  nothing;
 - ``report.read_series_csv`` by the reader it had before it parsed blocks of
   lines: one numpy parse of every line, fed through a generator that
   rewrites empty fields and counts file lines (``oracle_read_series_csv``);
@@ -42,24 +43,30 @@ machinery:
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
 
-``table_primes`` lists the primes of a table of flags for the tests, and
-``series_rows`` gives the five columns of rows of a CountSeries.
+``table_primes`` lists the primes of a table of flags for the tests.  A
+package Series is read once, so the tests hold their reference series whole
+as a ``HeldSeries``, which makes a fresh Series for each pass (``stream``);
+``hold`` reads the one pass of a package Series into one, ``series_rows``
+gives the five columns of its rows, and ``write_series_csv`` writes its CSV
+as the commands do.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from primelab import CountSeries, FitResult, MonoidParams, QuadCensus, RegionSpec
+from primelab import FitResult, MonoidParams, QuadCensus, RegionSpec, Series
+from primelab import report
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
-from primelab.sieve import count_dtype, cumulative_sum, require_int
+from primelab.sieve import SievedCensus, count_blocks, count_dtype, cumulative_sum, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
@@ -83,47 +90,108 @@ def table_primes(table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table).astype(np.int64)
 
 
+def whole_counts(census) -> np.ndarray:
+    """The census's counts held whole, read-only, in the dtype of its blocks:
+    each block of running_blocks() copied into its slice as it comes, since
+    a sieved census's blocks share one buffer that the next block
+    overwrites.  An empty grid yields no block; its empty counts take the
+    dtype that the sieve gives a sieved census's blocks."""
+    most = census._sieve()[2] if isinstance(census, SievedCensus) else 0
+    whole = np.empty(0, dtype=count_dtype(most))
+    for k, counts in census.running_blocks():
+        if k == 0:
+            whole = np.empty(len(census.change_grid()), dtype=counts.dtype)
+        whole[k : k + len(counts)] = counts
+    whole.setflags(write=False)
+    return whole
+
+
 def census_counts_at(census, xs) -> np.ndarray:
     """The census's count at each integer x from 1 to its bound: the count at
     the last point of its change grid at or below x, found by a search, and
     0 below the grid's first point."""
-    grid = census.change_grid()
+    grid, whole = census.change_grid(), whole_counts(census)
     xs = np.asarray(xs, dtype=np.int64)
     assert np.all((xs >= 1) & (xs < grid.stop)), xs
-    counts = np.concatenate([np.zeros(1, census.cumulative.dtype), census.cumulative])
+    counts = np.concatenate([np.zeros(1, whole.dtype), whole])
     return counts[np.searchsorted(np.array(grid), xs, side="right")]
 
 
-def series_rows(series: CountSeries, lo: int = 0, hi: int | None = None):
-    """x, actual, estimate, ratio and pct_err of rows lo to hi of a series
-    that holds its counts, computed for those rows alone."""
+@dataclass(frozen=True)
+class HeldSeries:
+    """A series held whole: its points ``grid`` (a range, or an int64 array),
+    its counts ``actual``, its estimator and its metadata.  The package's
+    Series is read once, so stream() makes a fresh one over these arrays
+    for each pass, cut as sieve.count_blocks cuts them."""
+
+    grid: range | np.ndarray
+    actual: np.ndarray
+    estimator: analysis.Estimator | None = None
+    metadata: Mapping[str, str] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    @property
+    def x(self) -> np.ndarray:
+        return analysis._points(self.grid)
+
+    def stream(self) -> Series:
+        """A fresh package Series over the held points and counts."""
+        return Series(self.grid, count_blocks(self.actual), self.estimator, self.metadata)
+
+    def blocks(self):
+        """The five columns of each block of a pass, in order."""
+        return (block.columns() for block in self.stream()._blocks())
+
+
+def hold(series: Series) -> HeldSeries:
+    """A package Series held whole: its one pass read, each block's counts
+    copied into one array (an empty series' is int64)."""
+    blocks = [block.actual.copy() for block in series._blocks()]
+    actual = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return HeldSeries(series.grid, actual, series.estimator, series.metadata)
+
+
+def series_rows(series: HeldSeries, lo: int = 0, hi: int | None = None):
+    """x, actual, estimate, ratio and pct_err of rows lo to hi of a held
+    series, computed for those rows alone."""
     grid, actual = series.grid[lo:hi], series.actual[lo:hi]
     return analysis.Block(lo, grid, actual, series.estimator).columns()
 
 
-def build_series(census) -> CountSeries:
+def write_series_csv(series: HeldSeries, path) -> None:
+    """Write the series CSV of a held series as a command writes one: a pass
+    of one SeriesCsvWriter."""
+    ser = series.stream()
+    writer = report.SeriesCsvWriter(ser, path)
+    analysis.scan(ser, writer)
+    writer.finish()
+
+
+def build_series(census) -> HeldSeries:
     """The series of a census as a view of its whole counts (for a census
     with an estimate, from the first nonzero count on, since the estimates
     are undefined at x <= 1): what stream_series reads block by block."""
-    grid, actual = census.change_grid(), census.cumulative
+    grid, actual = census.change_grid(), whole_counts(census)
     if census.estimate is not None:
         first = analysis._first_nonzero(actual)
         if first == actual.size:
             raise ValueError(analysis._NO_PRIMES)
         grid, actual = grid[first:], actual[first:]
-    return CountSeries(grid, actual, census.estimate, census.describe())
+    return HeldSeries(grid, actual, census.estimate, census.describe())
 
 
-def oracle_thin(census, points: int = 250) -> CountSeries:
+def oracle_thin(census, points: int = 250) -> HeldSeries:
     """scripts/quad_growth.thin by its former rule: the distinct integer parts
     of geometrically spaced points from the first nonzero count (or 3, if
     later) to the bound, a custom grid whose counts are looked up and copied
     as int64."""
     grid = census.change_grid()
-    lo = grid[int(np.argmax(census.cumulative >= 1))]
+    lo = grid[int(np.argmax(whole_counts(census) >= 1))]
     xs = np.unique(np.geomspace(max(lo, 3), int(grid[-1]), points).astype(np.int64))
     actual = census_counts_at(census, xs).astype(np.int64)
-    return CountSeries(xs, actual, census.estimate, census.describe())
+    return HeldSeries(xs, actual, census.estimate, census.describe())
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -413,7 +481,7 @@ def oracle_find_crossover(series):
     return crossover
 
 
-def oracle_read_series_csv(path) -> CountSeries:
+def oracle_read_series_csv(path) -> HeldSeries:
     """read_series_csv as it read a file before it parsed blocks of lines:
     one np.loadtxt over a generator of every line, empty fields rewritten
     to nan, whose line count names the bad line."""
@@ -446,10 +514,11 @@ def oracle_read_series_csv(path) -> CountSeries:
     del data  # freed before the order checks' block temporaries are made
     x.setflags(write=False)
     actual.setflags(write=False)
-    try:
-        return CountSeries(x, actual, metadata={"source": "csv"})
-    except ValueError as exc:  # x out of order or a count that falls
-        raise ValueError(f"{path}: {exc}") from exc
+    if not np.all(x[1:] > x[:-1]):
+        raise ValueError(f"{path}: x must be strictly increasing")
+    if not np.all(actual[1:] >= actual[:-1]):
+        raise ValueError(f"{path}: actual must be nondecreasing")
+    return HeldSeries(x, actual, metadata={"source": "csv"})
 
 
 def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:

@@ -9,14 +9,16 @@ import pytest
 
 from oracles import (
     GaussPoint,
+    HeldSeries,
     build_series,
     gaussian_brute_irreducible,
     hilbert_classify,
     is_gaussian_prime,
-    is_monoid_prime,    series_rows,
+    is_monoid_prime,
+    series_rows,
+    whole_counts,
 )
 from primelab import (
-    CountSeries,
     MonoidParams,
     RegionSpec,
     classical_census,
@@ -74,7 +76,7 @@ def test_criterion_01_monoid_counts_exact(table1_runs):
     censuses, _, elapsed = table1_runs
     deltas = {}
     for d, (_, expected, _, _, _) in TABLE1.items():
-        got = int(censuses[d].cumulative[-1])
+        got = censuses[d].total
         if got != expected:
             deltas[d] = got - expected
     ok = not deltas and elapsed < 10.0
@@ -99,7 +101,7 @@ def test_criterion_03_accuracy_ratios(table1_runs):
     censuses, _, _ = table1_runs
     worst = 0.0
     for d, (x_eval, count, _, printed, _) in TABLE1.items():
-        assert int(censuses[d].cumulative[-1]) == count
+        assert censuses[d].total == count
         r = ratio_R(count, estimate_pi_d(d, x_eval))
         worst = max(worst, abs(r - printed))
     ok = worst <= 0.0005
@@ -111,7 +113,7 @@ def test_criterion_04_mape(table1_runs):
     _, series, _ = table1_runs
     worst = 0.0
     for d, (_, _, _, _, printed) in TABLE1.items():
-        worst = max(worst, abs(mape(series[d]) - printed))
+        worst = max(worst, abs(mape(series[d].stream()) - printed))
     ok = worst <= 1.5
     report("04 MAPE", ok, f"max |deviation| {worst:.3f} <= 1.5 points")
     assert ok
@@ -122,12 +124,12 @@ def test_criterion_05_crossovers():
     for d, (limit, lo, hi) in CROSSOVER_WINDOWS.items():
         census = monoid_census(MonoidParams(d, limit))
         ser = build_series(census)
-        results[d] = (find_crossover(ser), lo, hi)
+        results[d] = (find_crossover(ser.stream()), lo, hi)
     t0 = time.perf_counter()
     limit = 420_000
     census = monoid_census(MonoidParams(50, limit))
     ser = build_series(census)
-    results[50] = (find_crossover(ser), 250_000, 420_000)
+    results[50] = (find_crossover(ser.stream()), 250_000, 420_000)
     d50_elapsed = time.perf_counter() - t0
     ok = d50_elapsed < 30.0 and all(
         x is not None and lo <= x <= hi for x, lo, hi in results.values()
@@ -167,7 +169,7 @@ def test_criterion_07a_monoid_sieve_equals_trial_division():
     mismatches = 0
     for d in range(2, 13):
         census = monoid_census(MonoidParams(d, 10**4))
-        flags = np.diff(census.cumulative, prepend=0) > 0
+        flags = np.diff(whole_counts(census), prepend=0) > 0
         for n, flag in zip(census.change_grid(), flags.tolist()):
             if flag != is_monoid_prime(n, d):
                 mismatches += 1
@@ -177,7 +179,7 @@ def test_criterion_07a_monoid_sieve_equals_trial_division():
 
 def test_criterion_07b_hilbert_equals_sieve(table_1m):
     census = monoid_census(MonoidParams(4, 10**6))
-    flags = np.diff(census.cumulative, prepend=0) > 0
+    flags = np.diff(whole_counts(census), prepend=0) > 0
     mismatches = sum(
         1
         for n, flag in zip(census.change_grid(), flags.tolist())
@@ -206,7 +208,7 @@ def test_criterion_07d_quadratic_d1_equals_gaussian():
     ser = build_series(quad_census(1, RegionSpec("norm-ball", 10**4)))
     census = gaussian_census(10**4, "both-axes")
     # bound 1 holds the units alone; the Gaussian census starts at norm 2
-    equal = ser.actual[0] == 0 and np.array_equal(ser.actual[1:], census.cumulative)
+    equal = ser.actual[0] == 0 and np.array_equal(ser.actual[1:], whole_counts(census))
     report("07d quadratic d=1", equal, "norms <= 1e4")
     assert equal
 
@@ -222,7 +224,7 @@ def test_criterion_09_fit_recovery():
     worst = 0.0
     for c0, e0 in ((0.5, 1.0), (1 / 3, 1 / 3)):
         actual = np.maximum.accumulate(np.round(c0 * xs / np.log(xs) ** e0).astype(np.int64))
-        fit = fit_model(CountSeries(xs, actual))
+        fit = fit_model(HeldSeries(xs, actual).stream())
         worst = max(worst, abs(fit.c - c0) / c0, abs(fit.e - e0) / abs(e0))
     ok = worst <= 0.01
     report("09 fit recovery", ok, f"max relative error {worst:.4%} <= 1%")
@@ -231,9 +233,9 @@ def test_criterion_09_fit_recovery():
 
 def test_supplementary_growth_sanity(gauss_10m):
     # Landau-type normalization: pi_G(n) * ln(n) / n stays near 1
-    census, _, _ = gauss_10m
+    _, ser, _ = gauss_10m  # its grid is the census's, from norm 2
     for n in (10**5, 10**6, 10**7):
-        normalized = census.cumulative[n - 2] * math.log(n) / n
+        normalized = ser.actual[n - 2] * math.log(n) / n
         assert 0.8 <= normalized <= 1.3, (n, normalized)
 
 

@@ -11,6 +11,7 @@ from oracles import (
     gaussian_brute_irreducible,
     is_gaussian_prime,
     table_primes,
+    whole_counts,
 )
 from primelab import estimate_pi_G, gaussian_census
 
@@ -58,7 +59,7 @@ def test_census_small():
     assert dedup.total == 4
     tiny = gaussian_census(2, "both-axes")
     assert tiny.total == 1
-    assert both.change_grid()[0] == 2 and both.cumulative[0] == 1  # norm 2: 1+i
+    assert both.change_grid()[0] == 2 and whole_counts(both)[0] == 1  # norm 2: 1+i
 
 
 def test_census_validation():
@@ -69,8 +70,8 @@ def test_census_validation():
 
 
 def test_pi_G_range():
-    c = gaussian_census(100, "both-axes")
-    assert len(c.cumulative) == 99 and c.cumulative[98] >= c.cumulative[48]  # norms 100, 50
+    c = whole_counts(gaussian_census(100, "both-axes"))
+    assert len(c) == 99 and c[98] >= c[48]  # norms 100, 50
     with pytest.raises(ValueError):
         estimate_pi_G(math.nan)
     with pytest.raises(ValueError):
@@ -106,8 +107,8 @@ def test_classifier_equals_brute_force_random(table_10k, a, b):
 
 def test_axis_convention_identity(table_10k):
     limit = 10**4
-    both = gaussian_census(limit, "both-axes").cumulative
-    dedup = gaussian_census(limit, "dedupe-axes").cumulative
+    both = whole_counts(gaussian_census(limit, "both-axes"))
+    dedup = whole_counts(gaussian_census(limit, "dedupe-axes"))
     primes = table_primes(table_10k)
     qs = primes[primes % 4 == 3]
     ns = np.arange(2, limit + 1)
@@ -117,8 +118,8 @@ def test_axis_convention_identity(table_10k):
 
 def test_cumulative_changes_only_at_primes_or_inert_squares(table_10k):
     limit = 10**4
-    c = gaussian_census(limit, "both-axes").cumulative
-    change = np.flatnonzero(np.diff(c, prepend=0)) + 2  # cumulative[n - 2]: norm n
+    c = whole_counts(gaussian_census(limit, "both-axes"))
+    change = np.flatnonzero(np.diff(c, prepend=0)) + 2  # c[n - 2]: norm n
     flags = table_10k
     for n in change.tolist():
         root = math.isqrt(n)

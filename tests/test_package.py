@@ -9,13 +9,13 @@ import primelab
 
 PUBLIC = {
     "ClassicalCensus",
-    "CountSeries",
     "FitResult",
     "GaussianCensus",
     "MonoidCensus",
     "MonoidParams",
     "QuadCensus",
     "RegionSpec",
+    "Series",
     "classical_census",
     "estimate_pi_G",
     "estimate_pi_d",
@@ -32,6 +32,7 @@ PUBLIC = {
 ORACLES = {
     "BRUTE_NORM_CAP",
     "GaussPoint",
+    "HeldSeries",
     "QuadInt",
     "_divisors_by_trial",
     "_has_proper_divisor",
@@ -40,6 +41,7 @@ ORACLES = {
     "eratosthenes_flags",
     "gaussian_brute_irreducible",
     "hilbert_classify",
+    "hold",
     "is_gaussian_prime",
     "is_monoid_prime",
     "oracle_fit_model",
@@ -56,6 +58,8 @@ ORACLES = {
     "quad_norm",
     "table_primes",
     "trial_division_is_prime",
+    "whole_counts",
+    "write_series_csv",
 }
 
 

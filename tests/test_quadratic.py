@@ -19,7 +19,9 @@ from oracles import (
     quad_is_unit,
     quad_mul,
     quad_norm,
-    table_primes,    series_rows,
+    series_rows,
+    table_primes,
+    whole_counts,
 )
 from primelab import RegionSpec, gaussian_census, quad_census
 from primelab import quadratic
@@ -121,7 +123,7 @@ def test_census_matches_gaussian_for_d1():
     ser = build_series(quad_census(1, RegionSpec("norm-ball", bound)))
     gauss = gaussian_census(bound, "both-axes")
     # bound 1 holds the units alone; the Gaussian census starts at norm 2
-    assert ser.actual[0] == 0 and np.array_equal(ser.actual[1:], gauss.cumulative)
+    assert ser.actual[0] == 0 and np.array_equal(ser.actual[1:], whole_counts(gauss))
 
 
 def test_census_euclidean_region():
@@ -184,7 +186,7 @@ def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
     for d in (1, 2, 5, 6, 9973):
         for kind in REGION_KINDS:
             assert_matches_divisor_search_oracle(d, kind)
-    gauss = gaussian_census(10**5, "both-axes").cumulative  # from norm 2
+    gauss = whole_counts(gaussian_census(10**5, "both-axes"))  # from norm 2
     assert np.array_equal(quad_census(1, RegionSpec("norm-ball", 10**5)).cumulative[1:], gauss)
 
 
@@ -226,7 +228,7 @@ def test_census_d2_follows_rational_primes():
 
 @pytest.mark.parametrize("bound", [10**5, MAX_CENSUS_BOUND])
 def test_census_d1_equals_gaussian_census(bound):
-    gauss = gaussian_census(bound, "both-axes").cumulative  # from norm 2
+    gauss = whole_counts(gaussian_census(bound, "both-axes"))  # from norm 2
     for kind in REGION_KINDS:
         quad = quad_census(1, RegionSpec(kind, bound)).cumulative
         assert quad[0] == 0 and np.array_equal(quad[1:], gauss)

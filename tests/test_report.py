@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import build_series, oracle_read_series_csv, series_rows
+from oracles import (
+    HeldSeries,
+    build_series,
+    hold,
+    oracle_read_series_csv,
+    series_rows,
+    write_series_csv,
+)
 
 from primelab import (
-    CountSeries,
     FitResult,
+    Series,
     classical_census,
     gaussian_census,
 )
@@ -29,7 +36,7 @@ from primelab.report import (
 )
 
 
-def series_csv_text(series: CountSeries) -> str:
+def series_csv_text(series: HeldSeries) -> str:
     """The series CSV that write_csv writes, as one string."""
     blocks = b"".join(report._format_rows(cols) for cols in series.blocks())
     return SERIES_HEADER + "\n" + blocks.decode("ascii")
@@ -37,12 +44,12 @@ def series_csv_text(series: CountSeries) -> str:
 
 def small_series(estimator=True):
     est = (lambda xs: np.array([1.5, 4.0, 8.25])) if estimator else None
-    return CountSeries(np.array([3, 7, 12]), np.array([2, 4, 8]), est, {"domain": "test"})
+    return HeldSeries(np.array([3, 7, 12]), np.array([2, 4, 8]), est, {"domain": "test"})
 
 
 def empty_series():
     z = np.array([], dtype=np.int64)
-    return CountSeries(z, z)
+    return HeldSeries(z, z)
 
 
 def test_series_csv_exact_text():
@@ -62,37 +69,42 @@ def test_series_csv_empty_fields_without_estimator():
 
 
 def test_series_csv_zero_actual_has_no_error(tmp_path):
-    ser = CountSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
+    ser = HeldSeries(np.array([5, 6]), np.array([0, 1]), lambda xs: np.array([2.0, 2.0]))
     lines = series_csv_text(ser).splitlines()
     assert lines[1] == "5,0,2,0.00000,"  # ratio defined (0), pct_err not
 
 
 def test_empty_series_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(empty_series(), path)
+    write_series_csv(empty_series(), path)
     assert path.read_text() == "x,actual,estimate,ratio,abs_pct_err\n"
 
 
 def test_series_round_trip(tmp_path):
     ser = small_series()
     path = tmp_path / "series.csv"
-    write_csv(ser, path)
+    write_series_csv(ser, path)
     back = read_series_csv(path)
+    assert back.estimator is None and back.label() == "source=csv"
+    back = hold(back)
     assert back.x.tolist() == ser.x.tolist()
     assert back.actual.tolist() == ser.actual.tolist()
     # the estimate, ratio and error columns are parsed but not kept: a CSV names no estimator
-    assert back.estimator is None and back.label() == "source=csv"
 
 
 def test_series_read_from_csv_is_read_only(tmp_path):
     path = tmp_path / "series.csv"
-    write_csv(small_series(), path)
+    write_series_csv(small_series(), path)
     back = read_series_csv(path)
-    for column in (back.x, back.actual):
+    blocks = [block.actual for block in back._blocks()]
+    for column in (back.grid, *blocks):
         assert not column.flags.writeable
-        assert column.flags.owndata and column.dtype == np.int64  # 8 bytes a row, no parsed rows behind it
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 99
+    # 8 bytes a row each, no parsed rows behind them: the blocks are slices of one array
+    actual = blocks[0].base
+    for column in (back.grid, actual):
+        assert column.flags.owndata and column.dtype == np.int64 and len(column) == len(back)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +177,7 @@ def test_write_csv_rejects_unknown_rows(tmp_path):
 
 def test_svg_structure(tmp_path):
     ser = small_series()
-    text = svg_text(ser)
+    text = svg_text(ser.stream())
     assert text.startswith("<svg")
     assert 'width="800" height="600"' in text
     assert text.count("<polyline") == 2
@@ -175,14 +187,13 @@ def test_svg_structure(tmp_path):
 
 
 def test_svg_single_point_uses_markers():
-    ser = CountSeries(np.array([10]), np.array([4]), lambda xs: np.array([5.0]))
-    text = svg_text(ser)
+    text = svg_text(HeldSeries(np.array([10]), np.array([4]), lambda xs: np.array([5.0])).stream())
     assert "<polyline" not in text
     assert text.count("<circle") == 2
 
 
 def test_svg_without_estimates_has_one_curve():
-    text = svg_text(small_series(estimator=False))
+    text = svg_text(small_series(estimator=False).stream())
     assert text.count("<polyline") == 1
     assert ">estimate</text>" not in text
 
@@ -190,21 +201,20 @@ def test_svg_without_estimates_has_one_curve():
 def test_svg_deterministic(tmp_path):
     ser = small_series()
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_svg(ser, p1)
-    render_svg(ser, p2)
+    render_svg(ser.stream(), p1)
+    render_svg(ser.stream(), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_svg_rejects_empty_series():
     with pytest.raises(ValueError):
-        svg_text(empty_series())
+        svg_text(empty_series().stream())
 
 
 def test_svg_thins_long_series():
     n = 10_000
     xs = np.arange(2, 2 + n)
-    ser = CountSeries(xs, np.arange(n), lambda v: v / 2.0)
-    text = svg_text(ser)
+    text = svg_text(HeldSeries(xs, np.arange(n), lambda v: v / 2.0).stream())
     longest = max(len(line) for line in text.splitlines())
     assert longest < 40_000  # ~2000 vertices at most per polyline
 
@@ -244,7 +254,7 @@ def stored_estimates(n, defined, peak_at=None):
     est = np.where(defined(xs), xs / 2.5 + 7.0, np.nan)
     if peak_at is not None:
         est[peak_at] = 10.0 * n  # above every count and every other estimate
-    return CountSeries(xs, np.arange(n), lambda v: est[v - 2])
+    return HeldSeries(xs, np.arange(n), lambda v: est[v - 2])
 
 
 SVG_SERIES = {
@@ -266,12 +276,12 @@ def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, block_rows):
     ser = SVG_SERIES[case]()
     polylines = [
         line.split(' points="')[1].removesuffix('"/>')
-        for line in svg_text(ser).splitlines()
+        for line in svg_text(ser.stream()).splitlines()
         if line.startswith("<polyline")
     ]
     expected = oracle_polyline_points(ser)
     if case == "one-row":
-        assert len(polylines) == 1 and "<circle" in svg_text(ser)  # one estimate: a marker
+        assert len(polylines) == 1 and "<circle" in svg_text(ser.stream())  # one estimate: a marker
         expected = expected[:1]
     assert polylines == expected
 
@@ -284,7 +294,7 @@ def test_svg_evaluates_only_the_drawn_rows():
         return xs / 2.0
 
     n = 100_000
-    svg_text(CountSeries(range(2, 2 + n), np.arange(n), estimator))
+    svg_text(HeldSeries(range(2, 2 + n), np.arange(n), estimator).stream())
     assert sum(evaluated) <= MAX_POLYLINE_POINTS + 1
 
 
@@ -384,7 +394,7 @@ def test_series_csv_matches_reference_oracles(tmp_path, block_rows, columns):
     # every field the writer prints reads back, and x and actual as the oracle parses them
     path = tmp_path / "series.csv"
     path.write_bytes(text)
-    back = read_series_csv(path)
+    back = hold(read_series_csv(path))
     for got, want in zip((back.x, back.actual), oracle_read_series_columns(path)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -422,7 +432,7 @@ FAST_PATH_SERIES = {
     "gauss-1e5": lambda: build_series(gaussian_census(10**5, "both-axes")),
     "classical-1e5": lambda: build_series(classical_census(10**5)),
     # estimates 1e3 .. 1e8: fixed notation up to 999999, e+06 to e+08 above
-    "both-notations": lambda: CountSeries(
+    "both-notations": lambda: HeldSeries(
         range(1, 10**5 + 1), np.arange(1, 10**5 + 1), lambda xs: xs * 1e3
     ),
 }
@@ -482,13 +492,13 @@ def test_read_series_csv_header_only_is_empty_without_warning(tmp_path):
         warnings.simplefilter("error")
         back = read_series_csv(path)
     assert len(back) == 0
-    assert back.x.dtype == np.int64 and back.actual.dtype == np.int64
+    assert back.grid.dtype == np.int64 and list(back._blocks()) == []
 
 
 def test_read_series_csv_last_row_without_newline_keeps_empty_fields(tmp_path):
     # empty fields parse, a trailing one at the end of the file too
     path = write_series_file(tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,\n3,1,,,")
-    back = read_series_csv(path)
+    back = hold(read_series_csv(path))
     assert back.x.tolist() == [2, 3] and back.actual.tolist() == [1, 1]
 
 
@@ -535,6 +545,7 @@ def read_outcome(read, path):
         ser = read(path)
     except ValueError as exc:
         return type(exc), str(exc)
+    ser = hold(ser) if isinstance(ser, Series) else ser  # the oracle's is held
     return ser.x.tolist(), ser.actual.tolist()
 
 

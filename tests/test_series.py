@@ -1,5 +1,7 @@
+import functools
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,16 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    HeldSeries,
     build_series,
     census_counts_at,
+    hold,
     oracle_find_crossover,
     oracle_fit_model,
     oracle_mape,
     oracle_squared_error,
-    oracle_thin,    series_rows,
+    oracle_thin,
+    series_rows,
+    whole_counts,
+    write_series_csv,
 )
 from primelab import (
-    CountSeries,
     MonoidParams,
     RegionSpec,
     classical_census,
@@ -38,7 +44,7 @@ from primelab import (
 from primelab import report, sieve
 from primelab import series as analysis
 from primelab.quadratic import REGION_KINDS
-from primelab.report import read_series_csv, write_csv
+from primelab.report import SERIES_HEADER, read_series_csv
 
 
 def test_build_series_single_point_matches_summary_row():
@@ -54,7 +60,7 @@ def test_build_series_single_point_matches_summary_row():
 def test_build_series_zero_actual_has_no_error():
     census = monoid_census(MonoidParams(5, 100))
     xs = np.array([2, 11, 96])
-    ser = CountSeries(xs, census_counts_at(census, xs), census.estimate)
+    ser = HeldSeries(xs, census_counts_at(census, xs), census.estimate)
     assert ser.actual[0] == 0  # the first monoid prime, 6, lies beyond x=2
     pct_err = series_rows(ser)[4]
     assert math.isnan(pct_err[0])
@@ -82,7 +88,7 @@ def test_build_series_default_grid_needs_a_prime():
 
     census = monoid_census(MonoidParams(50, 1000))
     grid = np.array(census.change_grid())
-    first = next(int(x) for x, c in zip(grid, census.cumulative) if c >= 1)
+    first = next(int(x) for x, c in zip(grid, whole_counts(census)) if c >= 1)
     ser = build_series(census)
     assert first == 51 and ser.x[0] == first and ser.actual[0] == 1
     assert np.array_equal(ser.x, grid[grid >= first])
@@ -124,23 +130,28 @@ def test_ratio_scale_covariance():
         assert ratio_R(100, s * 40.0) == ratio_R(100, 40.0) / s
 
 
+def series(x, actual, estimator=None):
+    """A package Series over the arrays x and actual, for one pass."""
+    return HeldSeries(x, actual, estimator).stream()
+
+
 def test_mape_basics():
-    one = CountSeries(np.array([10]), np.array([100]), lambda xs: np.full(xs.shape, 90.0))
+    one = series(np.array([10]), np.array([100]), lambda xs: np.full(xs.shape, 90.0))
     assert mape(one) == pytest.approx(10.0)
-    exact = CountSeries(
+    exact = series(
         np.array([10, 20]), np.array([5, 9]), lambda xs: np.where(xs == 10, 5.0, 9.0)
     )
     assert mape(exact) == 0.0
-    undefined = CountSeries(np.array([10]), np.array([0]), lambda xs: np.full(xs.shape, 3.0))
+    undefined = series(np.array([10]), np.array([0]), lambda xs: np.full(xs.shape, 3.0))
     with pytest.raises(ValueError):
         mape(undefined)
-    no_estimator = CountSeries(np.array([10, 20]), np.array([1, 2]))
+    no_estimator = series(np.array([10, 20]), np.array([1, 2]))
     with pytest.raises(ValueError):
         mape(no_estimator)
 
 
 def test_mape_zero_iff_exact():
-    ser = CountSeries(
+    ser = series(
         np.array([5, 10, 20]), np.array([2, 4, 9]), lambda xs: np.array([2.0, 4.1, 9.0])
     )
     assert mape(ser) > 0
@@ -151,17 +162,17 @@ def test_crossover_synthetic():
     actual = np.array([5, 6, 7, 8, 9, 9, 9, 9, 9])
     # estimate overtakes at x=50 and stays above
     est = np.array([3.0, 4.0, 6.0, 7.5, 9.5, 10.0, 11.0, 12.0, 13.0])
-    ser = CountSeries(xs, actual, lambda v: est)
+    ser = series(xs, actual, lambda v: est)
     assert find_crossover(ser) == 50
 
 
 def test_crossover_none_when_estimate_always_above():
-    ser = CountSeries(np.array([1, 2, 3]), np.array([1, 1, 1]), lambda v: np.array([5.0, 6.0, 7.0]))
+    ser = series(np.array([1, 2, 3]), np.array([1, 1, 1]), lambda v: np.array([5.0, 6.0, 7.0]))
     assert find_crossover(ser) is None
 
 
 def test_crossover_none_when_actual_ahead_at_end():
-    ser = CountSeries(np.array([1, 2, 3]), np.array([2, 3, 9]), lambda v: np.array([5.0, 6.0, 7.0]))
+    ser = series(np.array([1, 2, 3]), np.array([2, 3, 9]), lambda v: np.array([5.0, 6.0, 7.0]))
     assert find_crossover(ser) is None
 
 
@@ -169,14 +180,13 @@ def test_crossover_ignores_early_oscillation():
     xs = np.arange(1, 11)
     actual = np.array([3, 3, 5, 5, 7, 7, 7, 7, 7, 7])
     est = np.array([2.0, 4.0, 4.5, 6.0, 6.5, 6.9, 7.5, 8.0, 9.0, 10.0])
-    ser = CountSeries(xs, actual, lambda v: est)
+    ser = series(xs, actual, lambda v: est)
     assert find_crossover(ser) == 7  # last positive-to-nonpositive flip
 
 
 def test_crossover_returns_grid_point():
     census = monoid_census(MonoidParams(3, 2000))
-    ser = build_series(census)
-    x = find_crossover(ser)
+    x = find_crossover(build_series(census).stream())
     assert x is not None and x % 3 == 1
 
 
@@ -185,8 +195,7 @@ def test_fit_recovers_synthetic_parameters():
     for c0, e0 in ((0.5, 1.0), (1 / 3, 1 / 3)):
         actual = np.round(c0 * xs / np.log(xs) ** e0).astype(np.int64)
         actual = np.maximum.accumulate(actual)
-        ser = CountSeries(xs, actual)
-        fit = fit_model(ser)
+        fit = fit_model(series(xs, actual))
         # rounding to integer counts leaves a little noise; 1% is the contract
         assert fit.c == pytest.approx(c0, rel=0.01)
         assert fit.e == pytest.approx(e0, rel=0.01)
@@ -195,18 +204,17 @@ def test_fit_recovers_synthetic_parameters():
 def test_fit_classical_exponent_near_one(table_100k):
     xs = np.arange(10**3, 10**5 + 1, 97, dtype=np.int64)
     counts = np.cumsum(table_100k)
-    ser = CountSeries(xs, counts[xs])
-    fit = fit_model(ser)
+    fit = fit_model(series(xs, counts[xs]))
     assert 0.8 <= fit.e <= 1.2
     assert fit.rms_rel_err < 0.1
 
 
 def test_fit_needs_enough_points():
-    ser = CountSeries(np.array([10, 20, 30]), np.array([1, 2, 3]))
+    ser = series(np.array([10, 20, 30]), np.array([1, 2, 3]))
     with pytest.raises(ValueError):
         fit_model(ser)
     # 7 usable points: x = 2 is below 3 and the first count is 0
-    ser = CountSeries(np.arange(2, 11), np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]))
+    ser = series(np.arange(2, 11), np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]))
     with pytest.raises(ValueError, match="at least 8 points"):
         fit_model(ser)
 
@@ -215,8 +223,8 @@ def test_fit_deterministic():
     xs = np.unique(np.geomspace(10, 10**4, 40).astype(np.int64))
     actual = np.round(0.7 * xs / np.log(xs) ** 1.2).astype(np.int64)
     actual = np.maximum.accumulate(actual)
-    ser = CountSeries(xs, actual)
-    a, b = fit_model(ser), fit_model(ser)
+    ser = HeldSeries(xs, actual)
+    a, b = fit_model(ser.stream()), fit_model(ser.stream())
     assert (a.c, a.e, a.rms_rel_err) == (b.c, b.e, b.rms_rel_err)
 
 
@@ -227,34 +235,40 @@ def test_ratio_times_estimate_recovers_actual():
     assert np.allclose(ratio * est, actual, rtol=1e-12)
 
 
-def test_series_validation():
-    with pytest.raises(ValueError):
-        CountSeries(np.array([3, 2]), np.array([1, 2]))  # x not increasing
-    with pytest.raises(ValueError):
-        CountSeries(np.array([2, 3]), np.array([2, 1]))  # actual decreasing
-    with pytest.raises(ValueError, match="actual must be nondecreasing"):
-        CountSeries(range(2, 40), np.array([0, 1] * 19))  # a range grid too
+def assert_read_order(tmp_path, x, actual, reason=None):
+    """read_series_csv of a file of the points x and counts actual (empty
+    derived fields) reads, or raises ValueError naming the file and reason."""
+    path = tmp_path / "order.csv"
+    path.write_text(SERIES_HEADER + "\n" + "".join(f"{a},{b},,,\n" for a, b in zip(x, actual)))
+    if reason is None:
+        assert len(read_series_csv(path)) == len(x)
+        return
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}$"):
+        read_series_csv(path)
+
+
+def test_series_validation(tmp_path):
+    assert_read_order(tmp_path, [3, 2], [1, 2], "x must be strictly increasing")
+    assert_read_order(tmp_path, [2, 3], [2, 1], "actual must be nondecreasing")
+    # a longer file, x from 2 to 39
+    assert_read_order(tmp_path, range(2, 40), [0, 1] * 19, "actual must be nondecreasing")
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
-def test_order_is_checked_across_block_boundaries(monkeypatch, block_rows):
+def test_order_is_checked_across_block_boundaries(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     n = 20
     ordered = np.arange(2, n + 2, dtype=np.int64)
-    CountSeries(range(2, n + 2), ordered)
-    CountSeries(ordered, ordered)
+    assert_read_order(tmp_path, ordered, ordered)
     for i in range(n - 1):  # one pair out of order, at every position
         swapped = ordered.copy()
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        with pytest.raises(ValueError, match="actual must be nondecreasing"):
-            CountSeries(range(2, n + 2), swapped)
-        with pytest.raises(ValueError, match="x must be strictly increasing"):
-            CountSeries(swapped, ordered)
+        assert_read_order(tmp_path, ordered, swapped, "actual must be nondecreasing")
+        assert_read_order(tmp_path, swapped, ordered, "x must be strictly increasing")
         repeated = ordered.copy()
         repeated[i + 1] = repeated[i]
-        CountSeries(ordered, repeated)  # a count may stay the same
-        with pytest.raises(ValueError, match="x must be strictly increasing"):
-            CountSeries(repeated, ordered)
+        assert_read_order(tmp_path, ordered, repeated)  # a count may stay the same
+        assert_read_order(tmp_path, repeated, ordered, "x must be strictly increasing")
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,7 +281,7 @@ def test_mape_nonnegative(pairs):
     pairs.sort()
     xs = sorted({p[0] for p in pairs})
     actual = np.maximum.accumulate([p[1] for p in pairs[: len(xs)]])
-    ser = CountSeries(np.array(xs), actual, lambda v: v / np.log(v.astype(float) + 1.0))
+    ser = series(np.array(xs), actual, lambda v: v / np.log(v.astype(float) + 1.0))
     if np.all(actual == 0):
         return
     assert mape(ser) >= 0.0
@@ -324,7 +338,7 @@ def classical_series(n):
     """pi(x) against x / ln x on the classical census's grid, from x = 2,
     the first nonzero count, to n."""
     census = classical_census(n)
-    return CountSeries(census.change_grid(), census.cumulative, lambda xs: xs / np.log(xs))
+    return HeldSeries(census.change_grid(), whole_counts(census), lambda xs: xs / np.log(xs))
 
 
 STREAMED_SERIES = {
@@ -348,10 +362,10 @@ def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, bloc
     for got, want in zip(zip(*blocks), (x, actual, est, ratio, pct)):
         assert np.array_equal(np.concatenate(got), want, equal_nan=True)
 
-    assert find_crossover(ser) == whole_array_crossover(x, actual, est)
-    assert mape(ser) == pytest.approx(whole_array_mape(pct), rel=1e-12)
+    assert find_crossover(ser.stream()) == whole_array_crossover(x, actual, est)
+    assert mape(ser.stream()) == pytest.approx(whole_array_mape(pct), rel=1e-12)
     bounds = [10, 1000, int(x[len(x) // 3]) + 1, int(x[-1]) - 1, int(x[-1])]
-    got = [mape(ser, upto=bound) for bound in bounds]
+    got = [mape(ser.stream(), upto=bound) for bound in bounds]
     assert got == pytest.approx(oracle_prefix_mapes(x, pct, bounds), rel=1e-12)
 
 
@@ -367,7 +381,7 @@ def test_streamed_statistics_match_oracles_on_stored_columns(block_rows, rows):
     x = np.arange(2, 2 + len(rows), dtype=np.int64)
     actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
     stored = np.array([r[1] for r in rows], dtype=np.float64)
-    ser = CountSeries(x, actual, lambda v: stored[v - 2])
+    ser = HeldSeries(x, actual, lambda v: stored[v - 2])
     with np.errstate(over="ignore"):  # the oracle's ratio overflows for subnormal estimates
         _, _, est, _, pct = oracle_columns(ser)
     expected_crossover = whole_array_crossover(x, actual, est)
@@ -377,12 +391,12 @@ def test_streamed_statistics_match_oracles_on_stored_columns(block_rows, rows):
         expected_mape = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve, "COUNT_BLOCK", block_rows)
-        assert find_crossover(ser) == expected_crossover
+        assert find_crossover(ser.stream()) == expected_crossover
         if expected_mape is None:
             with pytest.raises(ValueError):
-                mape(ser)
+                mape(ser.stream())
         else:
-            assert mape(ser) == pytest.approx(expected_mape, rel=1e-12)
+            assert mape(ser.stream()) == pytest.approx(expected_mape, rel=1e-12)
 
 
 def outcome(fn, *args):
@@ -392,6 +406,11 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except ValueError as err:
         return repr(err)
+
+
+def held_mape(ser, upto=None):
+    """mape of a pass of a held series."""
+    return mape(ser.stream(), upto)
 
 
 def block_edge_series():
@@ -408,7 +427,7 @@ def block_edge_series():
         est = v / np.log(v) + (v - edge + 300.0) * 1e-3
         return np.where(np.abs(v - edge) < 40, np.nan, est)
 
-    return CountSeries(xs, actual, estimator)
+    return HeldSeries(xs, actual, estimator)
 
 
 STATISTICS_SERIES = {
@@ -436,23 +455,23 @@ def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, na
     for edge in {edges[0], edges[len(edges) // 2], edges[-1]} if edges else ():
         bounds += [int(x[edge - 1]), int(x[edge])]  # the last x of a block, the first of the next
     for upto in bounds:
-        assert outcome(mape, ser, upto) == outcome(oracle_mape, ser, upto), upto
-    assert find_crossover(ser) == oracle_find_crossover(ser)
+        assert outcome(held_mape, ser, upto) == outcome(oracle_mape, ser, upto), upto
+    assert find_crossover(ser.stream()) == oracle_find_crossover(ser)
 
 
 def test_block_edge_series_crosses_over_near_the_nan_edge():
     ser = block_edge_series()
     c = sieve.COUNT_BLOCK
     assert series_rows(ser, 0, c + 10)[1].max() == 0 and series_rows(ser, c + 10)[1].min() > 0
-    crossover = find_crossover(ser)
+    crossover = find_crossover(ser.stream())
     assert crossover is not None and abs(crossover - int(ser.x[2 * c])) < 400
 
 
 def test_statistics_without_an_estimate_equal_the_rows_oracles():
     ser = build_series(quad_census(5, RegionSpec("norm-ball", 3000)))
-    assert outcome(mape, ser) == outcome(oracle_mape, ser)
-    assert "ValueError" in outcome(mape, ser)
-    assert find_crossover(ser) is None and oracle_find_crossover(ser) is None
+    assert outcome(held_mape, ser) == outcome(oracle_mape, ser)
+    assert "ValueError" in outcome(held_mape, ser)
+    assert find_crossover(ser.stream()) is None and oracle_find_crossover(ser) is None
 
 
 ANY_FLOATS = st.one_of(SOME_FLOATS, st.sampled_from([math.inf, -math.inf, -0.0]))
@@ -475,13 +494,13 @@ def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(block_rows, step,
     grid = range(2, 2 + n * step, step)
     actual = np.cumsum([r[0] for r in rows], dtype=np.int64)
     est = np.array([r[1] for r in rows], dtype=np.float64)
-    ser = CountSeries(grid if ranged else np.array(grid), actual, lambda v: est[(v - 2) // step])
+    ser = HeldSeries(grid if ranged else np.array(grid), actual, lambda v: est[(v - 2) // step])
     # values alone are compared: the oracle's rows() also computes the ratio,
     # which overflows for subnormal estimates, and inf - inf sums warn in both
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(sieve, "COUNT_BLOCK", block_rows)
-        assert outcome(mape, ser, upto) == outcome(oracle_mape, ser, upto)
-        assert find_crossover(ser) == oracle_find_crossover(ser)
+        assert outcome(held_mape, ser, upto) == outcome(oracle_mape, ser, upto)
+        assert find_crossover(ser.stream()) == oracle_find_crossover(ser)
 
 
 ESTIMATE_INPUTS = {
@@ -518,7 +537,7 @@ def test_estimators_equal_their_one_line_expressions(name):
 
 def test_series_memory_does_not_grow_with_census_size():
     def peak(n):
-        ser = build_series(gaussian_census(n, "both-axes"))  # the whole counts, made untraced
+        ser = build_series(gaussian_census(n, "both-axes")).stream()  # the whole counts, made untraced
         tracemalloc.start()
         try:
             mape(ser)
@@ -540,7 +559,7 @@ def test_series_csv_memory_does_not_grow_with_census_size(tmp_path, monkeypatch)
         ser = build_series(gaussian_census(n, "both-axes"))
         tracemalloc.start()
         try:
-            write_csv(ser, tmp_path / "series.csv")
+            write_series_csv(ser, tmp_path / "series.csv")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -566,11 +585,11 @@ def test_quad_growth_thin_keeps_its_point_rule(kind, bound):
     script = quad_growth()
     for d in script.DEFAULT_RINGS:
         census = quad_census(d, RegionSpec(kind, bound))
-        ser, former = script.thin(census), oracle_thin(census)
+        ser, former = hold(script.thin(census)), oracle_thin(census)
         assert np.array_equal(ser.x, former.x), d
         assert np.array_equal(ser.actual, former.actual), d
         assert ser.metadata == former.metadata and ser.estimator is None
-        assert fit_model(ser) == fit_model(former), d
+        assert fit_model(script.thin(census)) == fit_model(former.stream()), d
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 10])
@@ -589,10 +608,16 @@ def test_quad_growth_too_small_a_bound_is_a_one_line_error(tmp_path, bound):
     assert not csv.exists()
 
 
-def series_read_back(ser, tmp_path):
+def written_csv(ser, tmp_path):
+    """The path of the series CSV of the held series ser."""
     path = tmp_path / "series.csv"
-    write_csv(ser, path)
-    return read_series_csv(path)
+    write_series_csv(ser, path)
+    return path
+
+
+def series_read_back(ser, tmp_path):
+    """The held series ser written to a CSV and read back, held whole."""
+    return hold(read_series_csv(written_csv(ser, tmp_path)))
 
 
 def synthetic_series(zeros, n):
@@ -600,7 +625,7 @@ def synthetic_series(zeros, n):
     xs = np.arange(1, n + 1, dtype=np.int64)
     actual = 1 + np.floor(xs / np.log(xs + 2)).astype(np.int64)
     actual[:zeros] = 0
-    return CountSeries(xs, actual)
+    return HeldSeries(xs, actual)
 
 
 def streamed(census):
@@ -610,8 +635,15 @@ def streamed(census):
 
 
 def held(ser):
-    """A series held whole, which the fit and the oracles both read."""
-    return ser, ser
+    """A pass of a held series, which the fit reads, and the held series,
+    which the oracles read."""
+    return ser.stream(), ser
+
+
+def made_twice(make):
+    """The series that make() returns, which the fit reads, and the one that
+    a second call returns, held whole, which the oracles read."""
+    return make(), hold(make())
 
 
 # each case gives (the series to fit, the same series whole, for the oracles)
@@ -625,12 +657,12 @@ FIT_SERIES = {
         quad_census(6, RegionSpec("euclidean-ball", 2000))
     ),
     "monoid-d7-100000": lambda _: streamed(monoid_census(MonoidParams(7, 100000))),
-    "from-csv": lambda tmp: held(
-        series_read_back(build_series(gaussian_census(20000, "both-axes")), tmp)
-    ),
-    "quad-growth-thin": lambda _: held(
-        quad_growth().thin(quad_census(5, RegionSpec("norm-ball", 50000)))
-    ),
+    "from-csv": lambda tmp: made_twice(functools.partial(
+        read_series_csv, written_csv(build_series(gaussian_census(20000, "both-axes")), tmp)
+    )),
+    "quad-growth-thin": lambda _: made_twice(functools.partial(
+        quad_growth().thin, quad_census(5, RegionSpec("norm-ball", 50000))
+    )),
     "zeros-and-x-below-3": lambda _: held(synthetic_series(6, 300)),  # the zeros set the start
     "x-below-3": lambda _: held(synthetic_series(0, 300)),  # x >= 3 sets the start
     "exactly-8-points": lambda _: held(synthetic_series(3, 11)),
@@ -678,14 +710,14 @@ def test_fit_model_matches_oracle_on_synthetic_series(c0, e0, noise, zeros, n, d
     noisy = model * (1 + noise * np.random.default_rng(seed).standard_normal(xs.size))
     actual = np.maximum.accumulate(np.maximum(np.round(noisy), 0).astype(np.int64))
     actual[:zeros] = 0
-    ser = CountSeries(xs, actual)
+    ser = HeldSeries(xs, actual)
     try:
         expected = oracle_fit_model(ser)
     except ValueError:
         with pytest.raises(ValueError):
-            fit_model(ser)
+            fit_model(ser.stream())
     else:
-        assert fit_model(ser) == expected
+        assert fit_model(ser.stream()) == expected
 
 
 def screen_through(monkeypatch, hook):
@@ -755,7 +787,7 @@ def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
     besides them only one block's lines and parsed rows, whatever the row
     count; the fit then adds its three arrays, 24 bytes a row."""
     path = tmp_path / "series.csv"
-    write_csv(build_series(gaussian_census(10**6, "both-axes")), path)
+    write_series_csv(build_series(gaussian_census(10**6, "both-axes")), path)
     tracemalloc.start()
     try:
         ser = read_series_csv(path)
@@ -766,9 +798,49 @@ def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
         tracemalloc.stop()
     n = len(ser)
     assert n > 10**6 - 10
-    assert ser.x.nbytes + ser.actual.nbytes == 16 * n
+    assert ser.grid.nbytes == 8 * n
     assert held <= 16 * n + 64 * 1024, held / n
     # about 10 bytes a block character: the text read, its lines and their parsed rows
     block = 12 * report._READ_BLOCK_CHARS
     assert read_peak <= 16 * n + block, (read_peak - 16 * n) / report._READ_BLOCK_CHARS
     assert peak <= 40 * n + 64 * 1024, peak / n
+
+
+class Tiles:
+    """A reducer that records the first row and the length of each block."""
+
+    def __init__(self):
+        self.tiles = []
+
+    def feed(self, block):
+        self.tiles.append((block.lo, len(block)))
+
+
+# a series of each source: a census, a series CSV, and the thinned rows of scripts/quad_growth.py
+SERIES_SOURCES = {
+    "census": lambda _: stream_series(gaussian_census(20_000, "both-axes")),
+    "csv": lambda tmp: read_series_csv(
+        written_csv(build_series(gaussian_census(20_000, "both-axes")), tmp)
+    ),
+    "quad-growth-thin": lambda _: quad_growth().thin(
+        quad_census(5, RegionSpec("norm-ball", 50_000))
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SERIES_SOURCES))
+def test_a_pass_tiles_the_grid_and_a_second_pass_raises(tmp_path, monkeypatch, source):
+    """The blocks of a pass follow one another from row 0 to the series'
+    last row, and the series can be scanned once."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 64)
+    ser = SERIES_SOURCES[source](tmp_path)
+    tiles = Tiles()
+    analysis.scan(ser, tiles)
+    assert len(tiles.tiles) > 2
+    end = 0
+    for lo, rows in tiles.tiles:
+        assert lo == end and rows > 0, (lo, end)
+        end = lo + rows
+    assert end == len(ser)
+    with pytest.raises(RuntimeError, match="read once"):
+        analysis.scan(ser, Tiles())

@@ -13,6 +13,7 @@ from oracles import (
     oracle_prime_running_counts,
     table_primes,
     trial_division_is_prime,
+    whole_counts,
 )
 from primelab import (
     MonoidCensus,
@@ -32,7 +33,7 @@ from primelab.sieve import MAX_SIEVE_LIMIT
 def pi_steps(limit):
     """pi(n) - pi(n - 1) for 0 <= n <= limit, from the classical census,
     whose grid starts at 2: 1 where n is prime, 0 elsewhere."""
-    return np.diff(classical_census(limit).cumulative, prepend=[0, 0, 0])
+    return np.diff(whole_counts(classical_census(limit)), prepend=[0, 0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +91,16 @@ def test_classical_census_matches_pi():
     census = classical_census(10**4)
     xs = np.array([2, 3, 100, 9973, 10**4])
     expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
-    assert census.cumulative[xs - 2].tolist() == expected
+    assert whole_counts(census)[xs - 2].tolist() == expected
     assert census.total == 1229
     assert census.describe() == {"domain": "classical", "limit": "10000"}
 
 
 def test_pi_basics():
-    census = classical_census(10**4)
-    assert len(census.cumulative) == 10**4 - 1  # cumulative[n - 2] is pi(n)
-    assert census.cumulative[0] == 1  # pi(2)
-    assert census.cumulative[1] == 2  # pi(3)
+    counts = whole_counts(classical_census(10**4))
+    assert len(counts) == 10**4 - 1  # counts[n - 2] is pi(n)
+    assert counts[0] == 1  # pi(2)
+    assert counts[1] == 2  # pi(3)
 
 
 def test_pi_steps_by_zero_or_one():
@@ -132,7 +133,7 @@ def test_segment_boundaries_match_trial_division(monkeypatch):
     for size in WINDOW_SIZES:
         patch_window(monkeypatch, size)
         for limit in (50_000, 50_001):
-            census = classical_census(limit).cumulative
+            census = whole_counts(classical_census(limit))
             assert np.array_equal(census, expected[: limit - 1]), (size, limit)
 
 
@@ -149,15 +150,15 @@ def check_windowed_censuses(limit):
     and the monoid census against its own marking loop over a whole array,
     values and dtype."""
     if limit >= 2:
-        census = classical_census(limit).cumulative
+        census = whole_counts(classical_census(limit))
         pi = np.cumsum(eratosthenes_flags(limit)[2:])
         assert census.dtype == np.int32 and np.array_equal(census, pi), limit
     for convention in AXIS_CONVENTIONS:
-        census = gaussian_census(limit, convention).cumulative
+        census = whole_counts(gaussian_census(limit, convention))
         former = oracle_gaussian_census(limit, convention)
         assert census.dtype == former.dtype and np.array_equal(census, former), (limit, convention)
     for d in MODULI:
-        census = monoid_census(MonoidParams(d, limit)).cumulative
+        census = whole_counts(monoid_census(MonoidParams(d, limit)))
         former = oracle_monoid_census(MonoidParams(d, limit))
         assert census.dtype == former.dtype and np.array_equal(census, former), (limit, d)
 
@@ -179,15 +180,15 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
     patch_window(monkeypatch, 224)
     limit = 10**5
     pi = np.cumsum(eratosthenes_flags(limit)[2:])
-    assert np.array_equal(classical_census(limit).cumulative, pi) and pi[-1] == 9592
+    assert np.array_equal(whole_counts(classical_census(limit)), pi) and pi[-1] == 9592
     for convention in AXIS_CONVENTIONS:
-        census = gaussian_census(limit, convention).cumulative
+        census = whole_counts(gaussian_census(limit, convention))
         assert np.array_equal(census, oracle_gaussian_census(limit, convention)), convention
     assert gaussian_census(limit, "both-axes").total == 9635
     # isqrt(10^6) = 1000: the base primes of A_3 past 1 + 224 * 3 = 673 lie
     # past the first window of 224 elements
     params = MonoidParams(3, 10**6)
-    assert np.array_equal(monoid_census(params).cumulative, oracle_monoid_census(params))
+    assert np.array_equal(whole_counts(monoid_census(params)), oracle_monoid_census(params))
 
 
 # (block, window) pairs: block 1 and WINDOW_BLOCKS at every window, the
@@ -205,8 +206,7 @@ BLOCKS_AND_WINDOWS = (
 def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
     """The streamed blocks follow one another from grid index 0, each
     count_block long but the census's last, are read-only, and hold what
-    the whole-array form of the sieve's reader gives, which is what the
-    census copies into its whole counts.  Where the window is no whole
+    the whole-array form of the sieve's reader gives, in its dtype.  Where the window is no whole
     number of blocks, a census of more than one window is refused, and one
     of a single window is checked."""
     patch_window(monkeypatch, size, count_block)
@@ -232,10 +232,9 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
             assert 0 < len(counts) <= count_block
             blocks.append(counts.copy())  # the next block overwrites it
         assert all(len(block) == count_block for block in blocks[:-1]), census
+        assert all(block.dtype == whole.dtype for block in blocks), census
         assert np.array_equal(np.concatenate(blocks), whole), census
-        assert census.cumulative.dtype == whole.dtype
-        assert np.array_equal(census.cumulative, whole), census
-    assert np.array_equal(censuses[1].cumulative, oracle_gaussian_census(limit, "both-axes"))
+    assert np.array_equal(whole_counts(censuses[1]), oracle_gaussian_census(limit, "both-axes"))
 
 
 def test_windowed_censuses_at_the_segment_size():
@@ -258,12 +257,12 @@ def test_census_peak_memory_is_its_counts_and_one_window(name, n):
     tracemalloc.start()
     try:
         census = build(n)
-        census.cumulative  # the whole counts, collected on first read
+        counts = whole_counts(census)  # the streamed blocks, each copied into its slice
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     points = len(census.change_grid())
-    assert census.cumulative.nbytes == 4 * points
+    assert counts.nbytes == 4 * points
     assert peak <= 4 * points + sieve.SEGMENT_SIZE + (1 << 20), peak
 
 
@@ -318,15 +317,21 @@ CENSUSES = {
 def test_census_layout_is_shared(name):
     build, limit, start = CENSUSES[name]
     census = build()
-    grid = census.change_grid()
-    assert len(grid) == len(census.cumulative) and grid.start == start and grid.stop == limit + 1
-    assert census.total == (census.cumulative[-1] if len(grid) else 0)
+    grid, counts = census.change_grid(), whole_counts(census)
+    assert len(grid) == len(counts) and grid.start == start and grid.stop == limit + 1
+    assert census.total == (counts[-1] if len(grid) else 0)
     if isinstance(census, sieve.SievedCensus) and len(grid):
-        assert census.cumulative[0] == 1  # the first point is prime
+        assert counts[0] == 1  # the first point is prime
 
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_counts_are_read_only(name):
     census = CENSUSES[name][0]()
-    with pytest.raises(ValueError):
-        census.cumulative[0] = 1
+    for _, counts in census.running_blocks():
+        with pytest.raises(ValueError):
+            counts[0] = 1
+    if isinstance(census, sieve.SievedCensus):
+        assert not hasattr(census, "cumulative")  # no census of the sieve holds its counts whole
+    else:
+        with pytest.raises(ValueError):
+            census.cumulative[0] = 1

@@ -1,7 +1,7 @@
 """The streamed pass: a census read block by block from its sieve windows
 feeds every reducer of a command in one pass, and gives what the whole-array
-path gives (the census's collected counts, each statistic and writer in a
-pass of its own), whatever the window and block sizes; its memory is one
+path gives (the census's counts collected whole, each statistic and writer
+in a pass of its own), whatever the window and block sizes; its memory is one
 window and one block, whatever the bound."""
 
 import tracemalloc
@@ -16,6 +16,8 @@ from oracles import (
     oracle_gaussian_census,
     oracle_mape,
     oracle_monoid_census,
+    whole_counts,
+    write_series_csv,
 )
 from primelab import (
     GaussianCensus,
@@ -116,7 +118,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     chart.finish()
 
     census = CENSUSES[name](limit)
-    assert np.array_equal(census.cumulative, oracle_counts(name, limit))
+    assert np.array_equal(whole_counts(census), oracle_counts(name, limit))
     whole = build_series(census)
     assert len(whole) == len(ser) and whole.grid == ser.grid == census.change_grid()
     assert total.value == census.total
@@ -126,9 +128,9 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
         assert [repr(pct) for pct in shared.result()] == [
             value for upto, value in zip(bounds, got) if upto in defined
         ]
-    assert crossover.value == oracle_find_crossover(whole) == find_crossover(whole)
-    report.write_csv(whole, tmp_path / "whole.csv")
-    report.render_svg(whole, tmp_path / "whole.svg")
+    assert crossover.value == oracle_find_crossover(whole) == find_crossover(whole.stream())
+    write_series_csv(whole, tmp_path / "whole.csv")
+    report.render_svg(whole.stream(), tmp_path / "whole.svg")
     for artifact in ("csv", "svg"):
         streamed = (tmp_path / f"streamed.{artifact}").read_bytes()
         assert streamed == (tmp_path / f"whole.{artifact}").read_bytes(), artifact
@@ -164,16 +166,16 @@ def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
 def test_streamed_series_is_read_in_one_pass(monkeypatch):
     monkeypatch.setattr(sieve, "COUNT_BLOCK", 4099)
     ser = analysis.stream_series(gaussian_census(50_000, "both-axes"))
-    assert mape(ser) == mape(build_series(gaussian_census(50_000, "both-axes")))
+    assert mape(ser) == mape(build_series(gaussian_census(50_000, "both-axes")).stream())
     with pytest.raises(RuntimeError, match="read once"):
         find_crossover(ser)
 
 
 def test_streamed_series_of_a_whole_array_census_reads_slices_of_it():
     census = quad_census(2, RegionSpec("norm-ball", 10**6))
-    blocks = list(analysis.stream_series(census)._count_blocks())
-    assert all(np.shares_memory(actual, census.cumulative) for _, actual in blocks[:-1])
-    assert np.array_equal(np.concatenate([a for _, a in blocks]), build_series(census).actual)
+    blocks = [block.actual for block in analysis.stream_series(census)._blocks()]
+    assert all(np.shares_memory(actual, census.cumulative) for actual in blocks)
+    assert np.array_equal(np.concatenate(blocks), build_series(census).actual)
 
 
 def test_empty_census_streams_nothing():
@@ -194,7 +196,7 @@ EMPTY_CENSUSES = {
 def test_an_empty_grid_holds_no_count(name):
     census = EMPTY_CENSUSES[name]()
     assert len(census.change_grid()) == 0 and census.total == 0
-    assert census.cumulative.size == 0 and list(census.running_blocks()) == []
+    assert list(census.running_blocks()) == []
     with pytest.raises(ValueError, match="census holds no primes"):
         analysis.stream_series(census)
 
