@@ -12,13 +12,16 @@ its statistics, and the series CSV writer and the chart when they are asked
 for.  So monoid, table1, gauss and table2 never hold a count per point:
 their memory is one sieve window and one block, whatever the bound.  fit
 --domain fills the fit's own three arrays from its pass, and holds no
-other array per point.  The printed lines and the files come after the
-pass, in the order the command names them.
+other array per point.  Every output a command is given is created, in
+the order the command names them, before its census's first window, so an
+unwritable path exits 4 before the first printed line; the series CSV is
+written during the pass, the printed lines and the other files after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -202,23 +205,38 @@ def _census(domain: str, args):
     return census
 
 
-def _writers(args, ser: analysis.Series, series_csv: str = "series_csv") -> dict:
-    """The reducers that write the series, by the flag they write to: the
-    series CSV to the flag named series_csv (quad's is --csv) and the chart
-    to --svg, for those given."""
+def _create(*paths) -> None:
+    """Create or empty each path given (None: none), in order."""
+    for path in paths:
+        if path is not None:
+            open(path, "wb").close()
+
+
+def _scan(args, ser: analysis.Series, *reducers, series_csv: str = "series_csv") -> dict:
+    """Create the files of --csv, --series-csv and --svg that are given, in
+    that order, then feed the series' one pass to the reducers and to the
+    writers of the series, returned by flag: the series CSV to the flag named
+    series_csv (quad's is --csv), closed at the pass's end or when a later
+    path fails, and the chart to --svg."""
     writers = {}
-    if getattr(args, series_csv, None) is not None:
-        writers[series_csv] = report.SeriesCsvWriter(ser, getattr(args, series_csv))
-    if getattr(args, "svg", None) is not None:
-        writers["svg"] = report.Chart(ser, args.svg)
+    with contextlib.ExitStack() as opened:
+        for flag in dict.fromkeys(("csv", series_csv, "svg")):
+            path = getattr(args, flag, None)
+            if flag == series_csv and path is not None:
+                writers[flag] = report.SeriesCsvWriter(path)
+                opened.callback(writers[flag].finish)
+            else:
+                _create(path)
+        if getattr(args, "svg", None) is not None:
+            writers["svg"] = report.Chart(ser, args.svg)
+        analysis.scan(ser, *reducers, *writers.values())
     return writers
 
 
-def _emit(args, rows=None, writers=None) -> None:
+def _emit(args, rows=None, writers=()) -> None:
     """Finish whichever of --csv, --series-csv and --svg the subcommand has,
     in that order: a writer fed by the pass, or the summary or fit rows to
     --csv."""
-    writers = writers or {}
     for flag in ("csv", "series_csv", "svg"):
         path = getattr(args, flag, None)
         if path is None:
@@ -245,8 +263,8 @@ def _monoid_summary(census: monoid.MonoidCensus, total: int, mape_pct: float, ev
 def _cmd_monoid(args) -> int:
     census = _census("monoid", args)
     ser = analysis.stream_series(census)
-    total, error, writers = analysis.Total(), analysis.Mape(ser), _writers(args, ser)
-    analysis.scan(ser, total, error, *writers.values())
+    total, error = analysis.Total(), analysis.Mape(ser)
+    writers = _scan(args, ser, total, error)
     eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
     row = _monoid_summary(census, total.value, error.result()[0], eval_x)
     print(
@@ -260,8 +278,8 @@ def _cmd_monoid(args) -> int:
 def _cmd_gauss(args) -> int:
     census = _census("gauss", args)
     ser = analysis.stream_series(census)
-    total, error, writers = analysis.Total(), analysis.Mape(ser), _writers(args, ser)
-    analysis.scan(ser, total, error, *writers.values())
+    total, error = analysis.Total(), analysis.Mape(ser)
+    writers = _scan(args, ser, total, error)
     row = report.MapeSummary(args.norm_limit, error.result()[0])
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
@@ -274,8 +292,8 @@ def _cmd_gauss(args) -> int:
 def _cmd_quad(args) -> int:
     census = _census("quad", args)
     ser = analysis.stream_series(census)
-    total, writers = analysis.Total(), _writers(args, ser, series_csv="csv")
-    analysis.scan(ser, total, *writers.values())
+    total = analysis.Total()
+    writers = _scan(args, ser, total, series_csv="csv")
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={total.value}")
     _emit(args, writers=writers)
     return EXIT_OK
@@ -302,6 +320,7 @@ def _fit_series(args) -> analysis.Series:
 
 def _cmd_fit(args) -> int:
     ser = _fit_series(args)
+    _create(args.csv)  # after --from-csv is read whole, so that --csv may name it
     result = analysis.fit_model(ser)
     print(
         f"fit {ser.label()}: c={result.c:.6g} e={result.e:.6g} "
@@ -312,24 +331,27 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    _check_guard(TABLE1_LIMIT, "limit")
+    _create(args.csv)
+    charts = {}
+    if args.svg_dir is not None:
+        os.makedirs(args.svg_dir, exist_ok=True)
+        charts = {d: os.path.join(args.svg_dir, f"monoid_d{d}.svg") for d in TABLE1_MODULI}
+        _create(*charts.values())
     rows = []
     for d in TABLE1_MODULI:
-        census = _census("monoid", argparse.Namespace(d=d, limit=TABLE1_LIMIT))
+        census = monoid.monoid_census(monoid.MonoidParams(d=d, limit=TABLE1_LIMIT))
         ser = analysis.stream_series(census)
         total, error = analysis.Total(), analysis.Mape(ser)
-        path = None if args.svg_dir is None else os.path.join(args.svg_dir, f"monoid_d{d}.svg")
-        charts = [] if path is None else [report.Chart(ser, path)]
-        analysis.scan(ser, total, error, *charts)
+        chart = argparse.Namespace(svg=charts.get(d))
+        writers = _scan(chart, ser, total, error)
         row = _monoid_summary(census, total.value, error.result()[0], census.change_grid()[-1])
         rows.append(row)
         print(
             f"d={d}: largest={row.largest_element} count={row.actual_count} "
             f"estimate={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
         )
-        if path is not None:
-            os.makedirs(args.svg_dir, exist_ok=True)
-            charts[0].finish()
-            print(f"wrote {path}")
+        _emit(chart, writers=writers)
     _emit(args, rows)
     return EXIT_OK
 
@@ -337,8 +359,8 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     census = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
     ser = analysis.stream_series(census)
-    error, writers = analysis.Mape(ser, TABLE2_BOUNDS), _writers(args, ser)
-    analysis.scan(ser, error, *writers.values())
+    error = analysis.Mape(ser, TABLE2_BOUNDS)
+    writers = _scan(args, ser, error)
     rows = [report.MapeSummary(bound, pct) for bound, pct in zip(TABLE2_BOUNDS, error.result())]
     for row in rows:
         print(f"norm-bound={row.norm_bound}: mape={row.mape_pct:.3f}%")

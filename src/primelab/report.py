@@ -109,44 +109,20 @@ def write_csv(obj, path) -> None:
 
 
 class SeriesCsvWriter:
-    """The CSV of a series at path, as a reducer: the header, then each
-    block's lines (_format_rows), written as they are made, and
-    the file closed after the series' last row.
+    """The CSV of a series at path, as a reducer: the file is opened and its
+    header written when the writer is made, so that an unwritable path fails
+    before the pass; each block's lines (_format_rows) are written as they
+    are made, and finish() closes the file."""
 
-    An OSError from opening or writing the file is kept, and raised by
-    finish(): a command reports it in the order of its outputs, after its
-    summary.  Once one is kept, the writer reads no more blocks."""
-
-    def __init__(self, series: Series, path) -> None:
-        self._rows, self._file, self._error = len(series), None, None
-        try:
-            self._file = open(path, "wb")
-            self._file.write(_SERIES_HEADER_LINE)
-        except OSError as exc:
-            self._close(exc)
-
-    def _close(self, exc: OSError | None = None) -> None:
-        self._error = self._error or exc
-        if self._file is not None:
-            file, self._file = self._file, None
-            file.close()
+    def __init__(self, path) -> None:
+        self._file = open(path, "wb")
+        self._file.write(_SERIES_HEADER_LINE)  # into the file's buffer: it cannot fail
 
     def feed(self, block) -> None:
-        if self._file is None:
-            return
-        try:
-            self._file.write(_format_rows(block.columns()))
-            if block.lo + len(block) == self._rows:
-                self._close()
-        except OSError as exc:
-            self._close(exc)
+        self._file.write(_format_rows(block.columns()))
 
     def finish(self) -> None:
-        """Close the file (a series of no rows gets no block), and raise the
-        OSError kept, if any."""
-        self._close()
-        if self._error is not None:
-            raise self._error
+        self._file.close()
 
 
 def _write(path, texts) -> None:

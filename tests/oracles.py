@@ -164,7 +164,7 @@ def write_series_csv(series: HeldSeries, path) -> None:
     """Write the series CSV of a held series as a command writes one: a pass
     of one SeriesCsvWriter."""
     ser = series.stream()
-    writer = report.SeriesCsvWriter(ser, path)
+    writer = report.SeriesCsvWriter(path)
     analysis.scan(ser, writer)
     writer.finish()
 

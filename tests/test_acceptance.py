@@ -56,10 +56,11 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def table1_runs():
+    # a census streams its counts, so the sieve runs in build_series's pass
     t0 = time.perf_counter()
     censuses = {d: monoid_census(MonoidParams(d, 10**4)) for d in TABLE1}
-    elapsed = time.perf_counter() - t0
     series = {d: build_series(c) for d, c in censuses.items()}
+    elapsed = time.perf_counter() - t0
     return censuses, series, elapsed
 
 
@@ -67,8 +68,8 @@ def table1_runs():
 def gauss_10m():
     t0 = time.perf_counter()
     census = gaussian_census(10**7, "both-axes")
+    ser = build_series(census)  # the pass that sieves the census
     elapsed = time.perf_counter() - t0
-    ser = build_series(census)
     return census, ser, elapsed
 
 

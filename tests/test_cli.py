@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from primelab import sieve
+from primelab import report, sieve
 from primelab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, run_cli
 
 
@@ -98,14 +98,21 @@ def test_guard_bounds_largest_norm(capsys, monkeypatch):
     assert run(["quad", "--d", "5", "--bound", "1001"], capsys)[0] == 3
 
 
-@pytest.mark.parametrize("command", ["table1", "table2"])
+# every output flag of each table command
+TABLE_OUTPUTS = {
+    "table1": ["--csv", "t.csv", "--svg-dir", "figs"],
+    "table2": ["--csv", "t.csv", "--svg", "t.svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_OUTPUTS))
 def test_guard_covers_tables(command, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000")
-    csv = tmp_path / "t.csv"
-    code, out, err = run([command, "--csv", str(csv)], capsys)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, *TABLE_OUTPUTS[command]], capsys)
     assert code == 3
     assert "resource guard" in err
-    assert out == "" and not csv.exists()
+    assert out == "" and not any(tmp_path.iterdir())
 
 
 def test_fit_rejects_malformed_series_csv(tmp_path, capsys):
@@ -150,17 +157,103 @@ def test_empty_census_writes_no_artifact(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unwritable_series_outputs_fail_after_the_summary(tmp_path, capsys):
-    """The series CSV is written during the pass, but an I/O error on it is
-    reported in the order of the outputs, after the summary line and the
-    outputs before it, as when the series was written after the census."""
+def test_unwritable_output_fails_before_the_summary(tmp_path, capsys):
+    """Every output is created before the pass, in the order of the flags:
+    an unwritable one exits 4 before the summary line, and the outputs after
+    it are not made."""
     csv, missing = tmp_path / "g.csv", tmp_path / "no" / "s.csv"
     argv = ["gauss", "--norm-limit", "100", "--csv", str(csv), "--series-csv", str(missing),
             "--svg", str(tmp_path / "g.svg")]
     code, out, err = run(argv, capsys)
-    assert code == EXIT_IO and "No such file or directory" in err
-    assert out == f"gauss norm-limit=100 axes=both-axes: count=27 mape=25.359%\nwrote {csv}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+    assert (code, out) == (EXIT_IO, "") and "No such file or directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"] and csv.read_text() == ""
+
+
+def test_an_unwritable_output_leaves_no_file_open(tmp_path, capsys, monkeypatch):
+    """The series CSV, open from its creation on, is closed when a later
+    output fails and when the pass fails."""
+    made, writer = [], report.SeriesCsvWriter
+    monkeypatch.setattr(report, "SeriesCsvWriter", lambda path: made.append(writer(path)) or made[-1])
+    series_csv = str(tmp_path / "s.csv")
+    argv = ["gauss", "--norm-limit", "100", "--series-csv", series_csv,
+            "--svg", str(tmp_path / "no" / "g.svg")]
+    assert run(argv, capsys)[:2] == (EXIT_IO, "")
+
+    def failing_windows(d, limit):
+        raise OSError("the sieve failed")
+
+    monkeypatch.setattr(sieve, "_prime_windows", failing_windows)
+    assert run(["gauss", "--norm-limit", "100", "--series-csv", series_csv], capsys)[:2] == (
+        EXIT_IO, "")
+    assert len(made) == 2 and all(w._file.closed for w in made)
+
+
+# every output flag of every command, each given a path in a missing directory
+UNWRITABLE_OUTPUTS = [
+    [*command, flag, os.path.join("missing", "out")]
+    for command, flags in (
+        (["monoid", "--d", "3", "--limit", "10000"], ("--csv", "--series-csv", "--svg")),
+        (["gauss", "--norm-limit", "10000"], ("--csv", "--series-csv", "--svg")),
+        (["quad", "--d", "5", "--bound", "1000"], ("--csv", "--svg")),
+        (["fit", "--domain", "classical", "--limit", "10000"], ("--csv",)),
+        (["fit", "--domain", "gauss", "--norm-limit", "10000"], ("--csv",)),
+        (["fit", "--from-csv", "s.csv"], ("--csv",)),
+        (["table1"], ("--csv", "--svg-dir")),
+        (["table2"], ("--csv", "--svg")),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS, ids=" ".join)
+def test_unwritable_output_exits_before_the_first_window(argv, tmp_path, capsys, monkeypatch):
+    """No sieve window is made before an unwritable output is refused (quad's
+    census is not sieved, and fit --from-csv reads its input first)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text(SERIES_CSV)
+    if argv[-2] == "--svg-dir":
+        (tmp_path / "missing").write_text("")  # a file: no directory can be made there
+
+    def no_window(d, limit):
+        raise AssertionError("a census window was sieved before the output was refused")
+
+    monkeypatch.setattr(sieve, "_prime_windows", no_window)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_IO, ""), err
+
+
+# the refusals of unwritable outputs at the default guard's largest censuses
+FAST_REFUSALS = [
+    ["gauss", "--norm-limit", "100000000", "--csv", "missing/g.csv"],
+    ["gauss", "--norm-limit", "100000000", "--series-csv", "missing/s.csv"],
+    ["gauss", "--norm-limit", "100000000", "--svg", "missing/x.svg"],
+    ["fit", "--domain", "gauss", "--norm-limit", "10000000", "--csv", "missing/f.csv"],
+    ["table1", "--svg-dir", ""],
+]
+
+
+@pytest.mark.parametrize("argv", FAST_REFUSALS, ids=" ".join)
+def test_unwritable_output_is_refused_in_under_a_second(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_IO, "") and "No such file or directory" in err
+    assert elapsed < 1.0, elapsed
+
+
+def test_fit_may_overwrite_its_input_csv(tmp_path, capsys):
+    """fit --from-csv reads its input whole before it creates --csv, so the
+    two may name one file: the series is fitted, then replaced by the fit."""
+    series = tmp_path / "s.csv"
+    assert run(["monoid", "--d", "3", "--limit", "5000", "--series-csv", str(series)], capsys)[0] == 0
+    code, line, _ = run(["fit", "--from-csv", str(series)], capsys)
+    assert code == 0
+    code, out, err = run(["fit", "--from-csv", str(series), "--csv", str(series)], capsys)
+    assert (code, out, err) == (0, f"{line}wrote {series}\n", "")
+    assert series.read_text().splitlines()[0] == "c,e,rms_rel_err"
+    assert len(series.read_text().splitlines()) == 2
 
 
 def test_gauss_summary_and_conventions(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     per_bound = [analysis.Mape(ser, (upto,)) for upto in bounds]
     defined = [upto for upto in bounds if upto is None or upto >= ser.grid[0]]
     shared = analysis.Mape(ser, defined)
-    csv = report.SeriesCsvWriter(ser, tmp_path / "streamed.csv")
+    csv = report.SeriesCsvWriter(tmp_path / "streamed.csv")
     chart = report.Chart(ser, tmp_path / "streamed.svg")
     analysis.scan(ser, total, crossover, shared, csv, chart, *per_bound)
     csv.finish()
