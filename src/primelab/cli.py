@@ -10,12 +10,12 @@ Every command reads its census once, block by block
 (series.stream_series), and feeds that one pass to all of its reducers:
 its statistics, and the series CSV writer and the chart when they are asked
 for.  So monoid, table1, gauss and table2 never hold a count per point:
-their memory is one sieve window and one block, whatever the bound.  fit
---domain fills the fit's own three arrays from its pass, and holds no
-other array per point.  Every output a command is given is created, in
-the order the command names them, before its census's first window, so an
-unwritable path exits 4 before the first printed line; the series CSV is
-written during the pass, the printed lines and the other files after it.
+their memory is one sieve window and one block, whatever the bound; so
+is fit --domain's, whose pass sums the fit's binned moments.  Every
+output a command is given is created, in the order the command names
+them, before its census's first window, so an unwritable path exits 4
+before the first printed line; the series CSV is written during the
+pass, the printed lines and the other files after it.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ It comes from one of three sources:
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in the series' one pass, block by block: Total, Mape
 (at several bounds at once), Crossover, and in the report layer the
-series CSV writer and the chart.  mape, find_crossover and render_svg are
-one-reducer passes; fit_model fills its arrays in a pass of its own.  The
-derived columns (estimate, ratio, pct_err) are never stored: a Block
-computes each one the first time a reducer reads it, for its own rows
-alone, so a pass computes only the columns its reducers read.  Points
+series CSV writer and the chart.  mape, find_crossover, render_svg and
+fit_model are one-reducer passes; fit_model's reducer, FitMoments, sums
+binned moments, so the fit too holds no array per point.  The derived
+columns (estimate, ratio, pct_err) are never stored: a Block computes
+each one the first time a reducer reads it, for its own rows alone, so
+a pass computes only the columns its reducers read.  Points
 where no percentage error is defined (actual = 0, or a series with no
 estimator) carry NaN in the derived columns; statistics skip them.
 """
@@ -278,55 +279,19 @@ def fit_model(series: Series) -> FitResult:
     Deterministic: for each e the best c in [1e-3, 10] has a closed form, so
     the search is over e alone: a coarse scan of 101 points in [-2, 3], then
     a shrinking bracket of 21 points around the best of them, each round
-    taking the first candidate of least RMS error.
-
-    The fitted points (actual >= 1 and x >= 3) are a suffix of the series,
-    since x increases and actual never decreases.  The search holds three
-    float64 arrays of that length, b = x/actual and L = ln ln x, filled in
-    one pass of the series' blocks, and one work buffer that each exact
-    evaluation of the objective overwrites in place (the mean of u = b *
-    exp(-e * L) and of u^2 give c and the error).
-
-    Each round is screened before it is evaluated: one pass over the points
-    sums b * (L - centre)^j and b^2 * (L - centre)^j in bins of L (see
-    _moment_screen), from which the two means follow at any e by a Taylor
-    series per bin, at a cost independent of the number of points.  Only
-    the candidates whose screened squared error lies within 2 * _TAU * s of
-    the least screened one are evaluated exactly, s being the larger of the
-    two scales c^2 m2 + 2c|m1| + 1, which bound the terms that make up the
-    squared error.  The screened and the exact squared error differ by far
-    less than _TAU / 2 * s: the Taylor truncation is below 1e-19 relative,
-    and the rounding of either side, at most about 1e-14 * s for sums of
-    10^8 points, measures below 4e-16 * s.  So a candidate left out has an
-    exact squared error above the least exact one by more than _TAU * s,
-    its RMS error stays larger after the square root, and every candidate
-    that ties with the best is kept: each round picks what evaluating every
-    candidate would pick, and the result is equal to the last bit.  The
-    exact objective is evaluated once per distinct e.
+    taking the first candidate of least RMS error.  Each candidate, and the
+    c and the error at the e chosen, is evaluated from the binned moments
+    that one pass of the series sums (FitMoments), at a cost independent of
+    the number of points.
     """
-    log_ln_x, base = _fit_arrays(series)
-    u = np.empty_like(base)
-    screened = _moment_screen(base, log_ln_x, u)
-
-    @functools.cache
-    def profiled(e: float) -> tuple[float, float]:
-        """Best in-bounds c at this e and the resulting RMS relative error."""
-        np.multiply(log_ln_x, -e, out=u)
-        np.exp(u, out=u)
-        np.multiply(u, base, out=u)  # model(x; c=1, e) / actual
-        m1 = float(u.mean())
-        np.multiply(u, u, out=u)
-        m2 = float(u.mean())
-        c = min(max(m1 / m2, _C_BOUNDS[0]), _C_BOUNDS[1])
-        return c, math.sqrt(max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0))
+    moments = FitMoments()
+    scan(series, moments)
+    if moments.n < 8:
+        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
 
     def best(cand: np.ndarray) -> int:
-        """Index of the first candidate of least exact RMS error, evaluating
-        exactly only those that the screen cannot rule out."""
-        rms2, scale = screened(cand)
-        least = int(np.argmin(rms2))
-        near = np.flatnonzero(rms2 - rms2[least] <= 2.0 * _TAU * np.maximum(scale, scale[least]))
-        return int(near[int(np.argmin([profiled(float(cand[i]))[1] for i in near]))])
+        """Index of the first candidate of least RMS error."""
+        return int(np.argmin(moments.squared_errors(cand)[1]))
 
     e_grid = np.linspace(_E_BOUNDS[0], _E_BOUNDS[1], 101)
     e = float(e_grid[best(e_grid)])
@@ -341,109 +306,81 @@ def fit_model(series: Series) -> FitResult:
             span /= 5.0  # interior minimum: tighten the bracket
         if span < 1e-5 * max(1.0, abs(e)):
             break
-    c, rms = profiled(e)
-    return FitResult(c=c, e=e, rms_rel_err=rms)
+    c, rms2 = moments.squared_errors(np.array([e]))
+    return FitResult(c=float(c[0]), e=e, rms_rel_err=math.sqrt(rms2[0]))
 
 
-def _fit_arrays(series: Series) -> tuple[np.ndarray, np.ndarray]:
-    """ln ln x and x/actual over the fitted suffix, in float64, from one
-    pass of the series' blocks: the arrays are made at the suffix's first
-    row, whose index fixes their length, and each block fills its slice."""
-    log_ln_x = base = None
-    for block in series._blocks():
-        x, actual, start = block.x, block.actual, 0
-        if log_ln_x is None:
-            start = max(_first_nonzero(actual), int(np.searchsorted(x, 3)))
-            if start == len(block):
-                continue
-            first = block.lo + start
-            log_ln_x, base = np.empty(len(series) - first), np.empty(len(series) - first)
-        rows = slice(block.lo + start - first, block.lo + len(block) - first)
-        points = log_ln_x[rows]  # x, then ln x, then ln ln x, in place
-        np.copyto(points, x[start:])
-        np.true_divide(points, actual[start:], out=base[rows])
-        np.log(points, out=points)
-        np.log(points, out=points)
-    if log_ln_x is None or len(log_ln_x) < 8:
-        raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
-    return log_ln_x, base
-
-
-# screen margin, relative to the magnitude s of the terms of the squared error
-_TAU = 1e-13
-# screen bins of ln ln x: centres k/16, so e * centre is exact once e is cut
-# to 46 bits; with 13 Taylor terms the truncation is below 1e-19 relative
+# bins of ln ln x: centres k/16, so e * centre is exact once e is cut to 46
+# bits; with 13 Taylor terms the truncation is below 1e-19 relative
 _BIN_WIDTH = 1.0 / 16.0
 _TERMS = 13
-# points per block of the screen's pass (its one work buffer, 16 KiB), and
-# candidates screened at once: a batch's broadcasts over the bins briefly
-# take three times its batch x bins floats, and the fit may use only 64 KiB
-# beyond its three arrays
-_SCREEN_BLOCK = 2048
-_SCREEN_BATCH = 11
 
 
-def _moment_screen(
-    base: np.ndarray, log_ln_x: np.ndarray, work: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Screened squared RMS error of fit_model's objective, from one pass.
+class FitMoments:
+    """fit_model's reducer: moments of b = x/actual over the fitted rows
+    (actual >= 1 and x >= 3, a suffix of the series, since x increases and
+    actual never decreases), binned by L = ln ln x.
 
-    The points are cut into bins of L = ln ln x (sorted, since x increases)
-    of width _BIN_WIDTH around centres k * _BIN_WIDTH.  With d = L - centre
-    (exact, by Sterbenz) the pass sums b d^j and b^2 d^j per bin, j below
-    _TERMS, one _SCREEN_BLOCK block at a time; ``work`` (any scratch of the
-    points' length) holds d.  Then for each e
+    Bin k holds the rows whose L is nearest its centre k * _BIN_WIDTH, and
+    with d = L - centre (exact, by Sterbenz) it sums b d^j and b^2 d^j for
+    j below _TERMS.  A block adds its rows' sums to their bins, opening the
+    bins past the last one as L grows; so the pass holds one block's
+    columns, and n and the sums alone give, for each e,
 
         mean(b e^(-eL))     = sum_k e^(-e centre_k) sum_j (-e)^j/j! S1[j, k] / n
         mean(b^2 e^(-2eL))  = sum_k e^(-2e centre_k) sum_j (-2e)^j/j! S2[j, k] / n
 
     where e^(-e centre) is taken as e^(-e_hi centre) (1 - e_lo centre) with
-    e_hi * centre exact.  The returned function maps candidates e to their
-    screened squared errors max(c^2 m2 - 2c m1 + 1, 0), c clamped as in the
-    fit, and their scales c^2 m2 + 2c|m1| + 1.
+    e_hi * centre exact.
     """
-    n = base.size
-    k_first = round(float(log_ln_x[0]) / _BIN_WIDTH)
-    k_last = round(float(log_ln_x[-1]) / _BIN_WIDTH)
-    centres = np.arange(k_first, k_last + 1) * _BIN_WIDTH
-    bounds = np.searchsorted(log_ln_x, centres + 0.5 * _BIN_WIDTH)
-    bounds[-1] = n  # the last point may sit on the last bin's upper edge
-    sums = np.zeros((2, _TERMS, centres.size))
-    buf = np.empty(min(_SCREEN_BLOCK, n))
-    start = 0
-    for k, stop in enumerate(bounds.tolist()):
-        np.subtract(log_ln_x[start:stop], centres[k], out=work[start:stop])
-        for lo in range(start, stop, _SCREEN_BLOCK):
-            hi = min(lo + _SCREEN_BLOCK, stop)
-            b, d, w = base[lo:hi], work[lo:hi], buf[: hi - lo]
-            np.copyto(w, b)
-            for j in range(_TERMS):
-                sums[0, j, k] += w.sum()  # b d^j
-                sums[1, j, k] += np.dot(w, b)  # b^2 d^j
-                np.multiply(w, d, out=w)
-        start = stop
-    powers = np.arange(_TERMS)
-    inv_factorial = np.array([1.0 / math.factorial(j) for j in powers.tolist()])
 
-    def screened(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rms2, scale = np.empty(cand.size), np.empty(cand.size)
-        for lo in range(0, cand.size, _SCREEN_BATCH):
-            e = cand[lo : lo + _SCREEN_BATCH, None]
-            e_hi = e * 129.0
-            e_hi -= e_hi - e  # Veltkamp: e to 46 bits
-            e_lo = e - e_hi
-            taylor = np.power(-e, powers) * inv_factorial  # (-e)^j / j!
-            per_bin = taylor @ sums[0]
-            per_bin *= np.exp(-e_hi * centres)
-            per_bin *= 1.0 - e_lo * centres
-            m1 = per_bin.sum(axis=1) / n
-            per_bin = (taylor * 2.0**powers) @ sums[1]
-            per_bin *= np.exp(-2.0 * e_hi * centres)
-            per_bin *= 1.0 - 2.0 * e_lo * centres
-            m2 = per_bin.sum(axis=1) / n
-            c = np.clip(m1 / m2, *_C_BOUNDS)
-            rms2[lo : lo + e.size] = np.maximum(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0)
-            scale[lo : lo + e.size] = c * c * m2 + 2.0 * c * np.abs(m1) + 1.0
-        return rms2, scale
+    def __init__(self) -> None:
+        self.n = 0
+        self._sums = np.zeros((2, _TERMS, 0))  # S1 and S2 of bins 0, 1, ...
 
-    return screened
+    def feed(self, block: Block) -> None:
+        x, actual = block.x, block.actual
+        start = max(_first_nonzero(actual), int(np.searchsorted(x, 3)))
+        if start == len(block):
+            return
+        d = x[start:].astype(np.float64)  # x, then ln x, ln ln x and L - centre
+        base = d / actual[start:]
+        np.log(d, out=d)
+        np.log(d, out=d)
+        k = np.rint(d / _BIN_WIDTH)
+        d -= k * _BIN_WIDTH
+        k = k.astype(np.intp)
+        runs = np.flatnonzero(np.diff(k, prepend=-1))  # first row of each bin's run
+        bins = self._sums.shape[2]
+        if k[-1] >= bins:  # open the bins up to this block's last
+            self._sums = np.pad(self._sums, ((0, 0), (0, 0), (0, k[-1] + 1 - bins)))
+        per_run = np.empty((2, _TERMS, runs.size))
+        w = base.copy()
+        for j in range(_TERMS):
+            per_run[0, j] = np.add.reduceat(w, runs)  # b d^j
+            per_run[1, j] = np.add.reduceat(w * base, runs)  # b^2 d^j
+            w *= d
+        np.add.at(self._sums, (slice(None), slice(None), k[runs]), per_run)
+        self.n += base.size
+
+    def squared_errors(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each candidate e, the best c in [1e-3, 10] and the squared RMS
+        relative error it leaves, max(c^2 m2 - 2c m1 + 1, 0)."""
+        e = cand[:, None]
+        e_hi = e * 129.0
+        e_hi -= e_hi - e  # Veltkamp: e to 46 bits
+        e_lo = e - e_hi
+        centres = np.arange(self._sums.shape[2]) * _BIN_WIDTH
+        powers = np.arange(_TERMS)
+        inv_factorial = np.array([1.0 / math.factorial(j) for j in powers.tolist()])
+        taylor = np.power(-e, powers) * inv_factorial  # (-e)^j / j!
+        per_bin = taylor @ self._sums[0]
+        per_bin *= np.exp(-e_hi * centres)
+        per_bin *= 1.0 - e_lo * centres
+        m1 = per_bin.sum(axis=1) / self.n
+        per_bin = (taylor * 2.0**powers) @ self._sums[1]
+        per_bin *= np.exp(-2.0 * e_hi * centres)
+        per_bin *= 1.0 - 2.0 * e_lo * centres
+        m2 = per_bin.sum(axis=1) / self.n
+        c = np.clip(m1 / m2, *_C_BOUNDS)
+        return c, np.maximum(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0)

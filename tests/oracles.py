@@ -15,7 +15,9 @@ machinery:
 - irreducibles of Z[sqrt(-d)] by exact ring arithmetic and a divisor search
   over one element (``quad_is_irreducible``);
 - ``fit_model`` by its whole search with every candidate evaluated exactly
-  on masked copies of the series (``oracle_fit_model``);
+  from whole-array means over masked copies of the series
+  (``oracle_fit_model``), and its binned moments by those means
+  (``oracle_squared_error``);
 - ``mape`` and ``find_crossover`` by their bodies over whole ``blocks()``,
   every derived column computed (``oracle_mape``,
   ``oracle_find_crossover``);
@@ -400,34 +402,38 @@ def _divisors_by_trial(n: int) -> list[int]:
     return [m for m in small + large[::-1] if 1 < m < n]
 
 
-def oracle_squared_error(base, log_ln_x, e):
-    """Best in-bounds c at this e and the squared RMS relative error, from
-    whole-array means of u = base * exp(-e * log_ln_x), with the arithmetic
-    of fit_model's exact evaluation."""
-    u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
-    m1, m2 = float(u.mean()), float((u * u).mean())
-    c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
-    return c, max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0)
-
-
-def oracle_fit_model(series):
-    """The whole search of fit_model, every candidate evaluated exactly on
-    masked copies of the series: no screen, no work in place.  fit_model
-    screens each round and evaluates exactly only the near-ties, with the
-    same arithmetic, so the results must be equal to the last bit, not only
-    to the printed digits."""
+def oracle_fit_arrays(series):
+    """x/actual and ln ln x over the points that fit_model fits (actual >= 1
+    and x >= 3), from masked copies of the whole series."""
     xs = series.x
     mask = (series.actual >= 1) & (xs >= 3)
     if int(mask.sum()) < 8:
         raise ValueError("need at least 8 points with actual >= 1 and x >= 3")
     x = xs[mask].astype(np.float64)
-    act = series.actual[mask].astype(np.float64)
-    base = x / act
-    log_ln_x = np.log(np.log(x))
+    return x / series.actual[mask], np.log(np.log(x))
+
+
+def oracle_squared_error(base, log_ln_x, e):
+    """Best in-bounds c at this e, the squared RMS relative error, and its
+    scale c^2 m2 + 2c|m1| + 1 (which bounds the terms that make it up), from
+    whole-array means m1 and m2 of u = base * exp(-e * log_ln_x) and u^2."""
+    u = base * np.exp(-e * log_ln_x)  # model(x; c=1, e) / actual
+    m1, m2 = float(u.mean()), float((u * u).mean())
+    c = min(max(m1 / m2, analysis._C_BOUNDS[0]), analysis._C_BOUNDS[1])
+    return c, max(c * c * m2 - 2.0 * c * m1 + 1.0, 0.0), c * c * m2 + 2.0 * c * abs(m1) + 1.0
+
+
+def oracle_fit_model(series):
+    """The whole search of fit_model, every candidate evaluated exactly from
+    whole-array means over masked copies of the series, where fit_model
+    evaluates the binned moments of one pass.  The two objectives differ by
+    rounding alone, so the two searches may part where two candidates tie
+    to within it: e agrees to the search's precision, not to the last bit."""
+    base, log_ln_x = oracle_fit_arrays(series)
 
     def profiled(e):
         """Best in-bounds c at this e and the resulting RMS relative error."""
-        c, rms2 = oracle_squared_error(base, log_ln_x, e)
+        c, rms2, _ = oracle_squared_error(base, log_ln_x, e)
         return c, math.sqrt(rms2)
 
     e_grid = np.linspace(analysis._E_BOUNDS[0], analysis._E_BOUNDS[1], 101)

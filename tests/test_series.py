@@ -18,6 +18,7 @@ from oracles import (
     census_counts_at,
     hold,
     oracle_find_crossover,
+    oracle_fit_arrays,
     oracle_fit_model,
     oracle_mape,
     oracle_squared_error,
@@ -667,16 +668,44 @@ FIT_SERIES = {
     "x-below-3": lambda _: held(synthetic_series(0, 300)),  # x >= 3 sets the start
     "exactly-8-points": lambda _: held(synthetic_series(3, 11)),
     # the benchmark's classical fit: its two best candidates of the last bracket
-    # round lie 7e-16 apart in squared error, inside the screen's margin, so
-    # the exact step decides between them
+    # round lie 7e-16 apart in exact squared error
     "classical-1000000": lambda _: streamed(classical_census(1_000_000)),
 }
 
 
+def assert_finds_the_oracles_optimum(ser, whole):
+    """fit_model's e is the oracle's to the search's precision, and its exact
+    squared error is the oracle's least one to within rounding: the two
+    searches may part only where candidates tie to within it."""
+    fit, ref = fit_model(ser), oracle_fit_model(whole)
+    assert abs(fit.e - ref.e) <= 1e-5 * max(1.0, abs(ref.e)), (fit, ref)
+    base, log_ln_x = oracle_fit_arrays(whole)
+    _, ref_rms2, scale = oracle_squared_error(base, log_ln_x, ref.e)
+    assert oracle_squared_error(base, log_ln_x, fit.e)[1] <= ref_rms2 + 1e-15 * scale, (fit, ref)
+
+
+def assert_screened_error_is_the_exact_one(ser, whole):
+    """The squared error from the binned moments of one pass is within
+    1e-15 of its scale of the exact one, at 501 values of e in [-2, 3]."""
+    moments = analysis.FitMoments()
+    analysis.scan(ser, moments)
+    base, log_ln_x = oracle_fit_arrays(whole)
+    assert moments.n == base.size
+    es = np.linspace(-2.0, 3.0, 501)
+    for e, c, rms2 in zip(es.tolist(), *moments.squared_errors(es)):
+        ref_c, ref_rms2, scale = oracle_squared_error(base, log_ln_x, e)
+        assert abs(rms2 - ref_rms2) <= 1e-15 * scale, (e, (rms2 - ref_rms2) / scale)
+        assert c == pytest.approx(ref_c, rel=1e-14), e
+
+
 @pytest.mark.parametrize("name", sorted(FIT_SERIES))
-def test_fit_model_matches_oracle_bit_for_bit(tmp_path, name):
-    ser, whole = FIT_SERIES[name](tmp_path)
-    assert fit_model(ser) == oracle_fit_model(whole)
+def test_fit_model_finds_the_oracles_optimum(tmp_path, name):
+    assert_finds_the_oracles_optimum(*FIT_SERIES[name](tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(FIT_SERIES))
+def test_fit_screened_error_is_the_exact_one(tmp_path, name):
+    assert_screened_error_is_the_exact_one(*FIT_SERIES[name](tmp_path))
 
 
 SMALL_FITS = ("classical-20000", "exactly-8-points", "x-below-3", "zeros-and-x-below-3")
@@ -684,12 +713,14 @@ SMALL_FITS = ("classical-20000", "exactly-8-points", "x-below-3", "zeros-and-x-b
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
 @pytest.mark.parametrize("name", SMALL_FITS)
-def test_fit_model_is_the_oracles_at_any_block_size(tmp_path, monkeypatch, name, block_rows):
+def test_fit_model_finds_the_oracles_optimum_at_any_block_size(
+        tmp_path, monkeypatch, name, block_rows):
     """The fitted suffix may start in any block, after whole blocks of zero
-    counts or of x below 3, and its arrays are filled block by block."""
+    counts or of x below 3, and a bin's rows may span blocks: its sums
+    add up block by block."""
     monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
-    ser, whole = FIT_SERIES[name](tmp_path)
-    assert fit_model(ser) == oracle_fit_model(whole)
+    assert_finds_the_oracles_optimum(*FIT_SERIES[name](tmp_path))
+    assert_screened_error_is_the_exact_one(*FIT_SERIES[name](tmp_path))
 
 
 @settings(max_examples=60, deadline=None)
@@ -702,7 +733,8 @@ def test_fit_model_is_the_oracles_at_any_block_size(tmp_path, monkeypatch, name,
     decades=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fit_model_matches_oracle_on_synthetic_series(c0, e0, noise, zeros, n, decades, seed):
+def test_fit_model_finds_the_oracles_optimum_on_synthetic_series(
+        c0, e0, noise, zeros, n, decades, seed):
     """Noisy model counts c0 * x / (ln x)^e0 with leading zeros, on up to
     3,000 points spread over up to four more decades than points."""
     xs = np.unique(np.geomspace(1, n * 10**decades, n).astype(np.int64))
@@ -712,62 +744,19 @@ def test_fit_model_matches_oracle_on_synthetic_series(c0, e0, noise, zeros, n, d
     actual[:zeros] = 0
     ser = HeldSeries(xs, actual)
     try:
-        expected = oracle_fit_model(ser)
+        oracle_fit_model(ser)
     except ValueError:
         with pytest.raises(ValueError):
             fit_model(ser.stream())
     else:
-        assert fit_model(ser.stream()) == expected
+        assert_finds_the_oracles_optimum(ser.stream(), ser)
+        assert_screened_error_is_the_exact_one(ser.stream(), ser)
 
 
-def screen_through(monkeypatch, hook):
-    """Make each screened round of fit_model return
-    hook(base, log_ln_x, cand, rms2, scale) in place of (rms2, scale)."""
-    screen = analysis._moment_screen
-
-    def hooked(base, log_ln_x, work):
-        screened = screen(base, log_ln_x, work)
-        return lambda cand: hook(base, log_ln_x, cand, *screened(cand))
-
-    monkeypatch.setattr(analysis, "_moment_screen", hooked)
-
-
-@pytest.mark.parametrize("name", sorted(FIT_SERIES))
-def test_fit_screen_error_is_a_hundredth_of_its_margin(tmp_path, monkeypatch, name):
-    """Every e the search screens has a screened squared error within
-    _TAU / 100 of its scale of the exact one, so the margin that decides
-    which candidates are evaluated exactly keeps a 100-fold headroom."""
-    errors = []
-
-    def record(base, log_ln_x, cand, rms2, scale):
-        for e, r2, s in zip(cand.tolist(), rms2, scale):
-            errors.append(abs(r2 - oracle_squared_error(base, log_ln_x, e)[1]) / s)
-        return rms2, scale
-
-    screen_through(monkeypatch, record)
-    fit_model(FIT_SERIES[name](tmp_path)[0])
-    assert len(errors) > 101 and max(errors) <= analysis._TAU / 100, max(errors)
-
-
-@pytest.mark.parametrize("name", sorted(FIT_SERIES))
-def test_fit_model_is_exact_for_any_screen_error_within_the_margin(tmp_path, monkeypatch, name):
-    """The exact step, not the screen's accuracy, picks each round's best:
-    with every screened squared error moved by up to _TAU / 2 of its scale,
-    the fit is still the oracle's to the last bit."""
-    rng = np.random.default_rng(0)
-
-    def shake(base, log_ln_x, cand, rms2, scale):
-        return rms2 + rng.uniform(-0.5, 0.5, cand.size) * analysis._TAU * scale, scale
-
-    screen_through(monkeypatch, shake)
-    ser, whole = FIT_SERIES[name](tmp_path)
-    assert fit_model(ser) == oracle_fit_model(whole)
-
-
-def test_streamed_fit_memory_is_three_arrays_one_window_and_one_block():
+def test_streamed_fit_memory_is_one_window_and_one_block():
     """The census and its streamed series are made inside the traced span:
-    the fit's pass holds one sieve window and one block besides its three
-    float64 arrays, 24 bytes a point, and no count per point."""
+    the fit's pass holds one sieve window and one block's columns, a
+    constant per COUNT_BLOCK row (52 B measured), and no array per point."""
     tracemalloc.start()
     try:
         ser = stream_series(gaussian_census(10**6, "both-axes"))
@@ -775,25 +764,25 @@ def test_streamed_fit_memory_is_three_arrays_one_window_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = len(ser)
     window = min(sieve.SEGMENT_SIZE, 10**6)  # one bool per norm
-    block = 12 * sieve.COUNT_BLOCK  # a block's points and counts
-    assert n > 10**6 - 10
-    assert peak <= 24 * n + window + block + 64 * 1024, (peak - 24 * n) / 1024
+    assert len(ser) > 10**6 - 10
+    assert peak <= window + 64 * sieve.COUNT_BLOCK, (peak - window) / sieve.COUNT_BLOCK
 
 
 def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
     """read_series_csv makes x and actual once, 16 bytes a row, and holds
     besides them only one block's lines and parsed rows, whatever the row
-    count; the fit then adds its three arrays, 24 bytes a row."""
+    count; the fit then adds one block's columns, a constant per
+    COUNT_BLOCK row (40 B measured), and no array per row."""
     path = tmp_path / "series.csv"
     write_series_csv(build_series(gaussian_census(10**6, "both-axes")), path)
     tracemalloc.start()
     try:
         ser = read_series_csv(path)
         held, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         fit_model(ser)
-        peak = tracemalloc.get_traced_memory()[1]
+        fit_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n = len(ser)
@@ -803,7 +792,7 @@ def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
     # about 10 bytes a block character: the text read, its lines and their parsed rows
     block = 12 * report._READ_BLOCK_CHARS
     assert read_peak <= 16 * n + block, (read_peak - 16 * n) / report._READ_BLOCK_CHARS
-    assert peak <= 40 * n + 64 * 1024, peak / n
+    assert fit_peak <= held + 64 * sieve.COUNT_BLOCK, (fit_peak - held) / sieve.COUNT_BLOCK
 
 
 class Tiles:
