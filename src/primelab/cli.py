@@ -11,11 +11,12 @@ Every command reads its census once, block by block
 its statistics, and the series CSV writer and the chart when they are asked
 for.  So monoid, table1, gauss and table2 never hold a count per point:
 their memory is one sieve window and one block, whatever the bound; so
-is fit --domain's, whose pass sums the fit's binned moments.  Every
-output a command is given is created, in the order the command names
-them, before its census's first window, so an unwritable path exits 4
-before the first printed line; the series CSV is written during the
-pass, the printed lines and the other files after it.
+is fit's, whose pass sums the fit's binned moments, read from a census or
+a CSV.  Every output a command is given is created, in the order the
+command names them, before its census's first window, so an unwritable
+path exits 4 before the first printed line; the series CSV is written
+during the pass, the printed lines and the other files after it (fit's
+--csv, which may name the --from-csv input, is not emptied until then).
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def _monoid_summary(census: monoid.MonoidCensus, total: int, mape_pct: float, ev
 def _cmd_monoid(args) -> int:
     census = _census("monoid", args)
     ser = analysis.stream_series(census)
-    total, error = analysis.Total(), analysis.Mape(ser)
+    total, error = analysis.Total(), analysis.Mape()
     writers = _scan(args, ser, total, error)
     eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
     row = _monoid_summary(census, total.value, error.result()[0], eval_x)
@@ -278,7 +279,7 @@ def _cmd_monoid(args) -> int:
 def _cmd_gauss(args) -> int:
     census = _census("gauss", args)
     ser = analysis.stream_series(census)
-    total, error = analysis.Total(), analysis.Mape(ser)
+    total, error = analysis.Total(), analysis.Mape()
     writers = _scan(args, ser, total, error)
     row = report.MapeSummary(args.norm_limit, error.result()[0])
     print(
@@ -320,7 +321,8 @@ def _fit_series(args) -> analysis.Series:
 
 def _cmd_fit(args) -> int:
     ser = _fit_series(args)
-    _create(args.csv)  # after --from-csv is read whole, so that --csv may name it
+    if args.csv is not None:
+        open(args.csv, "ab").close()  # not emptied: write_csv replaces it after the pass
     result = analysis.fit_model(ser)
     print(
         f"fit {ser.label()}: c={result.c:.6g} e={result.e:.6g} "
@@ -342,7 +344,7 @@ def _cmd_table1(args) -> int:
     for d in TABLE1_MODULI:
         census = monoid.monoid_census(monoid.MonoidParams(d=d, limit=TABLE1_LIMIT))
         ser = analysis.stream_series(census)
-        total, error = analysis.Total(), analysis.Mape(ser)
+        total, error = analysis.Total(), analysis.Mape()
         chart = argparse.Namespace(svg=charts.get(d))
         writers = _scan(chart, ser, total, error)
         row = _monoid_summary(census, total.value, error.result()[0], census.change_grid()[-1])
@@ -359,7 +361,7 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     census = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
     ser = analysis.stream_series(census)
-    error = analysis.Mape(ser, TABLE2_BOUNDS)
+    error = analysis.Mape(TABLE2_BOUNDS)
     writers = _scan(args, ser, error)
     rows = [report.MapeSummary(bound, pct) for bound, pct in zip(TABLE2_BOUNDS, error.result())]
     for row in rows:

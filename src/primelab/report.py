@@ -13,22 +13,14 @@ into the bytes that the printf-style row format _SERIES_ROW would print,
 and written to the file as it is made.  Rows where that arithmetic cannot
 be sure of a rounding (near a .5 tie, infinite or negative fields, extreme
 exponents) are printed by _SERIES_ROW itself; _format_rows states the rule.
-The chart keeps the counts of the at most MAX_POLYLINE_POINTS + 1 rows it
-draws and evaluates the estimate at those rows alone.
+The chart keeps the points and counts of the at most MAX_POLYLINE_POINTS + 1
+rows it draws and evaluates the estimate at those rows alone.
 
-A series CSV is read back in two passes over blocks of _READ_BLOCK_CHARS
-characters.  The first counts the lines, so that x and actual are each made
-once.  The second hands each block's whole lines to numpy's C parser
-(np.loadtxt) as a list of strings: first as they are, then, if numpy
-rejects them, with empty fields rewritten to nan, and only if that fails
-too one line at a time, to find the bad line.  Every field is parsed, so
-that a bad one is caught, but only x and actual are kept: the fit reads
-nothing else.  The reader holds 16 bytes a row and one block's lines and
-parsed rows.  A bad header, a row of the wrong width or an unparsable field
-raises ValueError naming the path and the 1-based line of the file.  The
-order of x and actual is checked COUNT_BLOCK pairs at a time, and the
-series it returns is x and the COUNT_BLOCK slices of actual
-(sieve.count_blocks), read once like every series.
+A series CSV is read back as a source of blocks (read_series_csv): the call
+counts its rows, and the series' pass parses the file _READ_BLOCK_CHARS
+characters at a time (_parse_block) and hands on x and actual, the columns
+the fit reads, COUNT_BLOCK rows at a time, so the reader holds one block of
+each, whatever the rows.
 """
 
 from __future__ import annotations
@@ -279,36 +271,62 @@ def _digits(v, always: int, trailing: bool = False):
 
 
 def read_series_csv(path) -> Series:
-    """Read back the points and counts of a series CSV, labelled source=csv
-    (the file holds its five columns and nothing else), with no estimator.
+    """The points and counts of a series CSV, labelled source=csv (the file
+    holds its five columns and nothing else), with no estimator.
 
-    Every field is parsed: a bad header, a row that is not five fields, or a
-    field that does not parse (x and actual as integers, the rest as floats,
-    empty meaning NaN) raises ValueError naming the path and the 1-based line
-    of the file; x out of order or a falling count names the path.  Blank
-    lines are skipped.  Text that does not decode raises UnicodeDecodeError,
-    naming no line, before any bad line is reported.
-
-    The file is read in two passes, _READ_BLOCK_CHARS characters at a time.
-    The first counts the lines, so that x and actual are each made once as
-    int64 arrays, a slot a line, and are cut short only when blank lines
-    were skipped.  The second parses the whole lines of each block in up to
-    three steps (_parse_block): numpy gets them as they are, then with empty
-    fields written as nan, then one at a time to name the bad line.  x and
-    actual are copied into their slots and made read-only, so the reader
-    holds 16 bytes a row and one block's text, lines and parsed rows."""
+    The call checks the header, decodes the text (UnicodeDecodeError, naming
+    no line) and counts the rows as a quarter of the commas: a row that
+    parses is five fields, and a blank line, which is skipped, has none.
+    The series' pass parses every field (_read_blocks): a row that is not
+    five fields, or a field that does not parse (x and actual as integers,
+    the rest as floats, empty meaning NaN) raises ValueError naming the path
+    and the 1-based line of the file; a bad header, x out of order or a
+    falling count, the path alone."""
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != SERIES_HEADER:
             raise ValueError(f"{path} is not a series CSV (bad header)")
-        line_count, last = 0, "\n"
-        for last in iter(lambda: f.read(_READ_BLOCK_CHARS), ""):
-            line_count += last.count("\n")
-        if last[-1] != "\n":
-            line_count += 1  # the last line has no newline
-        x, actual = np.empty(line_count, dtype=np.int64), np.empty(line_count, dtype=np.int64)
-        f.seek(0)
-        f.readline()  # the header, checked above
-        rows, line_no, carry = 0, 2, ""
+        commas = sum(text.count(",") for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""))
+    return Series(commas // 4, _read_blocks(path, sieve.COUNT_BLOCK), metadata={"source": "csv"})
+
+
+def _read_blocks(path, size: int):
+    """The rows of the series CSV at path as blocks (lo, x, actual) of size
+    rows from row 0, in two buffers that each block overwrites.  Each read
+    block's x and actual are checked against the row before; no block is
+    handed on past a row out of order, but the lines go on being parsed, so
+    that a bad line anywhere raises first, and the order fault is raised
+    after the last line, x's before actual's."""
+    x, actual = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    lo = filled = 0
+    ordered, last = [True, True], np.empty(0, dtype=_SERIES_DTYPE)  # last: the row before
+    for data in _parsed_blocks(path):
+        for i, (name, follows) in enumerate((("x", np.greater), ("actual", np.greater_equal))):
+            col = data[name]
+            ordered[i] &= bool(follows(col[1:], col[:-1]).all())
+            ordered[i] &= bool(follows(col[:1], last[name]).all())  # none before row 0
+        last = data[-1:] if len(data) else last
+        while all(ordered) and len(data):
+            n = min(size - filled, len(data))
+            x[filled : filled + n] = data["x"][:n]
+            actual[filled : filled + n] = data["actual"][:n]
+            data, filled = data[n:], filled + n
+            if filled == size:
+                yield lo, x, actual
+                lo, filled = lo + size, 0
+    if not ordered[0]:
+        raise ValueError(f"{path}: x must be strictly increasing")
+    if not ordered[1]:
+        raise ValueError(f"{path}: actual must be nondecreasing")
+    if filled:
+        yield lo, x[:filled], actual[:filled]
+
+
+def _parsed_blocks(path):
+    """The parsed rows of the series CSV at path past its header: the whole
+    lines of each _READ_BLOCK_CHARS characters read, by _parse_block."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()  # the header, checked by read_series_csv
+        line_no, carry = 2, ""
         for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""):
             text = carry + text
             cut = text.rfind("\n")
@@ -316,41 +334,11 @@ def read_series_csv(path) -> Series:
                 carry = text
                 continue
             block = text[:cut].split("\n")
-            rows = _store(_parse_block(path, block, line_no), x, actual, rows)
+            yield _parse_block(path, block, line_no)
             line_no += len(block)
             carry = text[cut + 1 :]
         if carry:
-            rows = _store(_parse_block(path, [carry], line_no), x, actual, rows)
-    if rows < line_count:  # blank lines were skipped
-        x, actual = x[:rows].copy(), actual[:rows].copy()
-    x.setflags(write=False)
-    actual.setflags(write=False)
-    if not _in_order(x, np.greater):
-        raise ValueError(f"{path}: x must be strictly increasing")
-    if not _in_order(actual, np.greater_equal):
-        raise ValueError(f"{path}: actual must be nondecreasing")
-    return Series(x, sieve.count_blocks(actual), metadata={"source": "csv"})
-
-
-def _in_order(a: np.ndarray, follows: np.ufunc) -> bool:
-    """Whether follows(a[i + 1], a[i]) holds for every i, checked
-    COUNT_BLOCK pairs at a time so that no temporary grows with the length
-    of a."""
-    rows = sieve.COUNT_BLOCK
-    for lo in range(0, len(a) - 1, rows):
-        block = a[lo : lo + rows + 1]
-        if not follows(block[1:], block[:-1]).all():
-            return False
-    return True
-
-
-def _store(data, x, actual, rows: int) -> int:
-    """Copy the x and actual of the parsed rows data into their slots from
-    rows on, and return the rows filled."""
-    end = rows + len(data)
-    x[rows:end] = data["x"]
-    actual[rows:end] = data["actual"]
-    return end
+            yield _parse_block(path, [carry], line_no)
 
 
 def _parse_block(path, lines: list[str], line_no: int):
@@ -418,26 +406,30 @@ def svg_text(series: Series) -> str:
 
 
 class Chart:
-    """The chart of a series, as a reducer: it keeps the counts of the rows
-    it draws, every row up to MAX_POLYLINE_POINTS, else every stride-th row
-    and the last, which follow from the series' length; text() evaluates the
-    estimate at those rows alone, and finish() writes the chart to path."""
+    """The chart of a series, as a reducer: it keeps the points and counts
+    of the rows it draws, every row up to MAX_POLYLINE_POINTS, else every
+    stride-th row and the last, which follow from the series' length;
+    text() evaluates the estimate at those rows alone, and finish() writes
+    the chart to path."""
 
     def __init__(self, series: Series, path=None) -> None:
         if len(series) == 0:
             raise ValueError("cannot render an empty series")
         self._series, self._path = series, path
         self._drawn = _thin_indices(len(series))
+        self._x: list[np.ndarray] = []
         self._actual: list[np.ndarray] = []
 
     def feed(self, block) -> None:
         lo, hi = np.searchsorted(self._drawn, (block.lo, block.lo + len(block)))
         if hi > lo:
-            self._actual.append(block.actual[self._drawn[lo:hi] - block.lo])
+            rows = self._drawn[lo:hi] - block.lo
+            self._x.append(_points_at(block.points, rows))
+            self._actual.append(block.actual[rows])
 
     def text(self) -> str:
         series = self._series
-        x, actual = _points_at(series.grid, self._drawn), np.concatenate(self._actual)
+        x, actual = np.concatenate(self._x), np.concatenate(self._actual)
         return _svg(series.label(), x, actual, Block(0, x, actual, series.estimator).est)
 
     def finish(self) -> None:

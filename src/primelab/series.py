@@ -5,17 +5,18 @@ own ``estimate``, which is defined for x > 1 alone.  The censuses that
 have one (monoid, Gaussian) start their grids past the unit, at a point
 that is always prime, so a series is its census, row for row.
 
-A Series is a grid of points and a stream of blocks of counts, read once.
-It comes from one of three sources:
+A Series is a length and a stream of blocks of points and their counts,
+read once.  It comes from one of three sources:
 
-- stream_series(census): the census's grid and running_blocks() as they
-  are.  The classical, monoid and Gaussian censuses yield their blocks
-  from the sieve windows, so a pass holds one window of flags and one
-  block of counts, never a count per point; the quadratic census yields
-  COUNT_BLOCK slices of its whole array.
-- report.read_series_csv: the points and counts of a series CSV, in
-  COUNT_BLOCK slices (sieve.count_blocks).
-- scripts/quad_growth.thin: chosen points of a quadratic census, likewise.
+- stream_series(census): the census's running_blocks() as they are, with
+  the slices of its grid (grid_blocks).  The classical, monoid and
+  Gaussian censuses yield their blocks from the sieve windows, so a pass
+  holds one window of flags and one block of counts, never a count per
+  point; the quadratic census yields COUNT_BLOCK slices of its whole array.
+- report.read_series_csv: the points and counts of a series CSV, parsed
+  during the pass and handed on COUNT_BLOCK rows at a time.
+- scripts/quad_growth.thin: chosen points of a quadratic census, in
+  COUNT_BLOCK slices (sieve.count_blocks) with the slices of those points.
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in the series' one pass, block by block: Total, Mape
@@ -49,19 +50,19 @@ _NO_PRIMES = "census holds no primes; no point to compare with its estimate"
 
 
 class Block:
-    """Rows lo to lo + len(actual) of a series.  x, the estimate and pct_err
-    are each computed the first time they are read, for these rows alone."""
+    """Rows lo to lo + len(actual) of a series, at ``points``: x, the estimate
+    and pct_err of these rows alone are each computed when first read."""
 
-    def __init__(self, lo: int, grid: range | np.ndarray, actual: np.ndarray,
+    def __init__(self, lo: int, points: range | np.ndarray, actual: np.ndarray,
                  estimator: Estimator | None) -> None:
-        self.lo, self.grid, self.actual, self._estimator = lo, grid, actual, estimator
+        self.lo, self.points, self.actual, self._estimator = lo, points, actual, estimator
 
     def __len__(self) -> int:
         return len(self.actual)
 
     @functools.cached_property
     def x(self) -> np.ndarray:
-        return _points(self.grid)
+        return _points(self.points)
 
     @functools.cached_property
     def est(self) -> np.ndarray:
@@ -85,21 +86,22 @@ class Block:
 
 
 class Series:
-    """A series: ``grid``, its points, increasing (a range, or an int64
-    array); ``blocks``, its counts as (lo, actual) runs in order from row 0,
-    nondecreasing, read once; ``estimator``, which maps int64 points to one
-    estimate each (None: NaN at every point); and ``metadata``.  Making one
-    reads no block, and scan feeds each block to the reducers as it comes:
-    scan it with every reducer, since a second pass raises RuntimeError."""
+    """A series: ``length``, its number of rows; ``blocks``, its rows as
+    (lo, points, actual) runs in order from row 0, read once, the points
+    increasing (a range, or an int64 array) and the counts nondecreasing;
+    ``estimator``, which maps int64 points to one estimate each (None: NaN
+    at every point); and ``metadata``.  Making one reads no block, and scan
+    feeds each block to the reducers as it comes: scan it with every
+    reducer, since a second pass raises RuntimeError."""
 
-    def __init__(self, grid: range | np.ndarray, blocks: Iterable[tuple[int, np.ndarray]],
+    def __init__(self, length: int, blocks: Iterable[tuple[int, range | np.ndarray, np.ndarray]],
                  estimator: Estimator | None = None,
                  metadata: Mapping[str, str] | None = None) -> None:
-        self.grid, self.estimator, self.metadata = grid, estimator, metadata or {}
+        self._length, self.estimator, self.metadata = length, estimator, metadata or {}
         self._blocks_left = blocks
 
     def __len__(self) -> int:
-        return len(self.grid)
+        return self._length
 
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.metadata.items())
@@ -108,8 +110,8 @@ class Series:
         blocks, self._blocks_left = self._blocks_left, None
         if blocks is None:
             raise RuntimeError("a streamed series is read once; scan it with every reducer")
-        for lo, actual in blocks:
-            yield Block(lo, self.grid[lo : lo + len(actual)], actual, self.estimator)
+        for lo, points, actual in blocks:
+            yield Block(lo, points, actual, self.estimator)
 
 
 def _points(grid: range | np.ndarray) -> np.ndarray:
@@ -118,9 +120,9 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
     return grid
 
 
-def _points_at(grid: range | np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _points_at(points: range | np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The points at the positions idx, an int64 array."""
-    return grid.start + idx * grid.step if isinstance(grid, range) else grid[idx]
+    return points.start + idx * points.step if isinstance(points, range) else points[idx]
 
 
 def _pct_err(actual: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -140,14 +142,21 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
+def grid_blocks(grid: range | np.ndarray, blocks):
+    """The blocks (lo, grid[lo : lo + len(actual)], actual) of the count
+    blocks (lo, actual) on grid."""
+    return ((lo, grid[lo : lo + len(actual)], actual) for lo, actual in blocks)
+
+
 def stream_series(census) -> Series:
-    """A census's series, its change_grid(), running_blocks() and estimate
-    as they are, so a pass holds what the census's blocks hold; a census
-    with an estimate and no point raises ValueError."""
+    """A census's series, its running_blocks() on its change_grid() and its
+    estimate as they are, so a pass holds what the census's blocks hold; a
+    census with an estimate and no point raises ValueError."""
     grid = census.change_grid()
     if census.estimate is not None and not grid:
         raise ValueError(_NO_PRIMES)
-    return Series(grid, census.running_blocks(), census.estimate, census.describe())
+    blocks = grid_blocks(grid, census.running_blocks())
+    return Series(len(grid), blocks, census.estimate, census.describe())
 
 
 def scan(series: Series, *reducers) -> None:
@@ -183,29 +192,25 @@ class Mape:
     ends inside a block sums that block's rows up to it alone.  So each
     bound gets the sums of a pass that stops at it, which are its bits."""
 
-    def __init__(self, series: Series, bounds=(None,)) -> None:
-        self._stops = [len(series) if upto is None else bisect.bisect_right(series.grid, upto)
-                       for upto in bounds]
-        self._end = max(self._stops)
-        self._sums: list[tuple[int, float, int]] = []  # (hi, sum, count) of each whole block
-        self._partial: list[tuple[float, int] | None] = [None] * len(self._stops)
+    def __init__(self, bounds=(None,)) -> None:
+        self._bounds = list(bounds)
+        self._parts = [[] for _ in self._bounds]  # (sum, count) of each bound's rows per block
 
     def feed(self, block: Block) -> None:
-        lo, hi = block.lo, block.lo + len(block)
-        if lo >= self._end:
-            return
-        for i, stop in enumerate(self._stops):
-            if lo < stop < hi:
-                self._partial[i] = _defined_sum(block.pct_err[: stop - lo])
-        if hi <= self._end:
-            self._sums.append((hi, *_defined_sum(block.pct_err)))
+        whole = None
+        for upto, parts in zip(self._bounds, self._parts):
+            stop = len(block) if upto is None else bisect.bisect_right(block.points, upto)
+            if stop == len(block):
+                if whole is None:
+                    whole = _defined_sum(block.pct_err)
+                parts.append(whole)
+            elif stop > 0:
+                parts.append(_defined_sum(block.pct_err[:stop]))
 
     def result(self) -> list[float]:
         """The MAPE at each bound, in order."""
         out = []
-        for stop, partial in zip(self._stops, self._partial):
-            parts = [(total, count) for hi, total, count in self._sums if hi <= stop]
-            parts += [partial] if partial is not None else []
+        for parts in self._parts:
             count = sum(count for _, count in parts)
             if count == 0:
                 raise ValueError("series has no points with a defined percentage error")
@@ -251,7 +256,7 @@ class Crossover:
 def mape(series: Series, upto: int | None = None) -> float:
     """Mean absolute percentage error over the points that carry an error
     value (only those with x <= upto, when given): a pass of one Mape."""
-    error = Mape(series, (upto,))
+    error = Mape((upto,))
     scan(series, error)
     return error.result()[0]
 

@@ -15,7 +15,7 @@ blocks, and ``running_blocks()`` streams them: a pass holds one window of
 flags and one block of counts whatever the bound, and no census of theirs
 holds its counts whole.  The quadratic census alone does, from bound 1,
 and its ``running_blocks()`` yields COUNT_BLOCK slices of them
-(``count_blocks``, which also cuts the counts of a series read from a CSV).
+(``count_blocks``).
 All four are a ``Census``, with one interface: ``change_grid``,
 ``running_blocks`` (the count at each grid point, in order), ``describe``,
 ``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,

@@ -140,7 +140,8 @@ class HeldSeries:
 
     def stream(self) -> Series:
         """A fresh package Series over the held points and counts."""
-        return Series(self.grid, count_blocks(self.actual), self.estimator, self.metadata)
+        blocks = analysis.grid_blocks(self.grid, count_blocks(self.actual))
+        return Series(len(self.grid), blocks, self.estimator, self.metadata)
 
     def blocks(self):
         """The five columns of each block of a pass, in order."""
@@ -148,11 +149,14 @@ class HeldSeries:
 
 
 def hold(series: Series) -> HeldSeries:
-    """A package Series held whole: its one pass read, each block's counts
-    copied into one array (an empty series' is int64)."""
-    blocks = [block.actual.copy() for block in series._blocks()]
-    actual = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return HeldSeries(series.grid, actual, series.estimator, series.metadata)
+    """A package Series held whole: its one pass read, each block's points
+    and counts copied into one array each (an empty series' are int64)."""
+    points, counts = [], []  # copies: a block's arrays may be overwritten by the next
+    for block in series._blocks():
+        points.append(block.x.copy())
+        counts.append(block.actual.copy())
+    x, actual = (np.concatenate(v) if v else np.empty(0, dtype=np.int64) for v in (points, counts))
+    return HeldSeries(x, actual, series.estimator, series.metadata)
 
 
 def series_rows(series: HeldSeries, lo: int = 0, hi: int | None = None):

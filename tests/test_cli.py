@@ -244,8 +244,9 @@ def test_unwritable_output_is_refused_in_under_a_second(argv, tmp_path, capsys, 
 
 
 def test_fit_may_overwrite_its_input_csv(tmp_path, capsys):
-    """fit --from-csv reads its input whole before it creates --csv, so the
-    two may name one file: the series is fitted, then replaced by the fit."""
+    """fit creates --csv before its pass without emptying it, and its pass
+    reads --from-csv, so the two may name one file: the series is fitted,
+    then replaced by the fit."""
     series = tmp_path / "s.csv"
     assert run(["monoid", "--d", "3", "--limit", "5000", "--series-csv", str(series)], capsys)[0] == 0
     code, line, _ = run(["fit", "--from-csv", str(series)], capsys)

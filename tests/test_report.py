@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from primelab import (
     FitResult,
     Series,
     classical_census,
+    fit_model,
     gaussian_census,
 )
 from primelab import report, sieve
@@ -34,6 +36,7 @@ from primelab.report import (
     svg_text,
     write_csv,
 )
+from primelab.series import scan
 
 
 def series_csv_text(series: HeldSeries) -> str:
@@ -92,19 +95,22 @@ def test_series_round_trip(tmp_path):
     # the estimate, ratio and error columns are parsed but not kept: a CSV names no estimator
 
 
-def test_series_read_from_csv_is_read_only(tmp_path):
+def test_series_read_from_csv_blocks_bring_their_points(tmp_path, monkeypatch):
+    """Each block of the pass holds its own points and counts as int64, in
+    two buffers of COUNT_BLOCK rows, not slices of whole columns."""
     path = tmp_path / "series.csv"
     write_series_csv(small_series(), path)
-    back = read_series_csv(path)
-    blocks = [block.actual for block in back._blocks()]
-    for column in (back.grid, *blocks):
-        assert not column.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 99
-    # 8 bytes a row each, no parsed rows behind them: the blocks are slices of one array
-    actual = blocks[0].base
-    for column in (back.grid, actual):
-        assert column.flags.owndata and column.dtype == np.int64 and len(column) == len(back)
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 2)
+    blocks = []
+
+    def feed(block):
+        for column in (block.x, block.actual):
+            assert column.dtype == np.int64
+            assert (column if column.base is None else column.base).size == sieve.COUNT_BLOCK
+        blocks.append((block.lo, block.x.tolist(), block.actual.tolist()))
+
+    scan(read_series_csv(path), SimpleNamespace(feed=feed))
+    assert blocks == [(0, [3, 7], [2, 4]), (2, [12], [8])]
 
 
 @pytest.mark.parametrize(
@@ -124,7 +130,7 @@ def test_read_series_csv_names_the_bad_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"x,actual,estimate,ratio,abs_pct_err\n2,1,0.5,2.00000,50.00000\n{row}\n")
     with pytest.raises(ValueError, match=r"bad\.csv line 3: "):
-        read_series_csv(path)
+        hold(read_series_csv(path))
 
 
 @pytest.mark.parametrize(
@@ -139,7 +145,7 @@ def test_read_series_csv_order_errors_name_the_file(tmp_path, rows, reason):
     path = tmp_path / "bad.csv"
     path.write_text(f"{SERIES_HEADER}\n{rows}")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}$"):
-        read_series_csv(path)
+        hold(read_series_csv(path))
 
 
 def test_fit_csv_format(tmp_path):
@@ -469,7 +475,7 @@ def test_read_series_csv_line_number_counts_blank_lines(tmp_path):
         tmp_path, f"{SERIES_HEADER}\n2,1,0.5,2.00000,50.00000\n\n3,one,0.5,2.0,50.0\n"
     )
     with pytest.raises(ValueError, match=r"bad\.csv line 4: "):
-        read_series_csv(path)
+        hold(read_series_csv(path))
 
 
 def test_read_series_csv_names_a_bad_line_deep_in_the_file(tmp_path):
@@ -477,7 +483,7 @@ def test_read_series_csv_names_a_bad_line_deep_in_the_file(tmp_path):
     rows[70_000] = "70002,1,0.5\n"  # file line 70_002, past numpy's first batches
     path = write_series_file(tmp_path, SERIES_HEADER + "\n" + "".join(rows))
     with pytest.raises(ValueError, match=r"bad\.csv line 70002: "):
-        read_series_csv(path)
+        hold(read_series_csv(path))
 
 
 def test_read_series_csv_rejects_bad_header(tmp_path):
@@ -491,8 +497,8 @@ def test_read_series_csv_header_only_is_empty_without_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = read_series_csv(path)
-    assert len(back) == 0
-    assert back.grid.dtype == np.int64 and list(back._blocks()) == []
+        blocks = list(back._blocks())
+    assert len(back) == 0 and blocks == []
 
 
 def test_read_series_csv_last_row_without_newline_keeps_empty_fields(tmp_path):
@@ -543,9 +549,9 @@ def read_outcome(read, path):
     """x and actual as lists, or the type and message of the error."""
     try:
         ser = read(path)
+        ser = hold(ser) if isinstance(ser, Series) else ser  # the oracle's is held
     except ValueError as exc:
         return type(exc), str(exc)
-    ser = hold(ser) if isinstance(ser, Series) else ser  # the oracle's is held
     return ser.x.tolist(), ser.actual.tolist()
 
 
@@ -597,6 +603,66 @@ def test_read_series_csv_blocks_read_as_the_oracle(tmp_path, monkeypatch, name, 
     path.write_bytes(f"{SERIES_HEADER}\n{READ_BODIES[name]}".encode())
     x, actual = assert_reads_as_the_oracle(monkeypatch, path, block_chars)
     assert [x, actual] == [col.tolist() for col in oracle_read_series_columns(path)[:2]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, sieve.COUNT_BLOCK])
+@pytest.mark.parametrize("block_chars", READ_BLOCK_CHARS)
+def test_read_series_csv_faults_keep_their_precedence(tmp_path, monkeypatch, block_chars, block_rows):
+    """x out of order wins over a falling count found before it, and a bad
+    line over both, in whichever blocks each lies, as in the oracle, which
+    parses every line before it checks the order."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
+    path = tmp_path / "faults.csv"
+    falls = [f"{x},{x},,," for x in range(2, 30)]
+    falls[3] = "5,1,,,"  # the count falls at file line 5
+    repeats = [*falls[:20], falls[19], *falls[21:]]  # then x repeats at line 22
+    bad = [*repeats[:25], "27,one,,,", *repeats[26:]]  # then line 27 does not parse
+    for rows, start in ((falls, f"{path}: actual must be nondecreasing"),
+                        (repeats, f"{path}: x must be strictly increasing"),
+                        (bad, f"{path} line 27: ")):
+        path.write_text(SERIES_HEADER + "\n" + "\n".join(rows) + "\n")
+        kind, message = assert_reads_as_the_oracle(monkeypatch, path, block_chars)
+        assert kind is ValueError and message.startswith(start), message
+
+
+def fit_outcome(ser):
+    """The repr of the fit of ser, or the type and message of its error."""
+    try:
+        return repr(fit_model(ser))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, sieve.COUNT_BLOCK])
+@pytest.mark.parametrize("block_chars", READ_BLOCK_CHARS)
+@pytest.mark.parametrize("name", sorted(READ_BODIES))
+def test_read_series_csv_blocks_tile_the_rows_and_fit_as_the_held_series(
+        tmp_path, monkeypatch, name, block_chars, block_rows):
+    """The pass hands the rows on in COUNT_BLOCK runs from row 0, as many
+    as len() gave before it, blank lines or not, and its fit is that of the
+    series held whole, cut in the same blocks, to the bit."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
+    monkeypatch.setattr(report, "_READ_BLOCK_CHARS", block_chars)
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"{SERIES_HEADER}\n{READ_BODIES[name]}".encode())
+    ser, tiles = read_series_csv(path), []
+    rows = len(ser)
+    scan(ser, SimpleNamespace(feed=lambda block: tiles.append((block.lo, len(block)))))
+    assert tiles == [(lo, min(block_rows, rows - lo)) for lo in range(0, rows, block_rows)]
+    held = oracle_read_series_csv(path)
+    assert rows == len(held)
+    assert fit_outcome(read_series_csv(path)) == fit_outcome(held.stream())
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, sieve.COUNT_BLOCK])
+@pytest.mark.parametrize("block_chars", [64, report._READ_BLOCK_CHARS])
+def test_read_series_csv_fits_as_the_series_it_was_written_from(
+        tmp_path, monkeypatch, block_chars, block_rows):
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
+    monkeypatch.setattr(report, "_READ_BLOCK_CHARS", block_chars)
+    held, path = build_series(gaussian_census(3000, "both-axes")), tmp_path / "series.csv"
+    write_series_csv(held, path)
+    assert repr(fit_model(read_series_csv(path))) == repr(fit_model(held.stream()))
 
 
 @pytest.mark.parametrize("block_chars", READ_BLOCK_CHARS)

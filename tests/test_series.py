@@ -242,10 +242,11 @@ def assert_read_order(tmp_path, x, actual, reason=None):
     path = tmp_path / "order.csv"
     path.write_text(SERIES_HEADER + "\n" + "".join(f"{a},{b},,,\n" for a, b in zip(x, actual)))
     if reason is None:
-        assert len(read_series_csv(path)) == len(x)
+        ser = read_series_csv(path)
+        assert len(ser) == len(x) == len(hold(ser))
         return
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}$"):
-        read_series_csv(path)
+        hold(read_series_csv(path))
 
 
 def test_series_validation(tmp_path):
@@ -769,30 +770,26 @@ def test_streamed_fit_memory_is_one_window_and_one_block():
     assert peak <= window + 64 * sieve.COUNT_BLOCK, (peak - window) / sieve.COUNT_BLOCK
 
 
-def test_fit_from_csv_memory_is_two_columns_and_one_block(tmp_path):
-    """read_series_csv makes x and actual once, 16 bytes a row, and holds
-    besides them only one block's lines and parsed rows, whatever the row
-    count; the fit then adds one block's columns, a constant per
-    COUNT_BLOCK row (40 B measured), and no array per row."""
-    path = tmp_path / "series.csv"
-    write_series_csv(build_series(gaussian_census(10**6, "both-axes")), path)
-    tracemalloc.start()
-    try:
-        ser = read_series_csv(path)
-        held, read_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        fit_model(ser)
-        fit_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n = len(ser)
-    assert n > 10**6 - 10
-    assert ser.grid.nbytes == 8 * n
-    assert held <= 16 * n + 64 * 1024, held / n
-    # about 10 bytes a block character: the text read, its lines and their parsed rows
-    block = 12 * report._READ_BLOCK_CHARS
-    assert read_peak <= 16 * n + block, (read_peak - 16 * n) / report._READ_BLOCK_CHARS
-    assert fit_peak <= held + 64 * sieve.COUNT_BLOCK, (fit_peak - held) / sieve.COUNT_BLOCK
+def test_fit_from_csv_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    """fit --from-csv's pass parses one block of the file's text at a time
+    and hands its x and actual on a block at a time, so reading and fitting
+    four times the rows peaks no higher (small blocks, so that small files
+    are many blocks long)."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 1 << 12)
+    monkeypatch.setattr(report, "_READ_BLOCK_CHARS", 1 << 14)
+
+    def peak(n):
+        path = tmp_path / f"series_{n}.csv"
+        write_series_csv(build_series(gaussian_census(n, "both-axes")), path)
+        tracemalloc.start()
+        try:
+            fit_model(read_series_csv(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * 10**5), peak(8 * 10**5)
+    assert large < 1.25 * small, (small, large)
 
 
 class Tiles:

@@ -77,16 +77,17 @@ BOUNDS = {1: 300, 7: 2000, 8: 2000, 19: 2000, 53: 2000, 4096: 20_000, 4099: 20_0
           sieve.COUNT_BLOCK: 2 * sieve.COUNT_BLOCK + 4099}
 
 
-def edge_bounds(ser, grid, window, block):
+def edge_bounds(grid, window, block):
     """upto bounds on and next to block and window edges, below the first
     point, at and past the last, and None; grid is the census's change
-    grid, whose k-th point is in the sieve's window k // window."""
-    rows, limit = len(ser), grid.stop - 1
-    bounds = {None, 1, 2, int(ser.grid[0]) - 1, limit - 1, limit, limit + 5}
+    grid, its series' points, whose k-th point is in the sieve's window
+    k // window."""
+    rows, limit = len(grid), grid.stop - 1
+    bounds = {None, 1, 2, int(grid[0]) - 1, limit - 1, limit, limit + 5}
     for edge in (block, 2 * block, rows - 1):
         for r in (edge - 1, edge, edge + 1):
             if 0 <= r < rows:
-                bounds.add(int(ser.grid[r]))
+                bounds.add(int(grid[r]))
     windows = (len(grid) - 1) // window  # the first, a middle and the last window edge
     for lo in {window, windows // 2 * window, windows * window} - {0}:
         if lo < len(grid):
@@ -106,11 +107,12 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
         limit = window + 1  # a census of window points: one window
 
     ser = analysis.stream_series(CENSUSES[name](limit))
-    bounds = edge_bounds(ser, CENSUSES[name](limit).change_grid(), window, block)
+    grid = CENSUSES[name](limit).change_grid()
+    bounds = edge_bounds(grid, window, block)
     total, crossover = analysis.Total(), analysis.Crossover()
-    per_bound = [analysis.Mape(ser, (upto,)) for upto in bounds]
-    defined = [upto for upto in bounds if upto is None or upto >= ser.grid[0]]
-    shared = analysis.Mape(ser, defined)
+    per_bound = [analysis.Mape((upto,)) for upto in bounds]
+    defined = [upto for upto in bounds if upto is None or upto >= grid[0]]
+    shared = analysis.Mape(defined)
     csv = report.SeriesCsvWriter(tmp_path / "streamed.csv")
     chart = report.Chart(ser, tmp_path / "streamed.svg")
     analysis.scan(ser, total, crossover, shared, csv, chart, *per_bound)
@@ -120,7 +122,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     census = CENSUSES[name](limit)
     assert np.array_equal(whole_counts(census), oracle_counts(name, limit))
     whole = build_series(census)
-    assert len(whole) == len(ser) and whole.grid == ser.grid == census.change_grid()
+    assert len(whole) == len(ser) == len(grid) and whole.grid == grid == census.change_grid()
     assert total.value == census.total
     got = [outcome(lambda m=m: m.result()[0]) for m in per_bound]
     assert got == [outcome(oracle_mape, whole, upto) for upto in bounds]
