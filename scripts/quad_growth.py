@@ -16,7 +16,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from primelab import QuadCensus, RegionSpec, Series, fit_model, quad_census  # noqa: E402
-from primelab.series import grid_blocks  # noqa: E402
 from primelab.sieve import count_blocks  # noqa: E402
 
 DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
@@ -27,14 +26,13 @@ def thin(census: QuadCensus, points: int = 250) -> Series:
     the census's counts at the distinct integer parts of ``points``
     geometrically spaced points from the first nonzero count (or 3, if
     later) to the bound, each of which lies on the census's grid."""
-    grid, counts = census.change_grid(), census.cumulative
-    lo = max(grid[int(np.argmax(counts >= 1))], 3)
-    if lo > grid[-1]:
+    bounds, top = census.bounds, census.region.bound
+    lo = max(int(bounds[0]), 3) if len(bounds) else 3
+    if lo > top:
         raise ValueError(f"no point from {lo} up to the bound to fit")
-    xs = np.unique(np.geomspace(lo, grid[-1], points).astype(np.int64))
-    actual = counts[(xs - grid.start) // grid.step]
-    blocks = grid_blocks(xs, count_blocks(actual))
-    return Series(len(xs), blocks, census.estimate, census.describe())
+    xs = np.unique(np.geomspace(lo, top, points).astype(np.int64))
+    actual = np.searchsorted(bounds, xs, "right")  # the number of bounds <= x
+    return Series(len(xs), count_blocks(xs, actual), census.estimate, census.describe())
 
 
 def main() -> int:

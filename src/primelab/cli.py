@@ -9,14 +9,13 @@ compares a census with its estimate exits 2 when the census holds no primes.
 Every command reads its census once, block by block
 (series.stream_series), and feeds that one pass to all of its reducers:
 its statistics, and the series CSV writer and the chart when they are asked
-for.  So monoid, table1, gauss and table2 never hold a count per point:
-their memory is one sieve window and one block, whatever the bound; so
-is fit's, whose pass sums the fit's binned moments, read from a census or
-a CSV.  Every output a command is given is created, in the order the
-command names them, before its census's first window, so an unwritable
-path exits 4 before the first printed line; the series CSV is written
-during the pass, the printed lines and the other files after it (fit's
---csv, which may name the --from-csv input, is not emptied until then).
+for.  So no command holds a count per point (fit's pass sums the fit's
+binned moments, read from a census or a CSV).  Every output a command is
+given is created, in the order the command names them, before any census
+work, so an unwritable path exits 4 before the first printed line; the
+series CSV is written during the pass, the printed lines and the other
+files after it (fit's --csv, which may name the --from-csv input, is not
+emptied until then).
 """
 
 from __future__ import annotations

@@ -4,24 +4,27 @@ Elements are a + b*sqrt(-d) with integer coordinates and squarefree d >= 1,
 norm a^2 + d*b^2.  These rings are generally not unique factorization
 domains, so the censuses count irreducibles (elements with only trivial
 factorizations); prime and irreducible can differ here, unlike in Z.  The
-census is a product sieve that marks reducible elements; the tests check it
-against a divisor search over one element at a time (``tests/oracles.py``).
+census is a product sieve that marks reducible elements, run on its first
+read; the tests check it against a divisor search over one element at a
+time (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import Census, count_blocks, count_dtype, cumulative_sum, require_int
+from . import sieve
+from .sieve import Census, count_dtype, require_int, running_totals
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
 # the census's norm grid and its marks grow with the region's largest norm top, at
-# 6 bytes per grid cell (a, b), a^2 <= top and d*b^2 <= top; its int32 counts take 4
-# bytes per bound point once the grid is freed; cap that norm
+# 6 bytes per grid cell (a, b), a^2 <= top and d*b^2 <= top; once the grid is freed
+# the census keeps 4 bytes per irreducible; cap that norm
 MAX_CENSUS_BOUND = 10**6
 # cofactor cells per step of the census's walk, which bounds its index temporaries
 WALK_CELLS = 1 << 14
@@ -62,20 +65,40 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class QuadCensus(Census):
-    """Cumulative irreducible counts by the region's bound parameter, held
-    whole: the one census that is."""
+    """Irreducible counts by bound, streamed from the bound of each irreducible."""
 
     d: int
     region: RegionSpec
-    cumulative: np.ndarray  # index n - 1 for bound n; int32 under the census cap
+
+    def __post_init__(self) -> None:
+        validate_ring_param(self.d)
+        top = self.region.largest_norm(self.d)
+        if top > MAX_CENSUS_BOUND:
+            raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        """The bound at which each irreducible is first counted, ascending."""
+        return irreducible_bounds(self.d, self.region)
 
     def change_grid(self) -> range:
         """Every integer bound from 1 to the region's bound."""
-        return range(1, len(self.cumulative) + 1)
+        return range(1, self.region.bound + 1)
 
     def running_blocks(self):
-        """COUNT_BLOCK slices of the whole counts (count_blocks)."""
-        return count_blocks(self.cumulative)
+        """The counts, COUNT_BLOCK bound points at a time in one buffer."""
+        bounds, grid, block = self.bounds, self.change_grid(), sieve.COUNT_BLOCK
+        buffer = np.empty(min(block, len(grid)), dtype=count_dtype(len(bounds)))
+
+        def bound_blocks():  # the blocks before they are summed, in buffer
+            for k in range(0, len(grid), block):
+                points = grid[k : k + block]
+                counts = buffer[: len(points)]
+                lo, hi = np.searchsorted(bounds, (points.start, points.stop))
+                counts[:] = np.bincount(bounds[lo:hi] - points.start, minlength=len(points))
+                yield k, points, counts
+
+        yield from running_totals(bound_blocks())
 
     def describe(self) -> dict[str, str]:
         return {
@@ -94,8 +117,13 @@ def norm_dtype(top: int) -> type[np.integer]:
 
 
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
-    """Cumulative irreducible counts over all a, b >= 0 inside the region,
-    at each bound 1..region.bound (zero and units excluded).
+    """Irreducible counts (no zero or unit) with a, b >= 0 inside the region, by bound."""
+    return QuadCensus(d=d, region=region)
+
+
+def irreducible_bounds(d: int, region: RegionSpec) -> np.ndarray:
+    """The bound parameter of each irreducible a + b*sqrt(-d), a, b >= 0,
+    inside the region, ascending, in the norm grid's dtype.
 
     Product sieve on the quadrant grid of norms up to top =
     region.largest_norm(d): each irreducible y with N(y)^2 <= top, by
@@ -106,15 +134,11 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     and a marked cell is a product of two non-units, so never an irreducible y.
 
     Memory: 6 bytes per cell of the grid (the int32 norm grid, which becomes
-    the disc's a^2 + b^2 in place, the marks and one bool mask), then, once
-    the grid is freed, 4 per bound point (the int32 counts, summed in place);
-    besides, 4 per irreducible counted and the index temporaries of one
-    WALK_CELLS step of the walk, about 40 bytes per cell of the step.
+    the disc's a^2 + b^2 in place, the marks and one bool mask), and 4 per
+    irreducible counted, sorted in place; besides, the index temporaries of
+    one WALK_CELLS step of the walk, about 40 bytes per cell of the step.
     """
-    validate_ring_param(d)
     top = region.largest_norm(d)
-    if top > MAX_CENSUS_BOUND:
-        raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
     # every quadrant cell (a, b) of norm <= top: the region's and each product's
     dtype = norm_dtype(top)
     a2, b2 = (np.arange(math.isqrt(n) + 1, dtype=np.int64) ** 2 for n in (top, top // d))
@@ -125,13 +149,10 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     if region.kind == "euclidean-ball":
         norm -= ((d - 1) * b2).astype(dtype)  # now a^2 + b^2, the disc's bound parameter
     counted &= norm <= region.bound
-    bounds = norm[counted]  # the bound at which each irreducible is first counted
-    cells = norm.size  # at most one count per quadrant cell
+    bounds = norm[counted]
     del norm, counted
-    counts = np.zeros(region.bound, dtype=count_dtype(cells))
-    # a value of the counts' own dtype keeps add.at on its fast path
-    np.add.at(counts, np.subtract(bounds, 1, out=bounds), counts.dtype.type(1))
-    return QuadCensus(d=d, region=region, cumulative=cumulative_sum(counts, cells))
+    bounds.sort()
+    return bounds
 
 
 def _mark_reducible(norm: np.ndarray, d: int, top: int) -> np.ndarray:

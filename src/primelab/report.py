@@ -17,10 +17,10 @@ The chart keeps the points and counts of the at most MAX_POLYLINE_POINTS + 1
 rows it draws and evaluates the estimate at those rows alone.
 
 A series CSV is read back as a source of blocks (read_series_csv): the call
-counts its rows, and the series' pass parses the file _READ_BLOCK_CHARS
-characters at a time (_parse_block) and hands on x and actual, the columns
-the fit reads, COUNT_BLOCK rows at a time, so the reader holds one block of
-each, whatever the rows.
+counts its rows, and the series' pass parses the file in whole lines, about
+_READ_BLOCK_CHARS characters at a time (_parse_block), and hands on x and
+actual, the columns the fit reads, COUNT_BLOCK rows at a time, so the
+reader holds one block of each, whatever the rows.
 """
 
 from __future__ import annotations
@@ -323,22 +323,13 @@ def _read_blocks(path, size: int):
 
 def _parsed_blocks(path):
     """The parsed rows of the series CSV at path past its header: the whole
-    lines of each _READ_BLOCK_CHARS characters read, by _parse_block."""
+    lines of about _READ_BLOCK_CHARS characters at a time, by _parse_block."""
     with open(path, encoding="utf-8") as f:
         f.readline()  # the header, checked by read_series_csv
-        line_no, carry = 2, ""
-        for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""):
-            text = carry + text
-            cut = text.rfind("\n")
-            if cut < 0:
-                carry = text
-                continue
-            block = text[:cut].split("\n")
-            yield _parse_block(path, block, line_no)
-            line_no += len(block)
-            carry = text[cut + 1 :]
-        if carry:
-            yield _parse_block(path, [carry], line_no)
+        line_no = 2
+        for lines in iter(lambda: f.readlines(_READ_BLOCK_CHARS), []):
+            yield _parse_block(path, lines, line_no)
+            line_no += len(lines)
 
 
 def _parse_block(path, lines: list[str], line_no: int):
@@ -354,7 +345,7 @@ def _parse_block(path, lines: list[str], line_no: int):
     except ValueError:
         pass
     try:
-        return _loadtxt(_nan_fields("\n".join(lines)).split("\n"))
+        return _loadtxt(_nan_fields("".join(lines)).split("\n"))
     except ValueError:
         pass
     return _parse_lines(path, lines, line_no)

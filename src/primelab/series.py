@@ -8,15 +8,13 @@ that is always prime, so a series is its census, row for row.
 A Series is a length and a stream of blocks of points and their counts,
 read once.  It comes from one of three sources:
 
-- stream_series(census): the census's running_blocks() as they are, with
-  the slices of its grid (grid_blocks).  The classical, monoid and
-  Gaussian censuses yield their blocks from the sieve windows, so a pass
-  holds one window of flags and one block of counts, never a count per
-  point; the quadratic census yields COUNT_BLOCK slices of its whole array.
+- stream_series(census): the census's running_blocks() as they are, each
+  block its points and their counts, so a pass holds one block of counts,
+  never a count per point (sieve.py, quadratic.py).
 - report.read_series_csv: the points and counts of a series CSV, parsed
   during the pass and handed on COUNT_BLOCK rows at a time.
-- scripts/quad_growth.thin: chosen points of a quadratic census, in
-  COUNT_BLOCK slices (sieve.count_blocks) with the slices of those points.
+- scripts/quad_growth.thin: chosen points of a quadratic census and their
+  counts, in COUNT_BLOCK slices (sieve.count_blocks).
 
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in the series' one pass, block by block: Total, Mape
@@ -142,21 +140,14 @@ def _first_nonzero(actual: np.ndarray) -> int:
     return int(np.searchsorted(actual, actual.dtype.type(1)))  # a 1 of their dtype: no cast
 
 
-def grid_blocks(grid: range | np.ndarray, blocks):
-    """The blocks (lo, grid[lo : lo + len(actual)], actual) of the count
-    blocks (lo, actual) on grid."""
-    return ((lo, grid[lo : lo + len(actual)], actual) for lo, actual in blocks)
-
-
 def stream_series(census) -> Series:
-    """A census's series, its running_blocks() on its change_grid() and its
-    estimate as they are, so a pass holds what the census's blocks hold; a
-    census with an estimate and no point raises ValueError."""
+    """A census's series, its running_blocks() and its estimate as they are,
+    so a pass holds what the census's blocks hold; a census with an estimate
+    and no point raises ValueError."""
     grid = census.change_grid()
     if census.estimate is not None and not grid:
         raise ValueError(_NO_PRIMES)
-    blocks = grid_blocks(grid, census.running_blocks())
-    return Series(len(grid), blocks, census.estimate, census.describe())
+    return Series(len(grid), census.running_blocks(), census.estimate, census.describe())
 
 
 def scan(series: Series, *reducers) -> None:

@@ -12,12 +12,10 @@ classical, monoid and Gaussian censuses are read from it
 (``SievedCensus``): their grids start past the unit too, at 1 + d (2 at
 d = 1), a point that is always prime, so the sieve's blocks are their
 blocks, and ``running_blocks()`` streams them: a pass holds one window of
-flags and one block of counts whatever the bound, and no census of theirs
-holds its counts whole.  The quadratic census alone does, from bound 1,
-and its ``running_blocks()`` yields COUNT_BLOCK slices of them
-(``count_blocks``).
+flags and one block of counts whatever the bound.  The quadratic census
+streams its own, and every census sums its blocks by ``running_totals``.
 All four are a ``Census``, with one interface: ``change_grid``,
-``running_blocks`` (the count at each grid point, in order), ``describe``,
+``running_blocks`` (grid points and their counts, in order), ``describe``,
 ``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
 the count the paper conjectures for the domain (None where it asserts
 none).
@@ -71,30 +69,33 @@ def count_dtype(most: int) -> type[np.integer]:
     return np.int32 if most < 2**31 else np.int64
 
 
-def cumulative_sum(counts: np.ndarray, most: int) -> np.ndarray:
-    """Read-only running totals of counts, in count_dtype(most) for ``most``
-    a bound on the total.  Summed in place: np.cumsum with a dtype would
-    first cast the whole input to that dtype, and counts that already have
-    the dtype are summed where they are, with no copy."""
-    cumulative = counts.astype(count_dtype(most), copy=False)
-    np.cumsum(cumulative, out=cumulative)
-    cumulative.setflags(write=False)
-    return cumulative
-
-
-def count_blocks(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, counts[k : k + COUNT_BLOCK]) for each run of COUNT_BLOCK rows of
-    counts from row 0, in order: slices, no copy.  COUNT_BLOCK is read at
-    the call."""
+def count_blocks(points, counts: np.ndarray):
+    """(k, points[k : k + COUNT_BLOCK], counts[k : k + COUNT_BLOCK]) for each
+    k from 0 in steps of COUNT_BLOCK, read at the call: slices, no copy."""
     block = COUNT_BLOCK
-    return ((k, counts[k : k + block]) for k in range(0, len(counts), block))
+    return ((k, points[k : k + block], counts[k : k + block])
+            for k in range(0, len(counts), block))
+
+
+def running_totals(blocks):
+    """The blocks (k, points, counts), counts[i] the count at points[i] alone,
+    each summed in place onto the total carried from the block before and
+    handed on read-only (counts may share a buffer)."""
+    carry = 0
+    for k, points, counts in blocks:
+        counts[0] += carry
+        np.cumsum(counts, out=counts)
+        carry = counts[-1]
+        view = counts.view()
+        view.setflags(write=False)
+        yield k, points, view
 
 
 class Census:
     """Counts on the points where the count can change: the census's
     change_grid(), whose stop is its bound + 1, and running_blocks(), the
-    counts in order as read-only blocks (k, counts), counts[i] the count at
-    change_grid()[k + i]."""
+    counts in order as read-only blocks (k, points, counts), counts[i] the
+    count at points[i] = change_grid()[k + i]."""
 
     estimate = None  # or a method: the conjectured count at each of an array of points
 
@@ -103,7 +104,7 @@ class Census:
         """The count at the census's own bound: the last count of its
         running_blocks(), so a sieved census streams it."""
         total = 0
-        for _, counts in self.running_blocks():
+        for _, _, counts in self.running_blocks():
             total = counts[-1]
         return int(total)
 
@@ -124,7 +125,7 @@ class SievedCensus(Census):
         d, limit, _, _ = self._sieve()
         return range(1 + d, limit + 1, d)
 
-    def running_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def running_blocks(self) -> Iterator[tuple[int, range, np.ndarray]]:
         """The counts from the sieve windows, COUNT_BLOCK points at a time in
         one buffer that each block overwrites: nothing is held whole."""
         return prime_running_blocks(*self._sieve())
@@ -182,20 +183,19 @@ def _prime_windows(d: int, limit: int):
 
 def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
     """Running totals of the primes of A_d over its elements past the unit
-    up to limit (>= 1), in order, as read-only blocks (first, counts):
-    counts[i] is the total at grid index first + i, the element
-    1 + (first + i + 1)*d, in count_dtype(most) for ``most`` a bound on the
-    total.  No table of flags is kept: each block is cast from its slice of
-    a sieve window, weighted there by ``weigh(e, counts)`` when given, e the
-    block's first element (counts[i] is 1 where the element e + i*d is
-    prime, 0 elsewhere), then summed in place onto the total carried from
-    the block before.
+    up to limit (>= 1), in order, as read-only blocks (first, points,
+    counts) summed by running_totals: counts[i] is the total at grid index
+    first + i, the element points[i], in count_dtype(most) for ``most`` a
+    bound on the total.  No table of flags is kept: each block is cast from
+    its slice of a sieve window and weighted there by ``weigh(points[0],
+    counts)`` when given (counts[i] is 1 where points[i] is prime, 0
+    elsewhere).
 
     Every window is cut into whole blocks of COUNT_BLOCK elements, so block
-    k starts at grid index k * COUNT_BLOCK, as count_blocks cuts the same
-    counts held whole; a census of more than one window thus needs a
-    SEGMENT_SIZE that is a multiple of COUNT_BLOCK (ValueError otherwise).
-    The blocks share one buffer, which the next block overwrites.
+    k starts at grid index k * COUNT_BLOCK; a census of more than one window
+    thus needs a SEGMENT_SIZE that is a multiple of COUNT_BLOCK (ValueError
+    otherwise).  The blocks share one buffer, which the next block
+    overwrites.
     """
     require_sieve_limit("limit", limit, 1)
     points, block = (limit - 1) // d, COUNT_BLOCK
@@ -203,20 +203,19 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
         raise ValueError(f"a sieve window of {SEGMENT_SIZE} elements is no whole number "
                          f"of blocks of {block}")
     buffer = np.empty(min(block, points), dtype=count_dtype(most))
-    carry = 0
-    for lo, window in _prime_windows(d, limit):
-        for start in range(0, len(window), block):
-            counts = buffer[: min(block, len(window) - start)]
-            counts[:] = window[start : start + len(counts)]
-            if weigh is not None:
-                weigh(1 + (lo + start) * d, counts)
-            counts[0] += carry
-            np.cumsum(counts, out=counts)
-            carry = counts[-1]
-            view = counts.view()
-            view.setflags(write=False)
-            yield lo - 1 + start, view
-        del window
+
+    def flag_blocks():  # the blocks before they are summed, in buffer
+        for lo, window in _prime_windows(d, limit):
+            for start in range(0, len(window), block):
+                counts = buffer[: min(block, len(window) - start)]
+                counts[:] = window[start : start + len(counts)]
+                first = 1 + (lo + start) * d
+                if weigh is not None:
+                    weigh(first, counts)
+                yield lo - 1 + start, range(first, first + len(counts) * d, d), counts
+            del window
+
+    yield from running_totals(flag_blocks())
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,13 @@ from typing import Mapping
 
 import numpy as np
 
-from primelab import FitResult, MonoidParams, QuadCensus, RegionSpec, Series
+from primelab import FitResult, MonoidParams, RegionSpec, Series
 from primelab import report
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
-from primelab.sieve import SievedCensus, count_blocks, count_dtype, cumulative_sum, require_int
+from primelab.sieve import SievedCensus, count_blocks, count_dtype, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
@@ -100,7 +100,7 @@ def whole_counts(census) -> np.ndarray:
     dtype that the sieve gives a sieved census's blocks."""
     most = census._sieve()[2] if isinstance(census, SievedCensus) else 0
     whole = np.empty(0, dtype=count_dtype(most))
-    for k, counts in census.running_blocks():
+    for k, _, counts in census.running_blocks():
         if k == 0:
             whole = np.empty(len(census.change_grid()), dtype=counts.dtype)
         whole[k : k + len(counts)] = counts
@@ -140,7 +140,7 @@ class HeldSeries:
 
     def stream(self) -> Series:
         """A fresh package Series over the held points and counts."""
-        blocks = analysis.grid_blocks(self.grid, count_blocks(self.actual))
+        blocks = count_blocks(self.grid, self.actual)
         return Series(len(self.grid), blocks, self.estimator, self.metadata)
 
     def blocks(self):
@@ -531,10 +531,13 @@ def oracle_read_series_csv(path) -> HeldSeries:
     return HeldSeries(x, actual, metadata={"source": "csv"})
 
 
-def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
-    """quad_census as it was before its norm grid was int32 and its walk went
-    in steps, verbatim but for its running totals, which spell out the int32 or
-    int64 rule that cumulative_sum then applied to the int64 bincount."""
+def oracle_quad_census(d: int, region: RegionSpec) -> np.ndarray:
+    """The counts of quad_census as it made them before its norm grid was
+    int32 and its walk went in steps, held whole and read-only (index n - 1
+    for bound n): verbatim but for its running totals, which spell out the
+    int32 or int64 rule of the census's in-place sum of the int64 bincount,
+    and but that it returns the counts alone, since a QuadCensus now streams
+    its own."""
     validate_ring_param(d)
     top = region.largest_norm(d)
     if top > MAX_CENSUS_BOUND:
@@ -562,7 +565,7 @@ def oracle_quad_census(d: int, region: RegionSpec) -> QuadCensus:
     cumulative = counts[1:].astype(np.int32 if norm.size < 2**31 else np.int64)
     np.cumsum(cumulative, out=cumulative)
     cumulative.setflags(write=False)
-    return QuadCensus(d=d, region=region, cumulative=cumulative)
+    return cumulative
 
 
 def oracle_gaussian_census(norm_limit: int, convention: str) -> np.ndarray:
@@ -585,7 +588,9 @@ def oracle_gaussian_census(norm_limit: int, convention: str) -> np.ndarray:
     qs = qs[qs % 4 == 3]
     counts[qs * qs] += 2 if convention == "both-axes" else 1
     # from norm 2, the census's first point; at most 2 points per norm
-    return cumulative_sum(counts[2:], 2 * norm_limit)
+    cumulative = np.cumsum(counts[2:], dtype=count_dtype(2 * norm_limit))
+    cumulative.setflags(write=False)
+    return cumulative
 
 
 def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
@@ -617,7 +622,9 @@ def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
         i += 1
 
     prime = np.logical_not(composite, out=composite)
-    return cumulative_sum(prime[1:], len(prime))  # the identity 1 is not a prime
+    cumulative = np.cumsum(prime[1:], dtype=count_dtype(len(prime)))  # 1 is not a prime
+    cumulative.setflags(write=False)
+    return cumulative
 
 
 def oracle_prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:

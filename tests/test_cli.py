@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from primelab import report, sieve
+from primelab import quadratic, report, sieve
 from primelab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, run_cli
 
 
@@ -197,6 +197,7 @@ UNWRITABLE_OUTPUTS = [
         (["quad", "--d", "5", "--bound", "1000"], ("--csv", "--svg")),
         (["fit", "--domain", "classical", "--limit", "10000"], ("--csv",)),
         (["fit", "--domain", "gauss", "--norm-limit", "10000"], ("--csv",)),
+        (["fit", "--domain", "quad", "--d", "5", "--bound", "1000"], ("--csv",)),
         (["fit", "--from-csv", "s.csv"], ("--csv",)),
         (["table1"], ("--csv", "--svg-dir")),
         (["table2"], ("--csv", "--svg")),
@@ -207,17 +208,18 @@ UNWRITABLE_OUTPUTS = [
 
 @pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS, ids=" ".join)
 def test_unwritable_output_exits_before_the_first_window(argv, tmp_path, capsys, monkeypatch):
-    """No sieve window is made before an unwritable output is refused (quad's
-    census is not sieved, and fit --from-csv reads its input first)."""
+    """No sieve window, and no product sieve of quad's ring, is made before an
+    unwritable output is refused (fit --from-csv reads its input first)."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.csv").write_text(SERIES_CSV)
     if argv[-2] == "--svg-dir":
         (tmp_path / "missing").write_text("")  # a file: no directory can be made there
 
-    def no_window(d, limit):
-        raise AssertionError("a census window was sieved before the output was refused")
+    def no_window(*args):
+        raise AssertionError("a census was sieved before the output was refused")
 
     monkeypatch.setattr(sieve, "_prime_windows", no_window)
+    monkeypatch.setattr(quadratic, "_mark_reducible", no_window)
     code, out, err = run(argv, capsys)
     assert (code, out) == (EXIT_IO, ""), err
 
@@ -228,6 +230,8 @@ FAST_REFUSALS = [
     ["gauss", "--norm-limit", "100000000", "--series-csv", "missing/s.csv"],
     ["gauss", "--norm-limit", "100000000", "--svg", "missing/x.svg"],
     ["fit", "--domain", "gauss", "--norm-limit", "10000000", "--csv", "missing/f.csv"],
+    ["quad", "--d", "1", "--bound", "1000000", "--csv", "missing/q.csv"],
+    ["quad", "--d", "1", "--bound", "1000000", "--svg", "missing/q.svg"],
     ["table1", "--svg-dir", ""],
 ]
 

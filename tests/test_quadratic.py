@@ -137,6 +137,20 @@ def test_census_euclidean_region():
     assert int(e.actual[-1]) >= int(n.actual[-1])
 
 
+def test_census_sieves_once_on_its_first_read(monkeypatch):
+    """quad_census checks its arguments alone; the product sieve runs on the
+    census's first read, once, and the bounds it keeps leave the census's
+    equality and hash to d and the region."""
+    calls, sieve_ring = [], quadratic.irreducible_bounds
+    monkeypatch.setattr(quadratic, "irreducible_bounds",
+                        lambda d, region: calls.append(d) or sieve_ring(d, region))
+    region = RegionSpec("norm-ball", 3000)
+    census = quad_census(5, region)
+    assert calls == []
+    assert census.total == census.total == len(census.bounds) and calls == [5]
+    assert census == quad_census(5, region) and hash(census) == hash(quad_census(5, region))
+
+
 def test_census_validation():
     with pytest.raises(ValueError):
         quad_census(5, RegionSpec("norm-ball", 10**6 + 1))
@@ -168,8 +182,8 @@ def assert_matches_divisor_search_oracle(d, kind):
     ]
     oracle = oracle_cumulative(d, RegionSpec(kind, bounds[-1]))
     for bound in bounds:
-        census = quad_census(d, RegionSpec(kind, bound))
-        assert np.array_equal(census.cumulative, oracle[1 : bound + 1]), bound
+        census = whole_counts(quad_census(d, RegionSpec(kind, bound)))
+        assert np.array_equal(census, oracle[1 : bound + 1]), bound
 
 
 @pytest.mark.parametrize("kind", REGION_KINDS)
@@ -187,7 +201,7 @@ def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
         for kind in REGION_KINDS:
             assert_matches_divisor_search_oracle(d, kind)
     gauss = whole_counts(gaussian_census(10**5, "both-axes"))  # from norm 2
-    assert np.array_equal(quad_census(1, RegionSpec("norm-ball", 10**5)).cumulative[1:], gauss)
+    assert np.array_equal(whole_counts(quad_census(1, RegionSpec("norm-ball", 10**5)))[1:], gauss)
 
 
 @pytest.mark.parametrize("kind", REGION_KINDS)
@@ -195,7 +209,7 @@ def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
 def test_census_counts_as_the_former_sieve(d, kind):
     # the largest bound under the cap, whose grid is the largest the census makes
     region = RegionSpec(kind, MAX_CENSUS_BOUND // RegionSpec(kind, 1).largest_norm(d))
-    census, former = quad_census(d, region).cumulative, oracle_quad_census(d, region).cumulative
+    census, former = whole_counts(quad_census(d, region)), oracle_quad_census(d, region)
     assert census.dtype == former.dtype == np.int32
     assert np.array_equal(census, former)
 
@@ -223,14 +237,14 @@ def test_census_d2_follows_rational_primes():
     counts[split] += 1
     counts[inert[inert * inert <= MAX_CENSUS_BOUND] ** 2] += 1
     census = quad_census(2, RegionSpec("norm-ball", MAX_CENSUS_BOUND))
-    assert np.array_equal(census.cumulative, np.cumsum(counts)[1:])
+    assert np.array_equal(whole_counts(census), np.cumsum(counts)[1:])
 
 
 @pytest.mark.parametrize("bound", [10**5, MAX_CENSUS_BOUND])
 def test_census_d1_equals_gaussian_census(bound):
     gauss = whole_counts(gaussian_census(bound, "both-axes"))  # from norm 2
     for kind in REGION_KINDS:
-        quad = quad_census(1, RegionSpec(kind, bound)).cumulative
+        quad = whole_counts(quad_census(1, RegionSpec(kind, bound)))
         assert quad[0] == 0 and np.array_equal(quad[1:], gauss)
 
 
@@ -243,11 +257,12 @@ WALK_STEP_BYTES = 48 * WALK_CELLS  # one step of the walk, measured at 40 B per 
 )
 def test_census_peak_memory(d, kind, bound):
     # the int32 norm grid (reused in place as the disc's a^2 + b^2), the marks and
-    # one bool mask take 6 B per quadrant cell; the grid is freed before the int32
-    # counts, 4 B per bound point, are made and summed in place; the bound of each
-    # irreducible counted takes 4 B; a step of the walk holds two int64 coordinates
-    # and a few int64 index temporaries per cell, measured at 40 B. An int64 grid,
-    # an int64 bincount or a walk over a whole cofactor view at once would not fit
+    # one bool mask take 6 B per quadrant cell; the bound of each irreducible counted
+    # takes 4 B, sorted in place, and once the grid is freed the census holds those
+    # and one block of counts; a step of the walk holds two int64 coordinates and a
+    # few int64 index temporaries per cell, measured at 40 B. An int64 grid, an int64
+    # bincount, a walk over a whole cofactor view at once or counts held for every
+    # bound point would not fit
     region = RegionSpec(kind, bound)
     top = region.largest_norm(d)
     cells = (math.isqrt(top) + 1) * (math.isqrt(top // d) + 1)
@@ -257,7 +272,7 @@ def test_census_peak_memory(d, kind, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= max(6 * cells, 4 * (bound + 1)) + 4 * total + WALK_STEP_BYTES
+    assert peak <= 6 * cells + 4 * total + WALK_STEP_BYTES
 
 
 def test_census_d5_known_total():

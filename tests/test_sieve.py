@@ -227,7 +227,7 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
             _, limit_, most, weigh = census._sieve()
             whole = oracle_prime_running_counts(limit_, most, weigh)
         blocks = []
-        for start, counts in census.running_blocks():
+        for start, _, counts in census.running_blocks():
             assert start == count_block * len(blocks) and not counts.flags.writeable
             assert 0 < len(counts) <= count_block
             blocks.append(counts.copy())  # the next block overwrites it
@@ -313,8 +313,13 @@ CENSUSES = {
 }
 
 
+@pytest.mark.parametrize("count_block", [1, 7, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("name", sorted(CENSUSES))
-def test_census_layout_is_shared(name):
+def test_census_layout_is_shared(monkeypatch, name, count_block):
+    """Every census yields the blocks its series is made of: block k starts
+    at grid index k, a multiple of COUNT_BLOCK, and its points are the
+    slice of the grid that its counts are at."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
     build, limit, start = CENSUSES[name]
     census = build()
     grid, counts = census.change_grid(), whole_counts(census)
@@ -322,16 +327,17 @@ def test_census_layout_is_shared(name):
     assert census.total == (counts[-1] if len(grid) else 0)
     if isinstance(census, sieve.SievedCensus) and len(grid):
         assert counts[0] == 1  # the first point is prime
+    ks = []
+    for k, points, block in census.running_blocks():
+        assert points == grid[k : k + len(block)] and 0 < len(block) <= count_block, k
+        ks.append(k)
+    assert ks == list(range(0, len(grid), count_block))
 
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_counts_are_read_only(name):
     census = CENSUSES[name][0]()
-    for _, counts in census.running_blocks():
+    for _, _, counts in census.running_blocks():
         with pytest.raises(ValueError):
             counts[0] = 1
-    if isinstance(census, sieve.SievedCensus):
-        assert not hasattr(census, "cumulative")  # no census of the sieve holds its counts whole
-    else:
-        with pytest.raises(ValueError):
-            census.cumulative[0] = 1
+    assert not hasattr(census, "cumulative")  # no census holds its counts whole

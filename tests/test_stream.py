@@ -16,6 +16,7 @@ from oracles import (
     oracle_gaussian_census,
     oracle_mape,
     oracle_monoid_census,
+    oracle_quad_census,
     whole_counts,
     write_series_csv,
 )
@@ -147,9 +148,9 @@ def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
     running_blocks, yielded = GaussianCensus.running_blocks, []
 
     def recorded(census):
-        for k, counts in running_blocks(census):
+        for k, points, counts in running_blocks(census):
             yielded.append((k, counts))
-            yield k, counts
+            yield k, points, counts
 
     monkeypatch.setattr(GaussianCensus, "running_blocks", recorded)
     fed = []
@@ -173,11 +174,17 @@ def test_streamed_series_is_read_in_one_pass(monkeypatch):
         find_crossover(ser)
 
 
-def test_streamed_series_of_a_whole_array_census_reads_slices_of_it():
-    census = quad_census(2, RegionSpec("norm-ball", 10**6))
-    blocks = [block.actual for block in analysis.stream_series(census)._blocks()]
-    assert all(np.shares_memory(actual, census.cumulative) for actual in blocks)
-    assert np.array_equal(np.concatenate(blocks), build_series(census).actual)
+def test_streamed_quadratic_series_shares_one_buffer():
+    """A quadratic census's pass hands on its blocks in one buffer that each
+    block overwrites, and they hold the counts of the former sieve."""
+    region = RegionSpec("norm-ball", 10**6)
+    first, copies = None, []
+    for block in analysis.stream_series(quad_census(2, region))._blocks():
+        first = block.actual if first is None else first
+        assert np.shares_memory(block.actual, first)
+        copies.append(block.actual.copy())  # the next block overwrites it
+    assert len(copies) > 2
+    assert np.array_equal(np.concatenate(copies), oracle_quad_census(2, region))
 
 
 def test_empty_census_streams_nothing():
