@@ -14,7 +14,6 @@ from .series import (
     Series,
     find_crossover,
     fit_model,
-    mape,
     ratio_R,
     stream_series,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "find_crossover",
     "fit_model",
     "gaussian_census",
-    "mape",
     "monoid_census",
     "quad_census",
     "ratio_R",

@@ -33,6 +33,11 @@ class GaussianCensus(SievedCensus):
     norm_limit: int
     axis_convention: str
 
+    def __post_init__(self) -> None:
+        if self.axis_convention not in AXIS_CONVENTIONS:
+            raise ValueError(f"unknown axis convention {self.axis_convention!r}")
+        require_sieve_limit("norm_limit", self.norm_limit, 1)
+
     def _sieve(self):
         """The sieve of the norms up to norm_limit, each block weighted by
         the rule above; at most 2 points per norm."""
@@ -72,9 +77,6 @@ def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:
     """Count Gaussian primes with a, b >= 0 by integer norm up to norm_limit,
     by reduction to the rational primes of each norm, read from the sieve
     when streamed."""
-    if convention not in AXIS_CONVENTIONS:
-        raise ValueError(f"unknown axis convention {convention!r}")
-    require_sieve_limit("norm_limit", norm_limit, 1)
     return GaussianCensus(norm_limit=norm_limit, axis_convention=convention)
 
 

@@ -30,7 +30,7 @@ class MonoidParams:
 
     def __post_init__(self) -> None:
         require_int("d", self.d, 2)
-        require_int("limit", self.limit, 1)
+        require_sieve_limit("limit", self.limit, 1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class MonoidCensus(SievedCensus):
 def monoid_census(params: MonoidParams) -> MonoidCensus:
     """The monoid primes of A_d up to the limit, read from the sieve of A_d
     when streamed."""
-    require_sieve_limit("limit", params.limit, 1)
     return MonoidCensus(params=params)
 
 

@@ -94,7 +94,9 @@ class QuadCensus(Census):
             for k in range(0, len(grid), block):
                 points = grid[k : k + block]
                 counts = buffer[: len(points)]
-                lo, hi = np.searchsorted(bounds, (points.start, points.stop))
+                # keys in the bounds' dtype: Python ints would cast all the bounds
+                keys = np.array((points.start, points.stop), bounds.dtype)
+                lo, hi = np.searchsorted(bounds, keys)
                 counts[:] = np.bincount(bounds[lo:hi] - points.start, minlength=len(points))
                 yield k, points, counts
 

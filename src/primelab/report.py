@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sieve
-from .series import Block, FitResult, Series, _points_at, scan
+from .series import Block, FitResult, Series, _points_at
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
@@ -382,18 +382,6 @@ def _loadtxt(lines):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(lines, dtype=_SERIES_DTYPE, delimiter=",", comments=None, ndmin=1)
-
-
-def render_svg(series: Series, path) -> None:
-    """Standalone 800x600 line chart: actual vs estimate on linear axes."""
-    _write(path, [svg_text(series)])
-
-
-def svg_text(series: Series) -> str:
-    """The chart's text, by a pass of one Chart."""
-    chart = Chart(series)
-    scan(series, chart)
-    return chart.text()
 
 
 class Chart:

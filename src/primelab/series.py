@@ -19,14 +19,14 @@ read once.  It comes from one of three sources:
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in the series' one pass, block by block: Total, Mape
 (at several bounds at once), Crossover, and in the report layer the
-series CSV writer and the chart.  mape, find_crossover, render_svg and
-fit_model are one-reducer passes; fit_model's reducer, FitMoments, sums
-binned moments, so the fit too holds no array per point.  The derived
-columns (estimate, ratio, pct_err) are never stored: a Block computes
-each one the first time a reducer reads it, for its own rows alone, so
-a pass computes only the columns its reducers read.  Points
-where no percentage error is defined (actual = 0, or a series with no
-estimator) carry NaN in the derived columns; statistics skip them.
+series CSV writer and the chart.  find_crossover and fit_model are
+one-reducer passes; fit_model's reducer, FitMoments, sums binned moments,
+so the fit too holds no array per point.  The derived columns (estimate,
+ratio, pct_err) are never stored: a Block computes each one the first
+time a reducer reads it, for its own rows alone, so a pass computes only
+the columns its reducers read.  Points where no percentage error is
+defined (actual = 0, or a series with no estimator) carry NaN in the
+derived columns; statistics skip them.
 """
 
 from __future__ import annotations
@@ -242,14 +242,6 @@ class Crossover:
             self.value, self._above_seen = (int(x[after]) if after < x.size else None), True
         elif self._above_seen and self.value is None and x.size:
             self.value = int(x[0])  # the first point after a block that ended above
-
-
-def mape(series: Series, upto: int | None = None) -> float:
-    """Mean absolute percentage error over the points that carry an error
-    value (only those with x <= upto, when given): a pass of one Mape."""
-    error = Mape((upto,))
-    scan(series, error)
-    return error.result()[0]
 
 
 def find_crossover(series: Series) -> int | None:

@@ -18,7 +18,12 @@ All four are a ``Census``, with one interface: ``change_grid``,
 ``running_blocks`` (grid points and their counts, in order), ``describe``,
 ``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
 the count the paper conjectures for the domain (None where it asserts
-none).
+none).  Each census checks its own parameters when it is made, in
+``__post_init__`` (a monoid census's in its MonoidParams), by the checks
+below (``require_int`` refuses bools as non-integers), so its constructor
+and its factory function, which only makes it, refuse the same values
+with the same message before any census work, and the sieve's reader
+takes the census's checked limit.
 """
 
 from __future__ import annotations
@@ -183,10 +188,10 @@ def _prime_windows(d: int, limit: int):
 
 def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
     """Running totals of the primes of A_d over its elements past the unit
-    up to limit (>= 1), in order, as read-only blocks (first, points,
-    counts) summed by running_totals: counts[i] is the total at grid index
-    first + i, the element points[i], in count_dtype(most) for ``most`` a
-    bound on the total.  No table of flags is kept: each block is cast from
+    up to limit (>= 1, as its census checks), in order, as read-only blocks
+    (first, points, counts) summed by running_totals: counts[i] is the total
+    at grid index first + i, the element points[i], in count_dtype(most) for
+    ``most`` a bound on the total.  No table of flags is kept: each block is cast from
     its slice of a sieve window and weighted there by ``weigh(points[0],
     counts)`` when given (counts[i] is 1 where points[i] is prime, 0
     elsewhere).
@@ -197,7 +202,6 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
     otherwise).  The blocks share one buffer, which the next block
     overwrites.
     """
-    require_sieve_limit("limit", limit, 1)
     points, block = (limit - 1) // d, COUNT_BLOCK
     if points > SEGMENT_SIZE and SEGMENT_SIZE % block:
         raise ValueError(f"a sieve window of {SEGMENT_SIZE} elements is no whole number "
@@ -224,6 +228,9 @@ class ClassicalCensus(SievedCensus):
 
     limit: int
 
+    def __post_init__(self) -> None:
+        require_sieve_limit("limit", self.limit, 2)
+
     def _sieve(self) -> tuple[int, int, int, None]:
         return 1, self.limit, self.limit, None
 
@@ -234,5 +241,4 @@ class ClassicalCensus(SievedCensus):
 def classical_census(limit: int) -> ClassicalCensus:
     """pi(n) for every n up to limit (>= 2), read from the sieve when
     streamed."""
-    require_sieve_limit("limit", limit, 2)
     return ClassicalCensus(limit=limit)

@@ -26,12 +26,12 @@ from primelab import (
     find_crossover,
     fit_model,
     gaussian_census,
-    mape,
     monoid_census,
     quad_census,
     ratio_R,
 )
 from primelab.cli import run_cli
+from primelab.series import Mape, scan
 
 TABLE1 = {
     # d: (largest element, count, estimate, R_d, mape %)
@@ -114,7 +114,8 @@ def test_criterion_04_mape(table1_runs):
     _, series, _ = table1_runs
     worst = 0.0
     for d, (_, _, _, _, printed) in TABLE1.items():
-        worst = max(worst, abs(mape(series[d].stream()) - printed))
+        scan(series[d].stream(), error := Mape())
+        worst = max(worst, abs(error.result()[0] - printed))
     ok = worst <= 1.5
     report("04 MAPE", ok, f"max |deviation| {worst:.3f} <= 1.5 points")
     assert ok

@@ -22,7 +22,6 @@ PUBLIC = {
     "find_crossover",
     "fit_model",
     "gaussian_census",
-    "mape",
     "monoid_census",
     "quad_census",
     "ratio_R",
@@ -64,7 +63,7 @@ ORACLES = {
 
 
 def test_package_exports():
-    assert len(primelab.__all__) == len(PUBLIC) == 19
+    assert len(primelab.__all__) == len(PUBLIC) == 18
     assert set(primelab.__all__) == PUBLIC
     for name in primelab.__all__:
         assert getattr(primelab, name) is not None, name

@@ -24,7 +24,7 @@ from oracles import (
     whole_counts,
 )
 from primelab import RegionSpec, gaussian_census, quad_census
-from primelab import quadratic
+from primelab import quadratic, sieve
 from primelab.quadratic import (
     MAX_CENSUS_BOUND,
     REGION_KINDS,
@@ -149,6 +149,24 @@ def test_census_sieves_once_on_its_first_read(monkeypatch):
     assert calls == []
     assert census.total == census.total == len(census.bounds) and calls == [5]
     assert census == quad_census(5, region) and hash(census) == hash(quad_census(5, region))
+
+
+def test_pass_searches_its_bounds_with_keys_of_their_dtype(monkeypatch):
+    """Each block of a pass finds its bounds by np.searchsorted with keys in
+    the bounds' dtype: Python-int keys make numpy cast the whole int32 bounds
+    array on every block, so a pass would cost blocks times irreducibles."""
+    monkeypatch.setattr(sieve, "COUNT_BLOCK", 64)
+    census = quad_census(5, RegionSpec("norm-ball", 10**4))
+    bounds, searchsorted, key_dtypes = census.bounds, np.searchsorted, []
+
+    def recorded(a, v, *args, **kwargs):
+        if a is bounds:
+            key_dtypes.append(np.asarray(v).dtype)
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recorded)
+    assert census.total == len(bounds)
+    assert len(key_dtypes) == -(-10**4 // 64) and set(key_dtypes) == {bounds.dtype}
 
 
 def test_census_validation():

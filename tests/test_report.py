@@ -31,9 +31,8 @@ from primelab.report import (
     SERIES_HEADER,
     MapeSummary,
     MonoidSummary,
+    Chart,
     read_series_csv,
-    render_svg,
-    svg_text,
     write_csv,
 )
 from primelab.series import scan
@@ -182,8 +181,9 @@ def test_write_csv_rejects_unknown_rows(tmp_path):
 
 
 def test_svg_structure(tmp_path):
-    ser = small_series()
-    text = svg_text(ser.stream())
+    ser = small_series().stream()
+    scan(ser, chart := Chart(ser))
+    text = chart.text()
     assert text.startswith("<svg")
     assert 'width="800" height="600"' in text
     assert text.count("<polyline") == 2
@@ -193,13 +193,17 @@ def test_svg_structure(tmp_path):
 
 
 def test_svg_single_point_uses_markers():
-    text = svg_text(HeldSeries(np.array([10]), np.array([4]), lambda xs: np.array([5.0])).stream())
+    ser = HeldSeries(np.array([10]), np.array([4]), lambda xs: np.array([5.0])).stream()
+    scan(ser, chart := Chart(ser))
+    text = chart.text()
     assert "<polyline" not in text
     assert text.count("<circle") == 2
 
 
 def test_svg_without_estimates_has_one_curve():
-    text = svg_text(small_series(estimator=False).stream())
+    ser = small_series(estimator=False).stream()
+    scan(ser, chart := Chart(ser))
+    text = chart.text()
     assert text.count("<polyline") == 1
     assert ">estimate</text>" not in text
 
@@ -207,20 +211,24 @@ def test_svg_without_estimates_has_one_curve():
 def test_svg_deterministic(tmp_path):
     ser = small_series()
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_svg(ser.stream(), p1)
-    render_svg(ser.stream(), p2)
+    for path in (p1, p2):
+        stream = ser.stream()
+        scan(stream, chart := Chart(stream, path))
+        chart.finish()
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_svg_rejects_empty_series():
     with pytest.raises(ValueError):
-        svg_text(empty_series().stream())
+        Chart(empty_series().stream())
 
 
 def test_svg_thins_long_series():
     n = 10_000
     xs = np.arange(2, 2 + n)
-    text = svg_text(HeldSeries(xs, np.arange(n), lambda v: v / 2.0).stream())
+    ser = HeldSeries(xs, np.arange(n), lambda v: v / 2.0).stream()
+    scan(ser, chart := Chart(ser))
+    text = chart.text()
     longest = max(len(line) for line in text.splitlines())
     assert longest < 40_000  # ~2000 vertices at most per polyline
 
@@ -280,14 +288,17 @@ SVG_SERIES = {
 def test_svg_polylines_match_whole_array_oracle(monkeypatch, case, block_rows):
     monkeypatch.setattr(sieve, "COUNT_BLOCK", block_rows)
     ser = SVG_SERIES[case]()
+    stream = ser.stream()
+    scan(stream, chart := Chart(stream))
+    text = chart.text()
     polylines = [
         line.split(' points="')[1].removesuffix('"/>')
-        for line in svg_text(ser.stream()).splitlines()
+        for line in text.splitlines()
         if line.startswith("<polyline")
     ]
     expected = oracle_polyline_points(ser)
     if case == "one-row":
-        assert len(polylines) == 1 and "<circle" in svg_text(ser.stream())  # one estimate: a marker
+        assert len(polylines) == 1 and "<circle" in text  # one estimate: a marker
         expected = expected[:1]
     assert polylines == expected
 
@@ -300,7 +311,9 @@ def test_svg_evaluates_only_the_drawn_rows():
         return xs / 2.0
 
     n = 100_000
-    svg_text(HeldSeries(range(2, 2 + n), np.arange(n), estimator).stream())
+    ser = HeldSeries(range(2, 2 + n), np.arange(n), estimator).stream()
+    scan(ser, chart := Chart(ser))
+    chart.text()
     assert sum(evaluated) <= MAX_POLYLINE_POINTS + 1
 
 

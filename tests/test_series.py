@@ -36,7 +36,6 @@ from primelab import (
     find_crossover,
     fit_model,
     gaussian_census,
-    mape,
     monoid_census,
     quad_census,
     ratio_R,
@@ -138,24 +137,29 @@ def series(x, actual, estimator=None):
 
 def test_mape_basics():
     one = series(np.array([10]), np.array([100]), lambda xs: np.full(xs.shape, 90.0))
-    assert mape(one) == pytest.approx(10.0)
+    analysis.scan(one, error := analysis.Mape())
+    assert error.result() == [pytest.approx(10.0)]
     exact = series(
         np.array([10, 20]), np.array([5, 9]), lambda xs: np.where(xs == 10, 5.0, 9.0)
     )
-    assert mape(exact) == 0.0
+    analysis.scan(exact, error := analysis.Mape())
+    assert error.result() == [0.0]
     undefined = series(np.array([10]), np.array([0]), lambda xs: np.full(xs.shape, 3.0))
+    analysis.scan(undefined, error := analysis.Mape())
     with pytest.raises(ValueError):
-        mape(undefined)
+        error.result()
     no_estimator = series(np.array([10, 20]), np.array([1, 2]))
+    analysis.scan(no_estimator, error := analysis.Mape())
     with pytest.raises(ValueError):
-        mape(no_estimator)
+        error.result()
 
 
 def test_mape_zero_iff_exact():
     ser = series(
         np.array([5, 10, 20]), np.array([2, 4, 9]), lambda xs: np.array([2.0, 4.1, 9.0])
     )
-    assert mape(ser) > 0
+    analysis.scan(ser, error := analysis.Mape())
+    assert error.result()[0] > 0
 
 
 def test_crossover_synthetic():
@@ -286,7 +290,8 @@ def test_mape_nonnegative(pairs):
     ser = series(np.array(xs), actual, lambda v: v / np.log(v.astype(float) + 1.0))
     if np.all(actual == 0):
         return
-    assert mape(ser) >= 0.0
+    analysis.scan(ser, error := analysis.Mape())
+    assert error.result()[0] >= 0.0
 
 
 # Reference oracles: the whole-array columns and statistics that the
@@ -365,9 +370,13 @@ def test_streamed_statistics_match_whole_array_oracles(monkeypatch, domain, bloc
         assert np.array_equal(np.concatenate(got), want, equal_nan=True)
 
     assert find_crossover(ser.stream()) == whole_array_crossover(x, actual, est)
-    assert mape(ser.stream()) == pytest.approx(whole_array_mape(pct), rel=1e-12)
+    analysis.scan(ser.stream(), error := analysis.Mape())
+    assert error.result()[0] == pytest.approx(whole_array_mape(pct), rel=1e-12)
     bounds = [10, 1000, int(x[len(x) // 3]) + 1, int(x[-1]) - 1, int(x[-1])]
-    got = [mape(ser.stream(), upto=bound) for bound in bounds]
+    got = []
+    for bound in bounds:
+        analysis.scan(ser.stream(), error := analysis.Mape((bound,)))
+        got += error.result()
     assert got == pytest.approx(oracle_prefix_mapes(x, pct, bounds), rel=1e-12)
 
 
@@ -394,11 +403,12 @@ def test_streamed_statistics_match_oracles_on_stored_columns(block_rows, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve, "COUNT_BLOCK", block_rows)
         assert find_crossover(ser.stream()) == expected_crossover
+        analysis.scan(ser.stream(), error := analysis.Mape())
         if expected_mape is None:
             with pytest.raises(ValueError):
-                mape(ser.stream())
+                error.result()
         else:
-            assert mape(ser.stream()) == pytest.approx(expected_mape, rel=1e-12)
+            assert error.result()[0] == pytest.approx(expected_mape, rel=1e-12)
 
 
 def outcome(fn, *args):
@@ -411,8 +421,10 @@ def outcome(fn, *args):
 
 
 def held_mape(ser, upto=None):
-    """mape of a pass of a held series."""
-    return mape(ser.stream(), upto)
+    """The MAPE of a pass of a held series."""
+    error = analysis.Mape((upto,))
+    analysis.scan(ser.stream(), error)
+    return error.result()[0]
 
 
 def block_edge_series():
@@ -542,7 +554,8 @@ def test_series_memory_does_not_grow_with_census_size():
         ser = build_series(gaussian_census(n, "both-axes")).stream()  # the whole counts, made untraced
         tracemalloc.start()
         try:
-            mape(ser)
+            analysis.scan(ser, error := analysis.Mape())
+            error.result()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -16,17 +16,20 @@ from oracles import (
     whole_counts,
 )
 from primelab import (
+    ClassicalCensus,
+    GaussianCensus,
     MonoidCensus,
     MonoidParams,
+    QuadCensus,
     RegionSpec,
     classical_census,
     gaussian_census,
     monoid_census,
     quad_census,
 )
-from primelab import sieve
+from primelab import quadratic, sieve
 from primelab.gaussian import AXIS_CONVENTIONS
-from primelab.quadratic import validate_ring_param
+from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
 
 
@@ -71,6 +74,8 @@ def test_limit_validation():
 
 
 INTEGER_PARAMETERS = {
+    "ClassicalCensus.limit": lambda v: ClassicalCensus(limit=v),
+    "GaussianCensus.norm_limit": lambda v: GaussianCensus(norm_limit=v, axis_convention="both-axes"),
     "classical_census": classical_census,
     "MonoidParams.d": lambda v: MonoidParams(d=v, limit=100),
     "MonoidParams.limit": lambda v: MonoidParams(d=3, limit=v),
@@ -85,6 +90,51 @@ INTEGER_PARAMETERS = {
 def test_integer_parameters_reject_bools_and_non_integers(name, value):
     with pytest.raises(ValueError, match="must be an integer"):
         INTEGER_PARAMETERS[name](value)
+
+
+# Each census parameter: the census made with one value of it, the other
+# parameters valid, by its constructor and by its factory function, and the
+# values that both must refuse.
+NOT_INTEGERS = (True, 2.5, "7")
+CENSUS_PARAMETERS = {
+    "classical-limit": (lambda v: ClassicalCensus(limit=v), classical_census,
+                        (*NOT_INTEGERS, 1, MAX_SIEVE_LIMIT + 1)),
+    "monoid-d": (lambda v: MonoidCensus(params=MonoidParams(v, 100)),
+                 lambda v: monoid_census(MonoidParams(v, 100)), (*NOT_INTEGERS, 1)),
+    "monoid-limit": (lambda v: MonoidCensus(params=MonoidParams(3, v)),
+                     lambda v: monoid_census(MonoidParams(3, v)),
+                     (*NOT_INTEGERS, 0, MAX_SIEVE_LIMIT + 1)),
+    "gaussian-norm_limit": (lambda v: GaussianCensus(v, "both-axes"),
+                            lambda v: gaussian_census(v, "both-axes"),
+                            (*NOT_INTEGERS, 0, MAX_SIEVE_LIMIT + 1)),
+    "gaussian-axes": (lambda v: GaussianCensus(100, v), lambda v: gaussian_census(100, v),
+                      ("bogus", True)),
+    # both parameters wrong: the axis convention is named first
+    "gaussian-both": (lambda v: GaussianCensus(v, "bogus"), lambda v: gaussian_census(v, "bogus"),
+                      (2.5, 0)),
+    "quad-d": (lambda v: QuadCensus(v, RegionSpec("norm-ball", 100)),
+               lambda v: quad_census(v, RegionSpec("norm-ball", 100)), (*NOT_INTEGERS, 0, 4)),
+    "quad-bound": (lambda v: QuadCensus(5, RegionSpec("norm-ball", v)),
+                   lambda v: quad_census(5, RegionSpec("norm-ball", v)),
+                   (*NOT_INTEGERS, 0, MAX_CENSUS_BOUND + 1, MAX_SIEVE_LIMIT + 1)),
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "value"), [(name, v) for name, (*_, values) in CENSUS_PARAMETERS.items() for v in values]
+)
+def test_constructor_and_factory_refuse_alike_before_any_census_work(monkeypatch, name, value):
+    def census_work(*args):
+        raise AssertionError("census work before the parameters were checked")
+
+    monkeypatch.setattr(sieve, "_prime_windows", census_work)
+    monkeypatch.setattr(quadratic, "_mark_reducible", census_work)
+    messages = []
+    for make in CENSUS_PARAMETERS[name][:2]:
+        with pytest.raises(ValueError) as refused:
+            make(value)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def test_classical_census_matches_pi():

@@ -27,7 +27,6 @@ from primelab import (
     classical_census,
     find_crossover,
     gaussian_census,
-    mape,
     monoid_census,
     quad_census,
 )
@@ -133,7 +132,9 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
         ]
     assert crossover.value == oracle_find_crossover(whole) == find_crossover(whole.stream())
     write_series_csv(whole, tmp_path / "whole.csv")
-    report.render_svg(whole.stream(), tmp_path / "whole.svg")
+    whole_pass = whole.stream()
+    analysis.scan(whole_pass, whole_chart := report.Chart(whole_pass, tmp_path / "whole.svg"))
+    whole_chart.finish()
     for artifact in ("csv", "svg"):
         streamed = (tmp_path / f"streamed.{artifact}").read_bytes()
         assert streamed == (tmp_path / f"whole.{artifact}").read_bytes(), artifact
@@ -169,7 +170,10 @@ def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
 def test_streamed_series_is_read_in_one_pass(monkeypatch):
     monkeypatch.setattr(sieve, "COUNT_BLOCK", 4099)
     ser = analysis.stream_series(gaussian_census(50_000, "both-axes"))
-    assert mape(ser) == mape(build_series(gaussian_census(50_000, "both-axes")).stream())
+    streamed, whole = analysis.Mape(), analysis.Mape()
+    analysis.scan(ser, streamed)
+    analysis.scan(build_series(gaussian_census(50_000, "both-axes")).stream(), whole)
+    assert streamed.result() == whole.result()
     with pytest.raises(RuntimeError, match="read once"):
         find_crossover(ser)
 
