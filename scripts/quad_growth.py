@@ -55,7 +55,7 @@ def main() -> int:
             print(f"error: d={d} {kind} bound={args.bound}: {exc}", file=sys.stderr)
             return 2
         took = time.perf_counter() - t0
-        count = census.total
+        count = len(census.bounds)  # every irreducible's bound is at most the region's
         print(
             f"d={d}: count={count} fit c={fit.c:.4g} e={fit.e:.4g} "
             f"rms={fit.rms_rel_err:.3g} ({took:.2f}s)"

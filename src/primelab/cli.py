@@ -54,10 +54,8 @@ def _guard_limit() -> int:
         raise GuardViolation(f"{GUARD_ENV}={raw!r} is not an integer") from exc
 
 
-def _check_guard(value: int, what: str, cap: int | None = None) -> None:
+def _check_guard(value: int, what: str) -> None:
     guard = _guard_limit()
-    if cap is not None:
-        guard = min(guard, cap)
     if value > guard:
         raise GuardViolation(f"{what}={value} exceeds resource guard {guard}")
 
@@ -200,7 +198,7 @@ def _census(domain: str, args):
         _check_guard(args.d, "d")
         kind = "euclidean-ball" if args.euclidean else "norm-ball"
         region = quadratic.RegionSpec(kind, args.bound)
-        _check_guard(region.largest_norm(args.d), "largest norm", cap=quadratic.MAX_CENSUS_BOUND)
+        _check_guard(region.largest_norm(args.d), "largest norm")
         census = quadratic.quad_census(args.d, region)
     return census
 

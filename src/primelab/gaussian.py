@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import SievedCensus, primes_upto, require_estimate_points, require_sieve_limit
+from .sieve import MAX_SIEVE_LIMIT, SievedCensus, primes_upto, require_estimate_points, require_int
 
 AXIS_CONVENTIONS = ("both-axes", "dedupe-axes")
 
@@ -36,7 +36,7 @@ class GaussianCensus(SievedCensus):
     def __post_init__(self) -> None:
         if self.axis_convention not in AXIS_CONVENTIONS:
             raise ValueError(f"unknown axis convention {self.axis_convention!r}")
-        require_sieve_limit("norm_limit", self.norm_limit, 1)
+        require_int("norm_limit", self.norm_limit, 1, MAX_SIEVE_LIMIT)
 
     def _sieve(self):
         """The sieve of the norms up to norm_limit, each block weighted by

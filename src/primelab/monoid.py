@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import SievedCensus, require_estimate_points, require_int, require_sieve_limit
+from .sieve import MAX_SIEVE_LIMIT, SievedCensus, require_estimate_points, require_int
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class MonoidParams:
 
     def __post_init__(self) -> None:
         require_int("d", self.d, 2)
-        require_sieve_limit("limit", self.limit, 1)
+        require_int("limit", self.limit, 1, MAX_SIEVE_LIMIT)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ from .sieve import Census, count_dtype, require_int, running_totals
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
-# the census's norm grid and its marks grow with the region's largest norm top, at
-# 6 bytes per grid cell (a, b), a^2 <= top and d*b^2 <= top; once the grid is freed
-# the census keeps 4 bytes per irreducible; cap that norm
-MAX_CENSUS_BOUND = 10**6
+# the most a census's largest norm top may be, checked when it is made, as a sieve's
+# limit is by MAX_SIEVE_LIMIT: its norm grid and marks take 6 bytes per grid cell (a, b),
+# a^2 <= top and d*b^2 <= top; d = 1 has the most cells, and its census at 10^8 peaks at
+# about 600 MB, so no raised resource guard admits the grid of about 6 GB of 10^9
+MAX_CENSUS_BOUND = 10**8
 # cofactor cells per step of the census's walk, which bounds its index temporaries
 WALK_CELLS = 1 << 14
 
@@ -72,9 +73,7 @@ class QuadCensus(Census):
 
     def __post_init__(self) -> None:
         validate_ring_param(self.d)
-        top = self.region.largest_norm(self.d)
-        if top > MAX_CENSUS_BOUND:
-            raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
+        require_int("largest norm", self.region.largest_norm(self.d), maximum=MAX_CENSUS_BOUND)
 
     @functools.cached_property
     def bounds(self) -> np.ndarray:

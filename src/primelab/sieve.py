@@ -44,19 +44,15 @@ COUNT_BLOCK = 1 << 16
 Weigh = Callable[[int, np.ndarray], None]
 
 
-def require_int(name: str, value, minimum: int | None = None) -> None:
-    """Reject bools, non-integers and, when given, values below ``minimum``."""
+def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
+    """Reject bools, non-integers and, when given, values below ``minimum``
+    or above ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
-
-
-def require_sieve_limit(name: str, value, minimum: int) -> None:
-    """require_int, and reject sieve limits above MAX_SIEVE_LIMIT."""
-    require_int(name, value, minimum)
-    if value > MAX_SIEVE_LIMIT:
-        raise ValueError(f"limit {value} exceeds maximum {MAX_SIEVE_LIMIT}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} {value} exceeds maximum {maximum}")
 
 
 def require_estimate_points(name: str, value) -> None:
@@ -229,7 +225,7 @@ class ClassicalCensus(SievedCensus):
     limit: int
 
     def __post_init__(self) -> None:
-        require_sieve_limit("limit", self.limit, 2)
+        require_int("limit", self.limit, 2, MAX_SIEVE_LIMIT)
 
     def _sieve(self) -> tuple[int, int, int, None]:
         return 1, self.limit, self.limit, None

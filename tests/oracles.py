@@ -66,12 +66,15 @@ from primelab import FitResult, MonoidParams, RegionSpec, Series
 from primelab import report
 from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
-from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
+from primelab.quadratic import validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
 from primelab.sieve import SievedCensus, count_blocks, count_dtype, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
+# the former quadratic sieve holds about 24 B per grid cell (its int64 norm grid
+# and temporaries), so it takes largest norms up to the census's former cap alone
+ORACLE_QUAD_MAX_NORM = 10**6
 
 
 def eratosthenes_flags(limit: int) -> np.ndarray:
@@ -540,8 +543,8 @@ def oracle_quad_census(d: int, region: RegionSpec) -> np.ndarray:
     its own."""
     validate_ring_param(d)
     top = region.largest_norm(d)
-    if top > MAX_CENSUS_BOUND:
-        raise ValueError(f"largest norm {top} exceeds census cap {MAX_CENSUS_BOUND}")
+    if top > ORACLE_QUAD_MAX_NORM:
+        raise ValueError(f"largest norm {top} exceeds oracle cap {ORACLE_QUAD_MAX_NORM}")
     # every quadrant cell (a, b) of norm <= top: the region's and each product's
     root = math.isqrt(top)
     a, b = np.ogrid[: root + 1, : math.isqrt(top // d) + 1]

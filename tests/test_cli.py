@@ -89,13 +89,47 @@ def test_guard_bounds_largest_norm(capsys, monkeypatch):
     code, _, err = run(["quad", "--d", "99999989", "--bound", "1000000", "--euclidean"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "largest norm=99999989000000 exceeds resource guard 1000000" in err
+    assert "largest norm=99999989000000 exceeds resource guard 100000000" in err
     assert run(["quad", "--d", "99999989", "--bound", "10", "--euclidean"], capsys)[0] == 3
     monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000")
     assert run(["quad", "--d", "5", "--bound", "200", "--euclidean"], capsys)[0] == 0
     assert run(["quad", "--d", "5", "--bound", "201", "--euclidean"], capsys)[0] == 3
     assert run(["quad", "--d", "5", "--bound", "1000"], capsys)[0] == 0
     assert run(["quad", "--d", "5", "--bound", "1001"], capsys)[0] == 3
+
+
+def test_quad_counts_above_its_former_cap(capsys, monkeypatch):
+    # the census once stopped at 10^6; at d = 1 it counts the Gaussian primes
+    monkeypatch.delenv("PRIMES_LAB_MAX_LIMIT", raising=False)
+    code, out, _ = run(["quad", "--d", "1", "--bound", "1000001"], capsys)
+    gauss_code, gauss_out, _ = run(["gauss", "--norm-limit", "1000001"], capsys)
+    assert code == gauss_code == 0
+    count = gauss_out.split("count=")[1].split()[0]
+    assert out == f"quad d=1 norm-ball bound=1000001: irreducibles={count}\n"
+
+
+def test_census_maximum_above_a_raised_guard(capsys, monkeypatch):
+    # a raised guard passes the size on, and each census refuses its own maximum
+    # (2^40 for the sieve, 10^8 for the quadratic grid) with exit 2, naming the
+    # parameter, before any census work
+    def census_work(*args):
+        raise AssertionError("census work for a refused census")
+
+    monkeypatch.setattr(sieve, "_prime_windows", census_work)
+    monkeypatch.setattr(quadratic, "_mark_reducible", census_work)
+    monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "2000000000000")
+    code, out, err = run(["gauss", "--norm-limit", "1099511627777"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: norm_limit 1099511627777 exceeds maximum 1099511627776\n"
+    code, out, err = run(["quad", "--d", "1", "--bound", "100000001"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: largest norm 100000001 exceeds maximum 100000000\n"
+    monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000000000")
+    start = time.perf_counter()
+    code, out, err = run(["quad", "--d", "1", "--bound", "1000000000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: largest norm 1000000000 exceeds maximum 100000000\n"
 
 
 # every output flag of each table command

@@ -39,7 +39,7 @@ CASES = {
         ["quad", "--d", "5", "--bound", "500", "--euclidean", "--csv", "q.csv", "--svg", "q.svg"],
     ],
     "quad-bound-1": [["quad", "--d", "3", "--bound", "1", "--csv", "q.csv", "--svg", "q.svg"]],
-    "quad-over-cap": [["quad", "--d", "5", "--bound", "1000001"]],
+    "quad-over-cap": [["quad", "--d", "5", "--bound", "30000000", "--euclidean"]],
     "fit-classical": [["fit", "--domain", "classical", "--limit", "20000", "--csv", "f.csv"]],
     "fit-monoid": [["fit", "--domain", "monoid", "--d", "3", "--limit", "5000", "--csv", "f.csv"]],
     "fit-monoid-empty": [["fit", "--domain", "monoid", "--d", "50", "--limit", "40"]],

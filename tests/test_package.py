@@ -32,6 +32,7 @@ ORACLES = {
     "BRUTE_NORM_CAP",
     "GaussPoint",
     "HeldSeries",
+    "ORACLE_QUAD_MAX_NORM",
     "QuadInt",
     "_divisors_by_trial",
     "_has_proper_divisor",

@@ -169,9 +169,14 @@ def test_pass_searches_its_bounds_with_keys_of_their_dtype(monkeypatch):
     assert len(key_dtypes) == -(-10**4 // 64) and set(key_dtypes) == {bounds.dtype}
 
 
+# the largest norm of the census tests that compare whole grids or oracles: the
+# census's former cap, as at its maximum of 10^8 they would run for minutes
+TESTED_NORM = 10**6
+
+
 def test_census_validation():
     with pytest.raises(ValueError):
-        quad_census(5, RegionSpec("norm-ball", 10**6 + 1))
+        quad_census(5, RegionSpec("norm-ball", MAX_CENSUS_BOUND + 1))
     with pytest.raises(ValueError):
         RegionSpec("cube", 10)
     with pytest.raises(ValueError):
@@ -193,10 +198,10 @@ def oracle_cumulative(d: int, region: RegionSpec) -> np.ndarray:
 
 def assert_matches_divisor_search_oracle(d, kind):
     # the sieve's factor range follows the bound, so try every small bound whose
-    # largest norm is within the cap (at d = 9973 the disc stops at bound 100)
+    # largest norm is within TESTED_NORM (at d = 9973 the disc stops at bound 100)
     bounds = [
         bound for bound in [*range(1, 201), 4000]
-        if RegionSpec(kind, bound).largest_norm(d) <= MAX_CENSUS_BOUND
+        if RegionSpec(kind, bound).largest_norm(d) <= TESTED_NORM
     ]
     oracle = oracle_cumulative(d, RegionSpec(kind, bounds[-1]))
     for bound in bounds:
@@ -225,8 +230,8 @@ def test_census_walk_steps_match_the_oracles(monkeypatch, walk_cells):
 @pytest.mark.parametrize("kind", REGION_KINDS)
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15])
 def test_census_counts_as_the_former_sieve(d, kind):
-    # the largest bound under the cap, whose grid is the largest the census makes
-    region = RegionSpec(kind, MAX_CENSUS_BOUND // RegionSpec(kind, 1).largest_norm(d))
+    # the largest bound whose largest norm is within TESTED_NORM, the oracle's limit
+    region = RegionSpec(kind, TESTED_NORM // RegionSpec(kind, 1).largest_norm(d))
     census, former = whole_counts(quad_census(d, region)), oracle_quad_census(d, region)
     assert census.dtype == former.dtype == np.int32
     assert np.array_equal(census, former)
@@ -248,17 +253,18 @@ def test_census_d2_follows_rational_primes():
     # Z[sqrt(-2)] is a UFD, so its irreducibles are its primes: sqrt(-2), one
     # first-quadrant cell a + b*sqrt(-2) over each p = 1, 3 (mod 8), and each
     # inert q = 5, 7 (mod 8) itself, at norm q^2
-    primes = table_primes(eratosthenes_flags(MAX_CENSUS_BOUND))
+    primes = table_primes(eratosthenes_flags(TESTED_NORM))
     split = primes[(primes == 2) | np.isin(primes % 8, (1, 3))]
     inert = primes[np.isin(primes % 8, (5, 7))]
-    counts = np.zeros(MAX_CENSUS_BOUND + 1, dtype=np.int64)
+    counts = np.zeros(TESTED_NORM + 1, dtype=np.int64)
     counts[split] += 1
-    counts[inert[inert * inert <= MAX_CENSUS_BOUND] ** 2] += 1
-    census = quad_census(2, RegionSpec("norm-ball", MAX_CENSUS_BOUND))
+    counts[inert[inert * inert <= TESTED_NORM] ** 2] += 1
+    census = quad_census(2, RegionSpec("norm-ball", TESTED_NORM))
     assert np.array_equal(whole_counts(census), np.cumsum(counts)[1:])
 
 
-@pytest.mark.parametrize("bound", [10**5, MAX_CENSUS_BOUND])
+# 2*10^6 is above the census's former cap of 10^6
+@pytest.mark.parametrize("bound", [10**5, TESTED_NORM, 2 * TESTED_NORM])
 def test_census_d1_equals_gaussian_census(bound):
     gauss = whole_counts(gaussian_census(bound, "both-axes"))  # from norm 2
     for kind in REGION_KINDS:
@@ -271,7 +277,7 @@ WALK_STEP_BYTES = 48 * WALK_CELLS  # one step of the walk, measured at 40 B per 
 
 @pytest.mark.parametrize(
     "d, kind, bound",
-    [(1, "norm-ball", MAX_CENSUS_BOUND), (5, "norm-ball", MAX_CENSUS_BOUND), (6, "euclidean-ball", 150_000)],
+    [(1, "norm-ball", TESTED_NORM), (5, "norm-ball", TESTED_NORM), (6, "euclidean-ball", 150_000)],
 )
 def test_census_peak_memory(d, kind, bound):
     # the int32 norm grid (reused in place as the disc's a^2 + b^2), the marks and
@@ -298,13 +304,19 @@ def test_census_d5_known_total():
     assert quad_census(5, RegionSpec("norm-ball", 10**6)).total == 63076
 
 
-def test_census_caps_largest_norm():
-    # the disc a^2 + b^2 <= bound holds norms up to d*bound
-    assert RegionSpec("euclidean-ball", 200_000).largest_norm(5) == MAX_CENSUS_BOUND
-    assert RegionSpec("norm-ball", 200_000).largest_norm(5) == 200_000
-    with pytest.raises(ValueError, match="largest norm"):
-        quad_census(5, RegionSpec("euclidean-ball", 200_001))
-    with pytest.raises(ValueError, match="largest norm"):
+def test_census_caps_largest_norm(monkeypatch):
+    # the disc a^2 + b^2 <= bound holds norms up to d*bound; a census over the
+    # maximum is refused when it is made, before any census work
+    def census_work(*args):
+        raise AssertionError("census work for a refused census")
+
+    monkeypatch.setattr(quadratic, "_mark_reducible", census_work)
+    assert RegionSpec("euclidean-ball", 20_000_000).largest_norm(5) == MAX_CENSUS_BOUND == 10**8
+    assert RegionSpec("norm-ball", 20_000_000).largest_norm(5) == 20_000_000
+    quad_census(5, RegionSpec("euclidean-ball", 20_000_000))
+    with pytest.raises(ValueError, match="^largest norm 100000005 exceeds maximum 100000000$"):
+        quad_census(5, RegionSpec("euclidean-ball", 20_000_001))
+    with pytest.raises(ValueError, match="^largest norm 999999890 exceeds maximum 100000000$"):
         quad_census(99999989, RegionSpec("euclidean-ball", 10))
 
 
