@@ -10,12 +10,13 @@ Every command reads its census once, block by block
 (series.stream_series), and feeds that one pass to all of its reducers:
 its statistics, and the series CSV writer and the chart when they are asked
 for.  So no command holds a count per point (fit's pass sums the fit's
-binned moments, read from a census or a CSV).  Every output a command is
-given is created, in the order the command names them, before any census
-work, so an unwritable path exits 4 before the first printed line; the
-series CSV is written during the pass, the printed lines and the other
-files after it (fit's --csv, which may name the --from-csv input, is not
-emptied until then).
+binned moments, read from a census or a CSV).  A command hands _scan and
+_emit its output paths themselves.  Two outputs that name one file exit 2,
+and every output a command is given is created, in the order the command
+names them, before any census work, so an unwritable path exits 4 before
+the first printed line; the series CSV is written during the pass, the
+printed lines and the other files after it (fit's --csv, which may name
+the --from-csv input, is not emptied until then).
 """
 
 from __future__ import annotations
@@ -185,22 +186,20 @@ def _census(domain: str, args):
     _require(args, domain, *(name for name in _CENSUS_FLAGS[domain] if name != "euclidean"))
     if domain == "classical":
         _check_guard(args.limit, "limit")
-        census = sieve.classical_census(args.limit)
-    elif domain == "monoid":
+        return sieve.classical_census(args.limit)
+    if domain == "monoid":
         _check_guard(args.limit, "limit")
-        census = monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
-    elif domain == "gauss":
+        return monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
+    if domain == "gauss":
         _check_guard(args.norm_limit, "norm-limit")
         convention = "dedupe-axes" if getattr(args, "dedupe_axes", False) else "both-axes"
-        census = gaussian.gaussian_census(args.norm_limit, convention)
-    else:
-        # squarefree validation of d trial-divides up to sqrt(d): guard d first
-        _check_guard(args.d, "d")
-        kind = "euclidean-ball" if args.euclidean else "norm-ball"
-        region = quadratic.RegionSpec(kind, args.bound)
-        _check_guard(region.largest_norm(args.d), "largest norm")
-        census = quadratic.quad_census(args.d, region)
-    return census
+        return gaussian.gaussian_census(args.norm_limit, convention)
+    # squarefree validation of d trial-divides up to sqrt(d): guard d first
+    _check_guard(args.d, "d")
+    kind = "euclidean-ball" if args.euclidean else "norm-ball"
+    region = quadratic.RegionSpec(kind, args.bound)
+    _check_guard(region.largest_norm(args.d), "largest norm")
+    return quadratic.quad_census(args.d, region)
 
 
 def _create(*paths) -> None:
@@ -210,39 +209,43 @@ def _create(*paths) -> None:
             open(path, "wb").close()
 
 
-def _scan(args, ser: analysis.Series, *reducers, series_csv: str = "series_csv") -> dict:
-    """Create the files of --csv, --series-csv and --svg that are given, in
-    that order, then feed the series' one pass to the reducers and to the
-    writers of the series, returned by flag: the series CSV to the flag named
-    series_csv (quad's is --csv), closed at the pass's end or when a later
-    path fails, and the chart to --svg."""
-    writers = {}
+def _distinct(*paths) -> None:
+    """Refuse two outputs that name one file (None and an empty path name none)."""
+    seen = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"outputs {seen[real]} and {path} name one file")
+        seen[real] = path
+
+
+def _scan(ser: analysis.Series, reducers, csv=None, series_csv=None, svg=None) -> list:
+    """Create the outputs given, in the order csv, series_csv, svg, then feed
+    the series' one pass to the reducers and to the writers of the series:
+    the series CSV's (closed at the pass's end, or when a later path fails)
+    and the chart's, returned as (path, writer) pairs in that order."""
+    _distinct(csv, series_csv, svg)
+    writers = []
     with contextlib.ExitStack() as opened:
-        for flag in dict.fromkeys(("csv", series_csv, "svg")):
-            path = getattr(args, flag, None)
-            if flag == series_csv and path is not None:
-                writers[flag] = report.SeriesCsvWriter(path)
-                opened.callback(writers[flag].finish)
-            else:
-                _create(path)
-        if getattr(args, "svg", None) is not None:
-            writers["svg"] = report.Chart(ser, args.svg)
-        analysis.scan(ser, *reducers, *writers.values())
+        _create(csv)
+        if series_csv is not None:
+            writers.append((series_csv, report.SeriesCsvWriter(series_csv)))
+            opened.callback(writers[-1][1].finish)
+        if svg is not None:
+            _create(svg)
+            writers.append((svg, report.Chart(ser, svg)))
+        analysis.scan(ser, *reducers, *(writer for _, writer in writers))
     return writers
 
 
-def _emit(args, rows=None, writers=()) -> None:
-    """Finish whichever of --csv, --series-csv and --svg the subcommand has,
-    in that order: a writer fed by the pass, or the summary or fit rows to
-    --csv."""
-    for flag in ("csv", "series_csv", "svg"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
-        if flag in writers:
-            writers[flag].finish()
-        else:
-            report.write_csv(rows, path)
+def _emit(rows=(), csv=None, writers=()) -> None:
+    """Write the summary or fit rows to csv, if given, then finish each
+    (path, writer) pair that _scan returned, in order."""
+    if csv is not None:
+        report.write_csv(rows, csv)
+        print(f"wrote {csv}")
+    for path, writer in writers:
+        writer.finish()
         print(f"wrote {path}")
 
 
@@ -262,14 +265,14 @@ def _cmd_monoid(args) -> int:
     census = _census("monoid", args)
     ser = analysis.stream_series(census)
     total, error = analysis.Total(), analysis.Mape()
-    writers = _scan(args, ser, total, error)
+    writers = _scan(ser, (total, error), args.csv, args.series_csv, args.svg)
     eval_x = census.change_grid()[-1] if args.eval_at == "largest" else args.limit
     row = _monoid_summary(census, total.value, error.result()[0], eval_x)
     print(
         f"monoid d={args.d} limit={args.limit}: count={row.actual_count} "
         f"estimate({eval_x})={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
     )
-    _emit(args, [row], writers)
+    _emit([row], args.csv, writers)
     return EXIT_OK
 
 
@@ -277,13 +280,13 @@ def _cmd_gauss(args) -> int:
     census = _census("gauss", args)
     ser = analysis.stream_series(census)
     total, error = analysis.Total(), analysis.Mape()
-    writers = _scan(args, ser, total, error)
+    writers = _scan(ser, (total, error), args.csv, args.series_csv, args.svg)
     row = report.MapeSummary(args.norm_limit, error.result()[0])
     print(
         f"gauss norm-limit={args.norm_limit} axes={census.axis_convention}: "
         f"count={total.value} mape={row.mape_pct:.3f}%"
     )
-    _emit(args, [row], writers)
+    _emit([row], args.csv, writers)
     return EXIT_OK
 
 
@@ -291,9 +294,9 @@ def _cmd_quad(args) -> int:
     census = _census("quad", args)
     ser = analysis.stream_series(census)
     total = analysis.Total()
-    writers = _scan(args, ser, total, series_csv="csv")
+    writers = _scan(ser, (total,), series_csv=args.csv, svg=args.svg)
     print(f"quad d={args.d} {census.region.kind} bound={args.bound}: irreducibles={total.value}")
-    _emit(args, writers=writers)
+    _emit(writers=writers)
     return EXIT_OK
 
 
@@ -322,46 +325,47 @@ def _cmd_fit(args) -> int:
         open(args.csv, "ab").close()  # not emptied: write_csv replaces it after the pass
     result = analysis.fit_model(ser)
     print(
-        f"fit {ser.label()}: c={result.c:.6g} e={result.e:.6g} "
+        f"fit {ser.label}: c={result.c:.6g} e={result.e:.6g} "
         f"rms_rel_err={result.rms_rel_err:.6g}"
     )
-    _emit(args, [result])
+    _emit([result], args.csv)
     return EXIT_OK
 
 
 def _cmd_table1(args) -> int:
     _check_guard(TABLE1_LIMIT, "limit")
-    _create(args.csv)
     charts = {}
     if args.svg_dir is not None:
-        os.makedirs(args.svg_dir, exist_ok=True)
         charts = {d: os.path.join(args.svg_dir, f"monoid_d{d}.svg") for d in TABLE1_MODULI}
+    _distinct(args.csv, *charts.values())
+    _create(args.csv)
+    if args.svg_dir is not None:
+        os.makedirs(args.svg_dir, exist_ok=True)
         _create(*charts.values())
     rows = []
     for d in TABLE1_MODULI:
         census = monoid.monoid_census(monoid.MonoidParams(d=d, limit=TABLE1_LIMIT))
         ser = analysis.stream_series(census)
         total, error = analysis.Total(), analysis.Mape()
-        chart = argparse.Namespace(svg=charts.get(d))
-        writers = _scan(chart, ser, total, error)
+        writers = _scan(ser, (total, error), svg=charts.get(d))
         row = _monoid_summary(census, total.value, error.result()[0], census.change_grid()[-1])
         rows.append(row)
         print(
             f"d={d}: largest={row.largest_element} count={row.actual_count} "
             f"estimate={row.estimate:.2f} R={row.r_ratio:.5f} mape={row.mape_pct:.2f}%"
         )
-        _emit(chart, writers=writers)
-    _emit(args, rows)
+        _emit(writers=writers)
+    _emit(rows, args.csv)
     return EXIT_OK
 
 
 def _cmd_table2(args) -> int:
-    census = _census("gauss", argparse.Namespace(norm_limit=TABLE2_BOUNDS[-1]))
-    ser = analysis.stream_series(census)
+    _check_guard(TABLE2_BOUNDS[-1], "norm-limit")
+    ser = analysis.stream_series(gaussian.gaussian_census(TABLE2_BOUNDS[-1], "both-axes"))
     error = analysis.Mape(TABLE2_BOUNDS)
-    writers = _scan(args, ser, error)
+    writers = _scan(ser, (error,), args.csv, svg=args.svg)
     rows = [report.MapeSummary(bound, pct) for bound, pct in zip(TABLE2_BOUNDS, error.result())]
     for row in rows:
         print(f"norm-bound={row.norm_bound}: mape={row.mape_pct:.3f}%")
-    _emit(args, rows, writers)
+    _emit(rows, args.csv, writers)
     return EXIT_OK

@@ -65,12 +65,8 @@ class GaussianCensus(SievedCensus):
         at the radius sqrt(norm)."""
         return estimate_pi_G(np.sqrt(norms))
 
-    def describe(self) -> dict[str, str]:
-        return {
-            "domain": "gaussian",
-            "norm_limit": str(self.norm_limit),
-            "axes": self.axis_convention,
-        }
+    def describe(self) -> str:
+        return f"domain=gaussian norm_limit={self.norm_limit} axes={self.axis_convention}"
 
 
 def gaussian_census(norm_limit: int, convention: str) -> GaussianCensus:

@@ -49,12 +49,8 @@ class MonoidCensus(SievedCensus):
         """The paper's conjectured count at x, estimate_pi_d."""
         return estimate_pi_d(self.params.d, x)
 
-    def describe(self) -> dict[str, str]:
-        return {
-            "domain": "monoid",
-            "d": str(self.params.d),
-            "limit": str(self.params.limit),
-        }
+    def describe(self) -> str:
+        return f"domain=monoid d={self.params.d} limit={self.params.limit}"
 
 
 def monoid_census(params: MonoidParams) -> MonoidCensus:

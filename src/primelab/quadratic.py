@@ -101,14 +101,9 @@ class QuadCensus(Census):
 
         yield from running_totals(bound_blocks())
 
-    def describe(self) -> dict[str, str]:
-        return {
-            "domain": "quadratic",
-            "d": str(self.d),
-            "region": self.region.kind,
-            "bound": str(self.region.bound),
-            "counted": "irreducibles",
-        }
+    def describe(self) -> str:
+        return (f"domain=quadratic d={self.d} region={self.region.kind} "
+                f"bound={self.region.bound} counted=irreducibles")
 
 
 def norm_dtype(top: int) -> type[np.integer]:

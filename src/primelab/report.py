@@ -89,15 +89,10 @@ _ROW_FORMATS = {
 
 
 def write_csv(obj, path) -> None:
-    """Write a list of summary or fit rows to path (a series is written by
-    a SeriesCsvWriter fed by its pass)."""
-    rows = list(obj)
-    if not rows:
-        raise ValueError("no summary rows to write")
-    if type(rows[0]) not in _ROW_FORMATS:
-        raise TypeError(f"cannot serialize {type(rows[0]).__name__} rows")
-    header, line = _ROW_FORMATS[type(rows[0])]
-    _write(path, ["\n".join([header, *map(line, rows)]) + "\n"])
+    """Write a nonempty list of summary or fit rows of one type to path (a
+    series is written by a SeriesCsvWriter fed by its pass)."""
+    header, line = _ROW_FORMATS[type(obj[0])]
+    _write(path, "\n".join([header, *map(line, obj)]) + "\n")
 
 
 class SeriesCsvWriter:
@@ -117,11 +112,10 @@ class SeriesCsvWriter:
         self._file.close()
 
 
-def _write(path, texts) -> None:
-    """Write the strings of texts to path in order, as UTF-8 (an empty path
-    names no file)."""
+def _write(path, text: str) -> None:
+    """Write text to path as UTF-8."""
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(texts)
+        f.write(text)
 
 
 def _format_rows(cols) -> bytes:
@@ -286,7 +280,7 @@ def read_series_csv(path) -> Series:
         if f.readline().rstrip("\n") != SERIES_HEADER:
             raise ValueError(f"{path} is not a series CSV (bad header)")
         commas = sum(text.count(",") for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""))
-    return Series(commas // 4, _read_blocks(path, sieve.COUNT_BLOCK), metadata={"source": "csv"})
+    return Series(commas // 4, _read_blocks(path, sieve.COUNT_BLOCK), label="source=csv")
 
 
 def _read_blocks(path, size: int):
@@ -409,10 +403,10 @@ class Chart:
     def text(self) -> str:
         series = self._series
         x, actual = np.concatenate(self._x), np.concatenate(self._actual)
-        return _svg(series.label(), x, actual, Block(0, x, actual, series.estimator).est)
+        return _svg(series.label, x, actual, Block(0, x, actual, series.estimator).est)
 
     def finish(self) -> None:
-        _write(self._path, [self.text()])
+        _write(self._path, self.text())
 
 
 def _svg(label: str, x: np.ndarray, actual: np.ndarray, est: np.ndarray) -> str:

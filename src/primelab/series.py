@@ -5,14 +5,16 @@ own ``estimate``, which is defined for x > 1 alone.  The censuses that
 have one (monoid, Gaussian) start their grids past the unit, at a point
 that is always prime, so a series is its census, row for row.
 
-A Series is a length and a stream of blocks of points and their counts,
-read once.  It comes from one of three sources:
+A Series is a length, a stream of blocks of points and their counts,
+read once, and a label: its census's describe(), which a fit's line and a
+chart's title print.  It comes from one of three sources:
 
 - stream_series(census): the census's running_blocks() as they are, each
   block its points and their counts, so a pass holds one block of counts,
   never a count per point (sieve.py, quadratic.py).
 - report.read_series_csv: the points and counts of a series CSV, parsed
-  during the pass and handed on COUNT_BLOCK rows at a time.
+  during the pass and handed on COUNT_BLOCK rows at a time, labelled
+  source=csv.
 - scripts/quad_growth.thin: chosen points of a quadratic census and their
   counts, in COUNT_BLOCK slices (sieve.count_blocks).
 
@@ -35,7 +37,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -88,21 +90,18 @@ class Series:
     (lo, points, actual) runs in order from row 0, read once, the points
     increasing (a range, or an int64 array) and the counts nondecreasing;
     ``estimator``, which maps int64 points to one estimate each (None: NaN
-    at every point); and ``metadata``.  Making one reads no block, and scan
+    at every point); and ``label``, the census's describe() that a fit's
+    line and a chart's title print.  Making one reads no block, and scan
     feeds each block to the reducers as it comes: scan it with every
     reducer, since a second pass raises RuntimeError."""
 
     def __init__(self, length: int, blocks: Iterable[tuple[int, range | np.ndarray, np.ndarray]],
-                 estimator: Estimator | None = None,
-                 metadata: Mapping[str, str] | None = None) -> None:
-        self._length, self.estimator, self.metadata = length, estimator, metadata or {}
+                 estimator: Estimator | None = None, label: str = "") -> None:
+        self._length, self.estimator, self.label = length, estimator, label
         self._blocks_left = blocks
 
     def __len__(self) -> int:
         return self._length
-
-    def label(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.metadata.items())
 
     def _blocks(self) -> Iterator[Block]:
         blocks, self._blocks_left = self._blocks_left, None

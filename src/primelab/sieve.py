@@ -15,8 +15,9 @@ blocks, and ``running_blocks()`` streams them: a pass holds one window of
 flags and one block of counts whatever the bound.  The quadratic census
 streams its own, and every census sums its blocks by ``running_totals``.
 All four are a ``Census``, with one interface: ``change_grid``,
-``running_blocks`` (grid points and their counts, in order), ``describe``,
-``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
+``running_blocks`` (grid points and their counts, in order), ``describe``
+(the census's label, ``key=value`` pairs that a fit's line and a chart's
+title print), ``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
 the count the paper conjectures for the domain (None where it asserts
 none).  Each census checks its own parameters when it is made, in
 ``__post_init__`` (a monoid census's in its MonoidParams), by the checks
@@ -230,8 +231,8 @@ class ClassicalCensus(SievedCensus):
     def _sieve(self) -> tuple[int, int, int, None]:
         return 1, self.limit, self.limit, None
 
-    def describe(self) -> dict[str, str]:
-        return {"domain": "classical", "limit": str(self.limit)}
+    def describe(self) -> str:
+        return f"domain=classical limit={self.limit}"
 
 
 def classical_census(limit: int) -> ClassicalCensus:

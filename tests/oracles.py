@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,14 +124,14 @@ def census_counts_at(census, xs) -> np.ndarray:
 @dataclass(frozen=True)
 class HeldSeries:
     """A series held whole: its points ``grid`` (a range, or an int64 array),
-    its counts ``actual``, its estimator and its metadata.  The package's
+    its counts ``actual``, its estimator and its label.  The package's
     Series is read once, so stream() makes a fresh one over these arrays
     for each pass, cut as sieve.count_blocks cuts them."""
 
     grid: range | np.ndarray
     actual: np.ndarray
     estimator: analysis.Estimator | None = None
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    label: str = ""
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -144,7 +143,7 @@ class HeldSeries:
     def stream(self) -> Series:
         """A fresh package Series over the held points and counts."""
         blocks = count_blocks(self.grid, self.actual)
-        return Series(len(self.grid), blocks, self.estimator, self.metadata)
+        return Series(len(self.grid), blocks, self.estimator, self.label)
 
     def blocks(self):
         """The five columns of each block of a pass, in order."""
@@ -159,7 +158,7 @@ def hold(series: Series) -> HeldSeries:
         points.append(block.x.copy())
         counts.append(block.actual.copy())
     x, actual = (np.concatenate(v) if v else np.empty(0, dtype=np.int64) for v in (points, counts))
-    return HeldSeries(x, actual, series.estimator, series.metadata)
+    return HeldSeries(x, actual, series.estimator, series.label)
 
 
 def series_rows(series: HeldSeries, lo: int = 0, hi: int | None = None):
@@ -531,7 +530,7 @@ def oracle_read_series_csv(path) -> HeldSeries:
         raise ValueError(f"{path}: x must be strictly increasing")
     if not np.all(actual[1:] >= actual[:-1]):
         raise ValueError(f"{path}: actual must be nondecreasing")
-    return HeldSeries(x, actual, metadata={"source": "csv"})
+    return HeldSeries(x, actual, label="source=csv")
 
 
 def oracle_quad_census(d: int, region: RegionSpec) -> np.ndarray:

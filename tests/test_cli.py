@@ -139,14 +139,22 @@ TABLE_OUTPUTS = {
 }
 
 
+# the guard error of each table command, naming its fixed census size
+TABLE_GUARD_ERRORS = {
+    "table1": "error: limit=10000 exceeds resource guard 1000\n",
+    "table2": "error: norm-limit=10000000 exceeds resource guard 1000\n",
+}
+
+
+@pytest.mark.parametrize("outputs", ["csv", "all"])
 @pytest.mark.parametrize("command", sorted(TABLE_OUTPUTS))
-def test_guard_covers_tables(command, tmp_path, capsys, monkeypatch):
+def test_guard_covers_tables(command, outputs, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PRIMES_LAB_MAX_LIMIT", "1000")
     monkeypatch.chdir(tmp_path)
-    code, out, err = run([command, *TABLE_OUTPUTS[command]], capsys)
-    assert code == 3
-    assert "resource guard" in err
-    assert out == "" and not any(tmp_path.iterdir())
+    argv = [command, *TABLE_OUTPUTS[command][: 2 if outputs == "csv" else None]]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (EXIT_GUARD, "", TABLE_GUARD_ERRORS[command])
+    assert not any(tmp_path.iterdir())
 
 
 def test_fit_rejects_malformed_series_csv(tmp_path, capsys):
@@ -279,6 +287,28 @@ def test_unwritable_output_is_refused_in_under_a_second(argv, tmp_path, capsys, 
     elapsed = time.perf_counter() - start
     assert (code, out) == (EXIT_IO, "") and "No such file or directory" in err
     assert elapsed < 1.0, elapsed
+
+
+# two outputs of one command that name one file
+SHARED_OUTPUTS = [
+    ["monoid", "--d", "3", "--limit", "100", "--csv", "a.csv", "--series-csv", "./a.csv"],
+    ["gauss", "--norm-limit", "100", "--csv", "a.csv", "--series-csv", "./a.csv"],
+    ["gauss", "--norm-limit", "100", "--series-csv", "a.csv", "--svg", "./a.csv"],
+    ["quad", "--d", "5", "--bound", "100", "--csv", "a.csv", "--svg", "./a.csv"],
+    ["table2", "--csv", "a.csv", "--svg", "./a.csv"],
+    ["table1", "--csv", "figs/monoid_d3.svg", "--svg-dir", "figs"],
+]
+
+
+@pytest.mark.parametrize("argv", SHARED_OUTPUTS, ids=" ".join)
+def test_two_outputs_that_name_one_file_exit_2(argv, tmp_path, capsys, monkeypatch):
+    """Outputs are compared by their real paths before any is made: two that
+    name one file exit 2, print nothing and make no file or directory."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, ""), err
+    assert err.startswith(f"error: outputs {argv[-3]} and ") and err.endswith(" name one file\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_fit_may_overwrite_its_input_csv(tmp_path, capsys):

@@ -603,7 +603,7 @@ def test_quad_growth_thin_keeps_its_point_rule(kind, bound):
         ser, former = hold(script.thin(census)), oracle_thin(census)
         assert np.array_equal(ser.x, former.x), d
         assert np.array_equal(ser.actual, former.actual), d
-        assert ser.metadata == former.metadata and ser.estimator is None
+        assert ser.label == former.label and ser.estimator is None
         assert fit_model(script.thin(census)) == fit_model(former.stream()), d
 
 

@@ -143,7 +143,7 @@ def test_classical_census_matches_pi():
     expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
     assert whole_counts(census)[xs - 2].tolist() == expected
     assert census.total == 1229
-    assert census.describe() == {"domain": "classical", "limit": "10000"}
+    assert census.describe() == "domain=classical limit=10000"
 
 
 def test_pi_basics():
