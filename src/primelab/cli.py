@@ -118,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--euclidean", action="store_true", default=None, help="quad domain region kind"
     )
     p.add_argument("--csv", help="write the fitted parameters as CSV")
+    p.set_defaults(dedupe_axes=False)  # fit --domain gauss fits the both-axes series
 
     p = sub.add_parser("table1", help="monoid count-vs-estimate summary for fixed moduli")
     p.add_argument("--csv", help="write the summary table CSV")
@@ -192,7 +193,7 @@ def _census(domain: str, args):
         return monoid.monoid_census(monoid.MonoidParams(d=args.d, limit=args.limit))
     if domain == "gauss":
         _check_guard(args.norm_limit, "norm-limit")
-        convention = "dedupe-axes" if getattr(args, "dedupe_axes", False) else "both-axes"
+        convention = "dedupe-axes" if args.dedupe_axes else "both-axes"
         return gaussian.gaussian_census(args.norm_limit, convention)
     # squarefree validation of d trial-divides up to sqrt(d): guard d first
     _check_guard(args.d, "d")

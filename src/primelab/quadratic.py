@@ -33,12 +33,12 @@ WALK_CELLS = 1 << 14
 
 def validate_ring_param(d: int) -> None:
     """Accept squarefree d >= 1 (the ring Z[sqrt(-d)]); reject the rest."""
-    require_int("d", d)
-    if d < 1:
+    if isinstance(d, int) and d < 0:  # any other d, 0 among them, fails require_int below
         raise ValueError(
             f"d={d} selects a real quadratic ring Z[sqrt({-d})], which has "
             "infinitely many units; only imaginary rings (d >= 1) are supported"
         )
+    require_int("d", d, 1)
     p = 2
     while p * p <= d:
         if d % (p * p) == 0:
@@ -97,7 +97,7 @@ class QuadCensus(Census):
                 keys = np.array((points.start, points.stop), bounds.dtype)
                 lo, hi = np.searchsorted(bounds, keys)
                 counts[:] = np.bincount(bounds[lo:hi] - points.start, minlength=len(points))
-                yield k, points, counts
+                yield points, counts
 
         yield from running_totals(bound_blocks())
 

@@ -284,14 +284,14 @@ def read_series_csv(path) -> Series:
 
 
 def _read_blocks(path, size: int):
-    """The rows of the series CSV at path as blocks (lo, x, actual) of size
+    """The rows of the series CSV at path as blocks (x, actual) of size
     rows from row 0, in two buffers that each block overwrites.  Each read
     block's x and actual are checked against the row before; no block is
     handed on past a row out of order, but the lines go on being parsed, so
     that a bad line anywhere raises first, and the order fault is raised
     after the last line, x's before actual's."""
     x, actual = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    lo = filled = 0
+    filled = 0
     ordered, last = [True, True], np.empty(0, dtype=_SERIES_DTYPE)  # last: the row before
     for data in _parsed_blocks(path):
         for i, (name, follows) in enumerate((("x", np.greater), ("actual", np.greater_equal))):
@@ -305,14 +305,14 @@ def _read_blocks(path, size: int):
             actual[filled : filled + n] = data["actual"][:n]
             data, filled = data[n:], filled + n
             if filled == size:
-                yield lo, x, actual
-                lo, filled = lo + size, 0
+                yield x, actual
+                filled = 0
     if not ordered[0]:
         raise ValueError(f"{path}: x must be strictly increasing")
     if not ordered[1]:
         raise ValueError(f"{path}: actual must be nondecreasing")
     if filled:
-        yield lo, x[:filled], actual[:filled]
+        yield x[:filled], actual[:filled]
 
 
 def _parsed_blocks(path):
@@ -381,29 +381,30 @@ def _loadtxt(lines):
 class Chart:
     """The chart of a series, as a reducer: it keeps the points and counts
     of the rows it draws, every row up to MAX_POLYLINE_POINTS, else every
-    stride-th row and the last, which follow from the series' length;
-    text() evaluates the estimate at those rows alone, and finish() writes
-    the chart to path."""
+    stride-th row and the last, which follow from the series' length, and
+    finds them in each block by the rows fed before it; text() evaluates the
+    estimate at those rows alone, and finish() writes the chart to path."""
 
     def __init__(self, series: Series, path=None) -> None:
         if len(series) == 0:
             raise ValueError("cannot render an empty series")
         self._series, self._path = series, path
-        self._drawn = _thin_indices(len(series))
+        self._drawn, self._row = _thin_indices(len(series)), 0  # _row: the rows fed so far
         self._x: list[np.ndarray] = []
         self._actual: list[np.ndarray] = []
 
     def feed(self, block) -> None:
-        lo, hi = np.searchsorted(self._drawn, (block.lo, block.lo + len(block)))
+        lo, hi = np.searchsorted(self._drawn, (self._row, self._row + len(block)))
         if hi > lo:
-            rows = self._drawn[lo:hi] - block.lo
+            rows = self._drawn[lo:hi] - self._row
             self._x.append(_points_at(block.points, rows))
             self._actual.append(block.actual[rows])
+        self._row += len(block)
 
     def text(self) -> str:
         series = self._series
         x, actual = np.concatenate(self._x), np.concatenate(self._actual)
-        return _svg(series.label, x, actual, Block(0, x, actual, series.estimator).est)
+        return _svg(series.label, x, actual, Block(x, actual, series.estimator).est)
 
     def finish(self) -> None:
         _write(self._path, self.text())

@@ -50,12 +50,12 @@ _NO_PRIMES = "census holds no primes; no point to compare with its estimate"
 
 
 class Block:
-    """Rows lo to lo + len(actual) of a series, at ``points``: x, the estimate
-    and pct_err of these rows alone are each computed when first read."""
+    """A run of rows of a series, at ``points``: x, the estimate and
+    pct_err of these rows alone are each computed when first read."""
 
-    def __init__(self, lo: int, points: range | np.ndarray, actual: np.ndarray,
+    def __init__(self, points: range | np.ndarray, actual: np.ndarray,
                  estimator: Estimator | None) -> None:
-        self.lo, self.points, self.actual, self._estimator = lo, points, actual, estimator
+        self.points, self.actual, self._estimator = points, actual, estimator
 
     def __len__(self) -> int:
         return len(self.actual)
@@ -87,7 +87,7 @@ class Block:
 
 class Series:
     """A series: ``length``, its number of rows; ``blocks``, its rows as
-    (lo, points, actual) runs in order from row 0, read once, the points
+    (points, actual) runs in order from row 0, read once, the points
     increasing (a range, or an int64 array) and the counts nondecreasing;
     ``estimator``, which maps int64 points to one estimate each (None: NaN
     at every point); and ``label``, the census's describe() that a fit's
@@ -95,7 +95,7 @@ class Series:
     feeds each block to the reducers as it comes: scan it with every
     reducer, since a second pass raises RuntimeError."""
 
-    def __init__(self, length: int, blocks: Iterable[tuple[int, range | np.ndarray, np.ndarray]],
+    def __init__(self, length: int, blocks: Iterable[tuple[range | np.ndarray, np.ndarray]],
                  estimator: Estimator | None = None, label: str = "") -> None:
         self._length, self.estimator, self.label = length, estimator, label
         self._blocks_left = blocks
@@ -107,8 +107,8 @@ class Series:
         blocks, self._blocks_left = self._blocks_left, None
         if blocks is None:
             raise RuntimeError("a streamed series is read once; scan it with every reducer")
-        for lo, points, actual in blocks:
-            yield Block(lo, points, actual, self.estimator)
+        for points, actual in blocks:
+            yield Block(points, actual, self.estimator)
 
 
 def _points(grid: range | np.ndarray) -> np.ndarray:

@@ -15,16 +15,15 @@ blocks, and ``running_blocks()`` streams them: a pass holds one window of
 flags and one block of counts whatever the bound.  The quadratic census
 streams its own, and every census sums its blocks by ``running_totals``.
 All four are a ``Census``, with one interface: ``change_grid``,
-``running_blocks`` (grid points and their counts, in order), ``describe``
-(the census's label, ``key=value`` pairs that a fit's line and a chart's
-title print), ``total`` (the last streamed count, 0 for an empty grid) and ``estimate``,
-the count the paper conjectures for the domain (None where it asserts
-none).  Each census checks its own parameters when it is made, in
-``__post_init__`` (a monoid census's in its MonoidParams), by the checks
-below (``require_int`` refuses bools as non-integers), so its constructor
-and its factory function, which only makes it, refuse the same values
-with the same message before any census work, and the sieve's reader
-takes the census's checked limit.
+``running_blocks`` (blocks of grid points and their counts, in order),
+``describe`` (the census's label, ``key=value`` pairs that a fit's line and
+a chart's title print) and ``estimate``, the count the paper conjectures
+for the domain (None where it asserts none).  Each census checks its own
+parameters when it is made, in ``__post_init__`` (a monoid census's in its
+MonoidParams), by the checks below (``require_int`` refuses bools as
+non-integers), so its constructor and its factory function, which only
+makes it, refuse the same values with the same message before any census
+work, and the sieve's reader takes the census's checked limit.
 """
 
 from __future__ import annotations
@@ -72,43 +71,33 @@ def count_dtype(most: int) -> type[np.integer]:
 
 
 def count_blocks(points, counts: np.ndarray):
-    """(k, points[k : k + COUNT_BLOCK], counts[k : k + COUNT_BLOCK]) for each
-    k from 0 in steps of COUNT_BLOCK, read at the call: slices, no copy."""
+    """(points[k : k + COUNT_BLOCK], counts[k : k + COUNT_BLOCK]) for each k
+    from 0 in steps of COUNT_BLOCK, read at the call: slices, no copy."""
     block = COUNT_BLOCK
-    return ((k, points[k : k + block], counts[k : k + block])
-            for k in range(0, len(counts), block))
+    return ((points[k : k + block], counts[k : k + block]) for k in range(0, len(counts), block))
 
 
 def running_totals(blocks):
-    """The blocks (k, points, counts), counts[i] the count at points[i] alone,
+    """The blocks (points, counts), counts[i] the count at points[i] alone,
     each summed in place onto the total carried from the block before and
     handed on read-only (counts may share a buffer)."""
     carry = 0
-    for k, points, counts in blocks:
+    for points, counts in blocks:
         counts[0] += carry
         np.cumsum(counts, out=counts)
         carry = counts[-1]
         view = counts.view()
         view.setflags(write=False)
-        yield k, points, view
+        yield points, view
 
 
 class Census:
     """Counts on the points where the count can change: the census's
     change_grid(), whose stop is its bound + 1, and running_blocks(), the
-    counts in order as read-only blocks (k, points, counts), counts[i] the
-    count at points[i] = change_grid()[k + i]."""
+    counts in order as read-only blocks (points, counts) that tile the grid
+    from its first point, counts[i] the count at points[i]."""
 
     estimate = None  # or a method: the conjectured count at each of an array of points
-
-    @property
-    def total(self) -> int:
-        """The count at the census's own bound: the last count of its
-        running_blocks(), so a sieved census streams it."""
-        total = 0
-        for _, _, counts in self.running_blocks():
-            total = counts[-1]
-        return int(total)
 
 
 class SievedCensus(Census):
@@ -127,7 +116,7 @@ class SievedCensus(Census):
         d, limit, _, _ = self._sieve()
         return range(1 + d, limit + 1, d)
 
-    def running_blocks(self) -> Iterator[tuple[int, range, np.ndarray]]:
+    def running_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
         """The counts from the sieve windows, COUNT_BLOCK points at a time in
         one buffer that each block overwrites: nothing is held whole."""
         return prime_running_blocks(*self._sieve())
@@ -186,18 +175,18 @@ def _prime_windows(d: int, limit: int):
 def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
     """Running totals of the primes of A_d over its elements past the unit
     up to limit (>= 1, as its census checks), in order, as read-only blocks
-    (first, points, counts) summed by running_totals: counts[i] is the total
-    at grid index first + i, the element points[i], in count_dtype(most) for
-    ``most`` a bound on the total.  No table of flags is kept: each block is cast from
-    its slice of a sieve window and weighted there by ``weigh(points[0],
-    counts)`` when given (counts[i] is 1 where points[i] is prime, 0
-    elsewhere).
+    (points, counts) summed by running_totals: counts[i] is the total at the
+    element points[i], in count_dtype(most) for ``most`` a bound on the
+    total.  No table of flags is kept: each block is cast from its slice of
+    a sieve window and weighted there by ``weigh(points[0], counts)`` when
+    given (counts[i] is 1 where points[i] is prime, 0 elsewhere).
 
-    Every window is cut into whole blocks of COUNT_BLOCK elements, so block
-    k starts at grid index k * COUNT_BLOCK; a census of more than one window
-    thus needs a SEGMENT_SIZE that is a multiple of COUNT_BLOCK (ValueError
-    otherwise).  The blocks share one buffer, which the next block
-    overwrites.
+    Every block but the last is COUNT_BLOCK rows, whatever the window, as
+    in a series CSV read back: Mape and FitMoments sum per block, so their
+    bits hold across window sizes and from a census to its CSV.  A census of
+    more than one window thus needs a SEGMENT_SIZE that is a multiple of
+    COUNT_BLOCK (ValueError otherwise).  The blocks share one buffer, which
+    the next block overwrites.
     """
     points, block = (limit - 1) // d, COUNT_BLOCK
     if points > SEGMENT_SIZE and SEGMENT_SIZE % block:
@@ -213,7 +202,7 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
                 first = 1 + (lo + start) * d
                 if weigh is not None:
                     weigh(first, counts)
-                yield lo - 1 + start, range(first, first + len(counts) * d, d), counts
+                yield range(first, first + len(counts) * d, d), counts
             del window
 
     yield from running_totals(flag_blocks())

@@ -101,13 +101,23 @@ def whole_counts(census) -> np.ndarray:
     overwrites.  An empty grid yields no block; its empty counts take the
     dtype that the sieve gives a sieved census's blocks."""
     most = census._sieve()[2] if isinstance(census, SievedCensus) else 0
-    whole = np.empty(0, dtype=count_dtype(most))
-    for k, _, counts in census.running_blocks():
-        if k == 0:
+    whole, row = np.empty(0, dtype=count_dtype(most)), 0
+    for _, counts in census.running_blocks():
+        if row == 0:
             whole = np.empty(len(census.change_grid()), dtype=counts.dtype)
-        whole[k : k + len(counts)] = counts
+        whole[row : row + len(counts)] = counts
+        row += len(counts)
     whole.setflags(write=False)
     return whole
+
+
+def census_total(census) -> int:
+    """The count at the census's own bound: the last count of its
+    running_blocks(), streamed (0 for an empty grid)."""
+    total = 0
+    for _, counts in census.running_blocks():
+        total = counts[-1]
+    return int(total)
 
 
 def census_counts_at(census, xs) -> np.ndarray:
@@ -165,7 +175,7 @@ def series_rows(series: HeldSeries, lo: int = 0, hi: int | None = None):
     """x, actual, estimate, ratio and pct_err of rows lo to hi of a held
     series, computed for those rows alone."""
     grid, actual = series.grid[lo:hi], series.actual[lo:hi]
-    return analysis.Block(lo, grid, actual, series.estimator).columns()
+    return analysis.Block(grid, actual, series.estimator).columns()
 
 
 def write_series_csv(series: HeldSeries, path) -> None:

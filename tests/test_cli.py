@@ -48,6 +48,20 @@ def test_quad_rejects_real_rings(capsys):
     assert "infinitely many units" in err
 
 
+def test_quad_refuses_d_0_as_below_the_minimum(capsys):
+    code, out, err = run(["quad", "--d", "0", "--bound", "10"], capsys)
+    assert (code, out, err) == (2, "", "error: d must be an integer >= 1, got 0\n")
+
+
+def test_fit_domain_gauss_fits_the_both_axes_series(capsys):
+    code, _, err = run(["fit", "--domain", "gauss", "--norm-limit", "1000", "--dedupe-axes"],
+                       capsys)
+    assert code == 2 and "unrecognized arguments: --dedupe-axes" in err
+    code, out, _ = run(["fit", "--domain", "gauss", "--norm-limit", "1000"], capsys)
+    assert code == 0
+    assert out.startswith("fit domain=gaussian norm_limit=1000 axes=both-axes: ")
+
+
 def test_missing_subcommand(capsys):
     assert run([], capsys)[0] == 2
     assert run(["frobnicate"], capsys)[0] == 2

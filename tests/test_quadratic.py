@@ -11,6 +11,7 @@ from oracles import (
     GaussPoint,
     QuadInt,
     build_series,
+    census_total,
     eratosthenes_flags,
     is_gaussian_prime,
     oracle_quad_census,
@@ -44,10 +45,15 @@ def test_ring_param_validation():
         validate_ring_param(4)
     with pytest.raises(ValueError):
         validate_ring_param(12)
-    with pytest.raises(ValueError):
-        validate_ring_param(0)
-    with pytest.raises(ValueError, match="infinitely many units"):
+    with pytest.raises(ValueError) as refused:
+        validate_ring_param(0)  # no quadratic ring, real or imaginary
+    assert str(refused.value) == "d must be an integer >= 1, got 0"
+    with pytest.raises(ValueError) as refused:
         validate_ring_param(-7)
+    assert str(refused.value) == (
+        "d=-7 selects a real quadratic ring Z[sqrt(7)], which has infinitely many units; "
+        "only imaginary rings (d >= 1) are supported"
+    )
 
 
 def test_norm_examples():
@@ -147,7 +153,7 @@ def test_census_sieves_once_on_its_first_read(monkeypatch):
     region = RegionSpec("norm-ball", 3000)
     census = quad_census(5, region)
     assert calls == []
-    assert census.total == census.total == len(census.bounds) and calls == [5]
+    assert census_total(census) == census_total(census) == len(census.bounds) and calls == [5]
     assert census == quad_census(5, region) and hash(census) == hash(quad_census(5, region))
 
 
@@ -165,7 +171,7 @@ def test_pass_searches_its_bounds_with_keys_of_their_dtype(monkeypatch):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", recorded)
-    assert census.total == len(bounds)
+    assert census_total(census) == len(bounds)
     assert len(key_dtypes) == -(-10**4 // 64) and set(key_dtypes) == {bounds.dtype}
 
 
@@ -292,7 +298,7 @@ def test_census_peak_memory(d, kind, bound):
     cells = (math.isqrt(top) + 1) * (math.isqrt(top // d) + 1)
     tracemalloc.start()
     try:
-        total = quad_census(d, region).total
+        total = census_total(quad_census(d, region))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,7 +307,7 @@ def test_census_peak_memory(d, kind, bound):
 
 def test_census_d5_known_total():
     # the count the divisor-search census gave at the cap
-    assert quad_census(5, RegionSpec("norm-ball", 10**6)).total == 63076
+    assert census_total(quad_census(5, RegionSpec("norm-ball", 10**6))) == 63076
 
 
 def test_census_caps_largest_norm(monkeypatch):

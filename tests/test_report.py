@@ -106,10 +106,10 @@ def test_series_read_from_csv_blocks_bring_their_points(tmp_path, monkeypatch):
         for column in (block.x, block.actual):
             assert column.dtype == np.int64
             assert (column if column.base is None else column.base).size == sieve.COUNT_BLOCK
-        blocks.append((block.lo, block.x.tolist(), block.actual.tolist()))
+        blocks.append((len(block), block.x.tolist(), block.actual.tolist()))
 
     scan(read_series_csv(path), SimpleNamespace(feed=feed))
-    assert blocks == [(0, [3, 7], [2, 4]), (2, [12], [8])]
+    assert blocks == [(2, [3, 7], [2, 4]), (1, [12], [8])]
 
 
 @pytest.mark.parametrize(
@@ -653,8 +653,8 @@ def test_read_series_csv_blocks_tile_the_rows_and_fit_as_the_held_series(
     path.write_bytes(f"{SERIES_HEADER}\n{READ_BODIES[name]}".encode())
     ser, tiles = read_series_csv(path), []
     rows = len(ser)
-    scan(ser, SimpleNamespace(feed=lambda block: tiles.append((block.lo, len(block)))))
-    assert tiles == [(lo, min(block_rows, rows - lo)) for lo in range(0, rows, block_rows)]
+    scan(ser, SimpleNamespace(feed=lambda block: tiles.append(len(block))))
+    assert tiles == [min(block_rows, rows - lo) for lo in range(0, rows, block_rows)]
     held = oracle_read_series_csv(path)
     assert rows == len(held)
     assert fit_outcome(read_series_csv(path)) == fit_outcome(held.stream())

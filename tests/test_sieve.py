@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    census_total,
     eratosthenes_flags,
     oracle_gaussian_census,
     oracle_monoid_census,
@@ -28,6 +29,7 @@ from primelab import (
     quad_census,
 )
 from primelab import quadratic, sieve
+from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import MAX_CENSUS_BOUND, validate_ring_param
 from primelab.sieve import MAX_SIEVE_LIMIT
@@ -51,18 +53,18 @@ def test_small_limit_exact():
 def test_count_at_10k():
     # 1229 recomputed here against the trial-division oracle
     assert sum(1 for n in range(10**4 + 1) if trial_division_is_prime(n)) == 1229
-    assert classical_census(10**4).total == 1229
+    assert census_total(classical_census(10**4)) == 1229
 
 
 def test_count_at_1e7():
     # known value pi(10^7) = 664,579; the sieve spans three segments
     assert 2 * sieve.SEGMENT_SIZE < 10**7 < 3 * sieve.SEGMENT_SIZE
-    assert classical_census(10**7).total == 664_579
+    assert census_total(classical_census(10**7)) == 664_579
 
 
 def test_count_at_1e8():
     # known value pi(10^8) = 5,761,455
-    assert classical_census(10**8).total == 5_761_455
+    assert census_total(classical_census(10**8)) == 5_761_455
 
 
 def test_limit_validation():
@@ -142,7 +144,7 @@ def test_classical_census_matches_pi():
     xs = np.array([2, 3, 100, 9973, 10**4])
     expected = [sum(map(trial_division_is_prime, range(int(x) + 1))) for x in xs]
     assert whole_counts(census)[xs - 2].tolist() == expected
-    assert census.total == 1229
+    assert census_total(census) == 1229
     assert census.describe() == "domain=classical limit=10000"
 
 
@@ -234,7 +236,7 @@ def test_windows_smaller_than_the_square_root_are_exact(monkeypatch):
     for convention in AXIS_CONVENTIONS:
         census = whole_counts(gaussian_census(limit, convention))
         assert np.array_equal(census, oracle_gaussian_census(limit, convention)), convention
-    assert gaussian_census(limit, "both-axes").total == 9635
+    assert census_total(gaussian_census(limit, "both-axes")) == 9635
     # isqrt(10^6) = 1000: the base primes of A_3 past 1 + 224 * 3 = 673 lie
     # past the first window of 224 elements
     params = MonoidParams(3, 10**6)
@@ -256,13 +258,13 @@ BLOCKS_AND_WINDOWS = (
 def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
     """The streamed blocks follow one another from grid index 0, each
     count_block long but the census's last, are read-only, and hold what
-    the whole-array form of the sieve's reader gives, in its dtype.  Where the window is no whole
-    number of blocks, a census of more than one window is refused, and one
-    of a single window is checked."""
+    the whole-array form of the sieve's reader gives, in its dtype.  Where
+    the window is no whole number of blocks, a census of more than one
+    window is refused, and one of a single window is checked."""
     patch_window(monkeypatch, size, count_block)
     if size % count_block:
         with pytest.raises(ValueError, match="no whole number of blocks"):
-            classical_census(size + 2).total  # size + 1 points
+            census_total(classical_census(size + 2))  # size + 1 points
         limit = size + 1
     elif count_block == 1:
         limit = 3 * size + 2
@@ -276,9 +278,9 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
         else:
             _, limit_, most, weigh = census._sieve()
             whole = oracle_prime_running_counts(limit_, most, weigh)
-        blocks = []
-        for start, _, counts in census.running_blocks():
-            assert start == count_block * len(blocks) and not counts.flags.writeable
+        grid, blocks = census.change_grid(), []
+        for points, counts in census.running_blocks():
+            assert points[0] == grid[count_block * len(blocks)] and not counts.flags.writeable
             assert 0 < len(counts) <= count_block
             blocks.append(counts.copy())  # the next block overwrites it
         assert all(len(block) == count_block for block in blocks[:-1]), census
@@ -328,17 +330,19 @@ TOTALS = {
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_census_total_streams_its_counts(name):
-    """total is the last streamed count: it holds one window of flags and
-    one block of counts, never the whole counts (40 MB for these two)."""
+    """A command's total, the Total reducer of one pass over the census's
+    series, is the last streamed count: the pass holds one window of flags
+    and one block of counts, never the whole counts (40 MB for these two)."""
     census, expected = TOTALS[name]
     tracemalloc.start()
     try:
-        total = census().total
+        total = analysis.Total()
+        analysis.scan(analysis.stream_series(census()), total)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= sieve.SEGMENT_SIZE + 4 * sieve.COUNT_BLOCK + (1 << 20), peak
-    assert total == expected()
+    assert total.value == expected()
 
 
 def test_primes_listing(table_10k):
@@ -366,28 +370,29 @@ CENSUSES = {
 @pytest.mark.parametrize("count_block", [1, 7, sieve.COUNT_BLOCK])
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_layout_is_shared(monkeypatch, name, count_block):
-    """Every census yields the blocks its series is made of: block k starts
-    at grid index k, a multiple of COUNT_BLOCK, and its points are the
-    slice of the grid that its counts are at."""
+    """Every census yields the blocks its series is made of: each block
+    starts at the row after the blocks before it, a multiple of COUNT_BLOCK,
+    and its points are the slice of the grid that its counts are at."""
     monkeypatch.setattr(sieve, "COUNT_BLOCK", count_block)
     build, limit, start = CENSUSES[name]
     census = build()
     grid, counts = census.change_grid(), whole_counts(census)
     assert len(grid) == len(counts) and grid.start == start and grid.stop == limit + 1
-    assert census.total == (counts[-1] if len(grid) else 0)
+    assert census_total(census) == (counts[-1] if len(grid) else 0)
     if isinstance(census, sieve.SievedCensus) and len(grid):
         assert counts[0] == 1  # the first point is prime
-    ks = []
-    for k, points, block in census.running_blocks():
-        assert points == grid[k : k + len(block)] and 0 < len(block) <= count_block, k
-        ks.append(k)
-    assert ks == list(range(0, len(grid), count_block))
+    starts, row = [], 0
+    for points, block in census.running_blocks():
+        assert points == grid[row : row + len(block)] and 0 < len(block) <= count_block, row
+        starts.append(row)
+        row += len(block)
+    assert starts == list(range(0, len(grid), count_block)) and row == len(grid)
 
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_counts_are_read_only(name):
     census = CENSUSES[name][0]()
-    for _, _, counts in census.running_blocks():
+    for _, counts in census.running_blocks():
         with pytest.raises(ValueError):
             counts[0] = 1
     assert not hasattr(census, "cumulative")  # no census holds its counts whole

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     build_series,
+    census_total,
     eratosthenes_flags,
     oracle_find_crossover,
     oracle_gaussian_census,
@@ -123,7 +124,7 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
     assert np.array_equal(whole_counts(census), oracle_counts(name, limit))
     whole = build_series(census)
     assert len(whole) == len(ser) == len(grid) and whole.grid == grid == census.change_grid()
-    assert total.value == census.total
+    assert total.value == census_total(census)
     got = [outcome(lambda m=m: m.result()[0]) for m in per_bound]
     assert got == [outcome(oracle_mape, whole, upto) for upto in bounds]
     if name != "classical":  # no estimate: no bound has a defined error
@@ -142,24 +143,24 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
 
 def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
     """Every block that a pass feeds its reducers is the block that the
-    census's running_blocks() yielded, at its grid index, not a copy: a
-    Gaussian census of several windows."""
+    census's running_blocks() yielded, its points and its counts, not a
+    copy: a Gaussian census of several windows."""
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)
     monkeypatch.setattr(sieve, "COUNT_BLOCK", 512)
     running_blocks, yielded = GaussianCensus.running_blocks, []
 
     def recorded(census):
-        for k, points, counts in running_blocks(census):
-            yielded.append((k, counts))
-            yield k, points, counts
+        for points, counts in running_blocks(census):
+            yielded.append((points, counts))
+            yield points, counts
 
     monkeypatch.setattr(GaussianCensus, "running_blocks", recorded)
     fed = []
 
     class Recorder:
         def feed(self, block):
-            k, counts = yielded[-1]
-            fed.append(block.lo == k and np.shares_memory(block.actual, counts)
+            points, counts = yielded[-1]
+            fed.append(block.points is points and np.shares_memory(block.actual, counts)
                        and len(block) == len(counts))
 
     ser = analysis.stream_series(gaussian_census(5 * 4096 + 100, "both-axes"))
@@ -208,7 +209,7 @@ EMPTY_CENSUSES = {
 @pytest.mark.parametrize("name", sorted(EMPTY_CENSUSES))
 def test_an_empty_grid_holds_no_count(name):
     census = EMPTY_CENSUSES[name]()
-    assert len(census.change_grid()) == 0 and census.total == 0
+    assert len(census.change_grid()) == 0 and census_total(census) == 0
     assert list(census.running_blocks()) == []
     with pytest.raises(ValueError, match="census holds no primes"):
         analysis.stream_series(census)
