@@ -18,14 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sieve
-from .sieve import Census, count_dtype, require_int, running_totals
+from .sieve import Census, require_int, running_totals
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
 # the most a census's largest norm top may be, checked when it is made, as a sieve's
 # limit is by MAX_SIEVE_LIMIT: its norm grid and marks take 6 bytes per grid cell (a, b),
 # a^2 <= top and d*b^2 <= top; d = 1 has the most cells, and its census at 10^8 peaks at
-# about 600 MB, so no raised resource guard admits the grid of about 6 GB of 10^9
+# about 600 MB, so no raised resource guard admits the grid of about 6 GB of 10^9; the
+# grid, its norms and the counts are int32: the corner norm is at most 2*10^8 and the
+# grid has at most (10^4 + 1)^2 cells, both below 2^31
 MAX_CENSUS_BOUND = 10**8
 # cofactor cells per step of the census's walk, which bounds its index temporaries
 WALK_CELLS = 1 << 14
@@ -87,7 +89,7 @@ class QuadCensus(Census):
     def running_blocks(self):
         """The counts, COUNT_BLOCK bound points at a time in one buffer."""
         bounds, grid, block = self.bounds, self.change_grid(), sieve.COUNT_BLOCK
-        buffer = np.empty(min(block, len(grid)), dtype=count_dtype(len(bounds)))
+        buffer = np.empty(min(block, len(grid)), dtype=np.int32)
 
         def bound_blocks():  # the blocks before they are summed, in buffer
             for k in range(0, len(grid), block):
@@ -106,12 +108,6 @@ class QuadCensus(Census):
                 f"bound={self.region.bound} counted=irreducibles")
 
 
-def norm_dtype(top: int) -> type[np.integer]:
-    """The norm grid's dtype for largest norm ``top``: the grid is a rectangle
-    whose corner cell's norm is at most 2*top."""
-    return count_dtype(2 * top)
-
-
 def quad_census(d: int, region: RegionSpec) -> QuadCensus:
     """Irreducible counts (no zero or unit) with a, b >= 0 inside the region, by bound."""
     return QuadCensus(d=d, region=region)
@@ -119,7 +115,7 @@ def quad_census(d: int, region: RegionSpec) -> QuadCensus:
 
 def irreducible_bounds(d: int, region: RegionSpec) -> np.ndarray:
     """The bound parameter of each irreducible a + b*sqrt(-d), a, b >= 0,
-    inside the region, ascending, in the norm grid's dtype.
+    inside the region, ascending, as int32.
 
     Product sieve on the quadrant grid of norms up to top =
     region.largest_norm(d): each irreducible y with N(y)^2 <= top, by
@@ -136,14 +132,13 @@ def irreducible_bounds(d: int, region: RegionSpec) -> np.ndarray:
     """
     top = region.largest_norm(d)
     # every quadrant cell (a, b) of norm <= top: the region's and each product's
-    dtype = norm_dtype(top)
     a2, b2 = (np.arange(math.isqrt(n) + 1, dtype=np.int64) ** 2 for n in (top, top // d))
-    norm = a2.astype(dtype)[:, None] + (d * b2).astype(dtype)
+    norm = a2.astype(np.int32)[:, None] + (d * b2).astype(np.int32)
     counted = _mark_reducible(norm, d, top)
     np.logical_not(counted, out=counted)
     counted[:2, :2] &= norm[:2, :2] >= 2  # zero and the units
     if region.kind == "euclidean-ball":
-        norm -= ((d - 1) * b2).astype(dtype)  # now a^2 + b^2, the disc's bound parameter
+        norm -= ((d - 1) * b2).astype(np.int32)  # now a^2 + b^2, the disc's bound parameter
     counted &= norm <= region.bound
     bounds = norm[counted]
     del norm, counted

@@ -64,12 +64,6 @@ def require_estimate_points(name: str, value) -> None:
         raise ValueError(f"{name} too large to evaluate in double precision")
 
 
-def count_dtype(most: int) -> type[np.integer]:
-    """The integer dtype for values of at most ``most``, a bound known from
-    the census's parameters: int32 when it is below 2**31, else int64."""
-    return np.int32 if most < 2**31 else np.int64
-
-
 def count_blocks(points, counts: np.ndarray):
     """(points[k : k + COUNT_BLOCK], counts[k : k + COUNT_BLOCK]) for each k
     from 0 in steps of COUNT_BLOCK, read at the call: slices, no copy."""
@@ -176,10 +170,11 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
     """Running totals of the primes of A_d over its elements past the unit
     up to limit (>= 1, as its census checks), in order, as read-only blocks
     (points, counts) summed by running_totals: counts[i] is the total at the
-    element points[i], in count_dtype(most) for ``most`` a bound on the
-    total.  No table of flags is kept: each block is cast from its slice of
-    a sieve window and weighted there by ``weigh(points[0], counts)`` when
-    given (counts[i] is 1 where points[i] is prime, 0 elsewhere).
+    element points[i], int32 when ``most``, a bound on the total, is below
+    2**31, else int64.  No table of flags is kept: each block is cast from
+    its slice of a sieve window and weighted there by ``weigh(points[0],
+    counts)`` when given (counts[i] is 1 where points[i] is prime, 0
+    elsewhere).
 
     Every block but the last is COUNT_BLOCK rows, whatever the window, as
     in a series CSV read back: Mape and FitMoments sum per block, so their
@@ -192,7 +187,7 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
     if points > SEGMENT_SIZE and SEGMENT_SIZE % block:
         raise ValueError(f"a sieve window of {SEGMENT_SIZE} elements is no whole number "
                          f"of blocks of {block}")
-    buffer = np.empty(min(block, points), dtype=count_dtype(most))
+    buffer = np.empty(min(block, points), dtype=np.int32 if most < 2**31 else np.int64)
 
     def flag_blocks():  # the blocks before they are summed, in buffer
         for lo, window in _prime_windows(d, limit):

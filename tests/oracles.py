@@ -45,7 +45,8 @@ machinery:
   and its walk went in steps: the whole int64 grid, each y's cofactor view
   at once, and an int64 bincount (``oracle_quad_census``).
 
-``table_primes`` lists the primes of a table of flags for the tests.  A
+``table_primes`` lists the primes of a table of flags for the tests, and
+``count_dtype`` gives the dtype of a sieved census's counts.  A
 package Series is read once, so the tests hold their reference series whole
 as a ``HeldSeries``, which makes a fresh Series for each pass (``stream``);
 ``hold`` reads the one pass of a package Series into one, ``series_rows``
@@ -67,13 +68,20 @@ from primelab import series as analysis
 from primelab.gaussian import AXIS_CONVENTIONS
 from primelab.quadratic import validate_ring_param
 from primelab.report import _SERIES_DTYPE, SERIES_HEADER
-from primelab.sieve import SievedCensus, count_blocks, count_dtype, require_int
+from primelab.sieve import SievedCensus, count_blocks, require_int
 
 # the divisor scans are exhaustive; cap the norms they will accept
 BRUTE_NORM_CAP = 10**6
 # the former quadratic sieve holds about 24 B per grid cell (its int64 norm grid
 # and temporaries), so it takes largest norms up to the census's former cap alone
 ORACLE_QUAD_MAX_NORM = 10**6
+
+
+def count_dtype(most: int) -> type[np.integer]:
+    """The integer dtype of a sieved census's counts, for ``most`` a bound on
+    its total, by the rule of sieve.prime_running_blocks: int32 when it is
+    below 2**31, else int64."""
+    return np.int32 if most < 2**31 else np.int64
 
 
 def eratosthenes_flags(limit: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 oracles that only the tests call live in tests/oracles.py."""
 
 import importlib
+import inspect
 import pkgutil
 
 import oracles
@@ -36,26 +37,34 @@ ORACLES = {
     "QuadInt",
     "_divisors_by_trial",
     "_has_proper_divisor",
+    "a4_atom_count",
     "build_series",
     "census_counts_at",
+    "census_total",
+    "count_dtype",
     "eratosthenes_flags",
     "gaussian_brute_irreducible",
     "hilbert_classify",
     "hold",
     "is_gaussian_prime",
     "is_monoid_prime",
+    "oracle_find_crossover",
+    "oracle_fit_arrays",
     "oracle_fit_model",
     "oracle_gaussian_census",
+    "oracle_mape",
     "oracle_monoid_census",
     "oracle_prime_running_counts",
     "oracle_quad_census",
     "oracle_read_series_csv",
+    "oracle_squared_error",
     "oracle_thin",
     "quad_divide_exact",
     "quad_is_irreducible",
     "quad_is_unit",
     "quad_mul",
     "quad_norm",
+    "series_rows",
     "table_primes",
     "trial_division_is_prime",
     "whole_counts",
@@ -78,3 +87,8 @@ def test_package_exports():
         assert not ORACLES & set(vars(module)), module.__name__
     for name in ORACLES:
         assert hasattr(oracles, name), name
+    # every function and class the oracles define is listed, so a new one must be too
+    defined = {name for name, value in vars(oracles).items()
+               if (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == oracles.__name__}
+    assert defined <= ORACLES, defined - ORACLES

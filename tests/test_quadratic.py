@@ -30,7 +30,6 @@ from primelab.quadratic import (
     MAX_CENSUS_BOUND,
     REGION_KINDS,
     WALK_CELLS,
-    norm_dtype,
     validate_ring_param,
 )
 
@@ -243,16 +242,12 @@ def test_census_counts_as_the_former_sieve(d, kind):
     assert np.array_equal(census, former)
 
 
-def test_norm_grid_dtype_holds_the_corner_norm():
-    # the grid's corner cell (isqrt(top), isqrt(top // d)) has norm at most 2*top,
-    # and exactly 2*top when top and top/d are squares, as at d = 1 and top = k^2;
-    # only the dtype is asked for, so no grid of that size is made
-    assert norm_dtype(MAX_CENSUS_BOUND) is np.int32
-    assert norm_dtype(2**30 - 1) is np.int32
-    assert norm_dtype(32767**2) is np.int32  # corner norm 2**31 - 2**17 + 2
-    assert norm_dtype(2**30) is np.int64  # 32768^2, corner norm 2**31
-    for k in (32767, 32768):
-        assert 2 * k * k <= np.iinfo(norm_dtype(k * k)).max
+def test_int32_holds_the_census_at_its_maximum():
+    # the grid's corner cell (isqrt(top), isqrt(top // d)) has norm at most 2*top, and
+    # the grid, at d = 1, has (isqrt(top) + 1)^2 cells, each counted at most once: the
+    # norms, bounds and counts are int32, so a maximum past int32 fails here first
+    assert 2 * MAX_CENSUS_BOUND <= np.iinfo(np.int32).max
+    assert (math.isqrt(MAX_CENSUS_BOUND) + 1) ** 2 <= np.iinfo(np.int32).max
 
 
 def test_census_d2_follows_rational_primes():

@@ -289,6 +289,20 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
     assert np.array_equal(whole_counts(censuses[1]), oracle_gaussian_census(limit, "both-axes"))
 
 
+def test_running_blocks_widen_at_a_total_bound_of_2_31():
+    """The sieve's reader holds counts in int32 while the census's bound on
+    its total is below 2**31 and in int64 from there on; the counts agree."""
+    narrow, wide = (
+        [(points, counts.copy()) for points, counts in sieve.prime_running_blocks(1, 1000, most)]
+        for most in (2**31 - 1, 2**31)
+    )
+    assert all(counts.dtype == np.int32 for _, counts in narrow)
+    assert all(counts.dtype == np.int64 for _, counts in wide)
+    assert [points for points, _ in narrow] == [points for points, _ in wide]
+    assert np.array_equal(np.concatenate([c for _, c in narrow]), np.concatenate([c for _, c in wide]))
+    assert narrow[-1][1][-1] == 168  # pi(1000)
+
+
 def test_windowed_censuses_at_the_segment_size():
     for limit in (sieve.SEGMENT_SIZE - 1, sieve.SEGMENT_SIZE, sieve.SEGMENT_SIZE + 1):
         check_windowed_censuses(limit)
