@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from primelab import QuadCensus, RegionSpec, Series, fit_model, quad_census  # noqa: E402
+from primelab.series import increments  # noqa: E402
 from primelab.sieve import count_blocks  # noqa: E402
 
 DEFAULT_RINGS = (1, 2, 3, 5, 6, 7, 10)
@@ -32,7 +33,8 @@ def thin(census: QuadCensus, points: int = 250) -> Series:
         raise ValueError(f"no point from {lo} up to the bound to fit")
     xs = np.unique(np.geomspace(lo, top, points).astype(np.int64))
     actual = np.searchsorted(bounds, xs, "right")  # the number of bounds <= x
-    return Series(len(xs), count_blocks(xs, actual), census.estimate, census.describe())
+    blocks = increments(count_blocks(xs, actual))
+    return Series(len(xs), blocks, census.estimate, census.describe())
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sieve
-from .sieve import Census, require_int, running_totals
+from .sieve import Census, _read_only, require_int
 
 REGION_KINDS = ("norm-ball", "euclidean-ball")
 
@@ -86,22 +86,20 @@ class QuadCensus(Census):
         """Every integer bound from 1 to the region's bound."""
         return range(1, self.region.bound + 1)
 
-    def running_blocks(self):
-        """The counts, COUNT_BLOCK bound points at a time in one buffer."""
+    def increment_blocks(self):
+        """The number of irreducibles first counted at each bound point,
+        COUNT_BLOCK bound points at a time in one buffer."""
         bounds, grid, block = self.bounds, self.change_grid(), sieve.COUNT_BLOCK
         buffer = np.empty(min(block, len(grid)), dtype=np.int32)
-
-        def bound_blocks():  # the blocks before they are summed, in buffer
-            for k in range(0, len(grid), block):
-                points = grid[k : k + block]
-                counts = buffer[: len(points)]
-                # keys in the bounds' dtype: Python ints would cast all the bounds
-                keys = np.array((points.start, points.stop), bounds.dtype)
-                lo, hi = np.searchsorted(bounds, keys)
-                counts[:] = np.bincount(bounds[lo:hi] - points.start, minlength=len(points))
-                yield points, counts
-
-        yield from running_totals(bound_blocks())
+        handed = _read_only(buffer)
+        for k in range(0, len(grid), block):
+            points = grid[k : k + block]
+            rows = len(points)
+            # keys in the bounds' dtype: Python ints would cast all the bounds
+            keys = np.array((points.start, points.stop), bounds.dtype)
+            lo, hi = np.searchsorted(bounds, keys)
+            buffer[:rows] = np.bincount(bounds[lo:hi] - points.start, minlength=rows)
+            yield points, handed[:rows]
 
     def describe(self) -> str:
         return (f"domain=quadratic d={self.d} region={self.region.kind} "

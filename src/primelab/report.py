@@ -14,24 +14,29 @@ and written to the file as it is made.  Rows where that arithmetic cannot
 be sure of a rounding (near a .5 tie, infinite or negative fields, extreme
 exponents) are printed by _SERIES_ROW itself; _format_rows states the rule.
 The chart keeps the points and counts of the at most MAX_POLYLINE_POINTS + 1
-rows it draws and evaluates the estimate at those rows alone.
+rows it draws, each count looked up in its block's runs unless a reader
+has summed the block's counts, and evaluates the estimate at those rows
+alone.
 
 A series CSV is read back as a source of blocks (read_series_csv): the call
 counts its rows, and the series' pass parses the file in whole lines, about
 _READ_BLOCK_CHARS characters at a time (_parse_block), and hands on x and
-actual, the columns the fit reads, COUNT_BLOCK rows at a time, so the
-reader holds one block of each, whatever the rows.
+actual, the columns the fit reads, COUNT_BLOCK rows at a time, actual as
+the increments a series takes (series.increments), so the reader holds one
+block of each, whatever the rows.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sieve
-from .series import Block, FitResult, Series, _points_at
+from .series import FitResult, Series, _estimates, _points_at, increments
 
 SERIES_HEADER = "x,actual,estimate,ratio,abs_pct_err"
 MONOID_SUMMARY_HEADER = "d,largest_element,actual_count,estimate,R_d,abs_R_minus_1,mape_pct"
@@ -268,19 +273,27 @@ def read_series_csv(path) -> Series:
     """The points and counts of a series CSV, labelled source=csv (the file
     holds its five columns and nothing else), with no estimator.
 
-    The call checks the header, decodes the text (UnicodeDecodeError, naming
-    no line) and counts the rows as a quarter of the commas: a row that
+    The call refuses a path that is neither a regular file nor a directory
+    (a FIFO, a socket, a device such as /dev/zero) with ValueError before
+    it opens it (a directory fails to open, with IsADirectoryError), reads
+    no more of the first line than the header's length and a newline,
+    checks the header, decodes the text (UnicodeDecodeError, naming no
+    line) and counts the rows as a quarter of the commas: a row that
     parses is five fields, and a blank line, which is skipped, has none.
     The series' pass parses every field (_read_blocks): a row that is not
     five fields, or a field that does not parse (x and actual as integers,
     the rest as floats, empty meaning NaN) raises ValueError naming the path
     and the 1-based line of the file; a bad header, x out of order or a
     falling count, the path alone."""
+    mode = os.stat(path).st_mode
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise ValueError(f"{path} is not a regular file")
     with open(path, encoding="utf-8") as f:
-        if f.readline().rstrip("\n") != SERIES_HEADER:
+        if f.readline(len(SERIES_HEADER) + 1).rstrip("\n") != SERIES_HEADER:
             raise ValueError(f"{path} is not a series CSV (bad header)")
         commas = sum(text.count(",") for text in iter(lambda: f.read(_READ_BLOCK_CHARS), ""))
-    return Series(commas // 4, _read_blocks(path, sieve.COUNT_BLOCK), label="source=csv")
+    blocks = increments(_read_blocks(path, sieve.COUNT_BLOCK))
+    return Series(commas // 4, blocks, label="source=csv")
 
 
 def _read_blocks(path, size: int):
@@ -398,13 +411,13 @@ class Chart:
         if hi > lo:
             rows = self._drawn[lo:hi] - self._row
             self._x.append(_points_at(block.points, rows))
-            self._actual.append(block.actual[rows])
+            self._actual.append(block.counts_at(rows))
         self._row += len(block)
 
     def text(self) -> str:
         series = self._series
         x, actual = np.concatenate(self._x), np.concatenate(self._actual)
-        return _svg(series.label, x, actual, Block(x, actual, series.estimator).est)
+        return _svg(series.label, x, actual, _estimates(series.estimator, x))
 
     def finish(self) -> None:
         _write(self._path, self.text())

@@ -5,28 +5,45 @@ own ``estimate``, which is defined for x > 1 alone.  The censuses that
 have one (monoid, Gaussian) start their grids past the unit, at a point
 that is always prime, so a series is its census, row for row.
 
-A Series is a length, a stream of blocks of points and their counts,
-read once, and a label: its census's describe(), which a fit's line and a
-chart's title print.  It comes from one of three sources:
+A Series is a length, a stream of blocks of points and their increments
+(the number each point adds to the count), read once, and a label: its
+census's describe(), which a fit's line and a chart's title print.  It
+comes from one of three sources:
 
-- stream_series(census): the census's running_blocks() as they are, each
-  block its points and their counts, so a pass holds one block of counts,
-  never a count per point (sieve.py, quadratic.py).
+- stream_series(census): the census's increment_blocks() as they are,
+  each block its points and the sieve's weighted flags or the quadratic
+  census's bincounts, so a pass holds one block, never a count per point
+  (sieve.py, quadratic.py).
 - report.read_series_csv: the points and counts of a series CSV, parsed
   during the pass and handed on COUNT_BLOCK rows at a time, labelled
   source=csv.
 - scripts/quad_growth.thin: chosen points of a quadratic census and their
   counts, in COUNT_BLOCK slices (sieve.count_blocks).
 
+The last two hold counts, which reach the series through increments(),
+each count less the one before it: exact for integers.
+
 Every statistic is a reducer, and scan(series, *reducers) feeds all of a
 command's reducers in the series' one pass, block by block: Total, Mape
 (at several bounds at once), Crossover, and in the report layer the
 series CSV writer and the chart.  find_crossover and fit_model are
 one-reducer passes; fit_model's reducer, FitMoments, sums binned moments,
-so the fit too holds no array per point.  The derived columns (estimate,
-ratio, pct_err) are never stored: a Block computes each one the first
-time a reducer reads it, for its own rows alone, so a pass computes only
-the columns its reducers read.  Points where no percentage error is
+so the fit too holds no array per point.  A Block carries its increments
+and the count before its first row; what its readers need of the rest is
+computed the first time one reads it, for its own rows alone: its runs
+(the rows where the count changes, and the counts there), which Total,
+Mape and the chart read, and its counts (``actual``, the running sum),
+its estimate and its pct_err, which Crossover, FitMoments, the series CSV
+writer and a per-point Mape read.  So a pass computes only what its
+reducers read.
+
+Mape sums a block per run of rows with one count A when the series'
+estimate carries a run sum (``estimate_sum``, a census's closed form of
+the estimate f summed over n grid points), the block starts at
+RUN_SUM_START or later and it has at most one run per RUN_SUM_SPACING
+rows: a run of n rows adds |n A - sum f| * 100 / A.  A run where f crosses
+A, or that spans more than 1/RUN_SPAN_SHARE of its midpoint, goes per
+point, as does every other block.  Points where no percentage error is
 defined (actual = 0, or a series with no estimator) carry NaN in the
 derived columns; statistics skip them.
 """
@@ -42,23 +59,80 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 Estimator = Callable[[np.ndarray], np.ndarray]
+RunSum = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _C_BOUNDS = (1e-3, 10.0)
 _E_BOUNDS = (-2.0, 3.0)
+
+# A block of a series with a run sum is summed per run when its first point
+# is at least this: the gauss MAPEs at 10^6 and 10^7, at four bounds each and
+# in blocks of 4,099 and 2^16 rows, kept every bit of the per-point sum from
+# here on, but 5 of the 16 moved a unit in the last place with blocks
+# summed per run from x = 2, and 2 of them from 2^14.
+RUN_SUM_START = 1 << 16
+# ... and when it has at most one run per this many rows: against its
+# per-point sum, a block of the 10^8 censuses took 0.46 of the time per run
+# at 0.029 runs a row (Gaussian), 0.90 at 0.115 (the d = 2 monoid past
+# 10^7), 1.38 at 0.23 (d = 3) and 3.0 at 0.50 (d = 7).
+RUN_SUM_SPACING = 8
+# A run spans at most this share of its midpoint, or goes per point: the
+# sum's first term left out is below 1e-5 (span/midpoint)^6 of it, so 2^-64
+# of it at 1/256.
+RUN_SPAN_SHARE = 256
 
 _NO_PRIMES = "census holds no primes; no point to compare with its estimate"
 
 
 class Block:
-    """A run of rows of a series, at ``points``: x, the estimate and
-    pct_err of these rows alone are each computed when first read."""
+    """A run of rows of a series, at ``points``, with ``increments``, the
+    number each row adds to the count, and ``before``, the count before its
+    first row: its runs, counts, x, estimate and pct_err are each computed
+    for these rows alone when first read."""
 
-    def __init__(self, points: range | np.ndarray, actual: np.ndarray,
-                 estimator: Estimator | None) -> None:
-        self.points, self.actual, self._estimator = points, actual, estimator
+    def __init__(self, points: range | np.ndarray, increments: np.ndarray, before: int,
+                 estimator: Estimator | None, estimate_sum: RunSum | None = None) -> None:
+        self.points, self.increments, self.before = points, increments, before
+        self._estimator, self._estimate_sum = estimator, estimate_sum
 
     def __len__(self) -> int:
-        return len(self.actual)
+        return len(self.increments)
+
+    @functools.cached_property
+    def actual(self) -> np.ndarray:
+        """The count at each row: the running sum of the increments."""
+        actual = self.increments.copy()
+        actual[0] += self.before
+        np.cumsum(actual, out=actual)
+        actual.setflags(write=False)
+        return actual
+
+    @functools.cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row of each run of rows with one count, from row 0, and
+        that count (int64)."""
+        opens = self.increments != 0  # a bool mask: nonzero of an int array is slower
+        opens[0] = True
+        starts = np.flatnonzero(opens)
+        counts = np.cumsum(self.increments[starts], dtype=np.int64)
+        counts += self.before
+        return starts, counts
+
+    @property
+    def last(self) -> int:
+        """The count at the last row, from the counts or runs when read."""
+        if "actual" in self.__dict__:
+            return int(self.actual[-1])
+        if "runs" in self.__dict__:
+            return int(self.runs[1][-1])
+        return self.before + int(self.increments.sum())
+
+    def counts_at(self, rows: np.ndarray) -> np.ndarray:
+        """The counts at rows, an increasing int64 array: from the counts when
+        read, else from the runs."""
+        if "actual" in self.__dict__:
+            return self.actual[rows]
+        starts, counts = self.runs
+        return counts[np.searchsorted(starts, rows, side="right") - 1]
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -67,16 +141,20 @@ class Block:
     @functools.cached_property
     def est(self) -> np.ndarray:
         """The estimator's values at x (NaN for a series with no estimator)."""
-        x = self.x
-        estimator = self._estimator or (lambda xs: np.full(xs.shape, np.nan))
-        est = np.asarray(estimator(x), dtype=np.float64)
-        if est.shape != x.shape:
-            raise ValueError("the estimator must return one value per point")
-        return est
+        return _estimates(self._estimator, self.x)
 
     @functools.cached_property
     def pct_err(self) -> np.ndarray:
         return _pct_err(self.actual, self.est)
+
+    @functools.cached_property
+    def by_runs(self) -> bool:
+        """Whether Mape sums this block per run: its series has a run sum,
+        its points are a range from RUN_SUM_START on, and it has at most one
+        run per RUN_SUM_SPACING rows."""
+        return (self._estimate_sum is not None and isinstance(self.points, range)
+                and self.points.start >= RUN_SUM_START
+                and np.count_nonzero(self.increments) * RUN_SUM_SPACING <= len(self))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """x, actual, estimate, ratio and pct_err."""
@@ -87,18 +165,21 @@ class Block:
 
 class Series:
     """A series: ``length``, its number of rows; ``blocks``, its rows as
-    (points, actual) runs in order from row 0, read once, the points
-    increasing (a range, or an int64 array) and the counts nondecreasing;
-    ``estimator``, which maps int64 points to one estimate each (None: NaN
-    at every point); and ``label``, the census's describe() that a fit's
-    line and a chart's title print.  Making one reads no block, and scan
-    feeds each block to the reducers as it comes: scan it with every
+    (points, increments) runs in order from row 0, read once, the points
+    increasing (a range, or an int64 array) and the increments, the number
+    each point adds to the count from 0, nonnegative; ``estimator``, which
+    maps int64 points to one estimate each (None: NaN at every point);
+    ``label``, the census's describe() that a fit's line and a chart's title
+    print; and ``estimate_sum``, the estimator's sum over runs of grid
+    points (None: Mape sums per point).  Making one reads no block, and
+    scan feeds each block to the reducers as it comes: scan it with every
     reducer, since a second pass raises RuntimeError."""
 
     def __init__(self, length: int, blocks: Iterable[tuple[range | np.ndarray, np.ndarray]],
-                 estimator: Estimator | None = None, label: str = "") -> None:
+                 estimator: Estimator | None = None, label: str = "",
+                 estimate_sum: RunSum | None = None) -> None:
         self._length, self.estimator, self.label = length, estimator, label
-        self._blocks_left = blocks
+        self.estimate_sum, self._blocks_left = estimate_sum, blocks
 
     def __len__(self) -> int:
         return self._length
@@ -107,8 +188,22 @@ class Series:
         blocks, self._blocks_left = self._blocks_left, None
         if blocks is None:
             raise RuntimeError("a streamed series is read once; scan it with every reducer")
-        for points, actual in blocks:
-            yield Block(points, actual, self.estimator)
+        before = 0
+        for points, increments in blocks:
+            block = Block(points, increments, before, self.estimator, self.estimate_sum)
+            yield block
+            before = block.last
+
+
+def increments(blocks):
+    """Blocks (points, counts) of nondecreasing counts from 0 as a Series
+    takes them, (points, increments): each count less the one before it,
+    the first block's first less 0.  Exact for integers."""
+    before = 0
+    for points, counts in blocks:
+        step = np.diff(counts, prepend=counts.dtype.type(before))
+        before = counts[-1]
+        yield points, step
 
 
 def _points(grid: range | np.ndarray) -> np.ndarray:
@@ -120,6 +215,16 @@ def _points(grid: range | np.ndarray) -> np.ndarray:
 def _points_at(points: range | np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The points at the positions idx, an int64 array."""
     return points.start + idx * points.step if isinstance(points, range) else points[idx]
+
+
+def _estimates(estimator: Estimator | None, x: np.ndarray) -> np.ndarray:
+    """The estimator's values at the points x, float64 (NaN with no estimator)."""
+    if estimator is None:
+        return np.full(x.shape, np.nan)
+    est = np.asarray(estimator(x), dtype=np.float64)
+    if est.shape != x.shape:
+        raise ValueError("the estimator must return one value per point")
+    return est
 
 
 def _pct_err(actual: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -140,13 +245,14 @@ def _first_nonzero(actual: np.ndarray) -> int:
 
 
 def stream_series(census) -> Series:
-    """A census's series, its running_blocks() and its estimate as they are,
-    so a pass holds what the census's blocks hold; a census with an estimate
-    and no point raises ValueError."""
+    """A census's series, its increment_blocks(), its estimate and its run
+    sum as they are, so a pass holds what the census's blocks hold; a census
+    with an estimate and no point raises ValueError."""
     grid = census.change_grid()
     if census.estimate is not None and not grid:
         raise ValueError(_NO_PRIMES)
-    return Series(len(grid), census.running_blocks(), census.estimate, census.describe())
+    return Series(len(grid), census.increment_blocks(), census.estimate, census.describe(),
+                  census.estimate_sum)
 
 
 def scan(series: Series, *reducers) -> None:
@@ -166,12 +272,18 @@ def ratio_R(actual: int, estimate: float) -> float:
 
 
 class Total:
-    """The count at the last row: the census's total, for a census's series."""
+    """The count at the last row: the census's total, for a census's series.
+    It keeps the last block fed and reads its count when asked, once the
+    pass's other readers have summed what they need of it."""
 
-    value: int | None = None
+    _block: Block | None = None
 
     def feed(self, block: Block) -> None:
-        self.value = int(block.actual[-1])
+        self._block = block
+
+    @property
+    def value(self) -> int | None:
+        return None if self._block is None else self._block.last
 
 
 class Mape:
@@ -179,8 +291,8 @@ class Mape:
     value, with x <= upto for each of ``bounds`` (None: every point).
 
     A block's sum of pct_err is shared by every bound past it; a bound that
-    ends inside a block sums that block's rows up to it alone.  So each
-    bound gets the sums of a pass that stops at it, which are its bits."""
+    ends inside a block sums that block's rows up to it alone.  Each block
+    is summed per run or per point (_error_sum)."""
 
     def __init__(self, bounds=(None,)) -> None:
         self._bounds = list(bounds)
@@ -192,10 +304,10 @@ class Mape:
             stop = len(block) if upto is None else bisect.bisect_right(block.points, upto)
             if stop == len(block):
                 if whole is None:
-                    whole = _defined_sum(block.pct_err)
+                    whole = _error_sum(block, stop)
                 parts.append(whole)
             elif stop > 0:
-                parts.append(_defined_sum(block.pct_err[:stop]))
+                parts.append(_error_sum(block, stop))
 
     def result(self) -> list[float]:
         """The MAPE at each bound, in order."""
@@ -206,6 +318,43 @@ class Mape:
                 raise ValueError("series has no points with a defined percentage error")
             out.append(math.fsum(total for total, _ in parts) / count)
         return out
+
+
+def _error_sum(block: Block, stop: int) -> tuple[float, int]:
+    """The sum and the number of the defined pct_err of the block's rows
+    before stop: per run where the block is summed so (Block.by_runs), a
+    run of n rows at count A >= 1 adding |n A - sum f| * 100 / A, with
+    sum f the series' run sum of the estimate f; per point elsewhere, and
+    for a run where f crosses A (f(first) < A < f(last)) or that spans more
+    than 1/RUN_SPAN_SHARE of its midpoint."""
+    if not block.by_runs:
+        return _defined_sum(block.pct_err[:stop])
+    starts, counts = block.runs
+    k = int(np.searchsorted(starts, stop))  # the runs that start before stop
+    starts, counts = starts[:k], counts[:k]
+    n = np.diff(starts, append=stop)
+    step = block.points.step
+    first = block.points.start + starts * step
+    last = first + (n - 1) * step
+    count = counts.astype(np.float64)
+    estimate = block._estimator
+    f_first, f_last = np.split(estimate(np.concatenate((first, last))), 2)
+    mid = (first + last) / 2.0
+    summed = (counts >= 1) & ~((f_first < count) & (count < f_last))
+    summed &= (n - 1) * step * RUN_SPAN_SHARE <= mid
+    n_summed, count_summed = n[summed].astype(np.float64), count[summed]
+    terms = n_summed * count_summed
+    terms -= block._estimate_sum(mid[summed], n_summed)
+    np.abs(terms, out=terms)
+    terms *= 100.0
+    terms /= count_summed
+    total, rows = terms.sum(), int(n[summed].sum())
+    for j in np.flatnonzero((counts >= 1) & ~summed).tolist():  # the runs summed per point
+        at = np.arange(starts[j], starts[j] + n[j])
+        pct = _pct_err(np.full(at.size, counts[j]), estimate(_points_at(block.points, at)))
+        total += pct.sum()
+        rows += pct.size
+    return total, rows
 
 
 def _defined_sum(pct: np.ndarray) -> tuple[float, int]:

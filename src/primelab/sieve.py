@@ -5,25 +5,28 @@ primes; the classical census pi(n); and the parts every census shares.
 The sieve runs over the elements past the unit 1, which is never prime, in
 windows of SEGMENT_SIZE elements of A_d, each marked by the base primes of
 A_d up to the square root of the limit, which the same loop sieves first
-(``_prime_windows``; odd-only at d = 1).  ``prime_running_blocks``, the
-sieve's one reader, cuts each window into whole read-only blocks of
-COUNT_BLOCK running counts, weighted and carried from block to block.  The
-classical, monoid and Gaussian censuses are read from it
+(``_prime_windows``; odd-only at d = 1).  ``prime_blocks``, the sieve's
+one reader, cuts each window into whole read-only blocks of COUNT_BLOCK
+weighted flags: the increments of the running counts, as they are before
+any sum.  The classical, monoid and Gaussian censuses are read from it
 (``SievedCensus``): their grids start past the unit too, at 1 + d (2 at
 d = 1), a point that is always prime, so the sieve's blocks are their
-blocks, and ``running_blocks()`` streams them: a pass holds one window of
-flags and one block of counts whatever the bound.  The quadratic census
-streams its own, and every census sums its blocks by ``running_totals``.
-All four are a ``Census``, with one interface: ``change_grid``,
-``running_blocks`` (blocks of grid points and their counts, in order),
-``describe`` (the census's label, ``key=value`` pairs that a fit's line and
-a chart's title print) and ``estimate``, the count the paper conjectures
-for the domain (None where it asserts none).  Each census checks its own
-parameters when it is made, in ``__post_init__`` (a monoid census's in its
-MonoidParams), by the checks below (``require_int`` refuses bools as
-non-integers), so its constructor and its factory function, which only
-makes it, refuse the same values with the same message before any census
-work, and the sieve's reader takes the census's checked limit.
+blocks, and ``increment_blocks()`` streams them: a pass holds one window
+of flags and one block of increments whatever the bound.  The quadratic
+census streams its own.  All four are a ``Census``, with one interface:
+``change_grid``, ``increment_blocks`` (blocks of grid points and the
+count each adds, in order; the count at a point is the sum of the
+increments up to it, which a series takes only for a reader that asks),
+``describe`` (the census's label, ``key=value`` pairs that a fit's line
+and a chart's title print) and ``estimate``, the count the paper
+conjectures for the domain (None where it asserts none), which may carry
+``estimate_sum``, its sum over a run of grid points in closed form.  Each
+census checks its own parameters when it is made, in ``__post_init__`` (a
+monoid census's in its MonoidParams), by the checks below (``require_int``
+refuses bools as non-integers), so its constructor and its factory
+function, which only makes it, refuse the same values with the same
+message before any census work, and the sieve's reader takes the census's
+checked limit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 MAX_SIEVE_LIMIT = 1 << 40
 # The sieve runs in windows of this many numbers.
 SEGMENT_SIZE = 1 << 22
-# Streamed running counts come in blocks of at most this many numbers.
+# Streamed counts come in blocks of at most this many numbers.
 COUNT_BLOCK = 1 << 16
 
 Weigh = Callable[[int, np.ndarray], None]
@@ -71,49 +74,37 @@ def count_blocks(points, counts: np.ndarray):
     return ((points[k : k + block], counts[k : k + block]) for k in range(0, len(counts), block))
 
 
-def running_totals(blocks):
-    """The blocks (points, counts), counts[i] the count at points[i] alone,
-    each summed in place onto the total carried from the block before and
-    handed on read-only (counts may share a buffer)."""
-    carry = 0
-    for points, counts in blocks:
-        counts[0] += carry
-        np.cumsum(counts, out=counts)
-        carry = counts[-1]
-        view = counts.view()
-        view.setflags(write=False)
-        yield points, view
-
-
 class Census:
     """Counts on the points where the count can change: the census's
-    change_grid(), whose stop is its bound + 1, and running_blocks(), the
-    counts in order as read-only blocks (points, counts) that tile the grid
-    from its first point, counts[i] the count at points[i]."""
+    change_grid(), whose stop is its bound + 1, and increment_blocks(), in
+    order, read-only blocks (points, increments) that tile the grid from its
+    first point, increments[i] the number counted at points[i] alone."""
 
     estimate = None  # or a method: the conjectured count at each of an array of points
+    # or a method: the estimate summed over runs of n grid points centred at mid
+    estimate_sum = None
 
 
 class SievedCensus(Census):
     """A census of the elements of A_d = {1, 1 + d, 1 + 2d, ...} up to a
-    limit, read from the sieve of A_d, through prime_running_blocks.  Its
-    grid starts past the unit, which is never prime: its k-th point is
+    limit, read from the sieve of A_d, through prime_blocks.  Its grid
+    starts past the unit, which is never prime: its k-th point is
     1 + (k + 1)*d (at d = 1, k + 2), and its first point is always prime.
     Subclasses give the sieve's arguments (``_sieve``)."""
 
     def _sieve(self) -> tuple[int, int, int, Weigh | None]:
         """The modulus d, the limit, a bound on the total, and the weighting
-        of each block of counts (None: each prime counts 1)."""
+        of each block of flags (None: each prime counts 1)."""
         raise NotImplementedError
 
     def change_grid(self) -> range:
         d, limit, _, _ = self._sieve()
         return range(1 + d, limit + 1, d)
 
-    def running_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
-        """The counts from the sieve windows, COUNT_BLOCK points at a time in
-        one buffer that each block overwrites: nothing is held whole."""
-        return prime_running_blocks(*self._sieve())
+    def increment_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
+        """The weighted flags from the sieve windows, COUNT_BLOCK points at a
+        time in one buffer that each block overwrites: nothing is held whole."""
+        return prime_blocks(*self._sieve())
 
 
 def primes_upto(n: int, d: int = 1) -> np.ndarray:
@@ -166,15 +157,15 @@ def _prime_windows(d: int, limit: int):
         del window
 
 
-def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
-    """Running totals of the primes of A_d over its elements past the unit
-    up to limit (>= 1, as its census checks), in order, as read-only blocks
-    (points, counts) summed by running_totals: counts[i] is the total at the
-    element points[i], int32 when ``most``, a bound on the total, is below
-    2**31, else int64.  No table of flags is kept: each block is cast from
-    its slice of a sieve window and weighted there by ``weigh(points[0],
-    counts)`` when given (counts[i] is 1 where points[i] is prime, 0
-    elsewhere).
+def prime_blocks(d: int, limit: int, most: int, weigh: Weigh | None = None):
+    """The primes of A_d over its elements past the unit up to limit (>= 1,
+    as its census checks), in order, as read-only blocks (points, counts):
+    counts[i] is 1 where the element points[i] is prime, 0 elsewhere,
+    weighted in place by ``weigh(points[0], counts)`` when given, so that
+    the running sum of the counts is the census's count.  They are int32
+    when ``most``, a bound on that sum, is below 2**31, else int64.  No
+    table of flags is kept: each block is cast from its slice of a sieve
+    window.
 
     Every block but the last is COUNT_BLOCK rows, whatever the window, as
     in a series CSV read back: Mape and FitMoments sum per block, so their
@@ -188,19 +179,24 @@ def prime_running_blocks(d: int, limit: int, most: int, weigh: Weigh | None = No
         raise ValueError(f"a sieve window of {SEGMENT_SIZE} elements is no whole number "
                          f"of blocks of {block}")
     buffer = np.empty(min(block, points), dtype=np.int32 if most < 2**31 else np.int64)
+    handed = _read_only(buffer)
+    for lo, window in _prime_windows(d, limit):
+        for start in range(0, len(window), block):
+            rows = min(block, len(window) - start)
+            counts = buffer[:rows]
+            counts[:] = window[start : start + rows]
+            first = 1 + (lo + start) * d
+            if weigh is not None:
+                weigh(first, counts)
+            yield range(first, first + rows * d, d), handed[:rows]
+        del window
 
-    def flag_blocks():  # the blocks before they are summed, in buffer
-        for lo, window in _prime_windows(d, limit):
-            for start in range(0, len(window), block):
-                counts = buffer[: min(block, len(window) - start)]
-                counts[:] = window[start : start + len(counts)]
-                first = 1 + (lo + start) * d
-                if weigh is not None:
-                    weigh(first, counts)
-                yield range(first, first + len(counts) * d, d), counts
-            del window
 
-    yield from running_totals(flag_blocks())
+def _read_only(buffer: np.ndarray) -> np.ndarray:
+    """A read-only view of buffer, whose slices are read-only too."""
+    view = buffer.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ machinery:
   (``oracle_squared_error``);
 - ``mape`` and ``find_crossover`` by their bodies over whole ``blocks()``,
   every derived column computed (``oracle_mape``,
-  ``oracle_find_crossover``);
+  ``oracle_find_crossover``), and ``series.Mape``, which sums sparse
+  blocks per run of one count, by the reducer it was while it summed
+  every block per point (``OracleMape``);
 - a census's count at any point by a search of its change grid
   (``census_counts_at``), and ``scripts/quad_growth.thin`` by the custom-grid
   rule it had before it took rows of the census's series (``oracle_thin``);
@@ -56,6 +58,7 @@ as the commands do.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,7 +82,7 @@ ORACLE_QUAD_MAX_NORM = 10**6
 
 def count_dtype(most: int) -> type[np.integer]:
     """The integer dtype of a sieved census's counts, for ``most`` a bound on
-    its total, by the rule of sieve.prime_running_blocks: int32 when it is
+    its total, by the rule of sieve.prime_blocks: int32 when it is
     below 2**31, else int64."""
     return np.int32 if most < 2**31 else np.int64
 
@@ -104,28 +107,27 @@ def table_primes(table: np.ndarray) -> np.ndarray:
 
 def whole_counts(census) -> np.ndarray:
     """The census's counts held whole, read-only, in the dtype of its blocks:
-    each block of running_blocks() copied into its slice as it comes, since
-    a sieved census's blocks share one buffer that the next block
-    overwrites.  An empty grid yields no block; its empty counts take the
-    dtype that the sieve gives a sieved census's blocks."""
+    each block of increment_blocks() copied into its slice as it comes,
+    since a census's blocks share one buffer that the next block
+    overwrites, then summed in place.  An empty grid yields no block; its
+    empty counts take the dtype that the sieve gives a sieved census's
+    blocks."""
     most = census._sieve()[2] if isinstance(census, SievedCensus) else 0
     whole, row = np.empty(0, dtype=count_dtype(most)), 0
-    for _, counts in census.running_blocks():
+    for _, increments in census.increment_blocks():
         if row == 0:
-            whole = np.empty(len(census.change_grid()), dtype=counts.dtype)
-        whole[row : row + len(counts)] = counts
-        row += len(counts)
+            whole = np.empty(len(census.change_grid()), dtype=increments.dtype)
+        whole[row : row + len(increments)] = increments
+        row += len(increments)
+    np.cumsum(whole, out=whole)
     whole.setflags(write=False)
     return whole
 
 
 def census_total(census) -> int:
-    """The count at the census's own bound: the last count of its
-    running_blocks(), streamed (0 for an empty grid)."""
-    total = 0
-    for _, counts in census.running_blocks():
-        total = counts[-1]
-    return int(total)
+    """The count at the census's own bound: the sum of its
+    increment_blocks(), streamed (0 for an empty grid)."""
+    return sum(int(increments.sum()) for _, increments in census.increment_blocks())
 
 
 def census_counts_at(census, xs) -> np.ndarray:
@@ -142,14 +144,15 @@ def census_counts_at(census, xs) -> np.ndarray:
 @dataclass(frozen=True)
 class HeldSeries:
     """A series held whole: its points ``grid`` (a range, or an int64 array),
-    its counts ``actual``, its estimator and its label.  The package's
-    Series is read once, so stream() makes a fresh one over these arrays
-    for each pass, cut as sieve.count_blocks cuts them."""
+    its counts ``actual``, its estimator, its label and its estimator's run
+    sum.  The package's Series is read once, so stream() makes a fresh one
+    over these arrays for each pass, cut as sieve.count_blocks cuts them."""
 
     grid: range | np.ndarray
     actual: np.ndarray
     estimator: analysis.Estimator | None = None
     label: str = ""
+    estimate_sum: analysis.RunSum | None = None
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -160,8 +163,8 @@ class HeldSeries:
 
     def stream(self) -> Series:
         """A fresh package Series over the held points and counts."""
-        blocks = count_blocks(self.grid, self.actual)
-        return Series(len(self.grid), blocks, self.estimator, self.label)
+        blocks = analysis.increments(count_blocks(self.grid, self.actual))
+        return Series(len(self.grid), blocks, self.estimator, self.label, self.estimate_sum)
 
     def blocks(self):
         """The five columns of each block of a pass, in order."""
@@ -176,14 +179,16 @@ def hold(series: Series) -> HeldSeries:
         points.append(block.x.copy())
         counts.append(block.actual.copy())
     x, actual = (np.concatenate(v) if v else np.empty(0, dtype=np.int64) for v in (points, counts))
-    return HeldSeries(x, actual, series.estimator, series.label)
+    return HeldSeries(x, actual, series.estimator, series.label, series.estimate_sum)
 
 
 def series_rows(series: HeldSeries, lo: int = 0, hi: int | None = None):
     """x, actual, estimate, ratio and pct_err of rows lo to hi of a held
     series, computed for those rows alone."""
     grid, actual = series.grid[lo:hi], series.actual[lo:hi]
-    return analysis.Block(grid, actual, series.estimator).columns()
+    before = actual.dtype.type(series.actual[lo - 1] if lo else 0)
+    increments = np.diff(actual, prepend=before)
+    return analysis.Block(grid, increments, int(before), series.estimator).columns()
 
 
 def write_series_csv(series: HeldSeries, path) -> None:
@@ -205,7 +210,7 @@ def build_series(census) -> HeldSeries:
         if first == actual.size:
             raise ValueError(analysis._NO_PRIMES)
         grid, actual = grid[first:], actual[first:]
-    return HeldSeries(grid, actual, census.estimate, census.describe())
+    return HeldSeries(grid, actual, census.estimate, census.describe(), census.estimate_sum)
 
 
 def oracle_thin(census, points: int = 250) -> HeldSeries:
@@ -496,6 +501,38 @@ def oracle_mape(series, upto=None):
     return math.fsum(sums) / count
 
 
+class OracleMape:
+    """series.Mape as it summed every block before it summed runs of one
+    count: each block's pct_err per point, every defined value, its sum
+    shared by every bound past the block, and a bound that ends inside a
+    block summing that block's rows up to it alone."""
+
+    def __init__(self, bounds=(None,)) -> None:
+        self._bounds = list(bounds)
+        self._parts = [[] for _ in self._bounds]  # (sum, count) of each bound's rows per block
+
+    def feed(self, block) -> None:
+        whole = None
+        for upto, parts in zip(self._bounds, self._parts):
+            stop = len(block) if upto is None else bisect.bisect_right(block.points, upto)
+            if stop == len(block):
+                if whole is None:
+                    whole = analysis._defined_sum(block.pct_err)
+                parts.append(whole)
+            elif stop > 0:
+                parts.append(analysis._defined_sum(block.pct_err[:stop]))
+
+    def result(self) -> list[float]:
+        """The MAPE at each bound, in order."""
+        out = []
+        for parts in self._parts:
+            count = sum(count for _, count in parts)
+            if count == 0:
+                raise ValueError("series has no points with a defined percentage error")
+            out.append(math.fsum(total for total, _ in parts) / count)
+        return out
+
+
 def oracle_find_crossover(series):
     """find_crossover over whole rows() blocks, each masked by its defined
     estimates."""
@@ -648,8 +685,8 @@ def oracle_monoid_census(params: MonoidParams) -> np.ndarray:
 
 
 def oracle_prime_running_counts(limit: int, most: int, weigh=None) -> np.ndarray:
-    """The whole-array form of sieve.prime_running_blocks, as
-    prime_running_counts made it before the blocks were streamed, but over
+    """The whole-array form of the running sums of sieve.prime_blocks, as
+    prime_running_counts made them before the blocks were streamed, but over
     one whole table of ``eratosthenes_flags`` instead of the package's
     windows: the flags of 2..limit (the sieve's elements past the unit)
     cast to count_dtype(most), weighted by ``weigh(2, counts)`` when given,

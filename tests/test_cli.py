@@ -1,4 +1,7 @@
+import errno
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from datetime import timedelta
@@ -463,6 +466,44 @@ def test_fit_missing_input_file(tmp_path, capsys):
     assert code == 4
     code, _, _ = run(["fit", "--from-csv", ""], capsys)
     assert code == 4
+
+
+def fifo(tmp_path):
+    os.mkfifo(tmp_path / "fifo")
+    return tmp_path / "fifo"
+
+
+def long_first_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("x" * 10**7 + "\n" + report.SERIES_HEADER + "\n")
+    return path
+
+
+# fit --from-csv inputs that it cannot read as a series CSV: each is refused at
+# once, not read whole (a device grew until a MemoryError, a FIFO blocked in open):
+# the input, the exit code and the error after the path
+UNREADABLE_INPUTS = {
+    "dev-zero": (lambda _: "/dev/zero", 2, "is not a regular file"),
+    "fifo": (fifo, 2, "is not a regular file"),
+    "directory": (lambda tmp_path: tmp_path, 4, None),
+    "long-first-line": (long_first_line, 2, "is not a series CSV (bad header)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_INPUTS))
+def test_fit_refuses_an_input_it_cannot_read(tmp_path, name):
+    make, code, reason = UNREADABLE_INPUTS[name]
+    path = str(make(tmp_path))
+    src = os.path.dirname(os.path.dirname(report.__file__))
+    proc = subprocess.run([sys.executable, "-m", "primelab", "fit", "--from-csv", path],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    if reason is None:  # open's own error
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+    else:
+        reason = f"{path} {reason}"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error: {reason}\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_table1_summary(tmp_path, capsys):

@@ -31,6 +31,7 @@ PUBLIC = {
 
 ORACLES = {
     "BRUTE_NORM_CAP",
+    "OracleMape",
     "GaussPoint",
     "HeldSeries",
     "ORACLE_QUAD_MAX_NORM",

@@ -95,21 +95,25 @@ def test_series_round_trip(tmp_path):
 
 
 def test_series_read_from_csv_blocks_bring_their_points(tmp_path, monkeypatch):
-    """Each block of the pass holds its own points and counts as int64, in
-    two buffers of COUNT_BLOCK rows, not slices of whole columns."""
+    """Each block of the pass holds its own points as int64, in a buffer of
+    COUNT_BLOCK rows, and its own increments (each count less the row
+    before) and counts, not slices of whole columns."""
     path = tmp_path / "series.csv"
     write_series_csv(small_series(), path)
     monkeypatch.setattr(sieve, "COUNT_BLOCK", 2)
     blocks = []
 
     def feed(block):
-        for column in (block.x, block.actual):
+        assert (block.x if block.x.base is None else block.x.base).size == sieve.COUNT_BLOCK
+        for column in (block.x, block.increments, block.actual):
             assert column.dtype == np.int64
-            assert (column if column.base is None else column.base).size == sieve.COUNT_BLOCK
-        blocks.append((len(block), block.x.tolist(), block.actual.tolist()))
+        for column in (block.increments, block.actual):
+            assert column.base is None and column.size == len(block)
+        blocks.append((len(block), block.x.tolist(), block.increments.tolist(),
+                       block.actual.tolist()))
 
     scan(read_series_csv(path), SimpleNamespace(feed=feed))
-    assert blocks == [(2, [3, 7], [2, 4]), (1, [12], [8])]
+    assert blocks == [(2, [3, 7], [2, 2], [2, 4]), (1, [12], [4], [8])]
 
 
 @pytest.mark.parametrize(

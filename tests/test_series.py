@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     HeldSeries,
+    OracleMape,
     build_series,
     census_counts_at,
     census_total,
@@ -421,11 +422,14 @@ def outcome(fn, *args):
         return repr(err)
 
 
-def held_mape(ser, upto=None):
-    """The MAPE of a pass of a held series."""
-    error = analysis.Mape((upto,))
+def held_mape(ser, upto=None, reducer=analysis.Mape):
+    """The MAPE of a pass of a held series (by OracleMape when asked)."""
+    error = reducer((upto,))
     analysis.scan(ser.stream(), error)
     return error.result()[0]
+
+
+held_oracle_mape = functools.partial(held_mape, reducer=OracleMape)
 
 
 def block_edge_series():
@@ -470,7 +474,8 @@ def test_statistics_equal_the_rows_oracles_bit_for_bit(tmp_path, monkeypatch, na
     for edge in {edges[0], edges[len(edges) // 2], edges[-1]} if edges else ():
         bounds += [int(x[edge - 1]), int(x[edge])]  # the last x of a block, the first of the next
     for upto in bounds:
-        assert outcome(held_mape, ser, upto) == outcome(oracle_mape, ser, upto), upto
+        got = outcome(held_mape, ser, upto)
+        assert got == outcome(oracle_mape, ser, upto) == outcome(held_oracle_mape, ser, upto), upto
     assert find_crossover(ser.stream()) == oracle_find_crossover(ser)
 
 
@@ -514,8 +519,104 @@ def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(block_rows, step,
     # which overflows for subnormal estimates, and inf - inf sums warn in both
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(sieve, "COUNT_BLOCK", block_rows)
-        assert outcome(held_mape, ser, upto) == outcome(oracle_mape, ser, upto)
+        got = outcome(held_mape, ser, upto)
+        assert got == outcome(oracle_mape, ser, upto) == outcome(held_oracle_mape, ser, upto)
         assert find_crossover(ser.stream()) == oracle_find_crossover(ser)
+
+
+# the censuses whose estimates carry a run sum: only their estimate, run sum and
+# grid step are read, so the bound is any past the points drawn
+RUN_SUM_CENSUSES = {
+    "gauss": lambda: gaussian_census(10**9, "both-axes"),
+    **{f"monoid-d{d}": functools.partial(monoid_census, MonoidParams(d, 10**9))
+       for d in (2, 3, 50)},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RUN_SUM_CENSUSES)),
+    block_rows=st.sampled_from([4099, sieve.COUNT_BLOCK]),
+    data=st.data(),
+)
+def test_mape_by_runs_equals_the_per_point_oracle(name, block_rows, data):
+    """A series of a census's estimate past RUN_SUM_START with synthetic
+    increments: a first count near the estimate, so that runs straddle it,
+    then runs of up to 5,000 rows and a last run of up to three blocks, cut
+    at any bound, in blocks of 4,099 and 2^16 rows: Mape, which sums the
+    sparse blocks per run, gives OracleMape's per-point sum to within the
+    rounding of the estimate's values (see sum_tolerance)."""
+    census = RUN_SUM_CENSUSES[name]()
+    step = census.change_grid().step
+    first = census.change_grid()[data.draw(st.integers(analysis.RUN_SUM_START, 10**7)) // step]
+    gaps = data.draw(st.lists(st.integers(1, 5000), max_size=40))
+    rows = sum(gaps) + data.draw(st.integers(1, 3 * block_rows))
+    increments = np.zeros(rows, dtype=np.int64)
+    level = data.draw(st.floats(0.9, 1.1))
+    increments[0] = round(level * float(census.estimate(np.array([first]))[0]))
+    steps = data.draw(st.lists(st.integers(1, 5), min_size=len(gaps), max_size=len(gaps)))
+    np.add.at(increments, np.cumsum(gaps, dtype=np.int64), steps)
+    grid = range(first, first + rows * step, step)
+    ser = HeldSeries(grid, np.cumsum(increments), census.estimate, "", census.estimate_sum)
+    upto = data.draw(st.none() | st.integers(grid[0], grid[-1] + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "COUNT_BLOCK", block_rows)
+        got, want = held_mape(ser, upto), held_oracle_mape(ser, upto)
+    assert got == pytest.approx(want, rel=0, abs=sum_tolerance(ser, upto))
+
+
+def sum_tolerance(ser, upto):
+    """How far a MAPE summed per run may lie from the per-point sum.  Each
+    point's 100 |A - f| / A rests on a value of the estimate f rounded to a
+    few units in its last place, so it is known to within about
+    eps (100 f / A + itself), and a run's sum carries the same error; the
+    tolerance is 16 times the mean of that over the rows summed (in 900
+    random series like the property's, the largest gap was 1.5 times it)."""
+    x, actual, est, _, pct = series_rows(ser)
+    summed = (actual >= 1) & (x <= (x[-1] if upto is None else upto))
+    return 16 * np.finfo(float).eps * float(np.mean(100.0 * est[summed] / actual[summed]
+                                                    + pct[summed]))
+
+
+# censuses whose MAPE the run sums must leave bit for bit: the Gaussian one
+# that census-summary runs, and monoids whose blocks go per point
+CENSUS_MAPES = {
+    "gauss-2e7": lambda: gaussian_census(2 * 10**7, "both-axes"),
+    **{f"monoid-d{d}-1e6": functools.partial(monoid_census, MonoidParams(d, 10**6))
+       for d in (2, 3, 7, 50)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_MAPES))
+def test_census_mape_equals_the_per_point_oracle_bit_for_bit(name):
+    census = CENSUS_MAPES[name]()
+    grid = census.change_grid()
+    edge = grid[min(sieve.COUNT_BLOCK, len(grid) - 1)]  # a block's first point, or the last
+    bounds = (None, grid[len(grid) // 3], grid[-1] - 1, edge + 1)
+    error, oracle = analysis.Mape(bounds), OracleMape(bounds)
+    analysis.scan(stream_series(census), error, oracle)
+    assert [repr(v) for v in error.result()] == [repr(v) for v in oracle.result()]
+
+
+@pytest.mark.parametrize(("name", "by_runs"), [("gauss", True), ("monoid-d50", False)])
+def test_mape_sums_sparse_blocks_per_run_and_dense_ones_per_point(name, by_runs):
+    """Past RUN_SUM_START, the Gaussian census's blocks (0.032 runs a row at
+    10^8) are summed per run, with no count or error per point, and the
+    d = 50 monoid's (0.9 runs a row at 10^8) per point; before it, every
+    block goes per point."""
+    census = {"gauss": lambda: gaussian_census(10**6, "both-axes"),
+              "monoid-d50": lambda: monoid_census(MonoidParams(50, 10**7))}[name]()
+    seen = []
+
+    class Spy:
+        def feed(self, block):
+            past = block.points.start >= analysis.RUN_SUM_START
+            seen.append((past, block.by_runs, "pct_err" in vars(block), "actual" in vars(block)))
+
+    analysis.scan(stream_series(census), analysis.Mape(), Spy())
+    assert sum(past for past, *_ in seen) >= 3 and not seen[0][0]
+    for past, runs, pct_err, actual in seen:
+        assert runs == (by_runs and past) and pct_err == actual == (not runs)
 
 
 ESTIMATE_INPUTS = {

@@ -255,9 +255,9 @@ BLOCKS_AND_WINDOWS = (
 
 
 @pytest.mark.parametrize(("count_block", "size"), BLOCKS_AND_WINDOWS)
-def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
+def test_increment_blocks_equal_the_whole_array_form(monkeypatch, size, count_block):
     """The streamed blocks follow one another from grid index 0, each
-    count_block long but the census's last, are read-only, and hold what
+    count_block long but the census's last, are read-only, and sum to what
     the whole-array form of the sieve's reader gives, in its dtype.  Where
     the window is no whole number of blocks, a census of more than one
     window is refused, and one of a single window is checked."""
@@ -279,28 +279,28 @@ def test_running_blocks_equal_the_whole_array_form(monkeypatch, size, count_bloc
             _, limit_, most, weigh = census._sieve()
             whole = oracle_prime_running_counts(limit_, most, weigh)
         grid, blocks = census.change_grid(), []
-        for points, counts in census.running_blocks():
-            assert points[0] == grid[count_block * len(blocks)] and not counts.flags.writeable
-            assert 0 < len(counts) <= count_block
-            blocks.append(counts.copy())  # the next block overwrites it
+        for points, increments in census.increment_blocks():
+            assert points[0] == grid[count_block * len(blocks)] and not increments.flags.writeable
+            assert 0 < len(increments) <= count_block
+            blocks.append(increments.copy())  # the next block overwrites it
         assert all(len(block) == count_block for block in blocks[:-1]), census
         assert all(block.dtype == whole.dtype for block in blocks), census
-        assert np.array_equal(np.concatenate(blocks), whole), census
+        assert np.array_equal(np.cumsum(np.concatenate(blocks)), whole), census
     assert np.array_equal(whole_counts(censuses[1]), oracle_gaussian_census(limit, "both-axes"))
 
 
-def test_running_blocks_widen_at_a_total_bound_of_2_31():
-    """The sieve's reader holds counts in int32 while the census's bound on
-    its total is below 2**31 and in int64 from there on; the counts agree."""
+def test_prime_blocks_widen_at_a_total_bound_of_2_31():
+    """The sieve's reader holds its blocks in int32 while the census's bound
+    on its total is below 2**31 and in int64 from there on; they agree."""
     narrow, wide = (
-        [(points, counts.copy()) for points, counts in sieve.prime_running_blocks(1, 1000, most)]
+        [(points, counts.copy()) for points, counts in sieve.prime_blocks(1, 1000, most)]
         for most in (2**31 - 1, 2**31)
     )
     assert all(counts.dtype == np.int32 for _, counts in narrow)
     assert all(counts.dtype == np.int64 for _, counts in wide)
     assert [points for points, _ in narrow] == [points for points, _ in wide]
     assert np.array_equal(np.concatenate([c for _, c in narrow]), np.concatenate([c for _, c in wide]))
-    assert narrow[-1][1][-1] == 168  # pi(1000)
+    assert sum(int(counts.sum()) for _, counts in narrow) == 168  # pi(1000)
 
 
 def test_windowed_censuses_at_the_segment_size():
@@ -396,7 +396,7 @@ def test_census_layout_is_shared(monkeypatch, name, count_block):
     if isinstance(census, sieve.SievedCensus) and len(grid):
         assert counts[0] == 1  # the first point is prime
     starts, row = [], 0
-    for points, block in census.running_blocks():
+    for points, block in census.increment_blocks():
         assert points == grid[row : row + len(block)] and 0 < len(block) <= count_block, row
         starts.append(row)
         row += len(block)
@@ -406,7 +406,7 @@ def test_census_layout_is_shared(monkeypatch, name, count_block):
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_census_counts_are_read_only(name):
     census = CENSUSES[name][0]()
-    for _, counts in census.running_blocks():
+    for _, increments in census.increment_blocks():
         with pytest.raises(ValueError):
-            counts[0] = 1
+            increments[0] = 1
     assert not hasattr(census, "cumulative")  # no census holds its counts whole

@@ -143,24 +143,24 @@ def test_streamed_pass_equals_the_whole_array_path(tmp_path, monkeypatch, name, 
 
 def test_a_pass_feeds_the_census_blocks_as_they_are(monkeypatch):
     """Every block that a pass feeds its reducers is the block that the
-    census's running_blocks() yielded, its points and its counts, not a
-    copy: a Gaussian census of several windows."""
+    census's increment_blocks() yielded, its points and its increments, not
+    a copy: a Gaussian census of several windows."""
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)
     monkeypatch.setattr(sieve, "COUNT_BLOCK", 512)
-    running_blocks, yielded = GaussianCensus.running_blocks, []
+    increment_blocks, yielded = GaussianCensus.increment_blocks, []
 
     def recorded(census):
-        for points, counts in running_blocks(census):
+        for points, counts in increment_blocks(census):
             yielded.append((points, counts))
             yield points, counts
 
-    monkeypatch.setattr(GaussianCensus, "running_blocks", recorded)
+    monkeypatch.setattr(GaussianCensus, "increment_blocks", recorded)
     fed = []
 
     class Recorder:
         def feed(self, block):
             points, counts = yielded[-1]
-            fed.append(block.points is points and np.shares_memory(block.actual, counts)
+            fed.append(block.points is points and block.increments is counts
                        and len(block) == len(counts))
 
     ser = analysis.stream_series(gaussian_census(5 * 4096 + 100, "both-axes"))
@@ -180,14 +180,14 @@ def test_streamed_series_is_read_in_one_pass(monkeypatch):
 
 
 def test_streamed_quadratic_series_shares_one_buffer():
-    """A quadratic census's pass hands on its blocks in one buffer that each
-    block overwrites, and they hold the counts of the former sieve."""
+    """A quadratic census's pass hands on its increments in one buffer that
+    each block overwrites, and they sum to the counts of the former sieve."""
     region = RegionSpec("norm-ball", 10**6)
     first, copies = None, []
     for block in analysis.stream_series(quad_census(2, region))._blocks():
-        first = block.actual if first is None else first
-        assert np.shares_memory(block.actual, first)
-        copies.append(block.actual.copy())  # the next block overwrites it
+        first = block.increments if first is None else first
+        assert np.shares_memory(block.increments, first)
+        copies.append(block.actual)  # summed into an array of its own
     assert len(copies) > 2
     assert np.array_equal(np.concatenate(copies), oracle_quad_census(2, region))
 
@@ -210,7 +210,7 @@ EMPTY_CENSUSES = {
 def test_an_empty_grid_holds_no_count(name):
     census = EMPTY_CENSUSES[name]()
     assert len(census.change_grid()) == 0 and census_total(census) == 0
-    assert list(census.running_blocks()) == []
+    assert list(census.increment_blocks()) == []
     with pytest.raises(ValueError, match="census holds no primes"):
         analysis.stream_series(census)
 
