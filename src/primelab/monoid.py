@@ -49,11 +49,6 @@ class MonoidCensus(SievedCensus):
         """The paper's conjectured count at x, estimate_pi_d."""
         return estimate_pi_d(self.params.d, x)
 
-    def estimate_sum(self, mid, n):
-        """The estimate summed over each run of n consecutive elements of
-        A_d centred at mid (sum_pi_d)."""
-        return sum_pi_d(self.params.d, mid, n)
-
     def describe(self) -> str:
         return f"domain=monoid d={self.params.d} limit={self.params.limit}"
 
@@ -75,26 +70,3 @@ def estimate_pi_d(d: int, x):
     result **= 1.0 / d
     result *= d
     return np.divide(x, result, out=result)
-
-
-def sum_pi_d(d: int, mid, n):
-    """The sum of f(x) = x / (d (ln x)^a), a = 1/d, the estimate, over each
-    run of n consecutive elements of A_d, a step of d, centred at mid
-    (arrays), by the midpoint sum
-
-        n f(m) + f''(m) d^2 n(n^2 - 1)/24 + f''''(m) d^4 n(n^2 - 1)(3n^2 - 7)/5760,
-
-    f''(x) = -a (L - 1 - a) f(x) / (x L)^2 and f''''(x) = -a (2L^3 + (1 + a) L^2
-    - 2(1 + a)(2 + a) L - (1 + a)(2 + a)(3 + a)) f(x) / (x L)^4, L = ln x, and
-    f(m) the estimate itself.  The first term left out is below 1e-5 (dn/m)^6
-    of the sum."""
-    a = 1.0 / d
-    log = np.log(mid)
-    f = estimate_pi_d(d, mid)
-    u = d / (mid * log)  # the step over x L
-    u *= u  # squared by a product: numpy's pow is slow
-    d2 = -a * (log - 1.0 - a) * u
-    d4 = -a * (((2.0 * log + 1.0 + a) * log - 2.0 * (1.0 + a) * (2.0 + a)) * log
-               - (1.0 + a) * (2.0 + a) * (3.0 + a)) * (u * u)
-    spread = n * (n * n - 1.0)
-    return n * f + spread * f * (d2 / 24.0 + d4 * (3.0 * n * n - 7.0) / 5760.0)

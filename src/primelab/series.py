@@ -39,11 +39,10 @@ reducers read.
 
 Mape sums a block per run of rows with one count A when the series'
 estimate carries a run sum (``estimate_sum``, a census's closed form of
-the estimate f summed over n grid points), the block starts at
-RUN_SUM_START or later and it has at most one run per RUN_SUM_SPACING
-rows: a run of n rows adds |n A - sum f| * 100 / A.  A run where f crosses
-A, or that spans more than 1/RUN_SPAN_SHARE of its midpoint, goes per
-point, as does every other block.  Points where no percentage error is
+the estimate f summed over n grid points: the Gaussian census's alone),
+the block starts at RUN_SUM_START or later and it has at most one run per
+RUN_SUM_SPACING rows: a run of n rows adds |n A - sum f| * 100 / A.  A run
+where f crosses A goes per point, as does every other block.  Points where no percentage error is
 defined (actual = 0, or a series with no estimator) carry NaN in the
 derived columns; statistics skip them.
 """
@@ -68,17 +67,16 @@ _E_BOUNDS = (-2.0, 3.0)
 # is at least this: the gauss MAPEs at 10^6 and 10^7, at four bounds each and
 # in blocks of 4,099 and 2^16 rows, kept every bit of the per-point sum from
 # here on, but 5 of the 16 moved a unit in the last place with blocks
-# summed per run from x = 2, and 2 of them from 2^14.
+# summed per run from x = 2, and 2 of them from 2^14.  A run's closed-form
+# sum and its per-point sum round differently, so the same bits hold on the
+# censuses checked (gauss 10^6, 10^7, 2*10^7 and 10^8), not on every input:
+# elsewhere the two may differ in the last bits.
 RUN_SUM_START = 1 << 16
 # ... and when it has at most one run per this many rows: against its
-# per-point sum, a block of the 10^8 censuses took 0.46 of the time per run
-# at 0.029 runs a row (Gaussian), 0.90 at 0.115 (the d = 2 monoid past
-# 10^7), 1.38 at 0.23 (d = 3) and 3.0 at 0.50 (d = 7).
+# per-point sum, a block took 0.46 of the time per run at 0.029 runs a row
+# (the Gaussian census at 10^8), 0.90 at 0.115, 1.38 at 0.23 and 3.0 at
+# 0.50 (the densities of the d = 2, 3 and 7 monoids' blocks at 10^8).
 RUN_SUM_SPACING = 8
-# A run spans at most this share of its midpoint, or goes per point: the
-# sum's first term left out is below 1e-5 (span/midpoint)^6 of it, so 2^-64
-# of it at 1/256.
-RUN_SPAN_SHARE = 256
 
 _NO_PRIMES = "census holds no primes; no point to compare with its estimate"
 
@@ -325,8 +323,10 @@ def _error_sum(block: Block, stop: int) -> tuple[float, int]:
     before stop: per run where the block is summed so (Block.by_runs), a
     run of n rows at count A >= 1 adding |n A - sum f| * 100 / A, with
     sum f the series' run sum of the estimate f; per point elsewhere, and
-    for a run where f crosses A (f(first) < A < f(last)) or that spans more
-    than 1/RUN_SPAN_SHARE of its midpoint."""
+    for a run where f crosses A (f(first) < A < f(last)).  The run sum's
+    first term left out is below 1e-5 (span/midpoint)^6 of it, and the
+    Gaussian census's widest run past RUN_SUM_START spans 1/553 of its
+    midpoint (144 norms from 78,989, to 10^8)."""
     if not block.by_runs:
         return _defined_sum(block.pct_err[:stop])
     starts, counts = block.runs
@@ -341,7 +341,6 @@ def _error_sum(block: Block, stop: int) -> tuple[float, int]:
     f_first, f_last = np.split(estimate(np.concatenate((first, last))), 2)
     mid = (first + last) / 2.0
     summed = (counts >= 1) & ~((f_first < count) & (count < f_last))
-    summed &= (n - 1) * step * RUN_SPAN_SHARE <= mid
     n_summed, count_summed = n[summed].astype(np.float64), count[summed]
     terms = n_summed * count_summed
     terms -= block._estimate_sum(mid[summed], n_summed)

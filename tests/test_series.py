@@ -524,39 +524,27 @@ def test_statistics_equal_the_rows_oracles_on_synthetic_blocks(block_rows, step,
         assert find_crossover(ser.stream()) == oracle_find_crossover(ser)
 
 
-# the censuses whose estimates carry a run sum: only their estimate, run sum and
-# grid step are read, so the bound is any past the points drawn
-RUN_SUM_CENSUSES = {
-    "gauss": lambda: gaussian_census(10**9, "both-axes"),
-    **{f"monoid-d{d}": functools.partial(monoid_census, MonoidParams(d, 10**9))
-       for d in (2, 3, 50)},
-}
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(sorted(RUN_SUM_CENSUSES)),
-    block_rows=st.sampled_from([4099, sieve.COUNT_BLOCK]),
-    data=st.data(),
-)
-def test_mape_by_runs_equals_the_per_point_oracle(name, block_rows, data):
-    """A series of a census's estimate past RUN_SUM_START with synthetic
+@given(block_rows=st.sampled_from([4099, sieve.COUNT_BLOCK]), data=st.data())
+def test_mape_by_runs_equals_the_per_point_oracle(block_rows, data):
+    """A series of the Gaussian estimate past RUN_SUM_START with synthetic
     increments: a first count near the estimate, so that runs straddle it,
-    then runs of up to 5,000 rows and a last run of up to three blocks, cut
-    at any bound, in blocks of 4,099 and 2^16 rows: Mape, which sums the
-    sparse blocks per run, gives OracleMape's per-point sum to within the
-    rounding of the estimate's values (see sum_tolerance)."""
-    census = RUN_SUM_CENSUSES[name]()
-    step = census.change_grid().step
-    first = census.change_grid()[data.draw(st.integers(analysis.RUN_SUM_START, 10**7)) // step]
-    gaps = data.draw(st.lists(st.integers(1, 5000), max_size=40))
-    rows = sum(gaps) + data.draw(st.integers(1, 3 * block_rows))
+    and up to 41 runs, each of up to 1/256 of the first point (twice the
+    widest share of its midpoint that a run of the Gaussian census spans
+    past RUN_SUM_START, 1/553), cut at any bound, in blocks of 4,099 and
+    2^16 rows: Mape, which sums the sparse blocks per run, gives
+    OracleMape's per-point sum to within the rounding of the estimate's
+    values (see sum_tolerance)."""
+    census = gaussian_census(10**9, "both-axes")  # its estimate and run sum alone are read
+    first = data.draw(st.integers(analysis.RUN_SUM_START, 10**7))
+    gaps = data.draw(st.lists(st.integers(1, first // 256), min_size=1, max_size=41))
+    rows = sum(gaps)
     increments = np.zeros(rows, dtype=np.int64)
     level = data.draw(st.floats(0.9, 1.1))
     increments[0] = round(level * float(census.estimate(np.array([first]))[0]))
-    steps = data.draw(st.lists(st.integers(1, 5), min_size=len(gaps), max_size=len(gaps)))
-    np.add.at(increments, np.cumsum(gaps, dtype=np.int64), steps)
-    grid = range(first, first + rows * step, step)
+    steps = data.draw(st.lists(st.integers(1, 5), min_size=len(gaps) - 1, max_size=len(gaps) - 1))
+    np.add.at(increments, np.cumsum(gaps[:-1], dtype=np.int64), steps)
+    grid = range(first, first + rows)
     ser = HeldSeries(grid, np.cumsum(increments), census.estimate, "", census.estimate_sum)
     upto = data.draw(st.none() | st.integers(grid[0], grid[-1] + 1))
     with pytest.MonkeyPatch.context() as mp:
@@ -602,8 +590,8 @@ def test_census_mape_equals_the_per_point_oracle_bit_for_bit(name):
 def test_mape_sums_sparse_blocks_per_run_and_dense_ones_per_point(name, by_runs):
     """Past RUN_SUM_START, the Gaussian census's blocks (0.032 runs a row at
     10^8) are summed per run, with no count or error per point, and the
-    d = 50 monoid's (0.9 runs a row at 10^8) per point; before it, every
-    block goes per point."""
+    d = 50 monoid's (0.9 runs a row at 10^8, and no run sum) per point;
+    before it, every block goes per point."""
     census = {"gauss": lambda: gaussian_census(10**6, "both-axes"),
               "monoid-d50": lambda: monoid_census(MonoidParams(50, 10**7))}[name]()
     seen = []
