@@ -12,11 +12,14 @@ its statistics, and the series CSV writer and the chart when they are asked
 for.  So no command holds a count per point (fit's pass sums the fit's
 binned moments, read from a census or a CSV).  A command hands _scan and
 _emit its output paths themselves.  Two outputs that name one file exit 2,
-and every output a command is given is created, in the order the command
-names them, before any census work, so an unwritable path exits 4 before
-the first printed line; the series CSV is written during the pass, the
-printed lines and the other files after it (fit's --csv, which may name
-the --from-csv input, is not emptied until then).
+as does an output that is an existing FIFO or socket, which open would
+block on or refuse.  Every output a command is given is created, in the
+order the command names them, before any census work, so an output that
+cannot be created exits 4 before the first printed line; the series CSV is
+written during the pass, the printed lines and the other files after it
+(fit's --csv, which may name the --from-csv input, is not emptied until
+then), so a write that fails later (/dev/full) exits 4 after the lines
+printed before it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 from . import gaussian, monoid, quadratic, report, series as analysis, sieve
@@ -210,10 +214,17 @@ def _create(*paths) -> None:
             open(path, "wb").close()
 
 
-def _distinct(*paths) -> None:
-    """Refuse two outputs that name one file (None and an empty path name none)."""
+def _check_outputs(*paths) -> None:
+    """Refuse two outputs that name one file (None and an empty path name none),
+    and an existing FIFO or socket; a character device such as /dev/null passes."""
     seen = {}
     for path in filter(None, paths):
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:  # not there yet, or not reachable: creating it says which
+            mode = 0
+        if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
+            raise ValueError(f"output {path} is a FIFO or a socket")
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"outputs {seen[real]} and {path} name one file")
@@ -225,7 +236,7 @@ def _scan(ser: analysis.Series, reducers, csv=None, series_csv=None, svg=None) -
     the series' one pass to the reducers and to the writers of the series:
     the series CSV's (closed at the pass's end, or when a later path fails)
     and the chart's, returned as (path, writer) pairs in that order."""
-    _distinct(csv, series_csv, svg)
+    _check_outputs(csv, series_csv, svg)
     writers = []
     with contextlib.ExitStack() as opened:
         _create(csv)
@@ -322,6 +333,7 @@ def _fit_series(args) -> analysis.Series:
 
 def _cmd_fit(args) -> int:
     ser = _fit_series(args)
+    _check_outputs(args.csv)
     if args.csv is not None:
         open(args.csv, "ab").close()  # not emptied: write_csv replaces it after the pass
     result = analysis.fit_model(ser)
@@ -338,7 +350,7 @@ def _cmd_table1(args) -> int:
     charts = {}
     if args.svg_dir is not None:
         charts = {d: os.path.join(args.svg_dir, f"monoid_d{d}.svg") for d in TABLE1_MODULI}
-    _distinct(args.csv, *charts.values())
+    _check_outputs(args.csv, *charts.values())
     _create(args.csv)
     if args.svg_dir is not None:
         os.makedirs(args.svg_dir, exist_ok=True)

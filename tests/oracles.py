@@ -53,12 +53,15 @@ package Series is read once, so the tests hold their reference series whole
 as a ``HeldSeries``, which makes a fresh Series for each pass (``stream``);
 ``hold`` reads the one pass of a package Series into one, ``series_rows``
 gives the five columns of its rows, and ``write_series_csv`` writes its CSV
-as the commands do.
+as the commands do; ``series_csv_sha256`` hashes the CSV of whole arrays
+as the printf-style row format prints every row, which the series CSV
+writer's digit arithmetic must match.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -198,6 +201,23 @@ def write_series_csv(series: HeldSeries, path) -> None:
     writer = report.SeriesCsvWriter(path)
     analysis.scan(ser, writer)
     writer.finish()
+
+
+def series_csv_sha256(x, actual, estimate) -> str:
+    """The sha256 of a series CSV with every row in the printf-style row
+    format (an empty field for nan), from whole x and actual and the estimate
+    as a function of x, 2^16 rows at a time: the bytes that the series CSV
+    writer's digit arithmetic must give."""
+    want = hashlib.sha256((SERIES_HEADER + "\n").encode())
+    for lo in range(0, len(x), 1 << 16):
+        xs, acts = x[lo : lo + (1 << 16)], actual[lo : lo + (1 << 16)]
+        est = estimate(xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols = (xs, acts, est, acts / est, 100.0 * np.abs(acts - est) / acts)
+        rows = zip(*(col.tolist() for col in cols))
+        text = "".join("%d,%d,%.6g,%.5f,%.5f\n" % row for row in rows)
+        want.update(text.replace(",nan", ",").encode())
+    return want.hexdigest()
 
 
 def build_series(census) -> HeldSeries:

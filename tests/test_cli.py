@@ -490,20 +490,61 @@ UNREADABLE_INPUTS = {
 }
 
 
+def run_child(argv):
+    """Run primelab in a child process that is killed after 10 s."""
+    src = os.path.dirname(os.path.dirname(report.__file__))
+    return subprocess.run([sys.executable, "-m", "primelab", *argv], capture_output=True,
+                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.mark.parametrize("name", sorted(UNREADABLE_INPUTS))
 def test_fit_refuses_an_input_it_cannot_read(tmp_path, name):
     make, code, reason = UNREADABLE_INPUTS[name]
     path = str(make(tmp_path))
-    src = os.path.dirname(os.path.dirname(report.__file__))
-    proc = subprocess.run([sys.executable, "-m", "primelab", "fit", "--from-csv", path],
-                          capture_output=True, text=True, timeout=10,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = run_child(["fit", "--from-csv", path])
     if reason is None:  # open's own error
         reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
     else:
         reason = f"{path} {reason}"
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error: {reason}\n")
     assert "Traceback" not in proc.stderr
+
+
+# outputs that open would block on, each refused at once (each of these blocked
+# in open until it was killed), and a character device, which is written to:
+# the command, its output and the exit code
+DEVICE_OUTPUTS = [
+    (["gauss", "--norm-limit", "100", "--csv"], fifo, EXIT_USAGE),
+    (["gauss", "--norm-limit", "100", "--series-csv"], fifo, EXIT_USAGE),
+    (["fit", "--domain", "classical", "--limit", "1000", "--csv"], fifo, EXIT_USAGE),
+    (["quad", "--d", "5", "--bound", "100", "--svg"], fifo, EXIT_USAGE),
+    (["gauss", "--norm-limit", "100", "--csv"], lambda _: "/dev/null", EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, make, code", DEVICE_OUTPUTS,
+                         ids=[" ".join(argv) + f" {code}" for argv, _, code in DEVICE_OUTPUTS])
+def test_a_fifo_output_exits_2_and_a_device_output_is_written(argv, make, code, tmp_path):
+    path = str(make(tmp_path))
+    proc = run_child([*argv, path])
+    if code == EXIT_USAGE:
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr == f"error: output {path} is a FIFO or a socket\n"
+    else:
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert proc.stdout.endswith(f"wrote {path}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_write_that_fails_after_creation_exits_4_after_the_printed_lines(capsys):
+    """/dev/full opens, and only a write to it fails: the summary CSV is
+    written after the summary line is printed, the series CSV during the
+    pass, before any line."""
+    summary = "gauss norm-limit=100 axes=both-axes: count=27 mape=25.359%\n"
+    full = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    for flag, printed in (("--csv", summary), ("--series-csv", "")):
+        argv = ["gauss", "--norm-limit", "100", flag, "/dev/full"]
+        assert run(argv, capsys) == (EXIT_IO, printed, full), flag
 
 
 def test_table1_summary(tmp_path, capsys):

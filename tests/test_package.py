@@ -65,6 +65,7 @@ ORACLES = {
     "quad_is_unit",
     "quad_mul",
     "quad_norm",
+    "series_csv_sha256",
     "series_rows",
     "table_primes",
     "trial_division_is_prime",
